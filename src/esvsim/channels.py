@@ -10,7 +10,9 @@ The two diffusive channels are Gaussian-weighted averages of unitary orbits,
 evaluated by Gauss-Hermite quadrature (sigma is a variance in both cases).
 Every quadrature term conjugates by an exactly unitary truncated gate, so
 the trace is preserved to rounding; the node count is raised automatically
-if the trace bound is ever missed, up to a hard cap.
+if the trace bound is ever missed, up to a hard cap.  The thermal average is
+exactly parity-covariant: a parity-definite input (no odd-offset coherence)
+gives an output with exactly zero odd-offset entries.
 
 Loss mixes the mode with an ancillary vacuum on a beam splitter of
 transmissivity cos^2(theta) and traces the ancilla out.
@@ -78,7 +80,10 @@ def thermal_channel(rho: DensityMatrix, spec: NoiseSpec) -> DensityMatrix:
     """Random-displacement (phase-insensitive) Gaussian noise of variance sigma_tn.
 
     Each quadrature of the output gains +sigma_tn of variance and the mean
-    photon number grows by sigma_tn.
+    photon number grows by sigma_tn.  The channel commutes with parity
+    (D(-a) = P D(a) P and the nodes are symmetric), so when every
+    odd-offset input coherence (n - m odd) is exactly zero the output's
+    odd-offset entries are set to exact zeros instead of rounding residue.
     """
     d = _single_mode(rho)
     sigma = spec.sigma_tn
@@ -86,6 +91,9 @@ def thermal_channel(rho: DensityMatrix, spec: NoiseSpec) -> DensityMatrix:
         return rho
     start = spec.nodes if spec.nodes is not None else DEFAULT_THERMAL_NODES
     target = rho.trace()
+    n = np.arange(d)
+    odd = (n[:, None] - n[None, :]) % 2 == 1
+    parity_definite = not rho.mat[odd].any()
     for nodes in _node_ladder(start):
         t, w = hermgauss(nodes)
         out = np.zeros_like(rho.mat)
@@ -101,6 +109,8 @@ def thermal_channel(rho: DensityMatrix, spec: NoiseSpec) -> DensityMatrix:
                     dmat = dmat.T
                 out += (w[i] * w[j] / np.pi) * (dmat @ rho.mat @ dmat.conj().T)
         if abs(float(np.trace(out).real) - target) <= TRACE_TOL:
+            if parity_definite:
+                out[odd] = 0.0
             return DensityMatrix(rho.layout, 0.5 * (out + out.conj().T))
     raise ValueError(
         f"trace bound {TRACE_TOL:.0e} not met with {NODE_CAP} quadrature nodes"

@@ -24,7 +24,7 @@ from .fock import TruncationError, fidelity
 from .measures import eof_pure, log_negativity
 from .protocols import QubitAmplitudes, entanglement_swap, generate_scheme_a, generate_scheme_b, teleport
 from .separability import duan_det, esv_criterion_det, simon_det
-from .states import EsvSpec, SqueezeSpec, displaced_overlap, esv_pure, squeezed_vacuum
+from .states import EsvSpec, SqueezeSpec, displaced_overlap, esv_mixed, esv_pure, squeezed_vacuum
 
 __all__ = ["SweepConfig", "SweepResult", "run", "emit_csv", "main"]
 
@@ -101,7 +101,6 @@ def _noisy_ln(point, cutoff, strict, cache, kind):
         else:
             rho = phase_channel(rho, NoiseSpec("phase", sigma_pn=point["sigma"]))
         cache[key] = rho
-    from .states import esv_mixed
     joint = esv_mixed(cache[key], cache[key], point["phi"])
     return (log_negativity(joint, [1]),)
 
@@ -121,7 +120,8 @@ def _eval_ent_power(point, cutoff, strict, cache):
 
 def _eval_criteria(point, cutoff, strict, cache):
     state = esv_pure(EsvSpec(point["s"], point["phi"], cutoff), strict=strict)
-    return (simon_det(state), duan_det(state), esv_criterion_det(state))
+    return (simon_det(state, strict=strict), duan_det(state, strict=strict),
+            esv_criterion_det(state, strict=strict))
 
 
 def _eval_swap(point, cutoff, strict, cache):

@@ -55,6 +55,7 @@ __all__ = [
     "resize_mode",
     "moment",
     "eigs_hermitian",
+    "hermitian_blocks",
     "fidelity",
     "tail_mass",
     "check_tail",
@@ -595,6 +596,37 @@ def eigs_hermitian(m) -> np.ndarray:
         raise ValueError(f"input not Hermitian: max deviation {dev:.3e}")
     ev = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
     return ev[::-1]
+
+
+def hermitian_blocks(mat: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Connected components of the exact nonzero pattern of a square matrix.
+
+    Indices i and j share a component when a chain of nonzero entries
+    (``mat != 0``, no tolerance, either orientation) links them, so the
+    matrix restricted to one component's indices is one diagonal block of a
+    permuted block-diagonal form, and a Hermitian matrix's spectrum is the
+    union of its blocks' spectra.  Returns the components of more than one
+    index (ascending index arrays, ordered by smallest index) and, apart,
+    the ascending array of isolated indices, whose only possible nonzero
+    entry is on the diagonal.
+    """
+    adj = np.asarray(mat) != 0
+    adj |= adj.T
+    seen = adj.sum(axis=1) == adj.diagonal()    # no off-diagonal link
+    isolated = np.flatnonzero(seen)
+    blocks = []
+    for seed in np.flatnonzero(~seen):
+        if seen[seed]:
+            continue
+        members = np.zeros(len(adj), dtype=bool)
+        members[seed] = True
+        frontier = members
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~members
+            members |= frontier
+        seen |= members
+        blocks.append(np.flatnonzero(members))
+    return blocks, isolated
 
 
 def fidelity(x: FockVector, y: FockVector) -> float:

@@ -143,3 +143,41 @@ def random_product_dm(dims, rng):
     for m in mats[1:]:
         out = np.kron(out, m)
     return out
+
+
+def thermal_quadrature(rho, sigma, nodes=24):
+    """Random-displacement average by a full nodes x nodes Gauss-Hermite grid.
+
+    Every node builds its own D(alpha) = expm(alpha a† - conj(alpha) a) from
+    the truncated ladder, with no symmetry shortcut and no parity mask.
+    """
+    from numpy.polynomial.hermite import hermgauss
+    from scipy.linalg import expm
+
+    a = ladder(rho.shape[0])
+    t, w = hermgauss(nodes)
+    out = np.zeros_like(rho)
+    for i in range(nodes):
+        for j in range(nodes):
+            alpha = math.sqrt(sigma) * (t[i] + 1j * t[j])
+            dmat = expm(alpha * a.conj().T - np.conj(alpha) * a)
+            out += (w[i] * w[j] / math.pi) * (dmat @ rho @ dmat.conj().T)
+    return 0.5 * (out + out.conj().T)
+
+
+def log_negativity_dense(rho, dims, split, zero_band=1e-11):
+    """log2 ||rho^PT||_1 from one dense eigensolve of the whole partial transpose.
+
+    The transpose is an explicit index permutation of the (dims + dims)
+    tensor; eigenvalues inside the zero band are dropped and the result is
+    clamped at zero, as the library documents.
+    """
+    n = len(dims)
+    perm = list(range(2 * n))
+    for m in split:
+        perm[m], perm[m + n] = perm[m + n], perm[m]
+    d = int(np.prod(dims))
+    pt = np.transpose(np.asarray(rho).reshape(tuple(dims) * 2), perm).reshape(d, d)
+    ev = np.linalg.eigvalsh(0.5 * (pt + pt.conj().T))
+    tn = float(np.abs(ev[np.abs(ev) > zero_band]).sum())
+    return max(0.0, math.log2(tn)) if tn > 0 else 0.0

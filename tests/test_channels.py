@@ -6,6 +6,7 @@ from esvsim import (
     NoiseSpec,
     SqueezeSpec,
     bs_loss,
+    displaced_squeezed,
     esv_mixed,
     esv_pure,
     log_negativity,
@@ -16,7 +17,7 @@ from esvsim import (
 )
 from esvsim.fock import DensityMatrix, ModeLayout, eigs_hermitian
 
-from oracles import loss_kraus
+from oracles import loss_kraus, thermal_quadrature
 
 
 def sq_dm(s, d):
@@ -58,6 +59,29 @@ def test_thermal_squeezed_quadrature_variance():
     x_mean = np.sqrt(2) * m_a.real
     x2 = 0.5 * (m_aa + np.conj(m_aa) + 2 * m_ad_a + 1).real
     assert x2 - x_mean**2 == pytest.approx(0.5 * np.exp(-2 * s) + sigma, abs=1e-4)
+
+
+def odd_offsets(d):
+    n = np.arange(d)
+    return (n[:, None] - n[None, :]) % 2 == 1
+
+
+def test_thermal_output_parity_exact_for_parity_definite_input():
+    rho = sq_dm(1.0, 30)
+    out = thermal_channel(rho, NoiseSpec("thermal", sigma_tn=1.0)).mat
+    odd = odd_offsets(30)
+    assert np.all(out[odd] == 0.0)
+    unmasked = thermal_quadrature(rho.mat, 1.0)
+    assert np.abs(unmasked[odd]).max() > 0.0        # the residue the mask removes
+    assert np.abs(out[~odd] - unmasked[~odd]).max() <= 1e-15
+
+
+def test_thermal_output_unmasked_for_odd_coherences():
+    rho = displaced_squeezed(0.4 + 0.2j, 0.8, 14).normalized().density()
+    out = thermal_channel(rho, NoiseSpec("thermal", sigma_tn=0.3)).mat
+    odd = odd_offsets(14)
+    assert np.abs(out[odd]).max() > 1e-2
+    assert np.abs(out - thermal_quadrature(rho.mat, 0.3)).max() <= 1e-15
 
 
 def test_thermal_trace_preserved():

@@ -75,6 +75,9 @@ def test_numeric_guard_exit_3():
     # strict mode rejects a squeezing this large at a tiny cutoff
     assert main(["eof-surface", "s=2.5..2.5:1", "phi=0..0:1",
                  "--cutoff", "12", "--strict"]) == 3
+    # strict reaches the determinants: each single-mode tail (7.1e-9) passes,
+    # the joint tail of the moment words (1.6e-8) does not
+    assert main(["criteria", "s=0.62", "phi=0", "--strict"]) == 3
     # the degenerate (s = 0, phi = pi) point is a guard error too
     assert main(["eof-surface", "s=0..0:1", "phi=3.141592653589793..3.2:1"]) == 3
 

@@ -1,21 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esvsim import (
     EsvSpec,
+    NoiseSpec,
     SqueezeSpec,
     apply_single_mode,
     eof_pure,
+    esv_mixed,
     esv_pure,
     log_negativity,
+    partial_transpose,
+    phase_channel,
     squeezed_vacuum,
     tensor,
+    thermal_channel,
     two_mode_squeezed_vacuum,
     two_qubit_negativity,
 )
-from esvsim.fock import DensityMatrix, FockVector, ModeLayout
+from esvsim.fock import DensityMatrix, FockVector, ModeLayout, hermitian_blocks
 
-from oracles import entropy2, esv_reduced_spectrum, tmsv_logneg
+from oracles import entropy2, esv_reduced_spectrum, log_negativity_dense, tmsv_logneg
 
 
 def bell_dm():
@@ -136,3 +143,94 @@ def test_ppt_states_have_zero_log_negativity():
 def test_eof_equals_log_negativity_on_maximally_entangled_pair():
     state = esv_pure(EsvSpec(0.6, np.pi, 40))
     assert eof_pure(state, [0]) == pytest.approx(log_negativity(state, [1]), abs=1e-6)
+
+
+# --- block-wise eigensolve of the partial transpose --------------------------
+
+def noisy_esv(kind, s, sigma, phi, cutoff):
+    """The ln-thermal / ln-phase state: both inputs noised, then entangled by T."""
+    rho = squeezed_vacuum(SqueezeSpec(s, cutoff)).normalized().density()
+    if kind == "thermal":
+        rho = thermal_channel(rho, NoiseSpec("thermal", sigma_tn=sigma))
+    else:
+        rho = phase_channel(rho, NoiseSpec("phase", sigma_pn=sigma))
+    return esv_mixed(rho, rho, phi)
+
+
+def assert_matches_dense(rho, split=(1,)):
+    got = log_negativity(rho, split)
+    want = log_negativity_dense(rho.mat, rho.layout.dims, split)
+    assert abs(got - want) <= 1e-12
+    return got
+
+
+@pytest.mark.parametrize("kind, sigma", [("thermal", 1.0), ("phase", 0.5)])
+def test_block_log_negativity_matches_dense_on_noisy_sweeps(kind, sigma):
+    # phi = 0 and pi add the mod-4 zeros of T to the parity sectors
+    for phi in (0.0, 0.9, np.pi):
+        rho = noisy_esv(kind, 1.0, sigma, phi, 30)
+        blocks, _ = hermitian_blocks(partial_transpose(rho, [1]).mat)
+        assert max(len(b) for b in blocks) <= 225     # one parity sector of 900
+        assert assert_matches_dense(rho) > 0.0
+
+
+def test_block_log_negativity_matches_dense_on_pure_states():
+    assert_matches_dense(esv_pure(EsvSpec(0.7, 0.4, 24)).density())
+    assert_matches_dense(two_mode_squeezed_vacuum(0.5, 24).normalized().density())
+
+
+def test_block_log_negativity_single_block_and_isolated_rows():
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((36, 36)) + 1j * rng.standard_normal((36, 36))
+    dense = g @ g.conj().T
+    dense /= np.trace(dense).real
+    rho = DensityMatrix(ModeLayout((6, 6)), dense)
+    blocks, isolated = hermitian_blocks(rho.mat)
+    assert len(blocks) == 1 and isolated.size == 0
+    assert assert_matches_dense(rho) > 0.0
+    # the same state embedded at cutoff 9: levels 6..8 give all-zero rows
+    padded = np.zeros((9, 9, 9, 9), dtype=complex)
+    padded[:6, :6, :6, :6] = dense.reshape(6, 6, 6, 6)
+    rho9 = DensityMatrix(ModeLayout((9, 9)), padded.reshape(81, 81))
+    blocks, isolated = hermitian_blocks(partial_transpose(rho9, [1]).mat)
+    assert len(blocks) == 1 and isolated.size == 81 - 36
+    assert assert_matches_dense(rho9) == pytest.approx(log_negativity(rho, [1]), abs=1e-12)
+
+
+def test_hermitian_blocks_recovers_permuted_block_diagonal():
+    rng = np.random.default_rng(5)
+    sizes = [1, 3, 1, 4, 2, 5]
+    n = sum(sizes)
+    mat = np.zeros((n, n), dtype=complex)
+    start = 0
+    for k in sizes:
+        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        mat[start:start + k, start:start + k] = g + g.conj().T
+        start += k
+    perm = rng.permutation(n)
+    shuffled = mat[np.ix_(perm, perm)]
+    blocks, isolated = hermitian_blocks(shuffled)
+    inverse = np.argsort(perm)        # position of original index i after shuffling
+    edges = np.cumsum([0] + sizes)
+    want = [np.sort(inverse[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])]
+    assert sorted(map(tuple, blocks)) == sorted(tuple(w) for w in want if len(w) > 1)
+    assert sorted(isolated) == sorted(int(w[0]) for w in want if len(w) == 1)
+    spectrum = np.concatenate([shuffled[isolated, isolated].real]
+                              + [np.linalg.eigvalsh(shuffled[np.ix_(b, b)]) for b in blocks])
+    assert np.allclose(np.sort(spectrum), np.linalg.eigvalsh(mat), atol=1e-12)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["thermal", "phase"]),
+    s=st.floats(0.1, 1.2),
+    sigma=st.floats(0.0, 2.0),
+    phi=st.one_of(st.sampled_from([0.0, np.pi]), st.floats(0.0, 2 * np.pi)),
+    cutoff=st.integers(6, 14),
+    theta=st.floats(-np.pi, np.pi),
+)
+def test_block_log_negativity_property(kind, s, sigma, phi, cutoff, theta):
+    rho = noisy_esv(kind, s, sigma, phi, cutoff)
+    value = assert_matches_dense(rho)
+    rotated = apply_single_mode(rho, 1, "phase", theta)
+    assert abs(log_negativity(rotated, [1]) - value) <= 1e-12
