@@ -15,7 +15,6 @@ from .fock import (
     eigs_hermitian,
     fidelity,
     moment,
-    partial_trace,
     partial_transpose,
     reduced_density,
     swap_modes,

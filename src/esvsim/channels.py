@@ -31,7 +31,7 @@ from .fock import (
     ModeLayout,
     apply_beamsplitter,
     displace_matrix,
-    partial_trace,
+    reduced_density,
     tensor,
     vacuum,
 )
@@ -48,19 +48,16 @@ DEFAULT_PHASE_NODES = 32
 class NoiseSpec:
     """Parameters of one noise model; only the active kind's fields are read."""
 
-    kind: str                      # "thermal" | "phase" | "bs_loss"
+    kind: str                      # "thermal" | "phase"
     sigma_tn: float = 0.0          # thermal weight variance, photon-number units
     sigma_pn: float = 0.0          # phase weight variance, radians^2
-    transmissivity: float = 1.0    # cos^2(theta) of the loss beam splitter
     nodes: int | None = None       # quadrature nodes per axis
 
     def __post_init__(self):
-        if self.kind not in ("thermal", "phase", "bs_loss"):
+        if self.kind not in ("thermal", "phase"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.sigma_tn < 0 or self.sigma_pn < 0:
             raise ValueError("noise variances must be non-negative")
-        if not 0.0 <= self.transmissivity <= 1.0:
-            raise ValueError("transmissivity must lie in [0, 1]")
         if self.nodes is not None and self.nodes < 8:
             raise ValueError("at least 8 quadrature nodes required")
 
@@ -160,4 +157,4 @@ def bs_loss(state: FockVector | DensityMatrix, transmissivity: float) -> Density
     ancilla = vacuum(ModeLayout((d,))).density()
     joint = tensor(rho, ancilla)
     mixed = apply_beamsplitter(joint, 0, 1, theta)
-    return partial_trace(mixed, keep=[0])
+    return reduced_density(mixed, keep=[0])

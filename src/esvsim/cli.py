@@ -165,9 +165,6 @@ COMMANDS: dict[str, _Command] = {
     "ent-power": _Command(
         {"s": (1.1, 1.1, 1), "phi": (0.0, 0.0, 1), "tau": (0.0, 10.0, 21)},
         ("value",), _eval_ent_power),
-    "ent-power-opt": _Command(
-        {"s": (0.5, 2.0, 6), "phi": (0.0, 0.0, 1), "tau": (8.0, 8.0, 1)},
-        ("value",), _eval_ent_power),
     "criteria": _Command(
         {"s": (0.2, 1.0, 3), "phi": (0.0, np.pi, 3)},
         ("simon", "duan", "esv_criterion"), _eval_criteria),
@@ -255,7 +252,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        ranges = dict(_parse_assignment(a) for a in args.assignments)
+        ranges = {}
+        for name, grid in map(_parse_assignment, args.assignments):
+            if name in ranges:
+                raise UsageError(f"parameter {name!r} given more than once")
+            ranges[name] = grid
         config = SweepConfig(command=args.command, ranges=ranges,
                              cutoff=args.cutoff, strict=args.strict, out=args.out)
     except UsageError as exc:

@@ -78,7 +78,7 @@ def jc_evolve_pair(state: FockVector | DensityMatrix, tau: float):
     if state.layout.nmodes != 2 or state.layout.dims[0] != 2:
         raise ValueError("expected a (qubit, mode) layout with qubit dimension 2")
     u = jc_unitary(JcSpec(tau, state.layout.dims[1]))
-    return _apply_unitary(state, [0, 1], u)
+    return _apply_unitary(state, [0, 1], [(slice(None), u)])
 
 
 def entangling_power(state: FockVector | DensityMatrix, tau: float) -> float:
@@ -96,7 +96,7 @@ def entangling_power(state: FockVector | DensityMatrix, tau: float) -> float:
     # joint layout: (a, b, q1, q2)
     joint = tensor(state, qubits)
     u = jc_unitary(JcSpec(tau, state.layout.dims[0]))
-    joint = _apply_unitary(joint, [2, 0], u)
+    joint = _apply_unitary(joint, [2, 0], [(slice(None), u)])
     u = jc_unitary(JcSpec(tau, state.layout.dims[1]))
-    joint = _apply_unitary(joint, [3, 1], u)
+    joint = _apply_unitary(joint, [3, 1], [(slice(None), u)])
     return two_qubit_negativity(reduced_density(joint, keep=[2, 3]))

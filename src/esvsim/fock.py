@@ -44,11 +44,9 @@ __all__ = [
     "squeeze_matrix",
     "displace_matrix",
     "phase_matrix",
-    "beamsplitter_matrix",
     "apply_single_mode",
     "apply_beamsplitter",
     "tensor",
-    "partial_trace",
     "reduced_density",
     "partial_transpose",
     "swap_modes",
@@ -246,12 +244,13 @@ def phase_matrix(dim: int, theta: float) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _beamsplitter_blocks(dim_a: int, dim_b: int, theta: float) -> tuple:
-    """Per-block unitaries of exp[theta (a b† - a† b)] over total photon number.
+    """(rows, block) pairs of exp[theta (a b† - a† b)], one per total photon number.
 
     The generator conserves n_a + n_b even on the truncated grid, so the
     exponential factorizes into one small unitary per total; this is exactly
-    the full matrix exponential, computed and applied without ever building
-    the (dim_a*dim_b)^2 matrix.
+    the full matrix exponential, applied by `_apply_blocks` without ever
+    building the (dim_a*dim_b)^2 matrix.  Rows index the flattened pair
+    (m, n) as m*dim_b + n.
     """
     blocks = []
     for total in range(dim_a + dim_b - 1):
@@ -263,22 +262,8 @@ def _beamsplitter_blocks(dim_a: int, dim_b: int, theta: float) -> tuple:
             # a b† moves |m, total-m> to |m-1, total-m+1>
             gen[idx - 1, idx] = np.sqrt(m * (total - m + 1))
         block = expm(theta * (gen - gen.T))
-        blocks.append((ms, total - ms, block))
+        blocks.append((ms * dim_b + total - ms, block))
     return tuple(blocks)
-
-
-def beamsplitter_matrix(dim_a: int, dim_b: int, theta: float = np.pi / 4) -> np.ndarray:
-    """Dense exp[theta (a b† - a† b)] on the (dim_a x dim_b) grid.
-
-    theta = pi/4 gives the balanced splitter a -> (a+b)/sqrt(2),
-    b -> (b-a)/sqrt(2).  Intended for inspection and small dimensions;
-    apply_beamsplitter works block-wise and never builds this matrix.
-    """
-    u = np.zeros((dim_a * dim_b, dim_a * dim_b), dtype=complex)
-    for ms, ns, block in _beamsplitter_blocks(dim_a, dim_b, theta):
-        rows = ms * dim_b + ns
-        u[np.ix_(rows, rows)] = block
-    return u
 
 
 # ---------------------------------------------------------------------------
@@ -332,33 +317,35 @@ def check_tail(state, strict: bool = False, context: str = "operation") -> None:
 # applying operators
 # ---------------------------------------------------------------------------
 
-def _apply_left(amps: np.ndarray, dims: Sequence[int], modes: Sequence[int], u: np.ndarray) -> np.ndarray:
-    """Apply u to the given modes of a flat coefficient array.
+def _apply_blocks(t: np.ndarray, axes: Sequence[int], blocks) -> np.ndarray:
+    """Left action of a block-sparse operator on some axes of a tensor.
 
-    The array may carry extra trailing structure (e.g. the bra index of a
-    density matrix); everything that is not a target mode is left alone.
+    `blocks` holds (rows, block) pairs whose rows partition the row-major
+    flattened index of the target axes; each block maps its rows onto
+    themselves.  A dense operator u is the single pair (slice(None), u).
+    The other axes are left alone, and t is not modified.
     """
-    extra = amps.size // int(np.prod(dims))
-    shape = list(dims) + ([extra] if extra > 1 else [])
-    t = amps.reshape(shape)
-    naxes = len(shape)
-    order = list(modes) + [ax for ax in range(naxes) if ax not in modes]
-    t = np.transpose(t, order)
-    dsel = int(np.prod([shape[ax] for ax in modes]))
-    rest = t.size // dsel
-    t = (u @ t.reshape(dsel, rest)).reshape([shape[ax] for ax in order])
-    t = np.transpose(t, np.argsort(order))
-    return t.reshape(-1)
+    order = list(axes) + [ax for ax in range(t.ndim) if ax not in axes]
+    moved = np.transpose(t, order)
+    flat = moved.reshape(int(np.prod(moved.shape[:len(axes)])), -1)
+    out = np.empty_like(flat)
+    for rows, block in blocks:
+        out[rows] = block @ flat[rows]
+    return np.transpose(out.reshape(moved.shape), np.argsort(order))
 
 
-def _apply_unitary(state, modes: Sequence[int], u: np.ndarray):
-    """Apply a unitary acting on the given modes: U|psi> or U rho U†."""
+def _apply_unitary(state, modes: Sequence[int], blocks):
+    """Apply a unitary, given as `_apply_blocks` pairs, to modes: U|psi> or U rho U†.
+
+    A density matrix takes U on its ket axes and conj(U) on its bra axes.
+    """
     if isinstance(state, FockVector):
-        return FockVector(state.layout, _apply_left(state.amps, state.layout.dims, modes, u))
-    d = state.layout.total_dim
-    half = _apply_left(state.mat.reshape(-1), state.layout.dims, modes, u).reshape(d, d)
-    full = _apply_left(half.conj().T.reshape(-1), state.layout.dims, modes, u).reshape(d, d)
-    return DensityMatrix(state.layout, full.conj().T)
+        return FockVector(state.layout, _apply_blocks(state.as_tensor(), modes, blocks).reshape(-1))
+    dims = state.layout.dims
+    n = len(dims)
+    t = _apply_blocks(state.mat.reshape(dims + dims), modes, blocks)
+    t = _apply_blocks(t, [m + n for m in modes], [(rows, b.conj()) for rows, b in blocks])
+    return DensityMatrix(state.layout, t.reshape(state.mat.shape))
 
 
 def apply_single_mode(state, mode: int, gate: str, value, strict: bool = False):
@@ -380,27 +367,10 @@ def apply_single_mode(state, mode: int, gate: str, value, strict: bool = False):
         u = phase_matrix(dim, float(value))
     else:
         raise ValueError(f"unknown gate {gate!r}; expected squeeze, displace or phase")
-    out = _apply_unitary(state, [mode], u)
+    out = _apply_unitary(state, [mode], [(slice(None), u)])
     if gate != "phase":
         check_tail(out, strict=strict, context=f"{gate} gate")
     return out
-
-
-def _apply_bs_left(amps: np.ndarray, dims: Sequence[int], mode_a: int, mode_b: int,
-                   blocks) -> np.ndarray:
-    """Block-wise left action of the beam splitter on a flat coefficient array."""
-    extra = amps.size // int(np.prod(dims))
-    shape = list(dims) + ([extra] if extra > 1 else [])
-    naxes = len(shape)
-    order = [mode_a, mode_b] + [ax for ax in range(naxes) if ax not in (mode_a, mode_b)]
-    t = np.transpose(amps.reshape(shape), order)
-    tshape = t.shape
-    t = t.reshape(tshape[0], tshape[1], -1).copy()
-    for ms, ns, block in blocks:
-        t[ms, ns, :] = block @ t[ms, ns, :]
-    t = t.reshape(tshape)
-    t = np.transpose(t, np.argsort(order))
-    return t.reshape(-1)
 
 
 def apply_beamsplitter(state, mode_a: int, mode_b: int, theta: float = np.pi / 4,
@@ -414,16 +384,9 @@ def apply_beamsplitter(state, mode_a: int, mode_b: int, theta: float = np.pi / 4
     state.layout.check_mode(mode_b)
     if mode_a == mode_b:
         raise ValueError("beam splitter requires two distinct modes")
-    da, db = state.layout.dims[mode_a], state.layout.dims[mode_b]
-    blocks = _beamsplitter_blocks(da, db, theta)
     dims = state.layout.dims
-    if isinstance(state, FockVector):
-        out = FockVector(state.layout, _apply_bs_left(state.amps, dims, mode_a, mode_b, blocks))
-    else:
-        d = state.layout.total_dim
-        half = _apply_bs_left(state.mat.reshape(-1), dims, mode_a, mode_b, blocks).reshape(d, d)
-        full = _apply_bs_left(half.conj().T.reshape(-1), dims, mode_a, mode_b, blocks).reshape(d, d)
-        out = DensityMatrix(state.layout, full.conj().T)
+    blocks = _beamsplitter_blocks(dims[mode_a], dims[mode_b], theta)
+    out = _apply_unitary(state, [mode_a, mode_b], blocks)
     check_tail(out, strict=strict, context="beam splitter")
     return out
 
@@ -469,13 +432,6 @@ def reduced_density(state, keep: Iterable[int]) -> DensityMatrix:
     out_layout = ModeLayout(tuple(dims[m] for m in keep))
     mat = 0.5 * (mat + mat.conj().T)  # scrub rounding noise
     return DensityMatrix(out_layout, mat)
-
-
-def partial_trace(state: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Trace out every mode not in `keep`."""
-    if not isinstance(state, DensityMatrix):
-        raise TypeError("partial_trace acts on density matrices; see reduced_density")
-    return reduced_density(state, keep)
 
 
 def partial_transpose(state: DensityMatrix, modes: Iterable[int]) -> DensityMatrix:
@@ -575,16 +531,14 @@ def moment(state, word, strict: bool = False) -> complex:
         raises = max((sum(nd for m, nd, _ in word if m == mode) for mode in ops), default=0)
         if raises > 0:
             check_tail(state, strict=True, context="moment")
-    if isinstance(state, FockVector):
-        amps = state.amps
-        for mode, op in ops.items():
-            amps = _apply_left(amps, state.layout.dims, [mode], op)
-        return complex(np.vdot(state.amps, amps))
-    flat = state.mat.reshape(-1)
+    dims = state.layout.dims
+    pure = isinstance(state, FockVector)
+    t = state.as_tensor() if pure else state.mat.reshape(dims + dims)
     for mode, op in ops.items():
-        flat = _apply_left(flat, state.layout.dims, [mode], op)
-    d = state.layout.total_dim
-    return complex(np.trace(flat.reshape(d, d)))
+        t = _apply_blocks(t, [mode], [(slice(None), op)])
+    if pure:
+        return complex(np.vdot(state.amps, t.reshape(-1)))
+    return complex(np.trace(t.reshape(state.mat.shape)))
 
 
 def eigs_hermitian(m) -> np.ndarray:

@@ -102,7 +102,7 @@ def controlled_phase(state, mode: int, control: int, gamma: float, control_value
     diag = np.ones((d, 2), dtype=complex)
     diag[:, control_value] = phase
     u = np.diag(diag.reshape(-1))
-    return _apply_unitary(state, [mode, control], u)
+    return _apply_unitary(state, [mode, control], [(slice(None), u)])
 
 
 def _project_qubit(state: FockVector, mode: int, coeffs: np.ndarray) -> tuple[FockVector, float]:

@@ -25,14 +25,13 @@ from itertools import product
 
 import numpy as np
 
-from .fock import FockVector, MomentIndex, moment, partial_transpose
+from .fock import MomentIndex, moment
 
 __all__ = [
     "MinorSelector",
     "multiindex_compare",
     "canonical_indices",
     "moment_matrix_entry",
-    "moment_matrix_entry_via_pt",
     "minor_determinant",
     "simon_det",
     "duan_det",
@@ -103,18 +102,6 @@ def moment_matrix_entry(state, i: MomentIndex, j: MomentIndex, strict: bool = Fa
         raise ValueError(f"multi-index weight above {MAX_WEIGHT} not supported")
     word = [(0, i.i1, i.i2), (1, j.i3, j.i4), (0, j.i2, j.i1), (1, i.i4, i.i3)]
     return moment(state, word, strict=strict)
-
-
-def moment_matrix_entry_via_pt(state, i: MomentIndex, j: MomentIndex) -> complex:
-    """Same entry computed the long way: transpose mode b, then plain moments.
-
-    Kept as an independent cross-check of the swap identity.
-    """
-    _check_two_mode(state)
-    rho = state.density() if isinstance(state, FockVector) else state
-    rho_pt = partial_transpose(rho, [1])
-    word = [(0, i.i1, i.i2), (1, i.i3, i.i4), (0, j.i2, j.i1), (1, j.i4, j.i3)]
-    return moment(rho_pt, word)
 
 
 def minor_determinant(state, selector: MinorSelector, strict: bool = False) -> float:

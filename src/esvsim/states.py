@@ -125,6 +125,20 @@ def _phase_fixed(amps: np.ndarray) -> np.ndarray:
     return amps * (np.conj(z) / abs(z))
 
 
+def _superpose(first: np.ndarray, second: np.ndarray, dims: tuple[int, ...],
+               floor: float, message: str) -> FockVector:
+    """first + second, normalized, with the global phase fixed.
+
+    A sum whose norm is below `floor` is a degenerate superposition and
+    raises ValueError(message).
+    """
+    amps = first + second
+    norm = np.linalg.norm(amps)
+    if norm < floor:
+        raise ValueError(message)
+    return FockVector(ModeLayout(dims), _phase_fixed(amps / norm))
+
+
 def squeezed_vacuum(spec: SqueezeSpec, strict: bool = False) -> FockVector:
     """|psi_s> with amplitudes sech(s)^1/2 sqrt((2n)!)/n! (-tanh(s)/2)^n on |2n>.
 
@@ -154,12 +168,10 @@ def _pair(spec_s: float, cutoff: int, strict: bool = False):
 def esv_pure(spec: EsvSpec, strict: bool = False) -> FockVector:
     """|Psi(phi)> = N (|s+>|s-> + e^{i phi} |s->|s+>), normalized."""
     plus, minus = _pair(spec.s, spec.cutoff, strict=strict)
-    amps = (np.kron(plus.amps, minus.amps)
-            + np.exp(1j * spec.phi) * np.kron(minus.amps, plus.amps))
-    norm = np.linalg.norm(amps)
-    if norm < 1e-12:
-        raise ValueError("degenerate superposition is the zero vector")
-    return FockVector(ModeLayout((spec.cutoff, spec.cutoff)), _phase_fixed(amps / norm))
+    return _superpose(np.kron(plus.amps, minus.amps),
+                      np.exp(1j * spec.phi) * np.kron(minus.amps, plus.amps),
+                      (spec.cutoff, spec.cutoff), 1e-12,
+                      "degenerate superposition is the zero vector")
 
 
 def esv_aligned(spec: EsvSpec, strict: bool = False) -> FockVector:
@@ -169,12 +181,10 @@ def esv_aligned(spec: EsvSpec, strict: bool = False) -> FockVector:
     |Psi(pi)> by a local pi/2 phase rotation on one mode.
     """
     plus, minus = _pair(spec.s, spec.cutoff, strict=strict)
-    amps = (np.kron(plus.amps, plus.amps)
-            + np.exp(1j * spec.phi) * np.kron(minus.amps, minus.amps))
-    norm = np.linalg.norm(amps)
-    if norm < 1e-12:
-        raise ValueError("degenerate superposition is the zero vector")
-    return FockVector(ModeLayout((spec.cutoff, spec.cutoff)), _phase_fixed(amps / norm))
+    return _superpose(np.kron(plus.amps, plus.amps),
+                      np.exp(1j * spec.phi) * np.kron(minus.amps, minus.amps),
+                      (spec.cutoff, spec.cutoff), 1e-12,
+                      "degenerate superposition is the zero vector")
 
 
 def esv_mixed(rho_a: DensityMatrix, rho_b: DensityMatrix, phi: float) -> DensityMatrix:
@@ -213,11 +223,8 @@ def phi_basis(s: float, sign: int, cutoff: int) -> FockVector:
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     plus, minus = _pair(s, cutoff)
-    amps = plus.amps + sign * minus.amps
-    norm = np.linalg.norm(amps)
-    if norm < 1e-12:
-        raise ValueError("null state: the minus branch vanishes at s = 0")
-    return FockVector(ModeLayout((cutoff,)), _phase_fixed(amps / norm))
+    return _superpose(plus.amps, sign * minus.amps, (cutoff,), 1e-12,
+                      "null state: the minus branch vanishes at s = 0")
 
 
 def displaced_squeezed(alpha: complex, s: float, cutoff: int, strict: bool = False) -> FockVector:
@@ -260,8 +267,6 @@ def esv_generalized(spec: DisplacedSqueezedSpec, phi: float, strict: bool = Fals
     """N' (|alpha+, beta-> + e^{i phi} |beta-, alpha+>) from displaced components."""
     ap = displaced_squeezed(spec.alpha, spec.s, spec.cutoff, strict=strict)
     bm = displaced_squeezed(spec.beta, -spec.s, spec.cutoff, strict=strict)
-    amps = np.kron(ap.amps, bm.amps) + np.exp(1j * phi) * np.kron(bm.amps, ap.amps)
-    norm = np.linalg.norm(amps)
-    if norm < 1e-9:
-        raise ValueError("degenerate superposition is the zero vector")
-    return FockVector(ModeLayout((spec.cutoff, spec.cutoff)), _phase_fixed(amps / norm))
+    return _superpose(np.kron(ap.amps, bm.amps), np.exp(1j * phi) * np.kron(bm.amps, ap.amps),
+                      (spec.cutoff, spec.cutoff), 1e-9,
+                      "degenerate superposition is the zero vector")

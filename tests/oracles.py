@@ -8,6 +8,7 @@ algebra, so it shares no code path with the package under test.
 import math
 
 import numpy as np
+from scipy.linalg import expm
 
 
 def ladder(dim):
@@ -18,26 +19,54 @@ def ladder(dim):
 
 
 def full_operator(dims, word):
-    """Dense operator for an ordered ladder word via explicit kron products."""
-    total = np.eye(int(np.prod(dims)), dtype=complex)
+    """Dense operator for an ordered ladder word via explicit kron products.
+
+    Factors on different modes commute, so each mode's factors are multiplied
+    in word order and the per-mode products are kron-ed together once.
+    """
+    ops = [np.eye(d, dtype=complex) for d in dims]
     for mode, ndag, nlow in word:
         a = ladder(dims[mode])
-        f = np.linalg.matrix_power(a.conj().T, ndag) @ np.linalg.matrix_power(a, nlow)
-        ops = [np.eye(d, dtype=complex) for d in dims]
-        ops[mode] = f
-        big = ops[0]
-        for o in ops[1:]:
-            big = np.kron(big, o)
-        total = total @ big
+        ops[mode] = ops[mode] @ np.linalg.matrix_power(a.conj().T, ndag) @ np.linalg.matrix_power(a, nlow)
+    total = ops[0]
+    for o in ops[1:]:
+        total = np.kron(total, o)
     return total
 
 
 def kron_moment(state_array, dims, word):
-    """<word> evaluated with full dense operators."""
+    """<word> evaluated with full dense operators; Tr(rho op) as sum rho_ij op_ji."""
     op = full_operator(dims, word)
     if state_array.ndim == 1:
         return complex(np.vdot(state_array, op @ state_array))
-    return complex(np.trace(state_array @ op))
+    return complex(np.sum(state_array * op.T))
+
+
+def moment_matrix_entry_via_pt(state_array, dims, i, j):
+    """M_ij(rho^PT) the long way: partially transpose mode 1, then a plain moment.
+
+    The transpose is an explicit index permutation of the (dims + dims)
+    tensor; i and j are (i1, i2, i3, i4) tuples, and the word is read off
+    the definition <a†^i1 a^i2 b†^i3 b^i4 a†^j2 a^j1 b†^j4 b^j3>.
+    """
+    rho = np.asarray(state_array)
+    if rho.ndim == 1:
+        rho = np.outer(rho, rho.conj())
+    d = int(np.prod(dims))
+    pt = np.transpose(rho.reshape(tuple(dims) * 2), (0, 3, 2, 1)).reshape(d, d)
+    word = [(0, i[0], i[1]), (1, i[2], i[3]), (0, j[1], j[0]), (1, j[3], j[2])]
+    return kron_moment(pt, dims, word)
+
+
+def beamsplitter_matrix(dims, mode_a, mode_b, theta):
+    """Dense exp[theta (a b† - a† b)] on the whole grid, a and b on the given modes.
+
+    The generator is built from kron-embedded ladder words and exponentiated
+    in one piece, with no use of photon-number conservation.
+    """
+    gen = (full_operator(dims, [(mode_a, 0, 1), (mode_b, 1, 0)])
+           - full_operator(dims, [(mode_a, 1, 0), (mode_b, 0, 1)]))
+    return expm(theta * gen)
 
 
 def squeezed_amplitudes(s, cutoff):
@@ -152,7 +181,6 @@ def thermal_quadrature(rho, sigma, nodes=24):
     the truncated ladder, with no symmetry shortcut and no parity mask.
     """
     from numpy.polynomial.hermite import hermgauss
-    from scipy.linalg import expm
 
     a = ladder(rho.shape[0])
     t, w = hermgauss(nodes)

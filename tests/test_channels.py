@@ -30,8 +30,6 @@ def test_noise_spec_validation():
     with pytest.raises(ValueError):
         NoiseSpec("thermal", sigma_tn=-0.1)
     with pytest.raises(ValueError):
-        NoiseSpec("bs_loss", transmissivity=1.4)
-    with pytest.raises(ValueError):
         NoiseSpec("phase", nodes=4)
 
 

@@ -66,6 +66,7 @@ def test_usage_errors_exit_2():
     assert main(["swap", "squeeze=1"]) == 2          # unknown parameter
     assert main(["swap", "s=0..1"]) == 2             # range without steps
     assert main(["swap", "s"]) == 2                  # not an assignment
+    assert main(["overlap", "r=0", "r=1"]) == 2      # repeated parameter
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
@@ -120,11 +121,6 @@ def test_ent_power_commands(tmp_path):
     assert header == ["s", "phi", "tau", "value"]
     assert len(rows) == 3
     assert all(v[3] >= 0 for v in rows)
-    out2 = tmp_path / "epo.csv"
-    assert main(["ent-power-opt", "s=0.5..1.1:2", "tau=8", "--cutoff", "16",
-                 "--out", str(out2)]) == 0
-    _, rows = rows_of(out2)
-    assert len(rows) == 2
 
 
 def test_ln_phase_command_small(tmp_path):

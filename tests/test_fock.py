@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from esvsim import (
     DensityMatrix,
@@ -12,7 +15,6 @@ from esvsim import (
     eigs_hermitian,
     fidelity,
     moment,
-    partial_trace,
     partial_transpose,
     reduced_density,
     swap_modes,
@@ -20,10 +22,10 @@ from esvsim import (
     tensor,
     vacuum,
 )
-from esvsim.fock import beamsplitter_matrix, resize_mode
+from esvsim.fock import resize_mode
 from esvsim.states import EsvSpec, SqueezeSpec, esv_pure, squeezed_vacuum, two_mode_squeezed_vacuum
 
-from oracles import hermitian_2x2_eigs, kron_moment
+from oracles import beamsplitter_matrix, full_operator, hermitian_2x2_eigs, kron_moment
 
 
 def test_vacuum_amplitudes():
@@ -122,9 +124,47 @@ def test_beamsplitter_conserves_photon_number_distribution():
     assert np.abs(distribution(v) - distribution(out)).max() < 1e-10
 
 
-def test_beamsplitter_matrix_is_unitary():
-    u = beamsplitter_matrix(6, 6)
-    assert np.abs(u @ u.conj().T - np.eye(36)).max() < 1e-12
+def test_operator_kernel_matches_dense_oracle():
+    # block-wise splitter on non-adjacent modes in reversed order, and dense
+    # single-mode gates, against whole-grid matrix exponentials
+    dims = (3, 4, 5)
+    rng = np.random.default_rng(17)
+    v = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+    psi = FockVector(ModeLayout(dims), v / np.linalg.norm(v))
+    rho = psi.density()
+    u = beamsplitter_matrix(dims, 2, 0, 0.3)
+    assert np.abs(apply_beamsplitter(psi, 2, 0, 0.3).amps - u @ psi.amps).max() < 1e-12
+    assert np.abs(apply_beamsplitter(rho, 2, 0, 0.3).mat - u @ rho.mat @ u.conj().T).max() < 1e-12
+    sq = expm(0.5 * 0.4 * (full_operator(dims, [(1, 0, 2)]) - full_operator(dims, [(1, 2, 0)])))
+    got = apply_single_mode(rho, 1, "squeeze", 0.4).mat
+    assert np.abs(got - sq @ rho.mat @ sq.conj().T).max() < 1e-12
+    # a complex gate, so the bra axes must take conj(U)
+    alpha = 0.3 - 0.5j
+    disp = expm(alpha * full_operator(dims, [(1, 1, 0)]) - np.conj(alpha) * full_operator(dims, [(1, 0, 1)]))
+    got = apply_single_mode(rho, 1, "displace", alpha).mat
+    assert np.abs(got - disp @ rho.mat @ disp.conj().T).max() < 1e-12
+
+
+@st.composite
+def _splitter_case(draw):
+    dims = tuple(draw(st.lists(st.integers(2, 6), min_size=2, max_size=3)))
+    mode_a, mode_b = draw(st.permutations(range(len(dims))))[:2]
+    return dims, mode_a, mode_b
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=_splitter_case(), theta=st.floats(-np.pi, np.pi), seed=st.integers(0, 2**16))
+def test_beamsplitter_kernel_property(case, theta, seed):
+    dims, mode_a, mode_b = case
+    rng = np.random.default_rng(seed)
+    d = int(np.prod(dims))
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    psi = FockVector(ModeLayout(dims), v / np.linalg.norm(v))
+    out = apply_beamsplitter(psi, mode_a, mode_b, theta)
+    out_rho = apply_beamsplitter(psi.density(), mode_a, mode_b, theta)
+    assert np.abs(out_rho.mat - out.density().mat).max() < 1e-12
+    back = apply_beamsplitter(out, mode_a, mode_b, -theta)
+    assert np.abs(back.amps - psi.amps).max() < 1e-12
 
 
 def test_tensor_and_partial_trace_roundtrip():
@@ -132,7 +172,7 @@ def test_tensor_and_partial_trace_roundtrip():
     b = squeezed_vacuum(SqueezeSpec(-0.7, 12)).normalized().density()
     joint = tensor(a, b)
     assert joint.trace() == pytest.approx(a.trace() * b.trace(), abs=1e-12)
-    back = partial_trace(joint, keep=[0])
+    back = reduced_density(joint, keep=[0])
     assert np.abs(back.mat - a.mat).max() < 1e-12
     v = vacuum(ModeLayout((3,)))
     assert np.array_equal(tensor(v, v).amps, vacuum(ModeLayout((3, 3))).amps)
@@ -142,8 +182,8 @@ def test_partial_trace_of_product_state():
     plus = squeezed_vacuum(SqueezeSpec(0.6, 20)).normalized()
     minus = squeezed_vacuum(SqueezeSpec(-0.6, 20)).normalized()
     joint = tensor(plus, minus).density()
-    assert np.abs(partial_trace(joint, [0]).mat - plus.density().mat).max() < 1e-12
-    assert partial_trace(joint, [1]).trace() == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(reduced_density(joint, [0]).mat - plus.density().mat).max() < 1e-12
+    assert reduced_density(joint, [1]).trace() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_partial_trace_spectrum_of_antisymmetric_esv():
@@ -285,7 +325,7 @@ def test_swap_modes_and_resize():
 def test_reduced_density_pure_and_mixed_paths_agree():
     v = esv_pure(EsvSpec(0.8, 0.9, 14))
     direct = reduced_density(v, keep=[0])
-    via_dm = partial_trace(v.density(), keep=[0])
+    via_dm = reduced_density(v.density(), keep=[0])
     assert np.abs(direct.mat - via_dm.mat).max() < 1e-12
     # keeping a non-contiguous subset of a three-mode state
     w = tensor(v, squeezed_vacuum(SqueezeSpec(0.4, 6)).normalized())
@@ -309,9 +349,7 @@ def test_density_matrix_rejects_non_hermitian():
 def test_error_paths():
     v = esv_pure(EsvSpec(0.5, 0.0, 8))
     with pytest.raises(ValueError):
-        partial_trace(v.density(), keep=[])
-    with pytest.raises(TypeError):
-        partial_trace(v, keep=[0])
+        reduced_density(v.density(), keep=[])
     with pytest.raises(TypeError):
         tensor(v, v.density())
     with pytest.raises(ValueError):

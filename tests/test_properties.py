@@ -20,9 +20,9 @@ from esvsim import (
     esv_pure,
     minor_determinant,
     multiindex_compare,
-    partial_trace,
     partial_transpose,
     phase_channel,
+    reduced_density,
     squeezed_vacuum,
     tensor,
     thermal_channel,
@@ -61,7 +61,7 @@ def test_partial_trace_preserves_trace_and_positivity():
     rng = np.random.default_rng(1)
     for _ in range(5):
         rho = random_dm((4, 4), rng)
-        red = partial_trace(rho, keep=[1])
+        red = reduced_density(rho, keep=[1])
         assert red.trace() == pytest.approx(rho.trace(), abs=1e-12)
         assert eigs_hermitian(red).min() >= -1e-9
 
@@ -163,5 +163,5 @@ def test_tensor_then_trace_roundtrip_random():
     a = random_dm((5,), rng)
     b = random_dm((6,), rng)
     joint = tensor(a, b)
-    assert np.abs(partial_trace(joint, [0]).mat - a.mat).max() < 1e-12
-    assert np.abs(partial_trace(joint, [1]).mat - b.mat).max() < 1e-12
+    assert np.abs(reduced_density(joint, [0]).mat - a.mat).max() < 1e-12
+    assert np.abs(reduced_density(joint, [1]).mat - b.mat).max() < 1e-12
