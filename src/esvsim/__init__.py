@@ -1,6 +1,6 @@
 """Truncated-Fock-space simulation of entangled squeezed vacuum states."""
 
-from .channels import NoiseSpec, bs_loss, phase_channel, thermal_channel
+from .channels import bs_loss, phase_channel, thermal_channel
 from .dynamics import JcSpec, entangling_power, jc_evolve_pair, jc_unitary
 from .fock import (
     DensityMatrix,

@@ -1,70 +1,34 @@
-"""Single-mode impurity models: thermal displacement noise, phase diffusion,
-and beam-splitter loss.
+"""Single-mode impurity models in closed form: thermal (additive) noise,
+phase diffusion, and pure loss.
 
-The two diffusive channels are Gaussian-weighted averages of unitary orbits,
+Phase diffusion of variance sigma damps every coherence exactly,
 
-    thermal:  rho -> Int d^2a  e^{-|a|^2/sigma} / (pi sigma)   D(a) rho D†(a)
-    phase:    rho -> Int dphi  e^{-phi^2/(2 sigma)} / sqrt(2 pi sigma)
-                               R(phi) rho R†(phi)
+    rho[n, m] -> rho[n, m] exp(-sigma (n - m)^2 / 2).
 
-evaluated by Gauss-Hermite quadrature (sigma is a variance in both cases).
-Every quadrature term conjugates by an exactly unitary truncated gate, so
-the trace is preserved to rounding; the node count is raised automatically
-if the trace bound is ever missed, up to a hard cap.  The thermal average is
-exactly parity-covariant: a parity-definite input (no odd-offset coherence)
-gives an output with exactly zero odd-offset entries.
+Additive Gaussian noise of variance sigma (each quadrature gains +sigma,
+the mean photon number grows by sigma) factors into pure loss at
+transmissivity eta = 1/(1 + sigma) followed by a quantum-limited amplifier
+of gain G = 1 + sigma (Caruso, Giovannetti and Holevo, New J. Phys. 8, 310
+(2006)).  Both halves have Kraus operators that shift every photon number
+by k (Ivan, Sabapathy and Simon, Phys. Rev. A 84, 042311 (2011)):
 
-Loss mixes the mode with an ancillary vacuum on a beam splitter of
-transmissivity cos^2(theta) and traces the ancilla out.
+    loss:     A_k |n> = sqrt(C(n, k) eta^(n-k) (1-eta)^k)       |n - k>
+    amplify:  B_k |n> = sqrt(C(n+k, k) G^-(n+1) (1-1/G)^k)      |n + k>
+
+so one kernel, out[n -+ k, m -+ k] += c_k[n] c_k[m] rho[n, m], serves both.
+Every shift keeps the offset n - m, so a parity-definite input (no
+odd-offset coherence) gives exact zeros at odd offsets.  Loss stays inside
+the truncated space; the amplifier pushes population above the cutoff,
+so its output is rescaled to the input trace and its tail is checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
-from .fock import (
-    DensityMatrix,
-    FockVector,
-    ModeLayout,
-    apply_beamsplitter,
-    displace_matrix,
-    reduced_density,
-    tensor,
-    vacuum,
-)
+from .fock import DensityMatrix, FockVector, check_tail
 
-__all__ = ["NoiseSpec", "thermal_channel", "phase_channel", "bs_loss"]
-
-TRACE_TOL = 1e-6
-NODE_CAP = 64
-DEFAULT_THERMAL_NODES = 24
-DEFAULT_PHASE_NODES = 32
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Parameters of one noise model; only the active kind's fields are read."""
-
-    kind: str                      # "thermal" | "phase"
-    sigma_tn: float = 0.0          # thermal weight variance, photon-number units
-    sigma_pn: float = 0.0          # phase weight variance, radians^2
-    nodes: int | None = None       # quadrature nodes per axis
-
-    def __post_init__(self):
-        if self.kind not in ("thermal", "phase"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.sigma_tn < 0 or self.sigma_pn < 0:
-            raise ValueError("noise variances must be non-negative")
-        if self.nodes is not None and self.nodes < 8:
-            raise ValueError("at least 8 quadrature nodes required")
-
-
-def _node_ladder(start: int) -> list[int]:
-    ladder = [start] + [n for n in (32, 48, NODE_CAP) if n > start]
-    return ladder
+__all__ = ["thermal_channel", "phase_channel", "bs_loss"]
 
 
 def _single_mode(rho: DensityMatrix) -> int:
@@ -73,76 +37,75 @@ def _single_mode(rho: DensityMatrix) -> int:
     return rho.layout.dims[0]
 
 
-def thermal_channel(rho: DensityMatrix, spec: NoiseSpec) -> DensityMatrix:
-    """Random-displacement (phase-insensitive) Gaussian noise of variance sigma_tn.
+def _check_sigma(sigma: float) -> None:
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError("noise variance must be finite and non-negative")
 
-    Each quadrature of the output gains +sigma_tn of variance and the mean
-    photon number grows by sigma_tn.  The channel commutes with parity
-    (D(-a) = P D(a) P and the nodes are symmetric), so when every
-    odd-offset input coherence (n - m odd) is exactly zero the output's
-    odd-offset entries are set to exact zeros instead of rounding residue.
+
+def _binomial_pmf(d: int, eta: float) -> np.ndarray:
+    """p[n, k] = C(n, k) eta^(n-k) (1-eta)^k for 0 <= k <= n < d, else 0.
+
+    Built row by row from p[n, k] = eta p[n-1, k] + (1-eta) p[n-1, k-1]:
+    a sum of non-negative terms, so it never overflows and eta = 0 or 1
+    gives exact zeros and ones.
     """
-    d = _single_mode(rho)
-    sigma = spec.sigma_tn
-    if sigma == 0.0:
-        return rho
-    start = spec.nodes if spec.nodes is not None else DEFAULT_THERMAL_NODES
-    target = rho.trace()
-    n = np.arange(d)
-    odd = (n[:, None] - n[None, :]) % 2 == 1
-    parity_definite = not rho.mat[odd].any()
-    for nodes in _node_ladder(start):
-        t, w = hermgauss(nodes)
-        out = np.zeros_like(rho.mat)
-        for i in range(nodes):
-            for j in range(nodes):
-                # one exponential serves the whole sign quadrant:
-                # D(conj(a)) = conj D(a) flips Im, D(a)^T = D(-conj(a)) flips Re
-                alpha = np.sqrt(sigma) * (abs(t[i]) + 1j * abs(t[j]))
-                dmat = displace_matrix(d, complex(alpha))
-                if t[j] < 0:
-                    dmat = dmat.conj()
-                if t[i] < 0:
-                    dmat = dmat.T
-                out += (w[i] * w[j] / np.pi) * (dmat @ rho.mat @ dmat.conj().T)
-        if abs(float(np.trace(out).real) - target) <= TRACE_TOL:
-            if parity_definite:
-                out[odd] = 0.0
-            return DensityMatrix(rho.layout, 0.5 * (out + out.conj().T))
-    raise ValueError(
-        f"trace bound {TRACE_TOL:.0e} not met with {NODE_CAP} quadrature nodes"
-    )
+    p = np.zeros((d, d))
+    p[0, 0] = 1.0
+    for n in range(1, d):
+        p[n] = eta * p[n - 1]
+        p[n, 1:] += (1.0 - eta) * p[n - 1, :-1]
+    return p
 
 
-def phase_channel(rho: DensityMatrix, spec: NoiseSpec) -> DensityMatrix:
-    """Gaussian phase diffusion of variance sigma_pn.
+def _shift_kraus(mat: np.ndarray, pmf: np.ndarray, down: bool) -> np.ndarray:
+    """Sum over k of K_k mat K_k† for the photon-number shifts n -> n -+ k.
 
-    Populations are preserved exactly; the (n, m) coherence is damped by
-    (the quadrature approximation of) exp(-sigma_pn (n-m)^2 / 2).
+    The k-th operator takes |j + k> to |j> (down) or |j> to |j + k> (up)
+    with amplitude sqrt(pmf[j + k, k]); shifts up past the cutoff are dropped.
     """
+    d = mat.shape[0]
+    out = np.zeros_like(mat)
+    for k in range(d):
+        c = np.sqrt(pmf[k:, k])
+        high, low = slice(k, None), slice(None, d - k)
+        src, dst = (high, low) if down else (low, high)
+        out[dst, dst] += np.outer(c, c) * mat[src, src]
+    return out
+
+
+def thermal_channel(rho: DensityMatrix, sigma: float) -> DensityMatrix:
+    """Additive (random-displacement) Gaussian noise of variance sigma.
+
+    Loss at eta = 1/(1+sigma), then amplification at G = 1+sigma; both use
+    the binomial table at eta, since the amplifier's c_k[n]^2 equals
+    eta C(n+k, k) eta^n (1-eta)^k.  The output is rescaled to the input
+    trace, and truncation of the amplified tail is flagged by check_tail.
+    """
+    _check_sigma(sigma)
     d = _single_mode(rho)
-    sigma = spec.sigma_pn
-    if sigma == 0.0:
-        return rho
-    start = spec.nodes if spec.nodes is not None else DEFAULT_PHASE_NODES
-    target = rho.trace()
-    n = np.arange(d)
-    for nodes in _node_ladder(start):
-        t, w = hermgauss(nodes)
-        # damping[k] approximates exp(-sigma k^2 / 2) for level difference k
-        phases = np.exp(1j * np.outer(np.sqrt(2.0 * sigma) * t, n))   # (nodes, d)
-        out = np.zeros_like(rho.mat)
-        for i in range(nodes):
-            out += (w[i] / np.sqrt(np.pi)) * (phases[i, :, None] * rho.mat * phases[i, None, :].conj())
-        if abs(float(np.trace(out).real) - target) <= TRACE_TOL:
-            return DensityMatrix(rho.layout, 0.5 * (out + out.conj().T))
-    raise ValueError(
-        f"trace bound {TRACE_TOL:.0e} not met with {NODE_CAP} quadrature nodes"
-    )
+    eta = 1.0 / (1.0 + sigma)
+    pmf = _binomial_pmf(d, eta)
+    out = eta * _shift_kraus(_shift_kraus(rho.mat, pmf, down=True), pmf, down=False)
+    out *= rho.trace() / np.trace(out).real
+    result = DensityMatrix(rho.layout, out)
+    check_tail(result, context="thermal channel")
+    return result
+
+
+def phase_channel(rho: DensityMatrix, sigma: float) -> DensityMatrix:
+    """Gaussian phase diffusion of variance sigma (radians^2).
+
+    Populations are kept; the (n, m) coherence is damped by
+    exp(-sigma (n-m)^2 / 2).
+    """
+    _check_sigma(sigma)
+    n = np.arange(_single_mode(rho))
+    damping = np.exp(-0.5 * sigma * (n[:, None] - n[None, :]) ** 2)
+    return DensityMatrix(rho.layout, rho.mat * damping)
 
 
 def bs_loss(state: FockVector | DensityMatrix, transmissivity: float) -> DensityMatrix:
-    """Pure loss: mix with a vacuum ancilla at transmissivity cos^2(theta).
+    """Pure loss: a beam splitter of this transmissivity against vacuum.
 
     Returns a density matrix; transmissivity 1 is the identity and 0 maps
     every input to vacuum.
@@ -150,11 +113,5 @@ def bs_loss(state: FockVector | DensityMatrix, transmissivity: float) -> Density
     if not 0.0 <= transmissivity <= 1.0:
         raise ValueError("transmissivity must lie in [0, 1]")
     rho = state.density() if isinstance(state, FockVector) else state
-    d = _single_mode(rho)
-    if transmissivity == 1.0:
-        return rho
-    theta = float(np.arccos(np.sqrt(transmissivity)))
-    ancilla = vacuum(ModeLayout((d,))).density()
-    joint = tensor(rho, ancilla)
-    mixed = apply_beamsplitter(joint, 0, 1, theta)
-    return reduced_density(mixed, keep=[0])
+    pmf = _binomial_pmf(_single_mode(rho), transmissivity)
+    return DensityMatrix(rho.layout, _shift_kraus(rho.mat, pmf, down=True))

@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .channels import NoiseSpec, phase_channel, thermal_channel
+from .channels import phase_channel, thermal_channel
 from .dynamics import entangling_power
 from .fock import TruncationError, fidelity
 from .measures import eof_pure, log_negativity
@@ -91,26 +91,21 @@ def _eval_eof(point, cutoff, strict, cache):
     return (eof_pure(state, [0]),)
 
 
-def _noisy_ln(point, cutoff, strict, cache, kind):
-    key = (kind, point["s"], point["sigma"])
+def _noisy_ln(point, cutoff, strict, cache, channel):
+    key = (point["s"], point["sigma"])
     if key not in cache:
         psi = squeezed_vacuum(SqueezeSpec(point["s"], cutoff), strict=strict)
-        rho = psi.normalized().density()
-        if kind == "thermal":
-            rho = thermal_channel(rho, NoiseSpec("thermal", sigma_tn=point["sigma"]))
-        else:
-            rho = phase_channel(rho, NoiseSpec("phase", sigma_pn=point["sigma"]))
-        cache[key] = rho
+        cache[key] = channel(psi.normalized().density(), point["sigma"])
     joint = esv_mixed(cache[key], cache[key], point["phi"])
     return (log_negativity(joint, [1]),)
 
 
 def _eval_ln_thermal(point, cutoff, strict, cache):
-    return _noisy_ln(point, cutoff, strict, cache, "thermal")
+    return _noisy_ln(point, cutoff, strict, cache, thermal_channel)
 
 
 def _eval_ln_phase(point, cutoff, strict, cache):
-    return _noisy_ln(point, cutoff, strict, cache, "phase")
+    return _noisy_ln(point, cutoff, strict, cache, phase_channel)
 
 
 def _eval_ent_power(point, cutoff, strict, cache):

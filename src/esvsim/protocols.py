@@ -27,7 +27,7 @@ from .fock import (
     resize_mode,
     tensor,
 )
-from .states import EsvSpec, SqueezeSpec, esv_aligned, esv_pure, squeezed_vacuum, two_mode_squeezed_vacuum
+from .states import EsvSpec, SqueezeSpec, _superpose, esv_aligned, esv_pure, squeezed_vacuum, two_mode_squeezed_vacuum
 
 __all__ = [
     "QubitAmplitudes",
@@ -163,11 +163,8 @@ def teleport(inp: QubitAmplitudes, s: float, cutoff: int) -> tuple[float, float]
         raise ValueError("teleportation requires s > 0")
     plus = squeezed_vacuum(SqueezeSpec(s, cutoff))
     minus = squeezed_vacuum(SqueezeSpec(-s, cutoff))
-    amps = inp.a0 * plus.amps + inp.a1 * minus.amps
-    norm = np.linalg.norm(amps)
-    if norm < 1e-12:
-        raise ValueError("input superposition is the zero vector")
-    input_state = FockVector(ModeLayout((cutoff,)), amps / norm)
+    input_state = _superpose(inp.a0 * plus.amps, inp.a1 * minus.amps, (cutoff,),
+                             1e-12, "input superposition is the zero vector")
 
     joint = tensor(input_state, esv_aligned(EsvSpec(s, np.pi, cutoff)))
     mixed = _padded_balanced_bs(joint, 0, 1)

@@ -127,6 +127,24 @@ def loss_kraus(rho, transmissivity, kmax=None):
     return out
 
 
+def amplifier_kraus(rho, gain, kmax=None):
+    """Quantum-limited amplifier as an explicit Kraus sum B_k rho B_k†.
+
+    B_k |n> = sqrt(C(n+k, k) G^-(n+1) (1 - 1/G)^k) |n+k>; images above the
+    cutoff are dropped, so the output trace falls short of the input's.
+    """
+    d = rho.shape[0]
+    if kmax is None:
+        kmax = d
+    out = np.zeros_like(rho)
+    for k in range(kmax):
+        B = np.zeros((d, d), dtype=complex)
+        for n in range(d - k):
+            B[n + k, n] = math.sqrt(math.comb(n + k, k) * gain ** -(n + 1) * (1 - 1 / gain) ** k)
+        out += B @ rho @ B.conj().T
+    return out
+
+
 def esv_reduced_spectrum(overlap, phi):
     """Eigenvalues of either reduced state of N(|s+,s-> + e^{i phi}|s-,s+>).
 
@@ -172,25 +190,6 @@ def random_product_dm(dims, rng):
     for m in mats[1:]:
         out = np.kron(out, m)
     return out
-
-
-def thermal_quadrature(rho, sigma, nodes=24):
-    """Random-displacement average by a full nodes x nodes Gauss-Hermite grid.
-
-    Every node builds its own D(alpha) = expm(alpha a† - conj(alpha) a) from
-    the truncated ladder, with no symmetry shortcut and no parity mask.
-    """
-    from numpy.polynomial.hermite import hermgauss
-
-    a = ladder(rho.shape[0])
-    t, w = hermgauss(nodes)
-    out = np.zeros_like(rho)
-    for i in range(nodes):
-        for j in range(nodes):
-            alpha = math.sqrt(sigma) * (t[i] + 1j * t[j])
-            dmat = expm(alpha * a.conj().T - np.conj(alpha) * a)
-            out += (w[i] * w[j] / math.pi) * (dmat @ rho @ dmat.conj().T)
-    return 0.5 * (out + out.conj().T)
 
 
 def log_negativity_dense(rho, dims, split, zero_band=1e-11):

@@ -21,7 +21,6 @@ import pytest
 
 from esvsim import (
     EsvSpec,
-    NoiseSpec,
     QubitAmplitudes,
     SqueezeSpec,
     bs_loss,
@@ -152,7 +151,7 @@ def test_criterion_05_entangling_power_peak():
 def test_criterion_06_thermal_noise_surface():
     t0 = time.time()
     base = squeezed_vacuum(SqueezeSpec(1.0, 30)).normalized().density()
-    noisy = thermal_channel(base, NoiseSpec("thermal", sigma_tn=2.0))
+    noisy = thermal_channel(base, 2.0)
     lns = [log_negativity(esv_mixed(noisy, noisy, phi), [1])
            for phi in np.linspace(0.0, 2 * np.pi, 8, endpoint=False)]
     elapsed = time.time() - t0
@@ -164,7 +163,7 @@ def test_criterion_06_thermal_noise_surface():
 def test_criterion_07_phase_noise_surface():
     t0 = time.time()
     base = squeezed_vacuum(SqueezeSpec(1.0, 30)).normalized().density()
-    noisy = phase_channel(base, NoiseSpec("phase", sigma_pn=1.0))
+    noisy = phase_channel(base, 1.0)
     lns = [log_negativity(esv_mixed(noisy, noisy, phi), [1])
            for phi in np.linspace(0.0, 2 * np.pi, 8, endpoint=False)]
     small = sum(1 for v in lns if v < 0.05)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from esvsim import (
     EsvSpec,
-    NoiseSpec,
     SqueezeSpec,
     apply_single_mode,
     eof_pure,
@@ -151,9 +150,9 @@ def noisy_esv(kind, s, sigma, phi, cutoff):
     """The ln-thermal / ln-phase state: both inputs noised, then entangled by T."""
     rho = squeezed_vacuum(SqueezeSpec(s, cutoff)).normalized().density()
     if kind == "thermal":
-        rho = thermal_channel(rho, NoiseSpec("thermal", sigma_tn=sigma))
+        rho = thermal_channel(rho, sigma)
     else:
-        rho = phase_channel(rho, NoiseSpec("phase", sigma_pn=sigma))
+        rho = phase_channel(rho, sigma)
     return esv_mixed(rho, rho, phi)
 
 

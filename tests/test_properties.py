@@ -10,7 +10,6 @@ import pytest
 from esvsim import (
     EsvSpec,
     MinorSelector,
-    NoiseSpec,
     SqueezeSpec,
     apply_beamsplitter,
     apply_single_mode,
@@ -70,8 +69,8 @@ def test_channels_trace_preserving_and_positive():
     rng = np.random.default_rng(2)
     rho = random_dm((16,), rng)
     for out in (
-        thermal_channel(rho, NoiseSpec("thermal", sigma_tn=0.8)),
-        phase_channel(rho, NoiseSpec("phase", sigma_pn=0.6)),
+        thermal_channel(rho, 0.8),
+        phase_channel(rho, 0.6),
         bs_loss(rho, 0.75),
     ):
         assert out.trace() == pytest.approx(rho.trace(), abs=1e-6)
