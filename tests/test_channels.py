@@ -31,7 +31,7 @@ def thermal_oracle(rho, sigma):
     return out * (np.trace(rho).real / np.trace(out).real)
 
 
-def test_negative_sigma_rejected():
+def test_noise_spec_validation():
     rho = sq_dm(0.5, 10)
     for channel in (thermal_channel, phase_channel):
         for sigma in (-0.1, float("nan"), float("inf")):
@@ -78,7 +78,7 @@ def test_thermal_output_parity_exact_for_parity_definite_input():
     assert np.abs(out - thermal_oracle(rho.mat, 1.0)).max() <= 1e-14
 
 
-def test_thermal_output_keeps_odd_coherences():
+def test_thermal_output_unmasked_for_odd_coherences():
     rho = displaced_squeezed(0.4 + 0.2j, 0.8, 14).normalized().density()
     out = thermal_channel(rho, 0.3).mat
     odd = odd_offsets(14)
