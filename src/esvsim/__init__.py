@@ -7,7 +7,6 @@ from .fock import (
     FockVector,
     ModeLayout,
     MomentIndex,
-    TruncationError,
     TruncationWarning,
     apply_beamsplitter,
     apply_single_mode,

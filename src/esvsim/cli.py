@@ -6,6 +6,10 @@ contains no numerics.  Parameters are given as ``name=value`` or
 declared parameter order, and values are printed with 12 significant
 digits, so reruns of the same command are byte-identical.
 
+Every truncation check warns `TruncationWarning`; ``--strict`` runs the sweep
+under ``warnings.simplefilter("error", TruncationWarning)``, so on every
+command a flagged tail becomes a numeric-guard error.
+
 Exit codes: 0 success, 2 usage error, 3 numeric-guard error.
 """
 
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -20,7 +25,7 @@ import numpy as np
 
 from .channels import phase_channel, thermal_channel
 from .dynamics import entangling_power
-from .fock import TruncationError, fidelity
+from .fock import TruncationWarning, fidelity
 from .measures import eof_pure, log_negativity
 from .protocols import QubitAmplitudes, entanglement_swap, generate_scheme_a, generate_scheme_b, teleport
 from .separability import duan_det, esv_criterion_det, simon_det
@@ -86,40 +91,39 @@ def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
 
 # --- per-command evaluators: point dict -> tuple of diagnostics ------------
 
-def _eval_eof(point, cutoff, strict, cache):
-    state = esv_pure(EsvSpec(point["s"], point["phi"], cutoff), strict=strict)
+def _eval_eof(point, cutoff, cache):
+    state = esv_pure(EsvSpec(point["s"], point["phi"], cutoff))
     return (eof_pure(state, [0]),)
 
 
-def _noisy_ln(point, cutoff, strict, cache, channel):
+def _noisy_ln(point, cutoff, cache, channel):
     key = (point["s"], point["sigma"])
     if key not in cache:
-        psi = squeezed_vacuum(SqueezeSpec(point["s"], cutoff), strict=strict)
+        psi = squeezed_vacuum(SqueezeSpec(point["s"], cutoff))
         cache[key] = channel(psi.normalized().density(), point["sigma"])
     joint = esv_mixed(cache[key], cache[key], point["phi"])
     return (log_negativity(joint, [1]),)
 
 
-def _eval_ln_thermal(point, cutoff, strict, cache):
-    return _noisy_ln(point, cutoff, strict, cache, thermal_channel)
+def _eval_ln_thermal(point, cutoff, cache):
+    return _noisy_ln(point, cutoff, cache, thermal_channel)
 
 
-def _eval_ln_phase(point, cutoff, strict, cache):
-    return _noisy_ln(point, cutoff, strict, cache, phase_channel)
+def _eval_ln_phase(point, cutoff, cache):
+    return _noisy_ln(point, cutoff, cache, phase_channel)
 
 
-def _eval_ent_power(point, cutoff, strict, cache):
-    state = esv_pure(EsvSpec(point["s"], point["phi"], cutoff), strict=strict)
+def _eval_ent_power(point, cutoff, cache):
+    state = esv_pure(EsvSpec(point["s"], point["phi"], cutoff))
     return (entangling_power(state, point["tau"]),)
 
 
-def _eval_criteria(point, cutoff, strict, cache):
-    state = esv_pure(EsvSpec(point["s"], point["phi"], cutoff), strict=strict)
-    return (simon_det(state, strict=strict), duan_det(state, strict=strict),
-            esv_criterion_det(state, strict=strict))
+def _eval_criteria(point, cutoff, cache):
+    state = esv_pure(EsvSpec(point["s"], point["phi"], cutoff))
+    return (simon_det(state), duan_det(state), esv_criterion_det(state))
 
 
-def _eval_swap(point, cutoff, strict, cache):
+def _eval_swap(point, cutoff, cache):
     return entanglement_swap(point["s"], cutoff)
 
 
@@ -131,11 +135,11 @@ def _amp_pair(point) -> QubitAmplitudes:
     return QubitAmplitudes(a[0] / norm, a[1] / norm)
 
 
-def _eval_teleport(point, cutoff, strict, cache):
+def _eval_teleport(point, cutoff, cache):
     return teleport(_amp_pair(point), point["s"], cutoff)
 
 
-def _eval_generate(point, cutoff, strict, cache):
+def _eval_generate(point, cutoff, cache):
     anc = _amp_pair(point)
     state_a, p_plus = generate_scheme_a(point["s"], anc, "+", cutoff)
     _, p_minus = generate_scheme_a(point["s"], anc, "-", cutoff)
@@ -144,7 +148,7 @@ def _eval_generate(point, cutoff, strict, cache):
     return (p_plus, p_minus, fidelity(state_a, state_b), fidelity(state_a, target))
 
 
-def _eval_overlap(point, cutoff, strict, cache):
+def _eval_overlap(point, cutoff, cache):
     return (displaced_overlap(0.0, point["d"], point["r"]),)
 
 
@@ -185,13 +189,16 @@ def run(config: SweepConfig) -> SweepResult:
     axes = [(_grid(*ranges[name]), name) for name in cmd.params]
     result = SweepResult(header=list(cmd.params) + list(cmd.diagnostics))
     cache: dict = {}
-    for values in product(*(axis for axis, _ in axes)):
-        point = {name: float(v) for v, (_, name) in zip(values, axes)}
-        diag = cmd.evaluate(point, config.cutoff, config.strict, cache)
-        row = tuple(point[name] for name in cmd.params) + tuple(float(x) for x in diag)
-        if not all(np.isfinite(row)):
-            raise ValueError(f"non-finite diagnostic at {point}")
-        result.rows.append(row)
+    with warnings.catch_warnings():
+        if config.strict:
+            warnings.simplefilter("error", TruncationWarning)
+        for values in product(*(axis for axis, _ in axes)):
+            point = {name: float(v) for v, (_, name) in zip(values, axes)}
+            diag = cmd.evaluate(point, config.cutoff, cache)
+            row = tuple(point[name] for name in cmd.params) + tuple(float(x) for x in diag)
+            if not all(np.isfinite(row)):
+                raise ValueError(f"non-finite diagnostic at {point}")
+            result.rows.append(row)
     return result
 
 
@@ -260,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         result = run(config)
         emit_csv(result, config.out)
-    except (TruncationError, ValueError) as exc:
+    except (TruncationWarning, ValueError) as exc:
         print(f"error: numeric-guard: {exc}", file=sys.stderr)
         return 3
     return 0

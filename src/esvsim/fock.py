@@ -15,7 +15,7 @@ Conventions fixed here and relied on everywhere else:
 * the balanced beam splitter on modes (a, b) realizes
   a -> (a + b)/sqrt(2), b -> (b - a)/sqrt(2).
 
-Gates are matrix exponentials of the generator restricted to the cutoff.
+Gates are matrix exponentials of the generator truncated at the cutoff.
 They are exactly unitary on the truncated space (the truncated generators
 stay anti-Hermitian); what is lost to truncation shows up as infidelity
 against the untruncated ideal, which the tail-mass diagnostic tracks.
@@ -36,7 +36,6 @@ __all__ = [
     "FockVector",
     "DensityMatrix",
     "MomentIndex",
-    "TruncationError",
     "TruncationWarning",
     "vacuum",
     "basis_state",
@@ -65,12 +64,12 @@ HERMITICITY_TOL = 1e-10
 EIG_ZERO_BAND = 1e-11     # eigenvalues below this are treated as exact zeros
 
 
-class TruncationError(RuntimeError):
-    """Raised in strict mode when the Fock tail carries too much weight."""
-
-
 class TruncationWarning(UserWarning):
-    """Emitted (non-strict mode) when the Fock tail carries too much weight."""
+    """Emitted when the Fock tail carries too much weight.
+
+    ``warnings.simplefilter("error", TruncationWarning)`` makes every tail
+    check raise it as an exception instead.
+    """
 
 
 @dataclass(frozen=True)
@@ -297,15 +296,14 @@ def tail_mass(state: FockVector | DensityMatrix) -> float:
     return float(np.real(np.diag(state.mat))[mask].sum())
 
 
-def check_tail(state, strict: bool = False, context: str = "operation") -> None:
-    """Flag excessive truncation-tail mass: error in strict mode, else warn."""
-    mass = tail_mass(state)
-    if mass <= TAIL_THRESHOLD:
+def check_tail(state, context: str = "operation") -> None:
+    """Warn `TruncationWarning` when the tail mass exceeds TAIL_THRESHOLD.
+
+    The message does not carry the mass, so Python's per-location
+    de-duplication still prints a repeated warning once.
+    """
+    if tail_mass(state) <= TAIL_THRESHOLD:
         return
-    if strict:
-        raise TruncationError(
-            f"{context}: tail mass {mass:.3e} exceeds {TAIL_THRESHOLD:.0e}; raise the cutoff"
-        )
     warnings.warn(
         f"{context}: Fock-tail mass above {TAIL_THRESHOLD:.0e}; results may be truncation-limited",
         TruncationWarning,
@@ -348,7 +346,7 @@ def _apply_unitary(state, modes: Sequence[int], blocks):
     return DensityMatrix(state.layout, t.reshape(state.mat.shape))
 
 
-def apply_single_mode(state, mode: int, gate: str, value, strict: bool = False):
+def apply_single_mode(state, mode: int, gate: str, value):
     """Apply a single-mode gate ("squeeze", "displace" or "phase") to a state.
 
     The gate is the truncated-generator matrix exponential; no renormalization
@@ -369,12 +367,11 @@ def apply_single_mode(state, mode: int, gate: str, value, strict: bool = False):
         raise ValueError(f"unknown gate {gate!r}; expected squeeze, displace or phase")
     out = _apply_unitary(state, [mode], [(slice(None), u)])
     if gate != "phase":
-        check_tail(out, strict=strict, context=f"{gate} gate")
+        check_tail(out, context=f"{gate} gate")
     return out
 
 
-def apply_beamsplitter(state, mode_a: int, mode_b: int, theta: float = np.pi / 4,
-                       strict: bool = False):
+def apply_beamsplitter(state, mode_a: int, mode_b: int, theta: float = np.pi / 4):
     """Mix two modes on a beam splitter: a -> a cos(theta) + b sin(theta).
 
     theta = pi/4 (default) is the balanced splitter.  Total photon number in
@@ -387,7 +384,7 @@ def apply_beamsplitter(state, mode_a: int, mode_b: int, theta: float = np.pi / 4
     dims = state.layout.dims
     blocks = _beamsplitter_blocks(dims[mode_a], dims[mode_b], theta)
     out = _apply_unitary(state, [mode_a, mode_b], blocks)
-    check_tail(out, strict=strict, context="beam splitter")
+    check_tail(out, context="beam splitter")
     return out
 
 
@@ -520,17 +517,16 @@ def _word_operators(layout: ModeLayout, word) -> dict[int, np.ndarray]:
     return ops
 
 
-def moment(state, word, strict: bool = False) -> complex:
+def moment(state, word) -> complex:
     """Expectation of an ordered ladder-operator word, <a†^k a^l ...>.
 
     Example: ``moment(psi, [(0, 1, 1)])`` is <a†a> on mode 0, and
-    ``moment(psi, [(0, 1, 0), (1, 0, 1)])`` is <a† b>.
+    ``moment(psi, [(0, 1, 0), (1, 0, 1)])`` is <a† b>.  A word with a
+    raising operator reads the top Fock levels, so it checks the tail.
     """
     ops = _word_operators(state.layout, word)
-    if strict:
-        raises = max((sum(nd for m, nd, _ in word if m == mode) for mode in ops), default=0)
-        if raises > 0:
-            check_tail(state, strict=True, context="moment")
+    if any(ndag for _, ndag, _ in word):
+        check_tail(state, context="moment")
     dims = state.layout.dims
     pure = isinstance(state, FockVector)
     t = state.as_tensor() if pure else state.mat.reshape(dims + dims)
@@ -557,7 +553,7 @@ def hermitian_blocks(mat: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
 
     Indices i and j share a component when a chain of nonzero entries
     (``mat != 0``, no tolerance, either orientation) links them, so the
-    matrix restricted to one component's indices is one diagonal block of a
+    matrix taken on one component's indices is one diagonal block of a
     permuted block-diagonal form, and a Hermitian matrix's spectrum is the
     union of its blocks' spectra.  Returns the components of more than one
     index (ascending index arrays, ordered by smallest index) and, apart,

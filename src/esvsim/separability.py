@@ -46,7 +46,7 @@ DET_IMAG_TOL = 1e-10
 
 @dataclass(frozen=True)
 class MinorSelector:
-    """Strictly increasing 1-based row/column positions of a principal minor."""
+    """Ascending, repeat-free 1-based row/column positions of a principal minor."""
 
     rows: tuple[int, ...]
 
@@ -55,7 +55,7 @@ class MinorSelector:
         if not rows:
             raise ValueError("selector must be non-empty")
         if any(r < 1 for r in rows) or any(b <= a for a, b in zip(rows, rows[1:])):
-            raise ValueError(f"selector must be strictly increasing and >= 1: {rows}")
+            raise ValueError(f"selector must be ascending without repeats and >= 1: {rows}")
         object.__setattr__(self, "rows", rows)
 
 
@@ -95,16 +95,16 @@ def canonical_indices(max_weight: int = MAX_WEIGHT) -> tuple[MomentIndex, ...]:
     return tuple(sorted(idx, key=cmp_to_key(multiindex_compare)))
 
 
-def moment_matrix_entry(state, i: MomentIndex, j: MomentIndex, strict: bool = False) -> complex:
+def moment_matrix_entry(state, i: MomentIndex, j: MomentIndex) -> complex:
     """M_ij(rho^PT), evaluated on the original state via the b-swap identity."""
     _check_two_mode(state)
     if i.weight > MAX_WEIGHT or j.weight > MAX_WEIGHT:
         raise ValueError(f"multi-index weight above {MAX_WEIGHT} not supported")
     word = [(0, i.i1, i.i2), (1, j.i3, j.i4), (0, j.i2, j.i1), (1, i.i4, i.i3)]
-    return moment(state, word, strict=strict)
+    return moment(state, word)
 
 
-def minor_determinant(state, selector: MinorSelector, strict: bool = False) -> float:
+def minor_determinant(state, selector: MinorSelector) -> float:
     """Determinant of the selected principal minor of M(rho^PT).
 
     The minor is Hermitian by construction; any imaginary residue of the
@@ -116,15 +116,15 @@ def minor_determinant(state, selector: MinorSelector, strict: bool = False) -> f
             f"selector position {selector.rows[-1]} beyond the weight-{MAX_WEIGHT} table"
         )
     idx = [order[r - 1] for r in selector.rows]
-    return _det_of(state, idx, strict=strict)
+    return _det_of(state, idx)
 
 
-def _det_of(state, indices, strict: bool = False) -> float:
+def _det_of(state, indices) -> float:
     k = len(indices)
     m = np.empty((k, k), dtype=complex)
     for p in range(k):
         for q in range(k):
-            m[p, q] = moment_matrix_entry(state, indices[p], indices[q], strict=strict)
+            m[p, q] = moment_matrix_entry(state, indices[p], indices[q])
     dev = float(np.abs(m - m.conj().T).max())
     scale = max(1.0, float(np.abs(m).max()))
     if dev > 1e-9 * scale:
@@ -135,23 +135,23 @@ def _det_of(state, indices, strict: bool = False) -> float:
     return float(det.real)
 
 
-def simon_det(state, strict: bool = False) -> float:
+def simon_det(state) -> float:
     """Second-moment determinant test; negative for every entangled Gaussian."""
-    return minor_determinant(state, SIMON_SELECTOR, strict=strict)
+    return minor_determinant(state, SIMON_SELECTOR)
 
 
-def duan_det(state, strict: bool = False) -> float:
+def duan_det(state) -> float:
     """Three-row second-moment determinant test."""
-    return minor_determinant(state, DUAN_SELECTOR, strict=strict)
+    return minor_determinant(state, DUAN_SELECTOR)
 
 
-def esv_criterion_det(state, strict: bool = False) -> float:
+def esv_criterion_det(state) -> float:
     """Fourth-order 5x5 minor tailored to squeezed-vacuum superpositions.
 
     Negative value certifies a negative partial transpose.  Unlike the
     second-moment tests it detects |Psi(phi)> for every s > 0 and phi.
     """
-    return _det_of(state, _ESV_CRITERION_INDICES, strict=strict)
+    return _det_of(state, _ESV_CRITERION_INDICES)
 
 
 def _check_two_mode(state) -> None:

@@ -38,7 +38,6 @@ __all__ = [
     "SqueezeSpec",
     "EsvSpec",
     "DisplacedSqueezedSpec",
-    "STRICT_SQUEEZE_LIMIT",
     "squeezed_vacuum",
     "esv_pure",
     "esv_aligned",
@@ -50,7 +49,6 @@ __all__ = [
     "esv_generalized",
 ]
 
-STRICT_SQUEEZE_LIMIT = 3.0
 TWO_PI = 2.0 * np.pi
 
 
@@ -139,14 +137,12 @@ def _superpose(first: np.ndarray, second: np.ndarray, dims: tuple[int, ...],
     return FockVector(ModeLayout(dims), _phase_fixed(amps / norm))
 
 
-def squeezed_vacuum(spec: SqueezeSpec, strict: bool = False) -> FockVector:
+def squeezed_vacuum(spec: SqueezeSpec) -> FockVector:
     """|psi_s> with amplitudes sech(s)^1/2 sqrt((2n)!)/n! (-tanh(s)/2)^n on |2n>.
 
     Amplitudes come from the stable two-step recurrence
     c_{2n+2} = -tanh(s) sqrt((2n+1)/(2n+2)) c_{2n}; odd levels are exact zeros.
     """
-    if strict and abs(spec.s) > STRICT_SQUEEZE_LIMIT:
-        raise ValueError(f"|s| > {STRICT_SQUEEZE_LIMIT} rejected in strict mode")
     d = spec.cutoff
     amps = np.zeros(d, dtype=complex)
     t = np.tanh(spec.s)
@@ -155,32 +151,32 @@ def squeezed_vacuum(spec: SqueezeSpec, strict: bool = False) -> FockVector:
     evens = np.concatenate([[1.0], np.cumprod(ratios)]) / np.sqrt(np.cosh(spec.s))
     amps[0::2] = evens
     out = FockVector(ModeLayout((d,)), amps)
-    check_tail(out, strict=strict, context="squeezed_vacuum")
+    check_tail(out, context="squeezed_vacuum")
     return out
 
 
-def _pair(spec_s: float, cutoff: int, strict: bool = False):
-    plus = squeezed_vacuum(SqueezeSpec(spec_s, cutoff), strict=strict)
-    minus = squeezed_vacuum(SqueezeSpec(-spec_s, cutoff), strict=strict)
+def _pair(spec_s: float, cutoff: int):
+    plus = squeezed_vacuum(SqueezeSpec(spec_s, cutoff))
+    minus = squeezed_vacuum(SqueezeSpec(-spec_s, cutoff))
     return plus, minus
 
 
-def esv_pure(spec: EsvSpec, strict: bool = False) -> FockVector:
+def esv_pure(spec: EsvSpec) -> FockVector:
     """|Psi(phi)> = N (|s+>|s-> + e^{i phi} |s->|s+>), normalized."""
-    plus, minus = _pair(spec.s, spec.cutoff, strict=strict)
+    plus, minus = _pair(spec.s, spec.cutoff)
     return _superpose(np.kron(plus.amps, minus.amps),
                       np.exp(1j * spec.phi) * np.kron(minus.amps, plus.amps),
                       (spec.cutoff, spec.cutoff), 1e-12,
                       "degenerate superposition is the zero vector")
 
 
-def esv_aligned(spec: EsvSpec, strict: bool = False) -> FockVector:
+def esv_aligned(spec: EsvSpec) -> FockVector:
     """The companion state N (|s+>|s+> + e^{i phi} |s->|s->).
 
     For phi = pi this is the swap/teleportation resource; it differs from
     |Psi(pi)> by a local pi/2 phase rotation on one mode.
     """
-    plus, minus = _pair(spec.s, spec.cutoff, strict=strict)
+    plus, minus = _pair(spec.s, spec.cutoff)
     return _superpose(np.kron(plus.amps, plus.amps),
                       np.exp(1j * spec.phi) * np.kron(minus.amps, minus.amps),
                       (spec.cutoff, spec.cutoff), 1e-12,
@@ -227,13 +223,13 @@ def phi_basis(s: float, sign: int, cutoff: int) -> FockVector:
                       "null state: the minus branch vanishes at s = 0")
 
 
-def displaced_squeezed(alpha: complex, s: float, cutoff: int, strict: bool = False) -> FockVector:
+def displaced_squeezed(alpha: complex, s: float, cutoff: int) -> FockVector:
     """D(alpha) S(s) |0>."""
     bound = _displacement_bound(cutoff)
     if abs(alpha) > bound:
         raise ValueError(f"|alpha| = {abs(alpha):.3f} exceeds the cutoff guard {bound:.3f}")
-    base = squeezed_vacuum(SqueezeSpec(s, cutoff), strict=strict)
-    out = apply_single_mode(base, 0, "displace", alpha, strict=strict)
+    base = squeezed_vacuum(SqueezeSpec(s, cutoff))
+    out = apply_single_mode(base, 0, "displace", alpha)
     return FockVector(out.layout, _phase_fixed(out.amps))
 
 
@@ -248,25 +244,23 @@ def displaced_overlap(alpha: complex, beta: complex, r: float) -> float:
     return float(np.exp(-abs(beta - alpha) ** 2 / c) / c)
 
 
-def two_mode_squeezed_vacuum(s: float, cutoff: int, strict: bool = False) -> FockVector:
+def two_mode_squeezed_vacuum(s: float, cutoff: int) -> FockVector:
     """sech(s) sum_n tanh(s)^n |n, n>."""
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
-    if strict and abs(s) > STRICT_SQUEEZE_LIMIT:
-        raise ValueError(f"|s| > {STRICT_SQUEEZE_LIMIT} rejected in strict mode")
     d = cutoff
     diag = (np.tanh(s) ** np.arange(d)) / np.cosh(s)
     amps = np.zeros((d, d), dtype=complex)
     np.fill_diagonal(amps, diag)
     out = FockVector(ModeLayout((d, d)), amps.reshape(-1))
-    check_tail(out, strict=strict, context="two_mode_squeezed_vacuum")
+    check_tail(out, context="two_mode_squeezed_vacuum")
     return out
 
 
-def esv_generalized(spec: DisplacedSqueezedSpec, phi: float, strict: bool = False) -> FockVector:
+def esv_generalized(spec: DisplacedSqueezedSpec, phi: float) -> FockVector:
     """N' (|alpha+, beta-> + e^{i phi} |beta-, alpha+>) from displaced components."""
-    ap = displaced_squeezed(spec.alpha, spec.s, spec.cutoff, strict=strict)
-    bm = displaced_squeezed(spec.beta, -spec.s, spec.cutoff, strict=strict)
+    ap = displaced_squeezed(spec.alpha, spec.s, spec.cutoff)
+    bm = displaced_squeezed(spec.beta, -spec.s, spec.cutoff)
     return _superpose(np.kron(ap.amps, bm.amps), np.exp(1j * phi) * np.kron(bm.amps, ap.amps),
                       (spec.cutoff, spec.cutoff), 1e-9,
                       "degenerate superposition is the zero vector")

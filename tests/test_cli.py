@@ -1,6 +1,13 @@
+import contextlib
+import io
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from esvsim import TruncationWarning
 from esvsim.cli import SweepConfig, UsageError, emit_csv, main, run
 
 
@@ -81,6 +88,38 @@ def test_numeric_guard_exit_3():
     assert main(["criteria", "s=0.62", "phi=0", "--strict"]) == 3
     # the degenerate (s = 0, phi = pi) point is a guard error too
     assert main(["eof-surface", "s=0..0:1", "phi=3.141592653589793..3.2:1"]) == 3
+    # strict reaches the protocols and the thermal channel's tail check
+    assert main(["swap", "s=3", "--cutoff", "12", "--strict"]) == 3
+    assert main(["teleport", "s=3", "a0=1", "a1=0", "--cutoff", "12", "--strict"]) == 3
+    assert main(["generate", "s=3", "--cutoff", "12", "--strict"]) == 3
+    assert main(["ln-thermal", "s=0.3", "sigma=2", "phi=0", "--cutoff", "30", "--strict"]) == 3
+
+
+def _main_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    return rc, out.getvalue()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["swap", "teleport", "generate", "ln-thermal"]),
+       s=st.floats(0.2, 3.0), cutoff=st.integers(8, 16), sigma=st.floats(0.0, 2.0))
+def test_strict_is_warnings_as_errors(command, s, cutoff, sigma):
+    argv = [command, f"s={s!r}"]
+    if command == "ln-thermal":
+        argv += [f"sigma={sigma!r}", "phi=0"]
+    argv += ["--cutoff", str(cutoff)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TruncationWarning)
+        loose_rc, loose_csv = _main_stdout(argv)
+    strict_rc, strict_csv = _main_stdout(argv + ["--strict"])
+    assert loose_rc == 0
+    if any(issubclass(w.category, TruncationWarning) for w in caught):
+        assert strict_rc == 3
+    else:
+        assert strict_rc == 0
+        assert strict_csv == loose_csv
 
 
 def test_run_api_defaults():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from esvsim import (
     DensityMatrix,
     FockVector,
     ModeLayout,
-    TruncationError,
+    TruncationWarning,
     apply_beamsplitter,
     apply_single_mode,
     basis_state,
@@ -83,8 +85,10 @@ def test_gate_errors():
         apply_single_mode(v, 1, "phase", 0.1)
     with pytest.raises(ValueError):
         apply_single_mode(v, 0, "hadamard", 0.1)
-    with pytest.raises(TruncationError):
-        apply_single_mode(v, 0, "squeeze", 2.0, strict=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        with pytest.raises(TruncationWarning):
+            apply_single_mode(v, 0, "squeeze", 2.0)
 
 
 def test_beamsplitter_single_photon():
@@ -355,5 +359,13 @@ def test_error_paths():
     with pytest.raises(ValueError):
         apply_beamsplitter(v, 0, 0)
     heavy = squeezed_vacuum(SqueezeSpec(1.8, 10))
-    with pytest.raises(TruncationError):
-        moment(heavy, [(0, 2, 2)], strict=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        with pytest.raises(TruncationWarning):
+            moment(heavy, [(0, 2, 2)])
+    # outside strict a raising word warns; a lowering-only word reads no tail
+    with pytest.warns(TruncationWarning, match="moment"):
+        moment(heavy, [(0, 2, 2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        moment(heavy, [(0, 0, 2)])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from esvsim import (
     DisplacedSqueezedSpec,
     EsvSpec,
     SqueezeSpec,
+    TruncationWarning,
     displaced_overlap,
     displaced_squeezed,
     esv_aligned,
@@ -54,8 +57,11 @@ def test_squeezed_vacuum_overlap_series():
 
 
 def test_squeeze_strict_guard():
-    with pytest.raises(ValueError):
-        squeezed_vacuum(SqueezeSpec(3.5, 400), strict=True)
+    # strict is the warnings filter: s = 3.5 at cutoff 400 fails on its tail
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        with pytest.raises(TruncationWarning, match="squeezed_vacuum"):
+            squeezed_vacuum(SqueezeSpec(3.5, 400))
 
 
 def test_esv_pure_limits_and_norm():
