@@ -26,10 +26,10 @@ import numpy as np
 from .channels import phase_channel, thermal_channel
 from .dynamics import entangling_power
 from .fock import TruncationWarning, fidelity
-from .measures import eof_pure, log_negativity
+from .measures import eof_pure, esv_mixed_log_negativity
 from .protocols import QubitAmplitudes, entanglement_swap, generate_scheme_a, generate_scheme_b, teleport
 from .separability import duan_det, esv_criterion_det, simon_det
-from .states import EsvSpec, SqueezeSpec, displaced_overlap, esv_mixed, esv_pure, squeezed_vacuum
+from .states import EsvSpec, SqueezeSpec, displaced_overlap, esv_pure, squeezed_vacuum
 
 __all__ = ["SweepConfig", "SweepResult", "run", "emit_csv", "main"]
 
@@ -101,8 +101,7 @@ def _noisy_ln(point, cutoff, cache, channel):
     if key not in cache:
         psi = squeezed_vacuum(SqueezeSpec(point["s"], cutoff))
         cache[key] = channel(psi.normalized().density(), point["sigma"])
-    joint = esv_mixed(cache[key], cache[key], point["phi"])
-    return (log_negativity(joint, [1]),)
+    return (esv_mixed_log_negativity(cache[key], cache[key], point["phi"]),)
 
 
 def _eval_ln_thermal(point, cutoff, cache):

@@ -538,8 +538,11 @@ def moment(state, word) -> complex:
 
 
 def eigs_hermitian(m) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, descending."""
-    mat = m.mat if isinstance(m, DensityMatrix) else np.asarray(m, dtype=complex)
+    """Real eigenvalues of a Hermitian matrix, descending.
+
+    A real input is solved as a real symmetric matrix, in real arithmetic.
+    """
+    mat = m.mat if isinstance(m, DensityMatrix) else np.asarray(m)
     scale = max(1.0, float(np.abs(mat).max()))
     dev = float(np.abs(mat - mat.conj().T).max())
     if dev > HERMITICITY_TOL * scale:

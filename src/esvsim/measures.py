@@ -2,6 +2,8 @@
 
 Logarithmic negativity is log2 of the trace norm of the partial transpose;
 it vanishes on PPT states and equals 1 for a maximally entangled qubit pair.
+`esv_mixed_log_negativity` computes it for the output of `states.esv_mixed`
+from the two single-mode inputs, without building the joint state.
 Entanglement of formation is implemented for pure states only, as the
 von Neumann entropy (base 2) of either reduced state.
 """
@@ -21,8 +23,17 @@ from .fock import (
     partial_transpose,
     reduced_density,
 )
+from .states import _check_esv_inputs, _check_esv_trace
 
-__all__ = ["log_negativity", "eof_pure", "two_qubit_negativity"]
+__all__ = ["log_negativity", "esv_mixed_log_negativity", "eof_pure", "two_qubit_negativity"]
+
+_I_POW = np.array([1, 1j, -1, -1j])     # i^n by n mod 4: exact at every n, unlike 1j ** n
+
+
+def _log2_trace_norm(ev: np.ndarray) -> float:
+    """log2 of the sum of |eigenvalues| outside the zero band, clamped at zero."""
+    tn = float(np.abs(ev[np.abs(ev) > EIG_ZERO_BAND]).sum())
+    return max(0.0, float(np.log2(tn))) if tn > 0 else 0.0
 
 
 def log_negativity(state: FockVector | DensityMatrix, split: Iterable[int]) -> float:
@@ -43,11 +54,58 @@ def log_negativity(state: FockVector | DensityMatrix, split: Iterable[int]) -> f
         raise ValueError(f"state trace {rho.trace():.8f} is not 1")
     pt = partial_transpose(rho, split).mat
     blocks, isolated = hermitian_blocks(pt)
-    ev = np.concatenate([pt[isolated, isolated].real]
-                        + [eigs_hermitian(pt[np.ix_(b, b)]) for b in blocks])
-    ev = ev[np.abs(ev) > EIG_ZERO_BAND]
-    tn = float(np.abs(ev).sum())
-    return max(0.0, float(np.log2(tn))) if tn > 0 else 0.0
+    return _log2_trace_norm(np.concatenate([pt[isolated, isolated].real]
+                                           + [eigs_hermitian(pt[np.ix_(b, b)]) for b in blocks]))
+
+
+def _factor_blocks(mat: np.ndarray) -> list[np.ndarray]:
+    """`hermitian_blocks` of mat, isolated indices as 1 x 1 blocks, all-zero blocks dropped."""
+    blocks, isolated = hermitian_blocks(mat)
+    return [b for b in blocks + [isolated[k:k + 1] for k in range(isolated.size)]
+            if mat[np.ix_(b, b)].any()]
+
+
+def esv_mixed_log_negativity(rho_a: DensityMatrix, rho_b: DensityMatrix, phi: float) -> float:
+    """``log_negativity(esv_mixed(rho_a, rho_b, phi), [1])`` from the d x d inputs.
+
+    With D = diag(i^n), the partial transpose on mode 1 of T (rho_a (x) rho_b) T†
+    is
+
+        rho_a (x) D̄ rho_bᵀ D + D rho_a D̄ (x) rho_bᵀ
+            + e^{-i phi} rho_a D̄ (x) rho_bᵀ D + e^{i phi} D rho_a (x) D̄ rho_bᵀ,
+
+    divided by the trace of T (rho_a (x) rho_b) T†.  Every term has the zero
+    pattern of rho_a (x) rho_bᵀ, so the product A x B of a connected block A
+    of rho_a and one B of rho_bᵀ is an invariant block; it is built from the
+    factor sub-blocks, and no d^2 x d^2 matrix is formed.  For real inputs
+    and blocks A, B of one photon-number parity each, i^(n_a - n_b) takes
+    two values of opposite sign on the rows of a block; entries between rows
+    of equal value are real and the others purely imaginary, so the
+    diagonal gauge u = 1 on the first row's class and u = i on the other
+    makes the block real symmetric.  Raises the ValueErrors of `esv_mixed`.
+    """
+    d = _check_esv_inputs(rho_a, rho_b)
+    a, bt = rho_a.mat, rho_b.mat.T
+    i_pow = _I_POW[np.arange(d) % 4]
+    e = np.exp(1j * phi)
+    weight = np.abs(i_pow[None, :] + e * i_pow[:, None]) ** 2      # |t(n_a, n_b)|^2
+    tr = _check_esv_trace(float(a.diagonal().real @ weight @ bt.diagonal().real))
+    real = not (a.imag.any() or bt.imag.any())
+    spectra = []
+    for rows_a in _factor_blocks(a):
+        # the four terms of the formula above, as (rho_a factor, rho_bᵀ factor) pairs
+        xa, da = a[np.ix_(rows_a, rows_a)], i_pow[rows_a]
+        xs = (xa, da[:, None] * xa * da.conj(), xa * (da.conj() * np.conj(e)), e * da[:, None] * xa)
+        for rows_b in _factor_blocks(bt):
+            yb, db = bt[np.ix_(rows_b, rows_b)], i_pow[rows_b]
+            ys = (db.conj()[:, None] * yb * db, yb, yb * db, db.conj()[:, None] * yb)
+            blk = sum(np.kron(x, y) for x, y in zip(xs, ys))
+            if real and np.ptp(rows_a % 2) == 0 and np.ptp(rows_b % 2) == 0:
+                k = (rows_a[:, None] - rows_b[None, :]).reshape(-1) % 4
+                u = np.where(k == k[0], 1.0, 1j)
+                blk = (u.conj()[:, None] * blk * u).real
+            spectra.append(eigs_hermitian(blk))
+    return _log2_trace_norm(np.concatenate(spectra) / tr)
 
 
 def eof_pure(state: FockVector, split: Iterable[int]) -> float:

@@ -183,12 +183,11 @@ def esv_aligned(spec: EsvSpec) -> FockVector:
                       "degenerate superposition is the zero vector")
 
 
-def esv_mixed(rho_a: DensityMatrix, rho_b: DensityMatrix, phi: float) -> DensityMatrix:
-    """Entangle two single-mode inputs with the conditional map T.
+def _check_esv_inputs(rho_a: DensityMatrix, rho_b: DensityMatrix) -> int:
+    """The common cutoff of two physical unit-trace single-mode inputs.
 
-    T = 1 (x) R(pi/2) + e^{i phi} R(pi/2) (x) 1 is diagonal in the Fock
-    basis; the output T (rho_a (x) rho_b) T† is renormalized to unit trace.
-    On pure squeezed-vacuum inputs this reproduces |Psi(phi)><Psi(phi)|.
+    Raises ValueError for anything else; `esv_mixed` and
+    `measures.esv_mixed_log_negativity` share this check.
     """
     if rho_a.layout.nmodes != 1 or rho_b.layout.nmodes != 1:
         raise ValueError("esv_mixed needs two single-mode density matrices")
@@ -198,14 +197,33 @@ def esv_mixed(rho_a: DensityMatrix, rho_b: DensityMatrix, phi: float) -> Density
         ev_min = float(np.linalg.eigvalsh(rho.mat).min())
         if ev_min < -1e-9 or abs(rho.trace() - 1.0) > 1e-6:
             raise ValueError(f"{name} is not a physical unit-trace state")
-    d = rho_a.layout.dims[0]
+    return rho_a.layout.dims[0]
+
+
+def _check_esv_trace(tr: float) -> float:
+    """The trace of T (rho_a (x) rho_b) T†, unless T annihilated the input."""
+    if tr < 1e-12:
+        raise ValueError("conditional map annihilated the input state")
+    return tr
+
+
+def esv_mixed(rho_a: DensityMatrix, rho_b: DensityMatrix, phi: float) -> DensityMatrix:
+    """Entangle two single-mode inputs with the conditional map T.
+
+    T = 1 (x) R(pi/2) + e^{i phi} R(pi/2) (x) 1 is diagonal in the Fock
+    basis; the output T (rho_a (x) rho_b) T† is renormalized to unit trace.
+    On pure squeezed-vacuum inputs this reproduces |Psi(phi)><Psi(phi)|.
+
+    For the log-negativity of this state, `measures.esv_mixed_log_negativity`
+    gives the same value from the d x d inputs without building the d^2 x d^2
+    joint state; this function is its reference.
+    """
+    d = _check_esv_inputs(rho_a, rho_b)
     i_pow = 1j ** np.arange(d)
     t_diag = np.kron(np.ones(d), i_pow) + np.exp(1j * phi) * np.kron(i_pow, np.ones(d))
     joint = np.kron(rho_a.mat, rho_b.mat)
     out = t_diag[:, None] * joint * t_diag.conj()[None, :]
-    tr = float(np.trace(out).real)
-    if tr < 1e-12:
-        raise ValueError("conditional map annihilated the input state")
+    tr = _check_esv_trace(float(np.trace(out).real))
     return DensityMatrix(ModeLayout((d, d)), out / tr)
 
 

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esvsim import TruncationWarning
+from esvsim import (
+    SqueezeSpec,
+    TruncationWarning,
+    esv_mixed,
+    log_negativity,
+    phase_channel,
+    squeezed_vacuum,
+    thermal_channel,
+)
 from esvsim.cli import SweepConfig, UsageError, emit_csv, main, run
 
 
@@ -181,3 +189,18 @@ def test_ln_thermal_command_small(tmp_path):
     # noiseless rows dominate their noisy partners at the same phase
     assert rows[0][3] >= rows[2][3] - 1e-9
     assert rows[1][3] >= rows[3][3] - 1e-9
+
+
+@pytest.mark.parametrize("command, channel", [("ln-thermal", thermal_channel),
+                                              ("ln-phase", phase_channel)])
+def test_noisy_ln_rows_match_joint_state_oracle(tmp_path, command, channel):
+    out = tmp_path / "ln.csv"
+    assert main([command, "s=0.8", "sigma=0..1.5:3", f"phi=0..{2*np.pi}:5",
+                 "--cutoff", "16", "--out", str(out)]) == 0
+    _, rows = rows_of(out)
+    points = [(sigma, phi) for sigma in np.linspace(0.0, 1.5, 3)
+              for phi in np.linspace(0.0, 2 * np.pi, 5)]
+    assert len(rows) == len(points)
+    for row, (sigma, phi) in zip(rows, points):
+        rho = channel(squeezed_vacuum(SqueezeSpec(0.8, 16)).normalized().density(), sigma)
+        assert abs(row[3] - log_negativity(esv_mixed(rho, rho, phi), [1])) <= 1e-10

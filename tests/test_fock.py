@@ -280,6 +280,26 @@ def test_eigs_hermitian():
         eigs_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_eigs_hermitian_solves_real_input_as_real(monkeypatch):
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((40, 40))
+    m = g + g.T
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        solved.append(a.dtype)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    ev = eigs_hermitian(m)
+    assert np.abs(ev - eigs_hermitian(m.astype(complex))).max() < 1e-12
+    assert solved == [np.float64, np.complex128]
+    assert np.all(np.diff(ev) <= 0)
+    with pytest.raises(ValueError):
+        eigs_hermitian(g)
+
+
 def test_eigs_sum_matches_trace():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))

@@ -7,8 +7,11 @@ from esvsim import (
     EsvSpec,
     SqueezeSpec,
     apply_single_mode,
+    basis_state,
+    displaced_squeezed,
     eof_pure,
     esv_mixed,
+    esv_mixed_log_negativity,
     esv_pure,
     log_negativity,
     partial_transpose,
@@ -233,3 +236,85 @@ def test_block_log_negativity_property(kind, s, sigma, phi, cutoff, theta):
     value = assert_matches_dense(rho)
     rotated = apply_single_mode(rho, 1, "phase", theta)
     assert abs(log_negativity(rotated, [1]) - value) <= 1e-12
+
+
+# --- esv_mixed_log_negativity: the noisy sweeps from the d x d factors --------
+
+def noised(kind, s, sigma, cutoff):
+    """A squeezed vacuum through the ln-thermal or ln-phase channel."""
+    rho = squeezed_vacuum(SqueezeSpec(s, cutoff)).normalized().density()
+    return thermal_channel(rho, sigma) if kind == "thermal" else phase_channel(rho, sigma)
+
+
+def assert_matches_oracle(rho_a, rho_b, phi):
+    got = esv_mixed_log_negativity(rho_a, rho_b, phi)
+    want = log_negativity(esv_mixed(rho_a, rho_b, phi), [1])
+    assert abs(got - want) <= 1e-12
+    return got
+
+
+@pytest.mark.parametrize("kind, sigmas", [("thermal", np.linspace(0.0, 2.0, 9)),
+                                          ("phase", np.linspace(0.0, 1.0, 5))])
+def test_esv_mixed_log_negativity_matches_oracle_on_noisy_ln_sweeps(kind, sigmas):
+    # the 112 points of the benchmark's noisy-ln workload at seed 0
+    for sigma in sigmas:
+        rho = noised(kind, 1.0, sigma, 30)
+        for phi in np.linspace(0.0, 2 * np.pi, 8):
+            assert_matches_oracle(rho, rho, phi)
+
+
+def test_esv_mixed_log_negativity_complex_and_mixed_parity_inputs():
+    # a local phase rotation makes the inputs complex; a displaced squeezed
+    # state has both photon-number parities: neither block is gauged real
+    rho = noised("thermal", 0.8, 0.5, 16)
+    rotated = apply_single_mode(rho, 0, "phase", 0.7)
+    assert rotated.mat.imag.any()
+    displaced = displaced_squeezed(0.4, -0.6, 16).normalized().density()
+    for phi in (0.0, 1.1, np.pi):
+        assert assert_matches_oracle(rho, rotated, phi) > 0.0
+        assert assert_matches_oracle(displaced, rho, phi) > 0.0
+        assert assert_matches_oracle(rotated, displaced, phi) > 0.0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["thermal", "phase"]),
+    s_a=st.floats(0.1, 1.2),
+    s_b=st.floats(-1.2, -0.1),
+    sigma=st.floats(0.0, 2.0),
+    phi=st.one_of(st.sampled_from([0.0, np.pi]), st.floats(0.0, 2 * np.pi)),
+    cutoff=st.integers(6, 14),
+    theta=st.one_of(st.just(0.0), st.floats(-np.pi, np.pi)),
+    alpha=st.one_of(st.just(0.0), st.floats(0.1, 0.5)),
+)
+def test_esv_mixed_log_negativity_property(kind, s_a, s_b, sigma, phi, cutoff, theta, alpha):
+    rho_a = noised(kind, s_a, sigma, cutoff)
+    if alpha:
+        pure_b = displaced_squeezed(alpha, s_b, cutoff).normalized().density()
+        rho_b = thermal_channel(pure_b, sigma) if kind == "thermal" else phase_channel(pure_b, sigma)
+    else:
+        rho_b = noised(kind, s_b, sigma, cutoff)
+    rho_b = apply_single_mode(rho_b, 0, "phase", theta)
+    assert_matches_oracle(rho_a, rho_b, phi)
+    assert_matches_oracle(rho_b, rho_a, phi)
+
+
+def test_esv_mixed_log_negativity_raises_what_esv_mixed_raises():
+    d = 6
+    layout = ModeLayout((d,))
+    vac = basis_state(layout, (0,)).density()
+    one = basis_state(layout, (1,)).density()
+    negative = DensityMatrix(layout, np.diag([1.2, -0.2, 0, 0, 0, 0]).astype(complex))
+    cases = [
+        (esv_pure(EsvSpec(0.5, 0.0, d)).density(), vac, 0.0),      # two-mode input
+        (vac, basis_state(ModeLayout((d + 1,)), (0,)).density(), 0.0),   # cutoffs differ
+        (vac, negative, 0.0),                                      # not physical
+        (one, one, np.pi),                                         # T annihilates |1,1>
+    ]
+    for rho_a, rho_b, phi in cases:
+        with pytest.raises(ValueError) as want:
+            esv_mixed(rho_a, rho_b, phi)
+        with pytest.raises(ValueError) as got:
+            esv_mixed_log_negativity(rho_a, rho_b, phi)
+        assert str(got.value) == str(want.value)
+    assert esv_mixed_log_negativity(one, one, 0.0) == 0.0
