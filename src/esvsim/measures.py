@@ -15,6 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .fock import (
+    _I_POW,
     EIG_ZERO_BAND,
     DensityMatrix,
     FockVector,
@@ -27,13 +28,17 @@ from .states import _check_esv_inputs, _check_esv_trace
 
 __all__ = ["log_negativity", "esv_mixed_log_negativity", "eof_pure", "two_qubit_negativity"]
 
-_I_POW = np.array([1, 1j, -1, -1j])     # i^n by n mod 4: exact at every n, unlike 1j ** n
-
 
 def _log2_trace_norm(ev: np.ndarray) -> float:
-    """log2 of the sum of |eigenvalues| outside the zero band, clamped at zero."""
+    """log2 of the sum of |eigenvalues| outside the zero band, clamped at zero.
+
+    Exactly 0 when no eigenvalue lies below the zero band (a PPT spectrum),
+    so rounding in the positive eigenvalues' sum is never printed as a value.
+    """
+    if not (ev < -EIG_ZERO_BAND).any():
+        return 0.0
     tn = float(np.abs(ev[np.abs(ev) > EIG_ZERO_BAND]).sum())
-    return max(0.0, float(np.log2(tn))) if tn > 0 else 0.0
+    return max(0.0, float(np.log2(tn)))
 
 
 def log_negativity(state: FockVector | DensityMatrix, split: Iterable[int]) -> float:

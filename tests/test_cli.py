@@ -1,12 +1,16 @@
 import contextlib
 import io
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import esvsim
 from esvsim import (
     SqueezeSpec,
     TruncationWarning,
@@ -204,3 +208,27 @@ def test_noisy_ln_rows_match_joint_state_oracle(tmp_path, command, channel):
     for row, (sigma, phi) in zip(rows, points):
         rho = channel(squeezed_vacuum(SqueezeSpec(0.8, 16)).normalized().density(), sigma)
         assert abs(row[3] - log_negativity(esv_mixed(rho, rho, phi), [1])) <= 1e-10
+
+
+def _run_python(code):
+    """Run code in a fresh interpreter that imports this checkout's esvsim."""
+    src = str(Path(esvsim.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n" + code],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_loads_no_scipy():
+    proc = _run_python("import esvsim.cli\n"
+                       "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_swap_runs_with_scipy_unavailable():
+    # the swap circuit uses the squeeze gate and the beam splitter
+    proc = _run_python('sys.modules["scipy"] = None\n'
+                       "import esvsim.cli\n"
+                       'sys.exit(esvsim.cli.main(["swap", "s=1", "--cutoff", "8"]))')
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("s,probability,fidelity\n"
+                           "1.00000000000e+00,2.50000000000e-01,1.00000000000e+00\n")

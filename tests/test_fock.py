@@ -24,10 +24,10 @@ from esvsim import (
     tensor,
     vacuum,
 )
-from esvsim.fock import resize_mode
+from esvsim.fock import _beamsplitter_blocks, displace_matrix, resize_mode, squeeze_matrix
 from esvsim.states import EsvSpec, SqueezeSpec, esv_pure, squeezed_vacuum, two_mode_squeezed_vacuum
 
-from oracles import beamsplitter_matrix, full_operator, hermitian_2x2_eigs, kron_moment
+from oracles import beamsplitter_matrix, full_operator, hermitian_2x2_eigs, kron_moment, ladder
 
 
 def test_vacuum_amplitudes():
@@ -147,6 +147,65 @@ def test_operator_kernel_matches_dense_oracle():
     disp = expm(alpha * full_operator(dims, [(1, 1, 0)]) - np.conj(alpha) * full_operator(dims, [(1, 0, 1)]))
     got = apply_single_mode(rho, 1, "displace", alpha).mat
     assert np.abs(got - disp @ rho.mat @ disp.conj().T).max() < 1e-12
+
+
+def squeeze_oracle(dim, s):
+    a = ladder(dim)
+    return expm(0.5 * s * (a @ a - a.conj().T @ a.conj().T))
+
+
+def displace_oracle(dim, alpha):
+    a = ladder(dim)
+    return expm(alpha * a.conj().T - np.conj(alpha) * a)
+
+
+def assert_gate_matches(u, want):
+    assert np.abs(u - want).max() < 1e-11
+    assert np.abs(u @ u.conj().T - np.eye(len(u))).max() < 1e-13
+
+
+def assert_splitter_blocks_match(dim_a, dim_b, theta):
+    # every block against the dense whole-grid exponential, and the blocks
+    # partition the grid, so every entry outside them is a zero of the oracle
+    want = beamsplitter_matrix((dim_a, dim_b), 0, 1, theta)
+    covered = np.zeros(want.shape, dtype=bool)
+    for rows, block in _beamsplitter_blocks(dim_a, dim_b, theta):
+        assert_gate_matches(block, want[np.ix_(rows, rows)])
+        covered[np.ix_(rows, rows)] = True
+    assert np.abs(want[~covered]).max(initial=0.0) < 1e-11
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 40, 80])
+def test_gates_match_dense_exponential_oracle(dim):
+    for s in (-5.0, -1.3, 0.0, 0.4, 2.5, 5.0):
+        assert_gate_matches(squeeze_matrix(dim, s), squeeze_oracle(dim, s))
+    for alpha in (0.0, 1.2, -0.7, 0.3 - 0.5j, -2.0 + 1.5j, 3j):
+        assert_gate_matches(displace_matrix(dim, alpha), displace_oracle(dim, alpha))
+
+
+@pytest.mark.parametrize("dim_a, dim_b", [(1, 1), (1, 3), (2, 1), (2, 3), (3, 2), (40, 3), (3, 80)])
+def test_beamsplitter_blocks_match_dense_exponential_oracle(dim_a, dim_b):
+    for theta in (np.pi / 4, 0.3, -1.1):
+        assert_splitter_blocks_match(dim_a, dim_b, theta)
+
+
+def test_squeeze_matrix_has_exact_zeros_between_parities():
+    for dim in (2, 3, 40, 81):
+        u = squeeze_matrix(dim, -1.7)
+        n = np.arange(dim)
+        odd = (n[:, None] - n[None, :]) % 2 == 1
+        assert np.all(u[odd] == 0)
+        assert np.all(u[~odd] != 0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dim=st.integers(1, 60), s=st.floats(-4, 4), re=st.floats(-3, 3), im=st.floats(-3, 3),
+       theta=st.floats(-np.pi, np.pi), dim_b=st.integers(1, 12))
+def test_gate_exponential_property(dim, s, re, im, theta, dim_b):
+    alpha = complex(re, im)
+    assert_gate_matches(squeeze_matrix(dim, s), squeeze_oracle(dim, s))
+    assert_gate_matches(displace_matrix(dim, alpha), displace_oracle(dim, alpha))
+    assert_splitter_blocks_match(min(dim, 12), dim_b, theta)
 
 
 @st.composite

@@ -142,6 +142,15 @@ def test_ppt_states_have_zero_log_negativity():
         assert log_negativity(rho, [0]) <= 1e-9
 
 
+def test_ppt_noisy_esv_log_negativity_is_exactly_zero():
+    # ln-phase at s = 1, sigma = 1: phi and 2 pi - phi give conjugate PPT
+    # states; rounding in the sum of their positive eigenvalues is not a value
+    rho = phase_channel(squeezed_vacuum(SqueezeSpec(1.0, 30)).normalized().density(), 1.0)
+    for phi in np.linspace(0.0, 2 * np.pi, 8)[[1, 6]]:
+        assert log_negativity(esv_mixed(rho, rho, phi), [1]) == 0.0
+        assert esv_mixed_log_negativity(rho, rho, phi) == 0.0
+
+
 def test_eof_equals_log_negativity_on_maximally_entangled_pair():
     state = esv_pure(EsvSpec(0.6, np.pi, 40))
     assert eof_pure(state, [0]) == pytest.approx(log_negativity(state, [1]), abs=1e-6)
