@@ -67,7 +67,7 @@ TAIL_FRACTION = 0.1       # the "top band" is the highest 10% of levels
 HERMITICITY_TOL = 1e-10
 EIG_ZERO_BAND = 1e-11     # eigenvalues below this are treated as exact zeros
 
-_I_POW = np.array([1, 1j, -1, -1j])     # i^n by n mod 4: exact at every n, unlike 1j ** n
+_I_POW = np.array([1, 1j, -1, -1j])     # i^n by n mod 4: exact, where numpy's complex power errs from n = 100
 
 
 class TruncationWarning(UserWarning):
@@ -430,26 +430,29 @@ def _parse_modes(layout: ModeLayout, modes: Iterable[int]) -> list[int]:
     return out
 
 
+def _amplitude_matrix(state: FockVector, rows: Sequence[int]) -> np.ndarray:
+    """A pure state's amplitudes as a matrix: the `rows` modes (in that order)
+    index its rows and the other modes its columns."""
+    t = np.moveaxis(state.as_tensor(), list(rows), range(len(rows)))
+    return t.reshape(int(np.prod([state.layout.dims[m] for m in rows])), -1)
+
+
 def reduced_density(state, keep: Iterable[int]) -> DensityMatrix:
     """Reduced density matrix on the kept modes (complement traced out)."""
     keep = _parse_modes(state.layout, keep)
     if not keep:
         raise ValueError("keep set must be non-empty")
     dims = state.layout.dims
-    n = len(dims)
-    drop = [m for m in range(n) if m not in keep]
-    dkeep = int(np.prod([dims[m] for m in keep]))
+    out_layout = ModeLayout(tuple(dims[m] for m in keep))
     if isinstance(state, FockVector):
-        t = np.transpose(state.as_tensor(), keep + drop).reshape(dkeep, -1)
+        t = _amplitude_matrix(state, keep)
         mat = t @ t.conj().T
     else:
         t = state.mat.reshape(dims + dims)
         # pair up bra/ket axes of each dropped mode and trace them out
-        for m in reversed(drop):
+        for m in reversed([m for m in range(len(dims)) if m not in keep]):
             t = np.trace(t, axis1=m, axis2=m + (t.ndim // 2))
-        perm_dims = [dims[m] for m in keep]
-        mat = t.reshape(int(np.prod(perm_dims)), -1)
-    out_layout = ModeLayout(tuple(dims[m] for m in keep))
+        mat = t.reshape(out_layout.total_dim, -1)
     mat = 0.5 * (mat + mat.conj().T)  # scrub rounding noise
     return DensityMatrix(out_layout, mat)
 

@@ -3,9 +3,10 @@
 Logarithmic negativity is log2 of the trace norm of the partial transpose;
 it vanishes on PPT states and equals 1 for a maximally entangled qubit pair.
 `esv_mixed_log_negativity` computes it for the output of `states.esv_mixed`
-from the two single-mode inputs, without building the joint state.
-Entanglement of formation is implemented for pure states only, as the
-von Neumann entropy (base 2) of either reduced state.
+from the two single-mode inputs: each block of the partial transpose is
+(rho_a (x) rho_bᵀ) ∘ W on factor blocks, W from the conditional map.
+Entanglement of formation (pure states only) is the entropy, base 2, of the
+Schmidt spectrum: the squared singular values of the amplitude matrix.
 """
 
 from __future__ import annotations
@@ -15,16 +16,15 @@ from typing import Iterable
 import numpy as np
 
 from .fock import (
-    _I_POW,
     EIG_ZERO_BAND,
     DensityMatrix,
     FockVector,
+    _amplitude_matrix,
     eigs_hermitian,
     hermitian_blocks,
     partial_transpose,
-    reduced_density,
 )
-from .states import _check_esv_inputs, _check_esv_trace
+from .states import _check_esv_inputs, _check_esv_trace, _conditional_map
 
 __all__ = ["log_negativity", "esv_mixed_log_negativity", "eof_pure", "two_qubit_negativity"]
 
@@ -73,48 +73,43 @@ def _factor_blocks(mat: np.ndarray) -> list[np.ndarray]:
 def esv_mixed_log_negativity(rho_a: DensityMatrix, rho_b: DensityMatrix, phi: float) -> float:
     """``log_negativity(esv_mixed(rho_a, rho_b, phi), [1])`` from the d x d inputs.
 
-    With D = diag(i^n), the partial transpose on mode 1 of T (rho_a (x) rho_b) T†
-    is
-
-        rho_a (x) D̄ rho_bᵀ D + D rho_a D̄ (x) rho_bᵀ
-            + e^{-i phi} rho_a D̄ (x) rho_bᵀ D + e^{i phi} D rho_a (x) D̄ rho_bᵀ,
-
-    divided by the trace of T (rho_a (x) rho_b) T†.  Every term has the zero
-    pattern of rho_a (x) rho_bᵀ, so the product A x B of a connected block A
-    of rho_a and one B of rho_bᵀ is an invariant block; it is built from the
-    factor sub-blocks, and no d^2 x d^2 matrix is formed.  For real inputs
-    and blocks A, B of one photon-number parity each, i^(n_a - n_b) takes
-    two values of opposite sign on the rows of a block; entries between rows
-    of equal value are real and the others purely imaginary, so the
-    diagonal gauge u = 1 on the first row's class and u = i on the other
-    makes the block real symmetric.  Raises the ValueErrors of `esv_mixed`.
+    The partial transpose on mode 1 of T (rho_a (x) rho_b) T† is
+    (rho_a (x) rho_bᵀ) ∘ W, W[(n_a, n_b), (m_a, m_b)] = t(n_a, m_b) conj(t(m_a, n_b))
+    with t = `states._conditional_map`; its spectrum is divided by the trace.
+    A connected block A of rho_a and one B of rho_bᵀ span an invariant block,
+    one kron of factor sub-blocks times W; no d^2 x d^2 matrix is formed.  For
+    real inputs and one photon-number parity per factor block, W is real between
+    rows of equal i^(n_a - n_b) and imaginary across the two classes, so the
+    gauge u = 1 on the first row's class and i on the other makes the block
+    real symmetric.  Raises the ValueErrors of `esv_mixed`.
     """
     d = _check_esv_inputs(rho_a, rho_b)
     a, bt = rho_a.mat, rho_b.mat.T
-    i_pow = _I_POW[np.arange(d) % 4]
-    e = np.exp(1j * phi)
-    weight = np.abs(i_pow[None, :] + e * i_pow[:, None]) ** 2      # |t(n_a, n_b)|^2
-    tr = _check_esv_trace(float(a.diagonal().real @ weight @ bt.diagonal().real))
+    t = _conditional_map(d, phi)
+    tr = _check_esv_trace(float(a.diagonal().real @ np.abs(t) ** 2 @ bt.diagonal().real))
     real = not (a.imag.any() or bt.imag.any())
+    if real:
+        a, bt = a.real, bt.real
+    blocks_b = _factor_blocks(bt)
     spectra = []
     for rows_a in _factor_blocks(a):
-        # the four terms of the formula above, as (rho_a factor, rho_bᵀ factor) pairs
-        xa, da = a[np.ix_(rows_a, rows_a)], i_pow[rows_a]
-        xs = (xa, da[:, None] * xa * da.conj(), xa * (da.conj() * np.conj(e)), e * da[:, None] * xa)
-        for rows_b in _factor_blocks(bt):
-            yb, db = bt[np.ix_(rows_b, rows_b)], i_pow[rows_b]
-            ys = (db.conj()[:, None] * yb * db, yb, yb * db, db.conj()[:, None] * yb)
-            blk = sum(np.kron(x, y) for x, y in zip(xs, ys))
+        for rows_b in blocks_b:
+            tab = t[np.ix_(rows_a, rows_b)]
+            w = (tab[:, None, None, :] * tab.conj().T[None, :, :, None]).reshape(tab.size, -1)
             if real and np.ptp(rows_a % 2) == 0 and np.ptp(rows_b % 2) == 0:
                 k = (rows_a[:, None] - rows_b[None, :]).reshape(-1) % 4
                 u = np.where(k == k[0], 1.0, 1j)
-                blk = (u.conj()[:, None] * blk * u).real
+                w *= u.conj()[:, None]
+                w *= u
+                w = w.real.copy()       # frees the complex W before the eigensolve
+            blk = np.kron(a[np.ix_(rows_a, rows_a)], bt[np.ix_(rows_b, rows_b)]) * w
             spectra.append(eigs_hermitian(blk))
     return _log2_trace_norm(np.concatenate(spectra) / tr)
 
 
 def eof_pure(state: FockVector, split: Iterable[int]) -> float:
-    """Entropy of entanglement of a normalized pure state across `split`."""
+    """Entropy of entanglement of a normalized pure state across `split`, from
+    the squared singular values of its amplitude matrix (the Schmidt spectrum)."""
     if not isinstance(state, FockVector):
         raise TypeError("eof_pure is defined for pure states")
     if abs(state.norm() - 1.0) > 1e-6:
@@ -122,7 +117,7 @@ def eof_pure(state: FockVector, split: Iterable[int]) -> float:
     split = sorted({state.layout.check_mode(int(m)) for m in split})
     if not split or len(split) == state.layout.nmodes:
         raise ValueError("split must be a proper non-empty subset of the modes")
-    ev = eigs_hermitian(reduced_density(state, split))
+    ev = np.linalg.svd(_amplitude_matrix(state, split), compute_uv=False) ** 2
     ev = ev[ev > EIG_ZERO_BAND]
     return float(-(ev * np.log2(ev)).sum())
 

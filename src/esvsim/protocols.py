@@ -7,7 +7,8 @@ protocol act on zero-padded mode pairs (each target mode enlarged to hold
 the full total-photon-number range of the pair), which makes the splitter
 exact on every populated block; outputs are truncated back to the caller's
 cutoff at the end.  Success probabilities are computed on the padded state,
-before any truncation.
+before any truncation.  Fidelities contract the target with the heralded
+amplitudes; no reduced density matrix is formed.
 """
 
 from __future__ import annotations
@@ -17,17 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
-    DensityMatrix,
     FockVector,
     ModeLayout,
+    _amplitude_matrix,
     _apply_unitary,
     apply_beamsplitter,
     apply_single_mode,
-    reduced_density,
     resize_mode,
     tensor,
 )
-from .states import EsvSpec, SqueezeSpec, _superpose, esv_aligned, esv_pure, squeezed_vacuum, two_mode_squeezed_vacuum
+from .states import (EsvSpec, SqueezeSpec, _pair, _superpose, esv_aligned, esv_pure, squeezed_vacuum,
+                     two_mode_squeezed_vacuum)
 
 __all__ = [
     "QubitAmplitudes",
@@ -115,11 +116,12 @@ def _project_qubit(state: FockVector, mode: int, coeffs: np.ndarray) -> tuple[Fo
     return vec, float(vec.norm() ** 2)
 
 
-def _dm_overlap(rho: DensityMatrix, target: FockVector) -> float:
-    """<target| rho |target>."""
-    if rho.layout != target.layout:
+def _heralded_fidelity(projected: FockVector, keep: list[int], prob: float, target: FockVector) -> float:
+    """<target| rho |target> for the state rho of the `keep` modes of `projected`: with M
+    the amplitude matrix whose rows are the `keep` modes, rho = M M† / prob."""
+    if target.layout.dims != tuple(projected.layout.dims[m] for m in keep):
         raise ValueError("layout mismatch")
-    return float(np.real(np.vdot(target.amps, rho.mat @ target.amps)))
+    return float(np.linalg.norm(target.amps.conj() @ _amplitude_matrix(projected, keep)) ** 2) / prob
 
 
 def _padded_balanced_bs(state: FockVector, mode_a: int, mode_b: int):
@@ -142,14 +144,10 @@ def entanglement_swap(s: float, cutoff: int) -> tuple[float, float]:
     """
     if s <= 0:
         raise ValueError("swap requires s > 0")
-    resource = tensor(esv_pure(EsvSpec(s, np.pi, cutoff)),
-                      esv_aligned(EsvSpec(s, np.pi, cutoff)))
-    mixed = _padded_balanced_bs(resource, 1, 2)
-    projected, prob = odd_odd_projector(mixed, (1, 2))
-    rho = reduced_density(projected, keep=[0, 3])
-    rho = DensityMatrix(rho.layout, rho.mat / prob)
     target = esv_aligned(EsvSpec(s, np.pi, cutoff))
-    return prob, _dm_overlap(rho, target)
+    resource = tensor(esv_pure(EsvSpec(s, np.pi, cutoff)), target)
+    projected, prob = odd_odd_projector(_padded_balanced_bs(resource, 1, 2), (1, 2))
+    return prob, _heralded_fidelity(projected, [0, 3], prob, target)
 
 
 def teleport(inp: QubitAmplitudes, s: float, cutoff: int) -> tuple[float, float]:
@@ -161,18 +159,14 @@ def teleport(inp: QubitAmplitudes, s: float, cutoff: int) -> tuple[float, float]
     """
     if s <= 0:
         raise ValueError("teleportation requires s > 0")
-    plus = squeezed_vacuum(SqueezeSpec(s, cutoff))
-    minus = squeezed_vacuum(SqueezeSpec(-s, cutoff))
+    plus, minus = _pair(s, cutoff)
     input_state = _superpose(inp.a0 * plus.amps, inp.a1 * minus.amps, (cutoff,),
                              1e-12, "input superposition is the zero vector")
-
     joint = tensor(input_state, esv_aligned(EsvSpec(s, np.pi, cutoff)))
-    mixed = _padded_balanced_bs(joint, 0, 1)
-    projected, prob = odd_odd_projector(mixed, (0, 1))
-    rho = reduced_density(projected, keep=[2])
-    rho = DensityMatrix(rho.layout, rho.mat / prob)
-    rho = apply_single_mode(rho, 0, "phase", np.pi / 2)
-    return prob, _dm_overlap(rho, input_state)
+    projected, prob = odd_odd_projector(_padded_balanced_bs(joint, 0, 1), (0, 1))
+    # R(pi/2) on the output, moved onto the target as R(-pi/2)
+    target = apply_single_mode(input_state, 0, "phase", -np.pi / 2)
+    return prob, _heralded_fidelity(projected, [2], prob, target)
 
 
 def _ancilla_vector(ancilla: QubitAmplitudes) -> FockVector:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
+    _I_POW,
     DensityMatrix,
     FockVector,
     ModeLayout,
@@ -207,6 +208,12 @@ def _check_esv_trace(tr: float) -> float:
     return tr
 
 
+def _conditional_map(d: int, phi: float) -> np.ndarray:
+    """The diagonal of T on |n_a, n_b>: t[n_a, n_b] = i^{n_b} + e^{i phi} i^{n_a}, i^n from `_I_POW`."""
+    i_pow = _I_POW[np.arange(d) % 4]
+    return i_pow[None, :] + np.exp(1j * phi) * i_pow[:, None]
+
+
 def esv_mixed(rho_a: DensityMatrix, rho_b: DensityMatrix, phi: float) -> DensityMatrix:
     """Entangle two single-mode inputs with the conditional map T.
 
@@ -219,8 +226,7 @@ def esv_mixed(rho_a: DensityMatrix, rho_b: DensityMatrix, phi: float) -> Density
     joint state; this function is its reference.
     """
     d = _check_esv_inputs(rho_a, rho_b)
-    i_pow = 1j ** np.arange(d)
-    t_diag = np.kron(np.ones(d), i_pow) + np.exp(1j * phi) * np.kron(i_pow, np.ones(d))
+    t_diag = _conditional_map(d, phi).reshape(-1)
     joint = np.kron(rho_a.mat, rho_b.mat)
     out = t_diag[:, None] * joint * t_diag.conj()[None, :]
     tr = _check_esv_trace(float(np.trace(out).real))

@@ -103,6 +103,21 @@ def test_eof_pure_approaches_full_ebit_at_large_squeezing():
                                abs=1e-6)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dims=st.tuples(st.integers(2, 6), st.integers(2, 6), st.integers(2, 6)),
+       seed=st.integers(0, 2**32 - 1))
+def test_eof_pure_non_adjacent_splits_match_dense_partial_trace(dims, seed):
+    # a random 3-mode state; [0, 2] keeps two modes that are not neighbours
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    t /= np.linalg.norm(t)
+    state = FockVector(ModeLayout(dims), t.reshape(-1))
+    rho_02 = np.einsum("abc,dbf->acdf", t, t.conj()).reshape(dims[0] * dims[2], -1)
+    rho_1 = np.einsum("abc,adc->bd", t, t.conj())
+    for split, rho in (([0, 2], rho_02), ([1], rho_1)):
+        assert eof_pure(state, split) == pytest.approx(entropy2(np.linalg.eigvalsh(rho)), abs=1e-12)
+
+
 def test_eof_requires_normalized_pure_state():
     state = esv_pure(EsvSpec(0.5, 0.0, 12))
     with pytest.raises(TypeError):

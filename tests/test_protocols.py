@@ -16,8 +16,8 @@ from esvsim import (
     teleport,
     two_mode_squeezed_vacuum,
 )
-from esvsim.fock import FockVector, ModeLayout
-from esvsim.protocols import controlled_phase
+from esvsim.fock import FockVector, ModeLayout, reduced_density
+from esvsim.protocols import _heralded_fidelity, controlled_phase
 
 HALF = 1 / np.sqrt(2)
 
@@ -55,6 +55,33 @@ def test_entanglement_swap_probability_and_fidelity():
         assert f >= 1 - 1e-6
     with pytest.raises(ValueError):
         entanglement_swap(0.0, 16)
+
+
+def _random_vector(dims, rng):
+    n = int(np.prod(dims))
+    return FockVector(ModeLayout(dims), rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("keep", [[0, 2], [1], [2]])
+def test_heralded_fidelity_matches_density_matrix_oracle(keep):
+    # unnormalized vectors: the norm squared plays the heralding probability
+    rng = np.random.default_rng(11)
+    for dims in ((3, 4, 5), (2, 6, 3), (5, 2, 4), (4, 4, 4)):
+        for _ in range(3):
+            vec = _random_vector(dims, rng)
+            target = _random_vector(tuple(dims[m] for m in keep), rng).normalized()
+            prob = vec.norm() ** 2
+            rho = reduced_density(vec.density(), keep).mat / prob
+            want = np.vdot(target.amps, rho @ target.amps).real
+            assert _heralded_fidelity(vec, keep, prob, target) == pytest.approx(want, abs=1e-12)
+
+
+def test_heralded_fidelity_rejects_layout_mismatch():
+    rng = np.random.default_rng(12)
+    vec = _random_vector((3, 4, 5), rng)
+    for keep, dims in (([0, 2], (5, 3)), ([1], (5,)), ([2], (3, 5))):
+        with pytest.raises(ValueError, match="layout mismatch"):
+            _heralded_fidelity(vec, keep, 1.0, _random_vector(dims, rng))
 
 
 def test_swap_probability_is_squeezing_independent():

@@ -24,6 +24,7 @@ from esvsim import (
     vacuum,
 )
 from esvsim.fock import ModeLayout
+from esvsim.states import _conditional_map
 
 from oracles import squeezed_amplitudes, squeezed_overlap_series
 
@@ -121,6 +122,16 @@ def test_esv_mixed_rejects_unphysical_input():
     with pytest.raises(ValueError):
         esv_mixed(DensityMatrix(ModeLayout((d,)), bad),
                   DensityMatrix(ModeLayout((d,)), np.eye(d, dtype=complex) / d), 0.0)
+
+
+@pytest.mark.parametrize("phi", [0.0, np.pi / 2, np.pi])
+def test_conditional_map_is_exact_beyond_n_100(phi):
+    # every entry is i^{n_b} + e^{i phi} i^{n_a} with i^n from the exact table
+    table = [1, 1j, -1, -1j]
+    e = np.exp(1j * phi)
+    expected = np.array([[table[nb % 4] + e * table[na % 4] for nb in range(128)]
+                         for na in range(128)])
+    assert np.array_equal(_conditional_map(128, phi), expected)
 
 
 def test_phi_basis_supports_and_orthogonality():
