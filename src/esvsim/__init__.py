@@ -6,7 +6,6 @@ from .fock import (
     DensityMatrix,
     FockVector,
     ModeLayout,
-    MomentIndex,
     TruncationWarning,
     apply_beamsplitter,
     apply_single_mode,
@@ -36,6 +35,7 @@ from .separability import (
     DUAN_SELECTOR,
     SIMON_SELECTOR,
     MinorSelector,
+    MomentIndex,
     canonical_indices,
     duan_det,
     esv_criterion_det,

@@ -39,7 +39,6 @@ __all__ = [
     "ModeLayout",
     "FockVector",
     "DensityMatrix",
-    "MomentIndex",
     "TruncationWarning",
     "vacuum",
     "basis_state",
@@ -162,28 +161,6 @@ class DensityMatrix:
 
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
-
-
-@dataclass(frozen=True)
-class MomentIndex:
-    """Multi-index (i1, i2, i3, i4) labelling a†^i1 a^i2 b†^i3 b^i4."""
-
-    i1: int
-    i2: int
-    i3: int
-    i4: int
-
-    def __post_init__(self):
-        for v in self.astuple():
-            if v < 0:
-                raise ValueError(f"negative multi-index entry in {self.astuple()}")
-
-    def astuple(self) -> tuple[int, int, int, int]:
-        return (self.i1, self.i2, self.i3, self.i4)
-
-    @property
-    def weight(self) -> int:
-        return self.i1 + self.i2 + self.i3 + self.i4
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +403,7 @@ def tensor(x, y):
 
 
 def _parse_modes(layout: ModeLayout, modes: Iterable[int]) -> list[int]:
-    out = sorted({layout.check_mode(int(m)) for m in modes})
-    return out
+    return sorted({layout.check_mode(int(m)) for m in modes})
 
 
 def _amplitude_matrix(state: FockVector, rows: Sequence[int]) -> np.ndarray:

@@ -19,7 +19,9 @@ from .fock import (
     EIG_ZERO_BAND,
     DensityMatrix,
     FockVector,
+    ModeLayout,
     _amplitude_matrix,
+    _parse_modes,
     eigs_hermitian,
     hermitian_blocks,
     partial_transpose,
@@ -41,6 +43,14 @@ def _log2_trace_norm(ev: np.ndarray) -> float:
     return max(0.0, float(np.log2(tn)))
 
 
+def _split(layout: ModeLayout, split: Iterable[int]) -> list[int]:
+    """The sorted modes of `split`, which must be a proper non-empty subset of the layout's."""
+    modes = _parse_modes(layout, split)
+    if not modes or len(modes) == layout.nmodes:
+        raise ValueError("split must be a proper non-empty subset of the modes")
+    return modes
+
+
 def log_negativity(state: FockVector | DensityMatrix, split: Iterable[int]) -> float:
     """log2 || rho^PT ||_1 with the modes in `split` transposed.
 
@@ -52,9 +62,7 @@ def log_negativity(state: FockVector | DensityMatrix, split: Iterable[int]) -> f
     solve.
     """
     rho = state.density() if isinstance(state, FockVector) else state
-    split = sorted({rho.layout.check_mode(int(m)) for m in split})
-    if not split or len(split) == rho.layout.nmodes:
-        raise ValueError("split must be a proper non-empty subset of the modes")
+    split = _split(rho.layout, split)
     if abs(rho.trace() - 1.0) > 1e-6:
         raise ValueError(f"state trace {rho.trace():.8f} is not 1")
     pt = partial_transpose(rho, split).mat
@@ -81,10 +89,11 @@ def esv_mixed_log_negativity(rho_a: DensityMatrix, rho_b: DensityMatrix, phi: fl
     real inputs and one photon-number parity per factor block, W is real between
     rows of equal i^(n_a - n_b) and imaginary across the two classes, so the
     gauge u = 1 on the first row's class and i on the other makes the block
-    real symmetric.  Raises the ValueErrors of `esv_mixed`.
+    real symmetric.  With the factors' Hermitian parts every block is exactly
+    Hermitian and goes to `eigvalsh` unchecked.  Raises the ValueErrors of `esv_mixed`.
     """
     d = _check_esv_inputs(rho_a, rho_b)
-    a, bt = rho_a.mat, rho_b.mat.T
+    a, bt = (0.5 * (m + m.conj().T) for m in (rho_a.mat, rho_b.mat.T))
     t = _conditional_map(d, phi)
     tr = _check_esv_trace(float(a.diagonal().real @ np.abs(t) ** 2 @ bt.diagonal().real))
     real = not (a.imag.any() or bt.imag.any())
@@ -95,7 +104,10 @@ def esv_mixed_log_negativity(rho_a: DensityMatrix, rho_b: DensityMatrix, phi: fl
     for rows_a in _factor_blocks(a):
         for rows_b in blocks_b:
             tab = t[np.ix_(rows_a, rows_b)]
-            w = (tab[:, None, None, :] * tab.conj().T[None, :, :, None]).reshape(tab.size, -1)
+            x, y = tab[:, None, None, :], tab.T[None, :, :, None]     # t(n_a, m_b), t(m_a, n_b)
+            # W = x conj(y) in real arithmetic: exactly Hermitian, unlike a fused complex product
+            w = x.real * y.real + x.imag * y.imag + 1j * (x.imag * y.real - x.real * y.imag)
+            w = w.reshape(tab.size, -1)
             if real and np.ptp(rows_a % 2) == 0 and np.ptp(rows_b % 2) == 0:
                 k = (rows_a[:, None] - rows_b[None, :]).reshape(-1) % 4
                 u = np.where(k == k[0], 1.0, 1j)
@@ -103,7 +115,7 @@ def esv_mixed_log_negativity(rho_a: DensityMatrix, rho_b: DensityMatrix, phi: fl
                 w *= u
                 w = w.real.copy()       # frees the complex W before the eigensolve
             blk = np.kron(a[np.ix_(rows_a, rows_a)], bt[np.ix_(rows_b, rows_b)]) * w
-            spectra.append(eigs_hermitian(blk))
+            spectra.append(np.linalg.eigvalsh(blk)[::-1])
     return _log2_trace_norm(np.concatenate(spectra) / tr)
 
 
@@ -114,10 +126,7 @@ def eof_pure(state: FockVector, split: Iterable[int]) -> float:
         raise TypeError("eof_pure is defined for pure states")
     if abs(state.norm() - 1.0) > 1e-6:
         raise ValueError(f"state norm {state.norm():.8f} is not 1")
-    split = sorted({state.layout.check_mode(int(m)) for m in split})
-    if not split or len(split) == state.layout.nmodes:
-        raise ValueError("split must be a proper non-empty subset of the modes")
-    ev = np.linalg.svd(_amplitude_matrix(state, split), compute_uv=False) ** 2
+    ev = np.linalg.svd(_amplitude_matrix(state, _split(state.layout, split)), compute_uv=False) ** 2
     ev = ev[ev > EIG_ZERO_BAND]
     return float(-(ev * np.log2(ev)).sum())
 

@@ -208,3 +208,31 @@ def log_negativity_dense(rho, dims, split, zero_band=1e-11):
     ev = np.linalg.eigvalsh(0.5 * (pt + pt.conj().T))
     tn = float(np.abs(ev[np.abs(ev) > zero_band]).sum())
     return max(0.0, math.log2(tn)) if tn > 0 else 0.0
+
+
+def jc_unitary_expm(tau, dim):
+    """exp(-i tau (sigma_+ (x) a + sigma_- (x) a†)) on (qubit, mode), qubit first, |g> = 0."""
+    sp = np.array([[0, 0], [1, 0]], dtype=complex)   # |e><g|
+    a = ladder(dim)
+    return expm(-1j * tau * (np.kron(sp, a) + np.kron(sp.conj().T, a.conj().T)))
+
+
+def entangling_power_joint(state_array, dims, tau):
+    """The two-qubit state of the entangling-power test, built the long way.
+
+    A ground-state qubit is attached to each mode (order qubit 1, mode a,
+    qubit 2, mode b), the joint vector or density matrix is evolved by the
+    dense kron of the two JC unitaries, and the modes are traced out.
+    Returns the 4 x 4 matrix, the qubit coupled to mode a first.
+    """
+    da, db = dims
+    g = np.array([[1.0], [0.0]])
+    attach = np.kron(np.kron(g, np.eye(da)), np.kron(g, np.eye(db)))
+    evolve = np.kron(jc_unitary_expm(tau, da), jc_unitary_expm(tau, db)) @ attach
+    state = np.asarray(state_array)
+    if state.ndim == 1:
+        out = evolve @ state
+        joint = np.outer(out, out.conj())
+    else:
+        joint = evolve @ state @ evolve.conj().T
+    return np.einsum("iajbkalb->ijkl", joint.reshape((2, da, 2, db) * 2)).reshape(4, 4)

@@ -256,11 +256,15 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_swap_runs_with_scipy_unavailable():
-    # the swap circuit uses the squeeze gate and the beam splitter
+@pytest.mark.parametrize("argv", [["swap", "s=1", "--cutoff", "8"],
+                                  ["ent-power", "tau=0..8:3", "--cutoff", "10"],
+                                  ["criteria", "s=0.5", "phi=0..3.14:2", "--cutoff", "12"]],
+                         ids=["swap", "ent-power", "criteria"])
+def test_swap_runs_with_scipy_unavailable(argv, capsys):
+    # squeeze gate and beam splitter (swap), JC Kraus maps (ent-power), moment minors (criteria)
     proc = _run_python('sys.modules["scipy"] = None\n'
                        "import esvsim.cli\n"
-                       'sys.exit(esvsim.cli.main(["swap", "s=1", "--cutoff", "8"]))')
+                       f"sys.exit(esvsim.cli.main({argv!r}))")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == ("s,probability,fidelity\n"
-                           "1.00000000000e+00,2.50000000000e-01,1.00000000000e+00\n")
+    assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esvsim import (
     EsvSpec,
@@ -15,8 +19,12 @@ from esvsim import (
     squeezed_vacuum,
     tensor,
     two_mode_squeezed_vacuum,
+    two_qubit_negativity,
 )
-from esvsim.fock import ModeLayout, basis_state
+from esvsim import dynamics
+from esvsim.fock import DensityMatrix, FockVector, ModeLayout, basis_state
+
+from oracles import entangling_power_joint, log_negativity_dense
 
 
 def qubit_mode_state(q, n, d):
@@ -129,3 +137,34 @@ def test_entangling_power_mixed_input_runs_at_small_cutoff():
     vals = [entangling_power(rho, tau) for tau in (0.0, 4.0, 8.0)]
     assert vals[0] <= 1e-12
     assert all(v <= 0.4 + 1e-3 for v in vals)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    dims=st.tuples(st.integers(2, 8), st.integers(2, 8)),
+    tau=st.floats(0.0, 10.0),
+    rank=st.integers(0, 3),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_entangling_power_matches_joint_state_oracle(dims, tau, rank, seed):
+    # rank 0 is a pure state; the oracle attaches the qubits and evolves the joint state
+    rng = np.random.default_rng(seed)
+    d = dims[0] * dims[1]
+    g = rng.standard_normal((d, max(rank, 1))) + 1j * rng.standard_normal((d, max(rank, 1)))
+    if rank:
+        array = g @ g.conj().T / np.linalg.norm(g) ** 2
+        state = DensityMatrix(ModeLayout(dims), array)
+    else:
+        array = g[:, 0] / np.linalg.norm(g)
+        state = FockVector(ModeLayout(dims), array)
+    want = entangling_power_joint(array, dims, tau)
+    seen = []
+
+    def spy(qubits):
+        seen.append(qubits.mat)
+        return two_qubit_negativity(qubits)
+
+    with mock.patch.object(dynamics, "two_qubit_negativity", spy):
+        value = entangling_power(state, tau)
+    assert np.abs(seen[0] - want).max() <= 1e-12     # the qubit state, not only its negativity
+    assert abs(value - log_negativity_dense(want, (2, 2), [1])) <= 1e-12

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -270,6 +272,22 @@ def noised(kind, s, sigma, cutoff):
     return thermal_channel(rho, sigma) if kind == "thermal" else phase_channel(rho, sigma)
 
 
+@pytest.fixture
+def hermitian_blocks_solved(monkeypatch):
+    """One flag per block `esv_mixed_log_negativity` hands to `np.linalg.eigvalsh`:
+    whether the block equals its conjugate transpose exactly."""
+    flags = []
+    solve = np.linalg.eigvalsh
+
+    def spy(mat, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "esv_mixed_log_negativity":
+            flags.append(bool(np.array_equal(mat, mat.conj().T)))
+        return solve(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return flags
+
+
 def assert_matches_oracle(rho_a, rho_b, phi):
     got = esv_mixed_log_negativity(rho_a, rho_b, phi)
     want = log_negativity(esv_mixed(rho_a, rho_b, phi), [1])
@@ -279,12 +297,13 @@ def assert_matches_oracle(rho_a, rho_b, phi):
 
 @pytest.mark.parametrize("kind, sigmas", [("thermal", np.linspace(0.0, 2.0, 9)),
                                           ("phase", np.linspace(0.0, 1.0, 5))])
-def test_esv_mixed_log_negativity_matches_oracle_on_noisy_ln_sweeps(kind, sigmas):
+def test_esv_mixed_log_negativity_matches_oracle_on_noisy_ln_sweeps(kind, sigmas, hermitian_blocks_solved):
     # the 112 points of the benchmark's noisy-ln workload at seed 0
     for sigma in sigmas:
         rho = noised(kind, 1.0, sigma, 30)
         for phi in np.linspace(0.0, 2 * np.pi, 8):
             assert_matches_oracle(rho, rho, phi)
+    assert hermitian_blocks_solved and all(hermitian_blocks_solved)
 
 
 def test_esv_mixed_log_negativity_complex_and_mixed_parity_inputs():
@@ -321,6 +340,29 @@ def test_esv_mixed_log_negativity_property(kind, s_a, s_b, sigma, phi, cutoff, t
     rho_b = apply_single_mode(rho_b, 0, "phase", theta)
     assert_matches_oracle(rho_a, rho_b, phi)
     assert_matches_oracle(rho_b, rho_a, phi)
+
+
+def test_esv_mixed_log_negativity_blocks_exactly_hermitian_under_input_noise(hermitian_blocks_solved):
+    # inputs pass the DensityMatrix check with 1e-13 anti-Hermitian noise: complex
+    # noise on a complex input, real antisymmetric noise that keeps a real input real
+    rng = np.random.default_rng(5)
+
+    def with_noise(rho, dtype):
+        x = rng.standard_normal(rho.mat.shape).astype(dtype)
+        if dtype is complex:
+            x += 1j * rng.standard_normal(rho.mat.shape)
+        noisy = DensityMatrix(rho.layout, rho.mat + 1e-13 * (x - x.conj().T))
+        assert not np.array_equal(noisy.mat, noisy.mat.conj().T)
+        return noisy
+
+    rho = noised("thermal", 0.8, 0.5, 16)
+    rotated = apply_single_mode(noised("phase", -0.6, 0.4, 16), 0, "phase", 0.7)
+    for rho_a, rho_b in ((with_noise(rho, float), with_noise(rho, float)),
+                         (with_noise(rho, float), with_noise(rotated, complex)),
+                         (with_noise(rotated, complex), with_noise(rotated, complex))):
+        for phi in (0.0, 1.1, np.pi):
+            assert assert_matches_oracle(rho_a, rho_b, phi) > 0.0
+    assert hermitian_blocks_solved and all(hermitian_blocks_solved)
 
 
 def test_esv_mixed_log_negativity_raises_what_esv_mixed_raises():

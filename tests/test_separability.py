@@ -3,6 +3,7 @@ import pytest
 
 from esvsim import (
     DUAN_SELECTOR,
+    SIMON_SELECTOR,
     EsvSpec,
     MinorSelector,
     MomentIndex,
@@ -21,6 +22,7 @@ from esvsim import (
     vacuum,
 )
 from esvsim.fock import DensityMatrix, ModeLayout
+from esvsim.separability import _ESV_CRITERION_INDICES, _moment_minor
 
 from oracles import full_operator, moment_matrix_entry_via_pt
 
@@ -162,3 +164,30 @@ def test_maximally_mixed_state_is_undetected():
     assert simon_det(rho) >= -1e-12
     assert duan_det(rho) >= -1e-12
     assert esv_criterion_det(rho) >= -1e-12
+
+
+def test_mirrored_minor_equals_the_full_matrix_on_random_mixed_states():
+    """The minor is evaluated on its upper triangle and mirrored; every entry,
+    both triangles included, must equal its value through an explicit partial
+    transpose, and so must the determinant (the identity M_ji = conj(M_ij))."""
+    rng = np.random.default_rng(11)
+    order = canonical_indices()
+    for dims in ((3, 4), (5, 5), (6, 3)):
+        d = dims[0] * dims[1]
+        g = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
+        rho = g @ g.conj().T / np.linalg.norm(g) ** 2
+        state = DensityMatrix(ModeLayout(dims), rho)
+        picked = MinorSelector(tuple(sorted(rng.choice(len(order), size=6, replace=False) + 1)))
+        cases = [(SIMON_SELECTOR.rows, simon_det),
+                 (picked.rows, lambda st: minor_determinant(st, picked)),
+                 (None, esv_criterion_det)]
+        for rows, det in cases:
+            idx = list(_ESV_CRITERION_INDICES) if rows is None else [order[r - 1] for r in rows]
+            full = np.array([[moment_matrix_entry_via_pt(rho, dims, i.astuple(), j.astuple())
+                              for j in idx] for i in idx])
+            assert np.abs(full.imag).max() > 1e-3       # a conj dropped from the mirror would show
+            scale = np.linalg.norm(full, 2)
+            assert np.abs(_moment_minor(state, idx) - full).max() <= 1e-12 * scale
+            want = np.linalg.det(full)
+            assert abs(want.imag) <= 1e-12 * scale ** len(idx)
+            assert abs(det(state) - want.real) <= 1e-12 * scale ** len(idx)
