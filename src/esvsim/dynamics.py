@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, FockVector, ModeLayout, _apply_unitary
+from .fock import DensityMatrix, FockVector, ModeLayout
 from .measures import two_qubit_negativity
 
-__all__ = ["JcSpec", "jc_unitary", "jc_evolve_pair", "entangling_power"]
+__all__ = ["JcSpec", "jc_unitary", "entangling_power"]
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,6 @@ def jc_unitary(spec: JcSpec) -> np.ndarray:
         u[ie, ig] = -1j * s
         u[ig, ie] = -1j * s
     return u
-
-
-def jc_evolve_pair(state: FockVector | DensityMatrix, tau: float):
-    """Evolve a (qubit, mode) pair for rescaled time tau."""
-    if state.layout.nmodes != 2 or state.layout.dims[0] != 2:
-        raise ValueError("expected a (qubit, mode) layout with qubit dimension 2")
-    u = jc_unitary(JcSpec(tau, state.layout.dims[1]))
-    return _apply_unitary(state, [0, 1], [(slice(None), u)])
 
 
 def entangling_power(state: FockVector | DensityMatrix, tau: float) -> float:

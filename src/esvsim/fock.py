@@ -9,21 +9,17 @@ freely across threads.
 Conventions fixed here and relied on everywhere else:
 
 * vacuum quadrature variance is 1/2, with x = (a + a^dag)/sqrt(2);
-* the squeeze gate S(s) = exp[(s/2)(a^2 - a^dag^2)] squeezes x for s > 0 and
-  produces even-photon amplitudes proportional to (-tanh(s)/2)^n;
-* the displacement gate is D(alpha) = exp(alpha a^dag - conj(alpha) a);
 * the balanced beam splitter on modes (a, b) realizes
   a -> (a + b)/sqrt(2), b -> (b - a)/sqrt(2).
 
-Gates are matrix exponentials of the generator truncated at the cutoff.
-Each truncated generator is, up to a diagonal phase, a real antisymmetric
-tridiagonal matrix K (per photon-number parity for the squeeze gate, per
-total photon number for the beam splitter).  With D = diag(i^k),
-D K D^-1 = -iT for the real symmetric tridiagonal (Jacobi) matrix T with
-the same off-diagonal, so exp(K) comes from one real eigensolve of T.  The
-gates are exactly unitary on the truncated space (the truncated generators
-stay anti-Hermitian); what is lost to truncation shows up as infidelity
-against the untruncated ideal, which the tail-mass diagnostic tracks.
+The beam splitter is the matrix exponential of its generator truncated at
+the cutoff.  Per total photon number, that generator is a real
+antisymmetric tridiagonal matrix K.  With D = diag(i^k), D K D^-1 = -iT for
+the real symmetric tridiagonal (Jacobi) matrix T with the same
+off-diagonal, so exp(K) comes from one real eigensolve of T.  The splitter
+is exactly unitary on the truncated space (the truncated generator stays
+anti-Hermitian); what is lost to truncation shows up as infidelity against
+the untruncated ideal, which the tail-mass diagnostic tracks.
 """
 
 from __future__ import annotations
@@ -40,21 +36,12 @@ __all__ = [
     "FockVector",
     "DensityMatrix",
     "TruncationWarning",
-    "vacuum",
-    "basis_state",
     "annihilator",
-    "squeeze_matrix",
-    "displace_matrix",
-    "phase_matrix",
-    "apply_single_mode",
     "apply_beamsplitter",
     "tensor",
-    "reduced_density",
     "partial_transpose",
-    "swap_modes",
     "resize_mode",
     "moment",
-    "eigs_hermitian",
     "hermitian_blocks",
     "fidelity",
     "tail_mass",
@@ -164,27 +151,8 @@ class DensityMatrix:
 
 
 # ---------------------------------------------------------------------------
-# constructors and elementary matrices
+# elementary matrices
 # ---------------------------------------------------------------------------
-
-def vacuum(layout: ModeLayout) -> FockVector:
-    """The state |0...0>."""
-    amps = np.zeros(layout.total_dim, dtype=complex)
-    amps[0] = 1.0
-    return FockVector(layout, amps)
-
-
-def basis_state(layout: ModeLayout, occupations: Sequence[int]) -> FockVector:
-    """The Fock basis state |n_0, n_1, ...>."""
-    if len(occupations) != layout.nmodes:
-        raise ValueError("one occupation number per mode required")
-    for n, d in zip(occupations, layout.dims):
-        if not 0 <= n < d:
-            raise ValueError(f"occupation {n} outside cutoff {d}")
-    amps = np.zeros(layout.total_dim, dtype=complex)
-    amps[np.ravel_multi_index(tuple(occupations), layout.dims)] = 1.0
-    return FockVector(layout, amps)
-
 
 @lru_cache(maxsize=None)
 def annihilator(dim: int) -> np.ndarray:
@@ -206,43 +174,6 @@ def _expm_tridiagonal(off: np.ndarray) -> np.ndarray:
     lam, w = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     d = _I_POW[np.arange(off.size + 1) % 4]
     return ((d.conj()[:, None] * w) @ (np.exp(-1j * lam)[:, None] * w.T * d)).real
-
-
-@lru_cache(maxsize=None)
-def squeeze_matrix(dim: int, s: float) -> np.ndarray:
-    """S(s) = exp[(s/2)(a^2 - a†^2)]; S(s)|0> has amplitudes ~ (-tanh(s)/2)^n.
-
-    The generator links n - 2 and n only, so each photon-number parity is
-    exponentiated apart and the entries between parities are exact zeros.
-    """
-    u = np.zeros((dim, dim), dtype=complex)
-    for p in range(min(2, dim)):
-        n = np.arange(p + 2, dim, 2)
-        u[p::2, p::2] = _expm_tridiagonal(0.5 * s * np.sqrt(n * (n - 1)))
-    u.flags.writeable = False
-    return u
-
-
-@lru_cache(maxsize=512)
-def displace_matrix(dim: int, alpha: complex) -> np.ndarray:
-    """D(alpha) = exp(alpha a† - conj(alpha) a).
-
-    With alpha = r e^{it} and R = diag(e^{itn}), the generator is R K R̄
-    for the real antisymmetric K with K[n-1, n] = -r sqrt(n).
-    """
-    r, t = abs(alpha), np.angle(alpha)
-    rot = np.exp(1j * t * np.arange(dim))
-    u = rot[:, None] * _expm_tridiagonal(-r * np.sqrt(np.arange(1, dim))) * rot.conj()
-    u.flags.writeable = False
-    return u
-
-
-@lru_cache(maxsize=None)
-def phase_matrix(dim: int, theta: float) -> np.ndarray:
-    """R(theta) = exp(i theta a†a), diagonal in the Fock basis."""
-    u = np.diag(np.exp(1j * theta * np.arange(dim)))
-    u.flags.writeable = False
-    return u
 
 
 @lru_cache(maxsize=16)
@@ -346,31 +277,6 @@ def _apply_unitary(state, modes: Sequence[int], blocks):
     return DensityMatrix(state.layout, t.reshape(state.mat.shape))
 
 
-def apply_single_mode(state, mode: int, gate: str, value):
-    """Apply a single-mode gate ("squeeze", "displace" or "phase") to a state.
-
-    The gate is the truncated-generator matrix exponential; no renormalization
-    is performed, so any norm loss is a truncation diagnostic.
-    """
-    state.layout.check_mode(mode)
-    z = complex(value)
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        raise ValueError("gate parameter must be finite")
-    dim = state.layout.dims[mode]
-    if gate == "squeeze":
-        u = squeeze_matrix(dim, float(value))
-    elif gate == "displace":
-        u = displace_matrix(dim, z)
-    elif gate == "phase":
-        u = phase_matrix(dim, float(value))
-    else:
-        raise ValueError(f"unknown gate {gate!r}; expected squeeze, displace or phase")
-    out = _apply_unitary(state, [mode], [(slice(None), u)])
-    if gate != "phase":
-        check_tail(out, context=f"{gate} gate")
-    return out
-
-
 def apply_beamsplitter(state, mode_a: int, mode_b: int, theta: float = np.pi / 4):
     """Mix two modes on a beam splitter: a -> a cos(theta) + b sin(theta).
 
@@ -413,26 +319,6 @@ def _amplitude_matrix(state: FockVector, rows: Sequence[int]) -> np.ndarray:
     return t.reshape(int(np.prod([state.layout.dims[m] for m in rows])), -1)
 
 
-def reduced_density(state, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced density matrix on the kept modes (complement traced out)."""
-    keep = _parse_modes(state.layout, keep)
-    if not keep:
-        raise ValueError("keep set must be non-empty")
-    dims = state.layout.dims
-    out_layout = ModeLayout(tuple(dims[m] for m in keep))
-    if isinstance(state, FockVector):
-        t = _amplitude_matrix(state, keep)
-        mat = t @ t.conj().T
-    else:
-        t = state.mat.reshape(dims + dims)
-        # pair up bra/ket axes of each dropped mode and trace them out
-        for m in reversed([m for m in range(len(dims)) if m not in keep]):
-            t = np.trace(t, axis1=m, axis2=m + (t.ndim // 2))
-        mat = t.reshape(out_layout.total_dim, -1)
-    mat = 0.5 * (mat + mat.conj().T)  # scrub rounding noise
-    return DensityMatrix(out_layout, mat)
-
-
 def partial_transpose(state: DensityMatrix, modes: Iterable[int]) -> DensityMatrix:
     """Transpose the bra/ket indices of the selected modes (exact, involutive)."""
     modes = _parse_modes(state.layout, modes)
@@ -446,54 +332,22 @@ def partial_transpose(state: DensityMatrix, modes: Iterable[int]) -> DensityMatr
     return DensityMatrix(state.layout, np.transpose(t, perm).reshape(d, d))
 
 
-def swap_modes(state, i: int, j: int):
-    """Exchange two modes of equal cutoff."""
-    i = state.layout.check_mode(i)
-    j = state.layout.check_mode(j)
-    dims = state.layout.dims
-    if dims[i] != dims[j]:
-        raise ValueError("swap requires equal cutoffs")
-    n = len(dims)
-    perm = list(range(n))
-    perm[i], perm[j] = perm[j], perm[i]
-    if isinstance(state, FockVector):
-        return FockVector(state.layout, np.transpose(state.as_tensor(), perm).reshape(-1))
-    t = state.mat.reshape(dims + dims)
-    return DensityMatrix(state.layout,
-                         np.transpose(t, perm + [p + n for p in perm]).reshape(state.mat.shape))
-
-
-def resize_mode(state, mode: int, dim: int):
-    """Zero-pad (or truncate) one mode to a new cutoff.
+def resize_mode(state: FockVector, mode: int, dim: int) -> FockVector:
+    """Zero-pad (or truncate) one mode of a pure state to a new cutoff.
 
     Padding is exact.  Truncation discards the amplitudes above the new
     cutoff, so the result may need renormalization; callers own that choice.
     """
     mode = state.layout.check_mode(mode)
     dims = list(state.layout.dims)
-    old = dims[mode]
-    if dim == old:
+    if dim == dims[mode]:
         return state
-    dims_new = dims.copy()
-    dims_new[mode] = int(dim)
-    new_layout = ModeLayout(tuple(dims_new))
-    take = min(old, dim)
-    if isinstance(state, FockVector):
-        t = np.zeros(dims_new, dtype=complex)
-        src = state.as_tensor()
-        sel = [slice(None)] * len(dims)
-        sel[mode] = slice(0, take)
-        t[tuple(sel)] = src[tuple(sel)]
-        return FockVector(new_layout, t.reshape(-1))
-    n = len(dims)
-    t = np.zeros(dims_new + dims_new, dtype=complex)
-    src = state.mat.reshape(dims + dims)
-    sel = [slice(None)] * (2 * n)
-    sel[mode] = slice(0, take)
-    sel[mode + n] = slice(0, take)
-    t[tuple(sel)] = src[tuple(sel)]
-    d = new_layout.total_dim
-    return DensityMatrix(new_layout, t.reshape(d, d))
+    sel = [slice(None)] * len(dims)
+    sel[mode] = slice(0, min(dims[mode], dim))
+    dims[mode] = int(dim)
+    t = np.zeros(dims, dtype=complex)
+    t[tuple(sel)] = state.as_tensor()[tuple(sel)]
+    return FockVector(ModeLayout(tuple(dims)), t.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -537,20 +391,6 @@ def moment(state, word) -> complex:
     if pure:
         return complex(np.vdot(state.amps, t.reshape(-1)))
     return complex(np.trace(t.reshape(state.mat.shape)))
-
-
-def eigs_hermitian(m) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, descending.
-
-    A real input is solved as a real symmetric matrix, in real arithmetic.
-    """
-    mat = m.mat if isinstance(m, DensityMatrix) else np.asarray(m)
-    scale = max(1.0, float(np.abs(mat).max()))
-    dev = float(np.abs(mat - mat.conj().T).max())
-    if dev > HERMITICITY_TOL * scale:
-        raise ValueError(f"input not Hermitian: max deviation {dev:.3e}")
-    ev = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-    return ev[::-1]
 
 
 def hermitian_blocks(mat: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:

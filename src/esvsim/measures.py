@@ -22,7 +22,6 @@ from .fock import (
     ModeLayout,
     _amplitude_matrix,
     _parse_modes,
-    eigs_hermitian,
     hermitian_blocks,
     partial_transpose,
 )
@@ -59,7 +58,9 @@ def log_negativity(state: FockVector | DensityMatrix, split: Iterable[int]) -> f
     block of its exact zero pattern at a time (parity sectors of squeezed
     inputs, zeros of the conditional map); an isolated index contributes
     its diagonal entry.  The spectrum is the same as that of one dense
-    solve.
+    solve.  The blocks go to `eigvalsh` unchecked: a `DensityMatrix` is
+    Hermitian to `HERMITICITY_TOL` by construction, and so is its partial
+    transpose.
     """
     rho = state.density() if isinstance(state, FockVector) else state
     split = _split(rho.layout, split)
@@ -68,7 +69,7 @@ def log_negativity(state: FockVector | DensityMatrix, split: Iterable[int]) -> f
     pt = partial_transpose(rho, split).mat
     blocks, isolated = hermitian_blocks(pt)
     return _log2_trace_norm(np.concatenate([pt[isolated, isolated].real]
-                                           + [eigs_hermitian(pt[np.ix_(b, b)]) for b in blocks]))
+                                           + [np.linalg.eigvalsh(pt[np.ix_(b, b)])[::-1] for b in blocks]))
 
 
 def _factor_blocks(mat: np.ndarray) -> list[np.ndarray]:

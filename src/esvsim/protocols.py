@@ -23,7 +23,6 @@ from .fock import (
     _amplitude_matrix,
     _apply_unitary,
     apply_beamsplitter,
-    apply_single_mode,
     resize_mode,
     tensor,
 )
@@ -151,17 +150,19 @@ def teleport(inp: QubitAmplitudes, s: float, cutoff: int) -> tuple[float, float]
 
     The input mode and resource mode 1 interfere on a balanced splitter and
     are projected onto odd photon numbers; a pi/2 phase-space rotation on
-    mode 2 then restores the input.  Returns (probability, output fidelity).
+    mode 2 then restores the input.  That rotation is moved onto the target
+    as R(-pi/2), which maps |s+-> to |s-+> (the two differ by (-1)^n on
+    |2n>), so the target is a0|s-> + a1|s+>.  Returns (probability, output
+    fidelity).
     """
     if s <= 0:
         raise ValueError("teleportation requires s > 0")
     plus, minus = _pair(s, cutoff)
-    input_state = _superpose(inp.a0 * plus.amps, inp.a1 * minus.amps, (cutoff,),
-                             1e-12, "input superposition is the zero vector")
+    message = "input superposition is the zero vector"
+    input_state = _superpose(inp.a0 * plus.amps, inp.a1 * minus.amps, (cutoff,), 1e-12, message)
     joint = tensor(input_state, esv_aligned(EsvSpec(s, np.pi, cutoff)))
     projected, prob = odd_odd_projector(_padded_balanced_bs(joint, 0, 1), (0, 1))
-    # R(pi/2) on the output, moved onto the target as R(-pi/2)
-    target = apply_single_mode(input_state, 0, "phase", -np.pi / 2)
+    target = _superpose(inp.a0 * minus.amps, inp.a1 * plus.amps, (cutoff,), 1e-12, message)
     return prob, _heralded_fidelity(projected, [2], prob, target)
 
 

@@ -15,9 +15,9 @@ to a product of single-mode inputs and renormalizes; R(pi/2) flips
 
 Constructors that build superpositions return unit-norm vectors with the
 global phase fixed so the largest-magnitude amplitude is real positive.
-Closed-form constructors (squeezed vacuum, two-mode squeezed vacuum,
-displaced squeezed states) keep their natural amplitudes; their norm is
-1 minus the truncation tail.
+The closed-form squeezed vacuum and two-mode squeezed vacuum keep their
+natural amplitudes; their norm is 1 minus the truncation tail.  The overlap
+of oppositely squeezed displaced states is given in closed form only.
 """
 
 from __future__ import annotations
@@ -31,23 +31,18 @@ from .fock import (
     DensityMatrix,
     FockVector,
     ModeLayout,
-    apply_single_mode,
     check_tail,
 )
 
 __all__ = [
     "SqueezeSpec",
     "EsvSpec",
-    "DisplacedSqueezedSpec",
     "squeezed_vacuum",
     "esv_pure",
     "esv_aligned",
     "esv_mixed",
-    "phi_basis",
-    "displaced_squeezed",
     "displaced_overlap",
     "two_mode_squeezed_vacuum",
-    "esv_generalized",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -84,35 +79,6 @@ class EsvSpec:
         # N = 1/sqrt(2 [1 + sech(2s) cos(phi)]) must stay finite
         if 1.0 + np.cos(self.phi) / np.cosh(2.0 * self.s) < 1e-12:
             raise ValueError("degenerate superposition: s = 0 with phi = pi is the zero vector")
-
-    @property
-    def norm_factor(self) -> float:
-        return 1.0 / np.sqrt(2.0 * (1.0 + np.cos(self.phi) / np.cosh(2.0 * self.s)))
-
-
-@dataclass(frozen=True)
-class DisplacedSqueezedSpec:
-    """Displacements for the two modes plus a common squeezing magnitude."""
-
-    alpha: complex
-    beta: complex
-    s: float
-    cutoff: int
-
-    def __post_init__(self):
-        if self.cutoff < 2:
-            raise ValueError("cutoff must be at least 2")
-        bound = _displacement_bound(self.cutoff)
-        for name, z in (("alpha", self.alpha), ("beta", self.beta)):
-            if abs(z) > bound:
-                raise ValueError(
-                    f"|{name}| = {abs(z):.3f} exceeds the cutoff-{self.cutoff} guard {bound:.3f}"
-                )
-
-
-def _displacement_bound(cutoff: int) -> float:
-    # mean photon number |alpha|^2 plus a Poisson-tail margin must fit
-    return max(np.sqrt(cutoff + 5.0) - 3.0, 0.5)
 
 
 def _phase_fixed(amps: np.ndarray) -> np.ndarray:
@@ -233,30 +199,6 @@ def esv_mixed(rho_a: DensityMatrix, rho_b: DensityMatrix, phi: float) -> Density
     return DensityMatrix(ModeLayout((d, d)), out / tr)
 
 
-def phi_basis(s: float, sign: int, cutoff: int) -> FockVector:
-    """Orthogonal superpositions N_{+-} (|s+> +- |s->).
-
-    The plus state is supported exactly on photon numbers 4k, the minus
-    state exactly on 4k + 2; together they form an orthonormal qubit basis
-    for the span of the two squeezed vacua.
-    """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    plus, minus = _pair(s, cutoff)
-    return _superpose(plus.amps, sign * minus.amps, (cutoff,), 1e-12,
-                      "null state: the minus branch vanishes at s = 0")
-
-
-def displaced_squeezed(alpha: complex, s: float, cutoff: int) -> FockVector:
-    """D(alpha) S(s) |0>."""
-    bound = _displacement_bound(cutoff)
-    if abs(alpha) > bound:
-        raise ValueError(f"|alpha| = {abs(alpha):.3f} exceeds the cutoff guard {bound:.3f}")
-    base = squeezed_vacuum(SqueezeSpec(s, cutoff))
-    out = apply_single_mode(base, 0, "displace", alpha)
-    return FockVector(out.layout, _phase_fixed(out.amps))
-
-
 def displaced_overlap(alpha: complex, beta: complex, r: float) -> float:
     """|<alpha,+r | beta,-r>|^2 for oppositely squeezed displaced states.
 
@@ -279,12 +221,3 @@ def two_mode_squeezed_vacuum(s: float, cutoff: int) -> FockVector:
     out = FockVector(ModeLayout((d, d)), amps.reshape(-1))
     check_tail(out, context="two_mode_squeezed_vacuum")
     return out
-
-
-def esv_generalized(spec: DisplacedSqueezedSpec, phi: float) -> FockVector:
-    """N' (|alpha+, beta-> + e^{i phi} |beta-, alpha+>) from displaced components."""
-    ap = displaced_squeezed(spec.alpha, spec.s, spec.cutoff)
-    bm = displaced_squeezed(spec.beta, -spec.s, spec.cutoff)
-    return _superpose(np.kron(ap.amps, bm.amps), np.exp(1j * phi) * np.kron(bm.amps, ap.amps),
-                      (spec.cutoff, spec.cutoff), 1e-9,
-                      "degenerate superposition is the zero vector")

@@ -86,6 +86,36 @@ def squeezed_amplitudes(s, cutoff):
     return amps
 
 
+def basis_vector(dims, occupations):
+    """The Fock basis state |n_0, n_1, ...> as a flat row-major amplitude array."""
+    amps = np.zeros(int(np.prod(dims)), dtype=complex)
+    amps[np.ravel_multi_index(tuple(occupations), tuple(dims))] = 1.0
+    return amps
+
+
+def partial_trace(rho, dims, keep):
+    """Reduced density matrix on the `keep` modes (ascending), by one einsum over
+    the traced modes' paired bra and ket axes."""
+    n = len(dims)
+    ket = list(range(n))
+    bra = [m if m not in keep else n + m for m in range(n)]
+    out = list(keep) + [n + m for m in keep]
+    d = int(np.prod([dims[m] for m in keep]))
+    return np.einsum(np.asarray(rho).reshape(tuple(dims) * 2), ket + bra, out).reshape(d, d)
+
+
+def phase_rotation(dim, theta):
+    """Dense R(theta) = diag(e^{i theta n})."""
+    return np.diag(np.exp(1j * theta * np.arange(dim)))
+
+
+def displaced_squeezed_amplitudes(alpha, s, cutoff):
+    """D(alpha) S(s)|0>: scipy expm of the truncated displacement generator
+    alpha a† - conj(alpha) a, applied to the closed-form squeezed amplitudes."""
+    a = ladder(cutoff)
+    return expm(alpha * a.conj().T - np.conj(alpha) * a) @ squeezed_amplitudes(s, cutoff)
+
+
 def squeezed_overlap_series(s, nmax):
     """<psi_s | psi_-s> = sum_n (-1)^n |c_2n|^2 via a long stable product."""
     t2 = math.tanh(s) ** 2
@@ -167,16 +197,6 @@ def entropy2(evals):
     ev = np.asarray(evals, dtype=float)
     ev = ev[ev > 1e-12]
     return float(-(ev * np.log2(ev)).sum())
-
-
-def hermitian_2x2_eigs(mat):
-    """Quadratic-formula eigenvalues of a 2x2 Hermitian matrix, descending."""
-    a = mat[0, 0].real
-    d = mat[1, 1].real
-    b = mat[0, 1]
-    disc = math.sqrt(((a - d) / 2) ** 2 + abs(b) ** 2)
-    mid = (a + d) / 2
-    return np.array([mid + disc, mid - disc])
 
 
 def random_product_dm(dims, rng):

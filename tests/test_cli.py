@@ -258,10 +258,12 @@ def test_cli_import_loads_no_scipy():
 
 @pytest.mark.parametrize("argv", [["swap", "s=1", "--cutoff", "8"],
                                   ["ent-power", "tau=0..8:3", "--cutoff", "10"],
-                                  ["criteria", "s=0.5", "phi=0..3.14:2", "--cutoff", "12"]],
-                         ids=["swap", "ent-power", "criteria"])
+                                  ["criteria", "s=0.5", "phi=0..3.14:2", "--cutoff", "12"],
+                                  ["teleport", "s=1", "a0=0.6", "a1=0.8", "--cutoff", "12"]],
+                         ids=["swap", "ent-power", "criteria", "teleport"])
 def test_swap_runs_with_scipy_unavailable(argv, capsys):
-    # squeeze gate and beam splitter (swap), JC Kraus maps (ent-power), moment minors (criteria)
+    # padded beam splitter and odd-odd projector (swap, teleport), JC Kraus maps
+    # (ent-power), moment minors (criteria)
     proc = _run_python('sys.modules["scipy"] = None\n'
                        "import esvsim.cli\n"
                        f"sys.exit(esvsim.cli.main({argv!r}))")

@@ -13,7 +13,6 @@ from esvsim import (
     entangling_power,
     esv_mixed,
     esv_pure,
-    jc_evolve_pair,
     jc_unitary,
     log_negativity,
     squeezed_vacuum,
@@ -22,33 +21,30 @@ from esvsim import (
     two_qubit_negativity,
 )
 from esvsim import dynamics
-from esvsim.fock import DensityMatrix, FockVector, ModeLayout, basis_state
+from esvsim.fock import DensityMatrix, FockVector, ModeLayout
 
-from oracles import entangling_power_joint, log_negativity_dense
+from oracles import basis_vector, entangling_power_joint, log_negativity_dense
 
 
-def qubit_mode_state(q, n, d):
-    return basis_state(ModeLayout((2, d)), (q, n))
+def jc_evolve(q, n, d, tau):
+    """JC evolution of the (qubit, mode) basis state |q, n>, as a (2, d) amplitude tensor."""
+    return (jc_unitary(JcSpec(tau, d)) @ basis_vector((2, d), (q, n))).reshape(2, d)
 
 
 def test_jc_tau_zero_is_identity():
-    v = qubit_mode_state(0, 3, 8)
-    out = jc_evolve_pair(v, 0.0)
-    assert np.array_equal(out.amps, v.amps)
+    assert np.array_equal(jc_unitary(JcSpec(0.0, 8)), np.eye(16))
 
 
 def test_jc_exchanges_one_excitation():
     # |g,1> at tau = pi/2 -> -i |e,0>
-    out = jc_evolve_pair(qubit_mode_state(0, 1, 6), np.pi / 2)
-    t = out.as_tensor()
+    t = jc_evolve(0, 1, 6, np.pi / 2)
     assert t[1, 0] == pytest.approx(-1j, abs=1e-12)
     assert np.abs(np.delete(t.reshape(-1), 6)).max() < 1e-12
 
 
 def test_jc_ground_vacuum_invariant():
     for tau in (0.3, 2.0, 8.0):
-        out = jc_evolve_pair(qubit_mode_state(0, 0, 6), tau)
-        assert out.as_tensor()[0, 0] == pytest.approx(1.0, abs=1e-14)
+        assert jc_evolve(0, 0, 6, tau)[0, 0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_jc_unitarity_and_excitation_conservation():
@@ -65,7 +61,9 @@ def test_jc_spec_validation():
     with pytest.raises(ValueError):
         JcSpec(-1.0, 8)
     with pytest.raises(ValueError):
-        jc_evolve_pair(basis_state(ModeLayout((3, 4)), (0, 0)), 1.0)
+        JcSpec(np.nan, 8)
+    with pytest.raises(ValueError):
+        JcSpec(1.0, 0)
 
 
 def test_entangling_power_zero_at_tau_zero():

@@ -8,9 +8,6 @@ from hypothesis import strategies as st
 from esvsim import (
     EsvSpec,
     SqueezeSpec,
-    apply_single_mode,
-    basis_state,
-    displaced_squeezed,
     eof_pure,
     esv_mixed,
     esv_mixed_log_negativity,
@@ -24,9 +21,29 @@ from esvsim import (
     two_mode_squeezed_vacuum,
     two_qubit_negativity,
 )
-from esvsim.fock import DensityMatrix, FockVector, ModeLayout, hermitian_blocks
+from esvsim.fock import HERMITICITY_TOL, DensityMatrix, FockVector, ModeLayout, hermitian_blocks
 
-from oracles import entropy2, esv_reduced_spectrum, log_negativity_dense, tmsv_logneg
+from oracles import (basis_vector, displaced_squeezed_amplitudes, entropy2, esv_reduced_spectrum,
+                     log_negativity_dense, phase_rotation, tmsv_logneg)
+
+
+def rotated(state, mode, theta):
+    """R(theta) = diag(e^{i theta n}) on one mode of a state, as a dense kron-embedded matrix."""
+    u = np.eye(1)
+    for m, d in enumerate(state.layout.dims):
+        u = np.kron(u, phase_rotation(d, theta) if m == mode else np.eye(d))
+    if isinstance(state, FockVector):
+        return FockVector(state.layout, u @ state.amps)
+    return DensityMatrix(state.layout, u @ state.mat @ u.conj().T)
+
+
+def displaced_sq_dm(alpha, s, cutoff):
+    return FockVector(ModeLayout((cutoff,)),
+                      displaced_squeezed_amplitudes(alpha, s, cutoff)).normalized().density()
+
+
+def basis_dm(d, n):
+    return FockVector(ModeLayout((d,)), basis_vector((d,), (n,))).density()
 
 
 def bell_dm():
@@ -60,8 +77,7 @@ def test_log_negativity_exact_ebit_at_phi_pi():
 
 def test_log_negativity_invariant_under_local_phase():
     state = esv_pure(EsvSpec(0.8, np.pi, 30))
-    rotated = apply_single_mode(state, 1, "phase", np.pi / 2)
-    assert abs(log_negativity(rotated, [1]) - log_negativity(state, [1])) < 1e-9
+    assert abs(log_negativity(rotated(state, 1, np.pi / 2), [1]) - log_negativity(state, [1])) < 1e-9
 
 
 def test_log_negativity_validation():
@@ -225,6 +241,32 @@ def test_block_log_negativity_single_block_and_isolated_rows():
     assert assert_matches_dense(rho9) == pytest.approx(log_negativity(rho, [1]), abs=1e-12)
 
 
+def test_log_negativity_matches_dense_under_tolerance_level_input_noise():
+    # blocks go to eigvalsh with no Hermiticity re-check.  Anti-Hermitian input
+    # noise N just under HERMITICITY_TOL, on the state's own zero pattern (block
+    # path) or everywhere (one dense block), moves the spectrum by at most
+    # ||N||_1 <= sqrt(n) ||N||_F (Mirsky), and log2 of a trace norm >= 1 by at
+    # most that over ln 2: below 1e-9 for two qubits, about 1e-8 at n = 64
+    rng = np.random.default_rng(23)
+    g = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    states = [werner_dm(0.8), esv_pure(EsvSpec(0.6, 0.4, 8)).density(),
+              noisy_esv("thermal", 0.8, 0.5, 1.1, 6), noisy_esv("phase", 1.0, 0.3, np.pi, 8),
+              DensityMatrix(ModeLayout((3, 4)), g @ g.conj().T / np.trace(g @ g.conj().T).real)]
+    for rho in states:
+        for support in (rho.mat != 0, np.ones(rho.mat.shape, dtype=bool)):
+            x = (rng.standard_normal(rho.mat.shape) + 1j * rng.standard_normal(rho.mat.shape)) * support
+            noise = x - x.conj().T
+            scale = max(1.0, float(np.abs(rho.mat).max()))
+            noise *= 0.49 * HERMITICITY_TOL * scale / np.abs(noise).max()
+            noisy = DensityMatrix(rho.layout, rho.mat + noise)
+            dev = np.abs(noisy.mat - noisy.mat.conj().T).max()
+            assert 0.9 * HERMITICITY_TOL * scale < dev <= HERMITICITY_TOL * scale
+            want = log_negativity_dense(noisy.mat, rho.layout.dims, [1])
+            bound = np.sqrt(len(noise)) * np.linalg.norm(noise) / np.log(2)
+            assert abs(log_negativity(noisy, [1]) - want) <= bound
+            assert want > 0.1
+
+
 def test_hermitian_blocks_recovers_permuted_block_diagonal():
     rng = np.random.default_rng(5)
     sizes = [1, 3, 1, 4, 2, 5]
@@ -260,8 +302,7 @@ def test_hermitian_blocks_recovers_permuted_block_diagonal():
 def test_block_log_negativity_property(kind, s, sigma, phi, cutoff, theta):
     rho = noisy_esv(kind, s, sigma, phi, cutoff)
     value = assert_matches_dense(rho)
-    rotated = apply_single_mode(rho, 1, "phase", theta)
-    assert abs(log_negativity(rotated, [1]) - value) <= 1e-12
+    assert abs(log_negativity(rotated(rho, 1, theta), [1]) - value) <= 1e-12
 
 
 # --- esv_mixed_log_negativity: the noisy sweeps from the d x d factors --------
@@ -310,13 +351,13 @@ def test_esv_mixed_log_negativity_complex_and_mixed_parity_inputs():
     # a local phase rotation makes the inputs complex; a displaced squeezed
     # state has both photon-number parities: neither block is gauged real
     rho = noised("thermal", 0.8, 0.5, 16)
-    rotated = apply_single_mode(rho, 0, "phase", 0.7)
-    assert rotated.mat.imag.any()
-    displaced = displaced_squeezed(0.4, -0.6, 16).normalized().density()
+    turned = rotated(rho, 0, 0.7)
+    assert turned.mat.imag.any()
+    displaced = displaced_sq_dm(0.4, -0.6, 16)
     for phi in (0.0, 1.1, np.pi):
-        assert assert_matches_oracle(rho, rotated, phi) > 0.0
+        assert assert_matches_oracle(rho, turned, phi) > 0.0
         assert assert_matches_oracle(displaced, rho, phi) > 0.0
-        assert assert_matches_oracle(rotated, displaced, phi) > 0.0
+        assert assert_matches_oracle(turned, displaced, phi) > 0.0
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -333,11 +374,11 @@ def test_esv_mixed_log_negativity_complex_and_mixed_parity_inputs():
 def test_esv_mixed_log_negativity_property(kind, s_a, s_b, sigma, phi, cutoff, theta, alpha):
     rho_a = noised(kind, s_a, sigma, cutoff)
     if alpha:
-        pure_b = displaced_squeezed(alpha, s_b, cutoff).normalized().density()
+        pure_b = displaced_sq_dm(alpha, s_b, cutoff)
         rho_b = thermal_channel(pure_b, sigma) if kind == "thermal" else phase_channel(pure_b, sigma)
     else:
         rho_b = noised(kind, s_b, sigma, cutoff)
-    rho_b = apply_single_mode(rho_b, 0, "phase", theta)
+    rho_b = rotated(rho_b, 0, theta)
     assert_matches_oracle(rho_a, rho_b, phi)
     assert_matches_oracle(rho_b, rho_a, phi)
 
@@ -356,10 +397,10 @@ def test_esv_mixed_log_negativity_blocks_exactly_hermitian_under_input_noise(her
         return noisy
 
     rho = noised("thermal", 0.8, 0.5, 16)
-    rotated = apply_single_mode(noised("phase", -0.6, 0.4, 16), 0, "phase", 0.7)
+    turned = rotated(noised("phase", -0.6, 0.4, 16), 0, 0.7)
     for rho_a, rho_b in ((with_noise(rho, float), with_noise(rho, float)),
-                         (with_noise(rho, float), with_noise(rotated, complex)),
-                         (with_noise(rotated, complex), with_noise(rotated, complex))):
+                         (with_noise(rho, float), with_noise(turned, complex)),
+                         (with_noise(turned, complex), with_noise(turned, complex))):
         for phi in (0.0, 1.1, np.pi):
             assert assert_matches_oracle(rho_a, rho_b, phi) > 0.0
     assert hermitian_blocks_solved and all(hermitian_blocks_solved)
@@ -368,12 +409,12 @@ def test_esv_mixed_log_negativity_blocks_exactly_hermitian_under_input_noise(her
 def test_esv_mixed_log_negativity_raises_what_esv_mixed_raises():
     d = 6
     layout = ModeLayout((d,))
-    vac = basis_state(layout, (0,)).density()
-    one = basis_state(layout, (1,)).density()
+    vac = basis_dm(d, 0)
+    one = basis_dm(d, 1)
     negative = DensityMatrix(layout, np.diag([1.2, -0.2, 0, 0, 0, 0]).astype(complex))
     cases = [
         (esv_pure(EsvSpec(0.5, 0.0, d)).density(), vac, 0.0),      # two-mode input
-        (vac, basis_state(ModeLayout((d + 1,)), (0,)).density(), 0.0),   # cutoffs differ
+        (vac, basis_dm(d + 1, 0), 0.0),                            # cutoffs differ
         (vac, negative, 0.0),                                      # not physical
         (one, one, np.pi),                                         # T annihilates |1,1>
     ]

@@ -1,25 +1,36 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esvsim import (
     EsvSpec,
     KerrSpec,
     QubitAmplitudes,
-    basis_state,
+    SqueezeSpec,
     entanglement_swap,
+    esv_aligned,
     esv_pure,
     fidelity,
     generate_scheme_a,
     generate_scheme_b,
     log_negativity,
     odd_odd_projector,
+    squeezed_vacuum,
     teleport,
+    tensor,
     two_mode_squeezed_vacuum,
 )
-from esvsim.fock import FockVector, ModeLayout, reduced_density
-from esvsim.protocols import _heralded_fidelity, controlled_phase
+from esvsim.fock import FockVector, ModeLayout
+from esvsim.protocols import _heralded_fidelity, _padded_balanced_bs, controlled_phase
+
+from oracles import basis_vector, partial_trace, phase_rotation
 
 HALF = 1 / np.sqrt(2)
+
+
+def basis_state(dims, occupations):
+    return FockVector(ModeLayout(dims), basis_vector(dims, occupations))
 
 
 def test_qubit_amplitudes_validation():
@@ -29,11 +40,11 @@ def test_qubit_amplitudes_validation():
 
 
 def test_odd_odd_projector_basis_cases():
-    v = basis_state(ModeLayout((4, 4)), (1, 1))
+    v = basis_state((4, 4), (1, 1))
     out, p = odd_odd_projector(v, (0, 1))
     assert p == pytest.approx(1.0)
     assert np.array_equal(out.amps, v.amps)
-    v = basis_state(ModeLayout((4, 4)), (0, 1))
+    v = basis_state((4, 4), (0, 1))
     out, p = odd_odd_projector(v, (0, 1))
     assert p == 0.0
     assert np.abs(out.amps).max() == 0.0
@@ -71,7 +82,7 @@ def test_heralded_fidelity_matches_density_matrix_oracle(keep):
             vec = _random_vector(dims, rng)
             target = _random_vector(tuple(dims[m] for m in keep), rng).normalized()
             prob = vec.norm() ** 2
-            rho = reduced_density(vec.density(), keep).mat / prob
+            rho = partial_trace(vec.density().mat, dims, keep) / prob
             want = np.vdot(target.amps, rho @ target.amps).real
             assert _heralded_fidelity(vec, keep, prob, target) == pytest.approx(want, abs=1e-12)
 
@@ -98,15 +109,46 @@ def test_teleport_three_inputs():
 
 def test_teleport_heralding_complement():
     # the odd-odd projector plus its complement resolve the identity
-    from esvsim import tensor
-    from esvsim.protocols import _padded_balanced_bs
-    from esvsim.states import esv_aligned, squeezed_vacuum, SqueezeSpec
     inp = squeezed_vacuum(SqueezeSpec(1.0, 24)).normalized()
     joint = tensor(inp, esv_aligned(EsvSpec(1.0, np.pi, 24)))
     mixed = _padded_balanced_bs(joint, 0, 1)
     projected, p = odd_odd_projector(mixed, (0, 1))
     complement = FockVector(mixed.layout, mixed.amps - projected.amps)
     assert p + complement.norm() ** 2 == pytest.approx(1.0, abs=1e-9)
+
+
+def test_squeezed_vacuum_sign_flip_is_exact():
+    # |s-> = (-1)^n |s+> on |2n>, bit for bit: teleport's target a0|s-> + a1|s+>
+    # is exactly the pi/2 rotation of its input a0|s+> + a1|s->
+    for s in (0.2, 0.7, 1.0, 1.5, 3.0):
+        for cutoff in (2, 3, 12, 41, 300):
+            plus = squeezed_vacuum(SqueezeSpec(s, cutoff)).amps
+            minus = squeezed_vacuum(SqueezeSpec(-s, cutoff)).amps
+            sign = np.where(np.arange(cutoff) % 4 == 2, -1.0, 1.0)
+            assert np.array_equal(minus.real.view(np.int64), (sign * plus.real).view(np.int64))
+            assert not minus.imag.any() and not plus.imag.any()
+
+
+def teleport_rotating_input(inp, s, cutoff):
+    """teleport's (p, F) with the target taken as the dense R(-pi/2) applied to the input."""
+    amps = (inp.a0 * squeezed_vacuum(SqueezeSpec(s, cutoff)).amps
+            + inp.a1 * squeezed_vacuum(SqueezeSpec(-s, cutoff)).amps)
+    input_state = FockVector(ModeLayout((cutoff,)), amps / np.linalg.norm(amps))
+    joint = tensor(input_state, esv_aligned(EsvSpec(s, np.pi, cutoff)))
+    projected, prob = odd_odd_projector(_padded_balanced_bs(joint, 0, 1), (0, 1))
+    target = FockVector(input_state.layout, phase_rotation(cutoff, -np.pi / 2) @ input_state.amps)
+    return prob, _heralded_fidelity(projected, [2], prob, target)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(s=st.floats(0.2, 1.5), theta=st.floats(0.0, np.pi / 2), alpha=st.floats(-np.pi, np.pi),
+       beta=st.floats(-np.pi, np.pi), cutoff=st.integers(6, 36))
+def test_teleport_matches_dense_rotation_oracle(s, theta, alpha, beta, cutoff):
+    inp = QubitAmplitudes(np.cos(theta) * np.exp(1j * alpha), np.sin(theta) * np.exp(1j * beta))
+    p, f = teleport(inp, s, cutoff)
+    p_want, f_want = teleport_rotating_input(inp, s, cutoff)
+    assert abs(p - p_want) <= 1e-12
+    assert abs(f - f_want) <= 1e-12
 
 
 def test_generation_schemes_agree_and_match_target():
@@ -166,10 +208,10 @@ def test_generation_null_conditional_state_raises():
 
 
 def test_controlled_phase_validation():
-    v = basis_state(ModeLayout((4, 2)), (2, 1))
+    v = basis_state((4, 2), (2, 1))
     out = controlled_phase(v, 0, 1, np.pi / 2, control_value=1)
     assert out.as_tensor()[2, 1] == pytest.approx(np.exp(1j * np.pi), abs=1e-12)
     out = controlled_phase(v, 0, 1, np.pi / 2, control_value=0)
     assert out.as_tensor()[2, 1] == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
-        controlled_phase(basis_state(ModeLayout((4, 3)), (0, 0)), 0, 1, 0.5)
+        controlled_phase(basis_state((4, 3), (0, 0)), 0, 1, 0.5)

@@ -19,12 +19,11 @@ from esvsim import (
     squeezed_vacuum,
     tensor,
     two_mode_squeezed_vacuum,
-    vacuum,
 )
-from esvsim.fock import DensityMatrix, ModeLayout
+from esvsim.fock import DensityMatrix, FockVector, ModeLayout
 from esvsim.separability import _ESV_CRITERION_INDICES, _moment_minor
 
-from oracles import full_operator, moment_matrix_entry_via_pt
+from oracles import basis_vector, full_operator, moment_matrix_entry_via_pt
 
 
 def test_ordering_examples():
@@ -97,7 +96,7 @@ def test_minor_selector_validation():
 def test_minor_trivial_cases():
     state = esv_pure(EsvSpec(0.6, 0.2, 16))
     assert minor_determinant(state, MinorSelector((1,))) == pytest.approx(1.0, abs=1e-10)
-    vac = vacuum(ModeLayout((8, 8)))
+    vac = FockVector(ModeLayout((8, 8)), basis_vector((8, 8), (0, 0)))
     assert simon_det(vac) == pytest.approx(0.0, abs=1e-12)
     assert duan_det(vac) == pytest.approx(0.0, abs=1e-12)
     assert esv_criterion_det(vac) == pytest.approx(0.0, abs=1e-12)
