@@ -26,7 +26,7 @@ import numpy as np
 from .channels import phase_channel, thermal_channel
 from .dynamics import entangling_power
 from .fock import TruncationWarning, fidelity
-from .measures import eof_pure, esv_mixed_log_negativity
+from .measures import eof_pure, esv_mixed_ln_curve
 from .protocols import QubitAmplitudes, entanglement_swap, generate_scheme_a, generate_scheme_b, teleport
 from .separability import duan_det, esv_criterion_det, simon_det
 from .states import EsvSpec, SqueezeSpec, displaced_overlap, esv_pure, squeezed_vacuum
@@ -97,11 +97,14 @@ def _eval_eof(point, cutoff, cache):
 
 
 def _noisy_ln(point, cutoff, cache, channel):
+    # phi is the innermost grid axis: keep the LN curve of the current (s, sigma) only
     key = (point["s"], point["sigma"])
     if key not in cache:
+        cache.clear()
         psi = squeezed_vacuum(SqueezeSpec(point["s"], cutoff))
-        cache[key] = channel(psi.normalized().density(), point["sigma"])
-    return (esv_mixed_log_negativity(cache[key], cache[key], point["phi"]),)
+        rho = channel(psi.normalized().density(), point["sigma"])
+        cache[key] = esv_mixed_ln_curve(rho, rho)
+    return (cache[key](point["phi"]),)
 
 
 def _eval_ln_thermal(point, cutoff, cache):

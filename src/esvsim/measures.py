@@ -4,14 +4,17 @@ Logarithmic negativity is log2 of the trace norm of the partial transpose;
 it vanishes on PPT states and equals 1 for a maximally entangled qubit pair.
 `esv_mixed_log_negativity` computes it for the output of `states.esv_mixed`
 from the two single-mode inputs: each block of the partial transpose is
-(rho_a (x) rho_bᵀ) ∘ W on factor blocks, W from the conditional map.
+(rho_a (x) rho_bᵀ) ∘ W on factor blocks, W from the conditional map.  A
+sweep over phi calls `esv_mixed_ln_curve` once per input pair: it prepares
+the factor blocks and their krons, and per phi gathers each W from one
+16 x 16 table over (n_a mod 4, n_b mod 4) and eigensolves.
 Entanglement of formation (pure states only) is the entropy, base 2, of the
 Schmidt spectrum: the squared singular values of the amplitude matrix.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -27,7 +30,8 @@ from .fock import (
 )
 from .states import _check_esv_inputs, _check_esv_trace, _conditional_map
 
-__all__ = ["log_negativity", "esv_mixed_log_negativity", "eof_pure", "two_qubit_negativity"]
+__all__ = ["log_negativity", "esv_mixed_ln_curve", "esv_mixed_log_negativity", "eof_pure",
+           "two_qubit_negativity"]
 
 
 def _log2_trace_norm(ev: np.ndarray) -> float:
@@ -58,9 +62,10 @@ def log_negativity(state: FockVector | DensityMatrix, split: Iterable[int]) -> f
     block of its exact zero pattern at a time (parity sectors of squeezed
     inputs, zeros of the conditional map); an isolated index contributes
     its diagonal entry.  The spectrum is the same as that of one dense
-    solve.  The blocks go to `eigvalsh` unchecked: a `DensityMatrix` is
-    Hermitian to `HERMITICITY_TOL` by construction, and so is its partial
-    transpose.
+    solve.  A `DensityMatrix` is Hermitian only to `HERMITICITY_TOL`, and
+    `eigvalsh` reads one triangle, so each block is eigensolved as its
+    Hermitian part 0.5 (b + b†): the result is that of the state's Hermitian
+    part, whatever anti-Hermitian rounding the input carries.
     """
     rho = state.density() if isinstance(state, FockVector) else state
     split = _split(rho.layout, split)
@@ -68,8 +73,11 @@ def log_negativity(state: FockVector | DensityMatrix, split: Iterable[int]) -> f
         raise ValueError(f"state trace {rho.trace():.8f} is not 1")
     pt = partial_transpose(rho, split).mat
     blocks, isolated = hermitian_blocks(pt)
-    return _log2_trace_norm(np.concatenate([pt[isolated, isolated].real]
-                                           + [np.linalg.eigvalsh(pt[np.ix_(b, b)])[::-1] for b in blocks]))
+    spectra = [pt[isolated, isolated].real]
+    for b in blocks:
+        blk = pt[np.ix_(b, b)]
+        spectra.append(np.linalg.eigvalsh(0.5 * (blk + blk.conj().T))[::-1])
+    return _log2_trace_norm(np.concatenate(spectra))
 
 
 def _factor_blocks(mat: np.ndarray) -> list[np.ndarray]:
@@ -79,45 +87,69 @@ def _factor_blocks(mat: np.ndarray) -> list[np.ndarray]:
             if mat[np.ix_(b, b)].any()]
 
 
-def esv_mixed_log_negativity(rho_a: DensityMatrix, rho_b: DensityMatrix, phi: float) -> float:
-    """``log_negativity(esv_mixed(rho_a, rho_b, phi), [1])`` from the d x d inputs.
+def esv_mixed_ln_curve(rho_a: DensityMatrix, rho_b: DensityMatrix) -> Callable[[float], float]:
+    """phi -> ``log_negativity(esv_mixed(rho_a, rho_b, phi), [1])`` from the d x d inputs.
 
     The partial transpose on mode 1 of T (rho_a (x) rho_b) T† is
     (rho_a (x) rho_bᵀ) ∘ W, W[(n_a, n_b), (m_a, m_b)] = t(n_a, m_b) conj(t(m_a, n_b))
     with t = `states._conditional_map`; its spectrum is divided by the trace.
     A connected block A of rho_a and one B of rho_bᵀ span an invariant block,
-    one kron of factor sub-blocks times W; no d^2 x d^2 matrix is formed.  For
-    real inputs and one photon-number parity per factor block, W is real between
-    rows of equal i^(n_a - n_b) and imaginary across the two classes, so the
-    gauge u = 1 on the first row's class and i on the other makes the block
-    real symmetric.  With the factors' Hermitian parts every block is exactly
-    Hermitian and goes to `eigvalsh` unchecked.  Raises the ValueErrors of `esv_mixed`.
+    one kron of factor sub-blocks times W; no d^2 x d^2 matrix is formed.
+
+    Everything but W and the trace is independent of phi and is prepared
+    here once: the input checks, the factors' Hermitian parts, their blocks
+    and krons.  t depends on (n_a, n_b) only mod 4, so per phi W is one
+    16 x 16 table over (n_a mod 4, n_b mod 4), formed in real arithmetic so
+    that it is exactly Hermitian, and each block gathers its W from it.  For
+    real inputs and one photon-number parity per factor block, W is real
+    between rows of equal i^(n_a - n_b) and imaginary across the two classes,
+    so the gauge u = 1 on the first row's class and i on the other, applied
+    to the table, makes the block real symmetric.  Every block is exactly
+    Hermitian and goes to `eigvalsh` unchecked.  Raises the ValueErrors of
+    `esv_mixed`: those of the inputs here, the annihilated-trace one when
+    called.
     """
     d = _check_esv_inputs(rho_a, rho_b)
     a, bt = (0.5 * (m + m.conj().T) for m in (rho_a.mat, rho_b.mat.T))
-    t = _conditional_map(d, phi)
-    tr = _check_esv_trace(float(a.diagonal().real @ np.abs(t) ** 2 @ bt.diagonal().real))
     real = not (a.imag.any() or bt.imag.any())
     if real:
         a, bt = a.real, bt.real
+    diag_a, diag_b = a.diagonal().real, bt.diagonal().real
+    mod4 = np.arange(d) % 4
+    classes = (np.arange(16) // 4 - np.arange(16) % 4) % 4      # i^(n_a - n_b) per table row
     blocks_b = _factor_blocks(bt)
-    spectra = []
+    pairs = []      # (kron of the factor blocks, their table rows, real-gauge class or None)
     for rows_a in _factor_blocks(a):
         for rows_b in blocks_b:
-            tab = t[np.ix_(rows_a, rows_b)]
-            x, y = tab[:, None, None, :], tab.T[None, :, :, None]     # t(n_a, m_b), t(m_a, n_b)
-            # W = x conj(y) in real arithmetic: exactly Hermitian, unlike a fused complex product
-            w = x.real * y.real + x.imag * y.imag + 1j * (x.imag * y.real - x.real * y.imag)
-            w = w.reshape(tab.size, -1)
-            if real and np.ptp(rows_a % 2) == 0 and np.ptp(rows_b % 2) == 0:
-                k = (rows_a[:, None] - rows_b[None, :]).reshape(-1) % 4
-                u = np.where(k == k[0], 1.0, 1j)
-                w *= u.conj()[:, None]
-                w *= u
-                w = w.real.copy()       # frees the complex W before the eigensolve
-            blk = np.kron(a[np.ix_(rows_a, rows_a)], bt[np.ix_(rows_b, rows_b)]) * w
-            spectra.append(np.linalg.eigvalsh(blk)[::-1])
-    return _log2_trace_norm(np.concatenate(spectra) / tr)
+            rows = (mod4[rows_a, None] * 4 + mod4[None, rows_b]).reshape(-1)
+            gauge = real and np.ptp(rows_a % 2) == 0 and np.ptp(rows_b % 2) == 0
+            pairs.append((np.kron(a[np.ix_(rows_a, rows_a)], bt[np.ix_(rows_b, rows_b)]), rows,
+                          classes[rows[0]] if gauge else None))
+
+    def ln_at_phi(phi: float) -> float:
+        t4 = _conditional_map(4, phi)
+        t = t4[np.ix_(mod4, mod4)]
+        tr = _check_esv_trace(float(diag_a @ np.abs(t) ** 2 @ diag_b))
+        x, y = t4[:, None, None, :], t4.T[None, :, :, None]     # t(n_a, m_b), t(m_a, n_b)
+        # W = x conj(y) in real arithmetic: exactly Hermitian, unlike a fused complex product
+        w = x.real * y.real + x.imag * y.imag + 1j * (x.imag * y.real - x.real * y.imag)
+        w = w.reshape(16, 16)
+        spectra = []
+        for kron, rows, cls in pairs:
+            table = w
+            if cls is not None:
+                u = np.where(classes == cls, 1.0, 1j)
+                table = (w * u.conj()[:, None] * u).real
+            spectra.append(np.linalg.eigvalsh(kron * table.take(rows, 0).take(rows, 1))[::-1])
+        return _log2_trace_norm(np.concatenate(spectra) / tr)
+
+    return ln_at_phi
+
+
+def esv_mixed_log_negativity(rho_a: DensityMatrix, rho_b: DensityMatrix, phi: float) -> float:
+    """``log_negativity(esv_mixed(rho_a, rho_b, phi), [1])`` from the d x d inputs:
+    `esv_mixed_ln_curve` at one phi.  Raises the ValueErrors of `esv_mixed`."""
+    return esv_mixed_ln_curve(rho_a, rho_b)(phi)
 
 
 def eof_pure(state: FockVector, split: Iterable[int]) -> float:

@@ -20,7 +20,8 @@ from esvsim import (
     squeezed_vacuum,
     thermal_channel,
 )
-from esvsim.cli import COMMANDS, SweepConfig, UsageError, emit_csv, main, run
+from esvsim.cli import COMMANDS, SweepConfig, UsageError, _noisy_ln, emit_csv, main, run
+from esvsim.measures import esv_mixed_log_negativity
 
 RECORD_DIR = Path(__file__).resolve().parents[1] / "bench" / "record"
 
@@ -242,6 +243,17 @@ def test_noisy_ln_rows_match_joint_state_oracle(tmp_path, command, channel):
         assert abs(row[3] - log_negativity(esv_mixed(rho, rho, phi), [1])) <= 1e-10
 
 
+def test_noisy_ln_caches_one_curve_across_a_sigma_axis():
+    # phi is the innermost axis: a new (s, sigma) replaces the cached curve
+    cache = {}
+    for sigma in (0.0, 0.5, 1.0):
+        for phi in (0.0, 1.0, 2.5):
+            (value,) = _noisy_ln({"s": 0.8, "sigma": sigma, "phi": phi}, 10, cache, thermal_channel)
+            assert list(cache) == [(0.8, sigma)]
+            rho = thermal_channel(squeezed_vacuum(SqueezeSpec(0.8, 10)).normalized().density(), sigma)
+            assert value == esv_mixed_log_negativity(rho, rho, phi)
+
+
 def _run_python(code):
     """Run code in a fresh interpreter that imports this checkout's esvsim."""
     src = str(Path(esvsim.__file__).resolve().parents[1])
@@ -259,11 +271,14 @@ def test_cli_import_loads_no_scipy():
 @pytest.mark.parametrize("argv", [["swap", "s=1", "--cutoff", "8"],
                                   ["ent-power", "tau=0..8:3", "--cutoff", "10"],
                                   ["criteria", "s=0.5", "phi=0..3.14:2", "--cutoff", "12"],
-                                  ["teleport", "s=1", "a0=0.6", "a1=0.8", "--cutoff", "12"]],
-                         ids=["swap", "ent-power", "criteria", "teleport"])
+                                  ["teleport", "s=1", "a0=0.6", "a1=0.8", "--cutoff", "12"],
+                                  ["ln-thermal", "s=1", "sigma=0..1:2", "phi=0..6.28:3", "--cutoff", "10"],
+                                  ["ln-phase", "sigma=0..1:2", "phi=0..6.28:3", "--cutoff", "10"]],
+                         ids=["swap", "ent-power", "criteria", "teleport", "ln-thermal", "ln-phase"])
 def test_swap_runs_with_scipy_unavailable(argv, capsys):
     # padded beam splitter and odd-odd projector (swap, teleport), JC Kraus maps
-    # (ent-power), moment minors (criteria)
+    # (ent-power), moment minors (criteria), noise channels and the factor-block
+    # log-negativity (ln-thermal, ln-phase)
     proc = _run_python('sys.modules["scipy"] = None\n'
                        "import esvsim.cli\n"
                        f"sys.exit(esvsim.cli.main({argv!r}))")

@@ -22,6 +22,7 @@ from esvsim import (
     two_qubit_negativity,
 )
 from esvsim.fock import HERMITICITY_TOL, DensityMatrix, FockVector, ModeLayout, hermitian_blocks
+from esvsim.measures import esv_mixed_ln_curve
 
 from oracles import (basis_vector, displaced_squeezed_amplitudes, entropy2, esv_reduced_spectrum,
                      log_negativity_dense, phase_rotation, tmsv_logneg)
@@ -244,9 +245,10 @@ def test_block_log_negativity_single_block_and_isolated_rows():
 def test_log_negativity_matches_dense_under_tolerance_level_input_noise():
     # blocks go to eigvalsh with no Hermiticity re-check.  Anti-Hermitian input
     # noise N just under HERMITICITY_TOL, on the state's own zero pattern (block
-    # path) or everywhere (one dense block), moves the spectrum by at most
-    # ||N||_1 <= sqrt(n) ||N||_F (Mirsky), and log2 of a trace norm >= 1 by at
-    # most that over ln 2: below 1e-9 for two qubits, about 1e-8 at n = 64
+    # path) or everywhere (one dense block), would move a one-triangle spectrum
+    # by up to ||N||_1 <= sqrt(n) ||N||_F (Mirsky), and log2 of a trace norm >= 1
+    # by that over ln 2; each block is solved as its Hermitian part, so the
+    # value is that of the input's Hermitian part to rounding
     rng = np.random.default_rng(23)
     g = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     states = [werner_dm(0.8), esv_pure(EsvSpec(0.6, 0.4, 8)).density(),
@@ -265,6 +267,8 @@ def test_log_negativity_matches_dense_under_tolerance_level_input_noise():
             bound = np.sqrt(len(noise)) * np.linalg.norm(noise) / np.log(2)
             assert abs(log_negativity(noisy, [1]) - want) <= bound
             assert want > 0.1
+            herm = 0.5 * (noisy.mat + noisy.mat.conj().T)
+            assert abs(log_negativity(noisy, [1]) - log_negativity_dense(herm, rho.layout.dims, [1])) <= 1e-12
 
 
 def test_hermitian_blocks_recovers_permuted_block_diagonal():
@@ -315,13 +319,13 @@ def noised(kind, s, sigma, cutoff):
 
 @pytest.fixture
 def hermitian_blocks_solved(monkeypatch):
-    """One flag per block `esv_mixed_log_negativity` hands to `np.linalg.eigvalsh`:
-    whether the block equals its conjugate transpose exactly."""
+    """One flag per block the per-phi step of `esv_mixed_ln_curve` hands to
+    `np.linalg.eigvalsh`: whether the block equals its conjugate transpose exactly."""
     flags = []
     solve = np.linalg.eigvalsh
 
     def spy(mat, *args, **kwargs):
-        if sys._getframe(1).f_code.co_name == "esv_mixed_log_negativity":
+        if sys._getframe(1).f_code.co_name == "ln_at_phi":
             flags.append(bool(np.array_equal(mat, mat.conj().T)))
         return solve(mat, *args, **kwargs)
 
@@ -381,6 +385,52 @@ def test_esv_mixed_log_negativity_property(kind, s_a, s_b, sigma, phi, cutoff, t
     rho_b = rotated(rho_b, 0, theta)
     assert_matches_oracle(rho_a, rho_b, phi)
     assert_matches_oracle(rho_b, rho_a, phi)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["thermal", "phase"]),
+    s=st.floats(0.1, 1.2),
+    s_b=st.one_of(st.none(), st.floats(-1.2, 1.2)),
+    sigma=st.floats(0.0, 2.0),
+    cutoff=st.integers(6, 14),
+    shift=st.one_of(st.just(0.0), st.floats(-np.pi, np.pi)),
+    steps=st.integers(2, 8),
+    extra=st.lists(st.one_of(st.sampled_from([0.0, np.pi, -np.pi / 2]), st.floats(-7.0, 14.0)),
+                   max_size=4),
+    order=st.randoms(use_true_random=False),
+)
+def test_esv_mixed_ln_curve_matches_fresh_calls_in_any_order(kind, s, s_b, sigma, cutoff, shift,
+                                                             steps, extra, order):
+    # one prepared curve over a shifted (not symmetric about 0) grid plus
+    # stray phases, visited in a random order
+    rho_a = noised(kind, s, sigma, cutoff)
+    rho_b = rho_a if s_b is None else noised(kind, s_b, sigma, cutoff)
+    phis = list(np.linspace(shift, shift + 2 * np.pi, steps)) + extra
+    order.shuffle(phis)
+    curve = esv_mixed_ln_curve(rho_a, rho_b)
+    for phi in phis:
+        got = curve(phi)
+        assert abs(got - esv_mixed_log_negativity(rho_a, rho_b, phi)) <= 1e-12
+        assert abs(got - log_negativity(esv_mixed(rho_a, rho_b, phi), [1])) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["thermal", "phase"]),
+    s=st.one_of(st.floats(-1.2, -0.1), st.floats(0.1, 1.2)),     # T annihilates vacua at pi
+    sigma=st.floats(0.0, 2.0),
+    phi=st.one_of(st.sampled_from([np.pi / 2, np.pi]), st.floats(0.0, 2 * np.pi)),
+    cutoff=st.integers(6, 30),
+)
+def test_esv_mixed_log_negativity_even_in_phi_for_equal_inputs(kind, s, sigma, phi, cutoff):
+    # for rho_a = rho_b the mode swap maps the phi state onto the -phi state;
+    # two independent calls, nothing shared between them
+    rho = noised(kind, s, sigma, cutoff)
+    assert not rho.mat.imag.any()
+    plus = esv_mixed_log_negativity(rho, rho, phi)
+    minus = esv_mixed_log_negativity(noised(kind, s, sigma, cutoff), noised(kind, s, sigma, cutoff), -phi)
+    assert abs(plus - minus) <= 1e-12
 
 
 def test_esv_mixed_log_negativity_blocks_exactly_hermitian_under_input_noise(hermitian_blocks_solved):
