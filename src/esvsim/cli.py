@@ -268,10 +268,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         result = run(config)
-        emit_csv(result, config.out)
     except (TruncationWarning, ValueError) as exc:
         print(f"error: numeric-guard: {exc}", file=sys.stderr)
         return 3
+    try:
+        emit_csv(result, config.out)
+    except OSError as exc:
+        print(f"error: output: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -7,7 +7,11 @@ from the two single-mode inputs: each block of the partial transpose is
 (rho_a (x) rho_bᵀ) ∘ W on factor blocks, W from the conditional map.  A
 sweep over phi calls `esv_mixed_ln_curve` once per input pair: it prepares
 the factor blocks and their krons, and per phi gathers each W from one
-16 x 16 table over (n_a mod 4, n_b mod 4) and eigensolves.
+16 x 16 table over (n_a mod 4, n_b mod 4) and eigensolves.  For equal real
+inputs, as in both noisy sweeps, a same-parity block pairs with itself and
+commutes with the mode swap |i, j> -> |j, i>; it is eigensolved as its
+swap-symmetric and antisymmetric halves, whose spectra together are exactly
+the block's.
 Entanglement of formation (pure states only) is the entropy, base 2, of the
 Schmidt spectrum: the squared singular values of the amplitude matrix.
 """
@@ -87,6 +91,42 @@ def _factor_blocks(mat: np.ndarray) -> list[np.ndarray]:
             if mat[np.ix_(b, b)].any()]
 
 
+def _swap_halves(k: np.ndarray, rows: np.ndarray) -> tuple:
+    """The parts of (K (x) K) ∘ W that its mode-swap halves are formed from.
+
+    For an n x n K the block M is indexed by pairs (i, j), and commutes with
+    F|i, j> = |j, i> when W does.  On the basis |i, i> and
+    (|i, j> ± |j, i>)/sqrt(2), i < j, its symmetric half is
+    (M[p, p'] + M[p, q']) / sqrt(m_p m_p') over pairs i <= j, with p = (i, j),
+    q = (j, i) and m = 2 on i = j, 1 otherwise; its antisymmetric half is
+    M[p, p'] - M[p, q'] over i < j, where the scale is 1.
+    (K (x) K)[p, p'] = K[i, i'] K[j, j'] and (K (x) K)[p, q'] = K[i, j'] K[j, i'],
+    so no kron is formed.  Returns the scaled direct factor and the table rows
+    of p (taken from `rows`, those of the block), then the scaled crossed
+    factor, the table rows of q and the positions of the pairs i < j among
+    i <= j.
+    """
+    n = k.shape[0]
+    i, j = np.triu_indices(n)
+    mult = np.where(i == j, 2.0, 1.0)
+    scale = 1.0 / np.sqrt(np.outer(mult, mult))
+    direct = k[np.ix_(i, i)] * k[np.ix_(j, j)] * scale
+    crossed = k[np.ix_(i, j)] * k[np.ix_(j, i)] * scale
+    return direct, rows[i * n + j], (crossed, rows[j * n + i], np.flatnonzero(i != j))
+
+
+def _half_spectra(direct: np.ndarray, crossed: np.ndarray, off: np.ndarray) -> list[np.ndarray]:
+    """The spectra of the symmetric half direct + crossed and of the antisymmetric
+    half direct - crossed on the pairs `off`, from the W-weighted `_swap_halves`
+    factors.  W is swap-invariant in exact arithmetic only, so each half is
+    symmetrized before `eigvalsh`.  A function of its own, so that its
+    temporaries are freed before the next block is formed."""
+    spectra = []
+    for half in (direct + crossed, (direct - crossed).take(off, 0).take(off, 1)):
+        spectra.append(np.linalg.eigvalsh(0.5 * (half + half.T))[::-1])
+    return spectra
+
+
 def esv_mixed_ln_curve(rho_a: DensityMatrix, rho_b: DensityMatrix) -> Callable[[float], float]:
     """phi -> ``log_negativity(esv_mixed(rho_a, rho_b, phi), [1])`` from the d x d inputs.
 
@@ -104,27 +144,43 @@ def esv_mixed_ln_curve(rho_a: DensityMatrix, rho_b: DensityMatrix) -> Callable[[
     real inputs and one photon-number parity per factor block, W is real
     between rows of equal i^(n_a - n_b) and imaginary across the two classes,
     so the gauge u = 1 on the first row's class and i on the other, applied
-    to the table, makes the block real symmetric.  Every block is exactly
-    Hermitian and goes to `eigvalsh` unchecked.  Raises the ValueErrors of
-    `esv_mixed`: those of the inputs here, the annihilated-trace one when
-    called.
+    to the table, makes the block real symmetric.
+
+    When the inputs are real and equal (a = bᵀ after taking Hermitian parts),
+    a same-parity factor block K pairs with itself into K (x) K.  With all four
+    photon numbers of one parity, i^p (-i)^q is real and symmetric in (p, q),
+    so W[(n_a, n_b), (m_a, m_b)] = W[(n_b, n_a), (m_b, m_a)], and the gauge
+    classes {0, 2} are swap-invariant too: the block commutes with the mode
+    swap F|i, j> = |j, i>.  Its spectrum is then exactly the union of those of
+    its symmetric half, on the n(n+1)/2 pairs i <= j, and its antisymmetric
+    half, on the n(n-1)/2 pairs i < j (`_swap_halves`), eigensolved apart.
+    Every other block (1 x 1 ones too), and every block of unequal or complex
+    inputs, is eigensolved whole.  Every block is exactly Hermitian and goes to
+    `eigvalsh` unchecked.  Raises the ValueErrors of `esv_mixed`: those of
+    the inputs here, the annihilated-trace one when called.
     """
     d = _check_esv_inputs(rho_a, rho_b)
     a, bt = (0.5 * (m + m.conj().T) for m in (rho_a.mat, rho_b.mat.T))
     real = not (a.imag.any() or bt.imag.any())
     if real:
         a, bt = a.real, bt.real
+    same = real and np.array_equal(a, bt)
     diag_a, diag_b = a.diagonal().real, bt.diagonal().real
     mod4 = np.arange(d) % 4
     classes = (np.arange(16) // 4 - np.arange(16) % 4) % 4      # i^(n_a - n_b) per table row
-    blocks_b = _factor_blocks(bt)
-    pairs = []      # (kron of the factor blocks, their table rows, real-gauge class or None)
-    for rows_a in _factor_blocks(a):
+    blocks_a = _factor_blocks(a)
+    blocks_b = blocks_a if same else _factor_blocks(bt)
+    solves = []     # (kron or swap-direct factor, table rows, real-gauge class or None, swap parts or None)
+    for rows_a in blocks_a:
         for rows_b in blocks_b:
             rows = (mod4[rows_a, None] * 4 + mod4[None, rows_b]).reshape(-1)
             gauge = real and np.ptp(rows_a % 2) == 0 and np.ptp(rows_b % 2) == 0
-            pairs.append((np.kron(a[np.ix_(rows_a, rows_a)], bt[np.ix_(rows_b, rows_b)]), rows,
-                          classes[rows[0]] if gauge else None))
+            cls = classes[rows[0]] if gauge else None
+            if gauge and rows_b is rows_a and rows_a.size > 1:
+                kron, rows, swap = _swap_halves(a[np.ix_(rows_a, rows_a)], rows)
+            else:
+                kron, swap = np.kron(a[np.ix_(rows_a, rows_a)], bt[np.ix_(rows_b, rows_b)]), None
+            solves.append((kron, rows, cls, swap))
 
     def ln_at_phi(phi: float) -> float:
         t4 = _conditional_map(4, phi)
@@ -135,12 +191,17 @@ def esv_mixed_ln_curve(rho_a: DensityMatrix, rho_b: DensityMatrix) -> Callable[[
         w = x.real * y.real + x.imag * y.imag + 1j * (x.imag * y.real - x.real * y.imag)
         w = w.reshape(16, 16)
         spectra = []
-        for kron, rows, cls in pairs:
+        for kron, rows, cls, swap in solves:
             table = w
             if cls is not None:
                 u = np.where(classes == cls, 1.0, 1j)
                 table = (w * u.conj()[:, None] * u).real
-            spectra.append(np.linalg.eigvalsh(kron * table.take(rows, 0).take(rows, 1))[::-1])
+            table = table.take(rows, 0)
+            if swap is None:
+                spectra.append(np.linalg.eigvalsh(kron * table.take(rows, 1))[::-1])
+            else:
+                crossed, cols, off = swap
+                spectra += _half_spectra(kron * table.take(rows, 1), crossed * table.take(cols, 1), off)
         return _log2_trace_norm(np.concatenate(spectra) / tr)
 
     return ln_at_phi

@@ -94,6 +94,13 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["overlap", "d=2", "r=0..2:3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: output: ")
+    assert not out.exists()
+
+
 def test_numeric_guard_exit_3():
     # strict mode rejects a squeezing this large at a tiny cutoff
     assert main(["eof-surface", "s=2.5..2.5:1", "phi=0..0:1",
@@ -273,12 +280,15 @@ def test_cli_import_loads_no_scipy():
                                   ["criteria", "s=0.5", "phi=0..3.14:2", "--cutoff", "12"],
                                   ["teleport", "s=1", "a0=0.6", "a1=0.8", "--cutoff", "12"],
                                   ["ln-thermal", "s=1", "sigma=0..1:2", "phi=0..6.28:3", "--cutoff", "10"],
+                                  ["ln-thermal", "s=1", "sigma=0.5", "phi=0..6.28:3", "--cutoff", "11"],
                                   ["ln-phase", "sigma=0..1:2", "phi=0..6.28:3", "--cutoff", "10"]],
-                         ids=["swap", "ent-power", "criteria", "teleport", "ln-thermal", "ln-phase"])
+                         ids=["swap", "ent-power", "criteria", "teleport", "ln-thermal",
+                              "ln-thermal-odd-cutoff", "ln-phase"])
 def test_swap_runs_with_scipy_unavailable(argv, capsys):
     # padded beam splitter and odd-odd projector (swap, teleport), JC Kraus maps
     # (ent-power), moment minors (criteria), noise channels and the factor-block
-    # log-negativity (ln-thermal, ln-phase)
+    # log-negativity with its swap halves (ln-thermal, ln-phase; at cutoff 11 the
+    # even and odd factor blocks differ in size)
     proc = _run_python('sys.modules["scipy"] = None\n'
                        "import esvsim.cli\n"
                        f"sys.exit(esvsim.cli.main({argv!r}))")

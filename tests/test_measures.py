@@ -319,18 +319,32 @@ def noised(kind, s, sigma, cutoff):
 
 @pytest.fixture
 def hermitian_blocks_solved(monkeypatch):
-    """One flag per block the per-phi step of `esv_mixed_ln_curve` hands to
-    `np.linalg.eigvalsh`: whether the block equals its conjugate transpose exactly."""
-    flags = []
+    """One (shape, flag) per block the per-phi step of `esv_mixed_ln_curve` (whole
+    blocks, and swap halves through `_half_spectra`) hands to `np.linalg.eigvalsh`;
+    the flag says whether the block equals its conjugate transpose exactly."""
+    solved = []
     solve = np.linalg.eigvalsh
 
     def spy(mat, *args, **kwargs):
-        if sys._getframe(1).f_code.co_name == "ln_at_phi":
-            flags.append(bool(np.array_equal(mat, mat.conj().T)))
+        if sys._getframe(1).f_code.co_name in ("ln_at_phi", "_half_spectra"):
+            solved.append((mat.shape, bool(np.array_equal(mat, mat.conj().T))))
         return solve(mat, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    return flags
+    return solved
+
+
+def all_exactly_hermitian(solved):
+    return bool(solved) and all(exact for _, exact in solved)
+
+
+def block_sizes(solved):
+    """The sorted sizes of the blocks solved since the last call, which clears the
+    record; every one of them must be exactly Hermitian."""
+    assert all_exactly_hermitian(solved)
+    sizes = sorted(shape[0] for shape, _ in solved)
+    solved.clear()
+    return sizes
 
 
 def assert_matches_oracle(rho_a, rho_b, phi):
@@ -348,7 +362,40 @@ def test_esv_mixed_log_negativity_matches_oracle_on_noisy_ln_sweeps(kind, sigmas
         rho = noised(kind, 1.0, sigma, 30)
         for phi in np.linspace(0.0, 2 * np.pi, 8):
             assert_matches_oracle(rho, rho, phi)
-    assert hermitian_blocks_solved and all(hermitian_blocks_solved)
+    assert all_exactly_hermitian(hermitian_blocks_solved)
+
+
+@pytest.mark.parametrize("kind, sizes", [("thermal", [105, 105, 120, 120, 225, 225]),
+                                         ("phase", [105, 120])])
+def test_esv_mixed_ln_curve_splits_equal_inputs_into_swap_halves(kind, sizes, hermitian_blocks_solved):
+    # README inputs: each same-parity 15 x 15 factor block pairs with itself
+    # into 120 symmetric and 105 antisymmetric pairs; the (even, odd) and
+    # (odd, even) blocks of the thermal state stay whole
+    rho = noised(kind, 1.0, 0.5, 30)
+    curve = esv_mixed_ln_curve(rho, rho)
+    for phi in (0.0, 1.1, np.pi / 2, 4.0):
+        curve(phi)
+        assert block_sizes(hermitian_blocks_solved) == sizes
+
+
+def test_esv_mixed_ln_curve_keeps_whole_blocks_without_the_swap_symmetry(hermitian_blocks_solved):
+    rho = noised("thermal", 1.0, 0.5, 16)
+    turned = rotated(rho, 0, 0.7)
+    displaced = displaced_sq_dm(0.4, -0.6, 16)
+    assert not displaced.mat.imag.any()
+    odd = noised("thermal", 0.8, 0.5, 11)
+    cases = [
+        (rho, noised("thermal", 0.8, 0.5, 16), [64] * 4),     # unequal real inputs
+        (turned, turned, [64] * 4),                           # equal complex inputs
+        (displaced, displaced, [256]),                        # equal, both parities in one block
+        (odd, odd, [10, 15, 15, 21, 30, 30]),                 # 6 even, 5 odd: (e, o), (o, e) whole
+    ]
+    for rho_a, rho_b, sizes in cases:
+        curve = esv_mixed_ln_curve(rho_a, rho_b)
+        for phi in (0.0, 1.1, np.pi):
+            got = curve(phi)
+            assert block_sizes(hermitian_blocks_solved) == sizes
+            assert abs(got - log_negativity(esv_mixed(rho_a, rho_b, phi), [1])) <= 1e-12
 
 
 def test_esv_mixed_log_negativity_complex_and_mixed_parity_inputs():
@@ -453,7 +500,7 @@ def test_esv_mixed_log_negativity_blocks_exactly_hermitian_under_input_noise(her
                          (with_noise(turned, complex), with_noise(turned, complex))):
         for phi in (0.0, 1.1, np.pi):
             assert assert_matches_oracle(rho_a, rho_b, phi) > 0.0
-    assert hermitian_blocks_solved and all(hermitian_blocks_solved)
+    assert all_exactly_hermitian(hermitian_blocks_solved)
 
 
 def test_esv_mixed_log_negativity_raises_what_esv_mixed_raises():
