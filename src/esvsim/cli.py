@@ -10,12 +10,15 @@ Every truncation check warns `TruncationWarning`; ``--strict`` runs the sweep
 under ``warnings.simplefilter("error", TruncationWarning)``, so on every
 command a flagged tail becomes a numeric-guard error.
 
-Exit codes: 0 success, 2 usage error, 3 numeric-guard error.
+Exit codes: 0 success, 2 usage error (an ``--out`` path whose directory is
+missing or not writable too, found before the sweep runs), 3 numeric-guard
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -26,7 +29,7 @@ import numpy as np
 from .channels import phase_channel, thermal_channel
 from .dynamics import entangling_power
 from .fock import TruncationWarning, fidelity
-from .measures import eof_pure, esv_mixed_ln_curve
+from .measures import esv_mixed_ln_curve, esv_pure_eof_curve
 from .protocols import QubitAmplitudes, entanglement_swap, generate_scheme_a, generate_scheme_b, teleport
 from .separability import duan_det, esv_criterion_det, simon_det
 from .states import EsvSpec, SqueezeSpec, displaced_overlap, esv_pure, squeezed_vacuum
@@ -92,8 +95,11 @@ def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
 # --- per-command evaluators: point dict -> tuple of diagnostics ------------
 
 def _eval_eof(point, cutoff, cache):
-    state = esv_pure(EsvSpec(point["s"], point["phi"], cutoff))
-    return (eof_pure(state, [0]),)
+    # phi is the inner grid axis: keep the EoF curve of the current s only
+    if point["s"] not in cache:
+        cache.clear()
+        cache[point["s"]] = esv_pure_eof_curve(point["s"], cutoff)
+    return (cache[point["s"]](point["phi"]),)
 
 
 def _noisy_ln(point, cutoff, cache, channel):
@@ -216,6 +222,22 @@ def emit_csv(result: SweepResult, path: str | None) -> None:
             fh.write(text)
 
 
+def _out_path_problem(path: str) -> str | None:
+    """Why `path` cannot be written as the CSV output, or None.
+
+    Checked before the sweep, without creating or truncating the file, so
+    a long sweep is not run for an output it cannot write.
+    """
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        return f"{path}: directory {parent} does not exist"
+    if os.path.isdir(path):
+        return f"{path}: is a directory"
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        return f"{path}: not writable"
+    return None
+
+
 def _parse_assignment(text: str) -> tuple[str, tuple[float, float, int]]:
     if "=" not in text:
         raise UsageError(f"expected name=value or name=min..max:steps, got {text!r}")
@@ -265,6 +287,10 @@ def main(argv: list[str] | None = None) -> int:
                              cutoff=args.cutoff, strict=args.strict, out=args.out)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
+        return 2
+    problem = None if config.out is None else _out_path_problem(config.out)
+    if problem is not None:
+        print(f"error: output: {problem}", file=sys.stderr)
         return 2
     try:
         result = run(config)

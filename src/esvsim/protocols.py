@@ -159,10 +159,10 @@ def teleport(inp: QubitAmplitudes, s: float, cutoff: int) -> tuple[float, float]
         raise ValueError("teleportation requires s > 0")
     plus, minus = _pair(s, cutoff)
     message = "input superposition is the zero vector"
-    input_state = _superpose(inp.a0 * plus.amps, inp.a1 * minus.amps, (cutoff,), 1e-12, message)
+    input_state = _superpose(inp.a0 * plus.amps, inp.a1 * minus.amps, (cutoff,), message)
     joint = tensor(input_state, esv_aligned(EsvSpec(s, np.pi, cutoff)))
     projected, prob = odd_odd_projector(_padded_balanced_bs(joint, 0, 1), (0, 1))
-    target = _superpose(inp.a0 * minus.amps, inp.a1 * plus.amps, (cutoff,), 1e-12, message)
+    target = _superpose(inp.a0 * minus.amps, inp.a1 * plus.amps, (cutoff,), message)
     return prob, _heralded_fidelity(projected, [2], prob, target)
 
 

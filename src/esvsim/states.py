@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+_ZERO_NORM = 1e-12      # a superposition with a smaller norm is the zero vector
+_DEGENERATE = "degenerate superposition is the zero vector"
 
 
 @dataclass(frozen=True)
@@ -91,15 +93,15 @@ def _phase_fixed(amps: np.ndarray) -> np.ndarray:
 
 
 def _superpose(first: np.ndarray, second: np.ndarray, dims: tuple[int, ...],
-               floor: float, message: str) -> FockVector:
+               message: str = _DEGENERATE) -> FockVector:
     """first + second, normalized, with the global phase fixed.
 
-    A sum whose norm is below `floor` is a degenerate superposition and
+    A sum whose norm is below `_ZERO_NORM` is a degenerate superposition and
     raises ValueError(message).
     """
     amps = first + second
     norm = np.linalg.norm(amps)
-    if norm < floor:
+    if norm < _ZERO_NORM:
         raise ValueError(message)
     return FockVector(ModeLayout(dims), _phase_fixed(amps / norm))
 
@@ -133,8 +135,7 @@ def esv_pure(spec: EsvSpec) -> FockVector:
     plus, minus = _pair(spec.s, spec.cutoff)
     return _superpose(np.kron(plus.amps, minus.amps),
                       np.exp(1j * spec.phi) * np.kron(minus.amps, plus.amps),
-                      (spec.cutoff, spec.cutoff), 1e-12,
-                      "degenerate superposition is the zero vector")
+                      (spec.cutoff, spec.cutoff))
 
 
 def esv_aligned(spec: EsvSpec) -> FockVector:
@@ -146,8 +147,7 @@ def esv_aligned(spec: EsvSpec) -> FockVector:
     plus, minus = _pair(spec.s, spec.cutoff)
     return _superpose(np.kron(plus.amps, plus.amps),
                       np.exp(1j * spec.phi) * np.kron(minus.amps, minus.amps),
-                      (spec.cutoff, spec.cutoff), 1e-12,
-                      "degenerate superposition is the zero vector")
+                      (spec.cutoff, spec.cutoff))
 
 
 def _check_esv_inputs(rho_a: DensityMatrix, rho_b: DensityMatrix) -> int:

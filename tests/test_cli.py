@@ -20,8 +20,8 @@ from esvsim import (
     squeezed_vacuum,
     thermal_channel,
 )
-from esvsim.cli import COMMANDS, SweepConfig, UsageError, _noisy_ln, emit_csv, main, run
-from esvsim.measures import esv_mixed_log_negativity
+from esvsim.cli import COMMANDS, SweepConfig, UsageError, _eval_eof, _noisy_ln, emit_csv, main, run
+from esvsim.measures import esv_mixed_log_negativity, esv_pure_eof_curve
 
 RECORD_DIR = Path(__file__).resolve().parents[1] / "bench" / "record"
 
@@ -94,11 +94,29 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
-def test_unwritable_out_path_exits_2(tmp_path, capsys):
+def test_unwritable_out_path_exits_2(tmp_path, capsys, monkeypatch):
+    # the output path is checked before the sweep: no row is computed for it
+    def no_run(config):
+        pytest.fail("the sweep ran for an output path it cannot write")
+
+    monkeypatch.setattr(esvsim.cli, "run", no_run)
     out = tmp_path / "missing" / "x.csv"
     assert main(["overlap", "d=2", "r=0..2:3", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: output: ")
     assert not out.exists()
+    assert main(["ln-thermal", "s=1", "--out", str(tmp_path)]) == 2     # a directory
+    assert capsys.readouterr().err.startswith("error: output: ")
+
+
+def test_out_file_untouched_by_a_run_that_exits_3(tmp_path):
+    # the early output check neither creates nor truncates the file
+    out = tmp_path / "eof.csv"
+    argv = ["eof-surface", "s=0", "phi=3.141592653589793", "--out", str(out)]
+    assert main(argv) == 3
+    assert not out.exists()
+    out.write_text("kept\n")
+    assert main(argv) == 3
+    assert out.read_text() == "kept\n"
 
 
 def test_numeric_guard_exit_3():
@@ -125,7 +143,7 @@ def _main_stdout(argv):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(command=st.sampled_from(["swap", "teleport", "generate", "ln-thermal"]),
+@given(command=st.sampled_from(["swap", "teleport", "generate", "ln-thermal", "eof-surface"]),
        s=st.floats(0.2, 3.0), cutoff=st.integers(8, 16), sigma=st.floats(0.0, 2.0))
 def test_strict_is_warnings_as_errors(command, s, cutoff, sigma):
     argv = [command, f"s={s!r}"]
@@ -261,6 +279,16 @@ def test_noisy_ln_caches_one_curve_across_a_sigma_axis():
             assert value == esv_mixed_log_negativity(rho, rho, phi)
 
 
+def test_eof_surface_caches_one_curve_per_s():
+    # phi is the innermost axis: a new s replaces the cached curve
+    cache = {}
+    for s in (0.0, 0.4, 1.7):
+        for phi in (0.0, 1.0, 2.5):
+            (value,) = _eval_eof({"s": s, "phi": phi}, 16, cache)
+            assert list(cache) == [s]
+            assert value == esv_pure_eof_curve(s, 16)(phi)
+
+
 def _run_python(code):
     """Run code in a fresh interpreter that imports this checkout's esvsim."""
     src = str(Path(esvsim.__file__).resolve().parents[1])
@@ -281,14 +309,18 @@ def test_cli_import_loads_no_scipy():
                                   ["teleport", "s=1", "a0=0.6", "a1=0.8", "--cutoff", "12"],
                                   ["ln-thermal", "s=1", "sigma=0..1:2", "phi=0..6.28:3", "--cutoff", "10"],
                                   ["ln-thermal", "s=1", "sigma=0.5", "phi=0..6.28:3", "--cutoff", "11"],
-                                  ["ln-phase", "sigma=0..1:2", "phi=0..6.28:3", "--cutoff", "10"]],
+                                  ["ln-phase", "sigma=0..1:2", "phi=0..6.28:3", "--cutoff", "10"],
+                                  ["eof-surface", "s=0.05..2:3", "phi=0..6.28:3", "--cutoff", "10"],
+                                  ["generate", "s=0.8", "--cutoff", "10"],
+                                  ["overlap", "d=2", "r=0..2:3"]],
                          ids=["swap", "ent-power", "criteria", "teleport", "ln-thermal",
-                              "ln-thermal-odd-cutoff", "ln-phase"])
+                              "ln-thermal-odd-cutoff", "ln-phase", "eof-surface", "generate", "overlap"])
 def test_swap_runs_with_scipy_unavailable(argv, capsys):
-    # padded beam splitter and odd-odd projector (swap, teleport), JC Kraus maps
-    # (ent-power), moment minors (criteria), noise channels and the factor-block
-    # log-negativity with its swap halves (ln-thermal, ln-phase; at cutoff 11 the
-    # even and odd factor blocks differ in size)
+    # padded beam splitter and odd-odd projector (swap, teleport, generate), JC
+    # Kraus maps (ent-power), moment minors (criteria), noise channels and the
+    # factor-block log-negativity with its swap halves (ln-thermal, ln-phase; at
+    # cutoff 11 the even and odd factor blocks differ in size), the Gram-matrix
+    # EoF (eof-surface) and the closed-form overlap
     proc = _run_python('sys.modules["scipy"] = None\n'
                        "import esvsim.cli\n"
                        f"sys.exit(esvsim.cli.main({argv!r}))")

@@ -1,13 +1,15 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from esvsim import (
     EsvSpec,
     SqueezeSpec,
+    TruncationWarning,
     eof_pure,
     esv_mixed,
     esv_mixed_log_negativity,
@@ -22,7 +24,7 @@ from esvsim import (
     two_qubit_negativity,
 )
 from esvsim.fock import HERMITICITY_TOL, DensityMatrix, FockVector, ModeLayout, hermitian_blocks
-from esvsim.measures import esv_mixed_ln_curve
+from esvsim.measures import esv_mixed_ln_curve, esv_pure_eof_curve
 
 from oracles import (basis_vector, displaced_squeezed_amplitudes, entropy2, esv_reduced_spectrum,
                      log_negativity_dense, phase_rotation, tmsv_logneg)
@@ -120,6 +122,49 @@ def test_eof_pure_approaches_full_ebit_at_large_squeezing():
     assert oracle_s5 == pytest.approx(1.0, abs=1e-2)
     assert e2 == pytest.approx(entropy2(esv_reduced_spectrum(1 / np.sqrt(np.cosh(4.0)), 0.0)),
                                abs=1e-6)
+
+
+def _outcome(compute):
+    """(the value or the ValueError raised, whether a TruncationWarning was warned)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TruncationWarning)
+        try:
+            value = compute()
+        except ValueError as exc:
+            value = exc
+    return value, any(issubclass(w.category, TruncationWarning) for w in caught)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(s=st.floats(0.0, 5.0), phi=st.floats(0.0, 2 * np.pi, exclude_max=True),
+       cutoff=st.integers(2, 60))
+@example(s=5.0, phi=1.0, cutoff=2)              # one Fock level: a product state
+@example(s=5.0, phi=2.0, cutoff=3)
+@example(s=4.0, phi=0.3, cutoff=8)
+@example(s=5.0, phi=np.pi, cutoff=2)            # below esv_pure's norm floor
+@example(s=0.0, phi=np.pi, cutoff=10)           # the degenerate EsvSpec point
+def test_esv_pure_eof_curve_matches_eof_pure(s, phi, cutoff):
+    want, want_warned = _outcome(lambda: eof_pure(esv_pure(EsvSpec(s, phi, cutoff)), [0]))
+    got, got_warned = _outcome(lambda: esv_pure_eof_curve(s, cutoff)(phi))
+    assert got_warned == want_warned
+    if isinstance(want, ValueError):
+        assert isinstance(got, ValueError) and str(got) == str(want)
+    else:
+        assert abs(got - want) <= 1e-12
+
+
+def test_esv_pure_eof_curve_guards():
+    with pytest.raises(ValueError, match=">= 0"):
+        esv_pure_eof_curve(-0.1, 10)
+    with pytest.raises(ValueError, match="finite"):
+        esv_pure_eof_curve(np.inf, 10)
+    with pytest.raises(ValueError, match="cutoff"):
+        esv_pure_eof_curve(0.5, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        with pytest.raises(TruncationWarning):
+            esv_pure_eof_curve(2.5, 12)
+        assert esv_pure_eof_curve(0.3, 40)(np.pi) == pytest.approx(1.0, abs=1e-15)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -501,6 +546,21 @@ def test_esv_mixed_log_negativity_blocks_exactly_hermitian_under_input_noise(her
         for phi in (0.0, 1.1, np.pi):
             assert assert_matches_oracle(rho_a, rho_b, phi) > 0.0
     assert all_exactly_hermitian(hermitian_blocks_solved)
+
+
+@pytest.mark.parametrize("d", [6, 12, 30, 47])
+@pytest.mark.parametrize("s", [0.05, 0.3, 1.0, 2.0, 3.0])
+def test_esv_mixed_ln_curve_at_zero_noise_matches_two_level_oracle(s, d):
+    # noiseless inputs give the pure ESV of the truncated pair u, v = (-1)^k u on |2k>:
+    # its LN is 2 log2(sqrt(lambda+) + sqrt(lambda-)), lambda from the 2 x 2 oracle
+    psi = squeezed_vacuum(SqueezeSpec(s, d))
+    u = psi.amps.real
+    v = u * (-1.0) ** (np.arange(d) // 2)
+    rho = psi.normalized().density()
+    curve = esv_mixed_ln_curve(rho, rho)
+    for phi in (0.0, 0.5, 1.3, np.pi / 2, 2.6, np.pi, 4.4):
+        lam = esv_reduced_spectrum(u @ v / (u @ u), phi)
+        assert abs(curve(phi) - 2.0 * np.log2(np.sqrt(lam).sum())) <= 1e-12
 
 
 def test_esv_mixed_log_negativity_raises_what_esv_mixed_raises():
