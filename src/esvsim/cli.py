@@ -122,8 +122,12 @@ def _eval_ln_phase(point, cutoff, cache):
 
 
 def _eval_ent_power(point, cutoff, cache):
-    state = esv_pure(EsvSpec(point["s"], point["phi"], cutoff))
-    return (entangling_power(state, point["tau"]),)
+    # tau is the innermost grid axis: keep the state of the current (s, phi) only
+    key = (point["s"], point["phi"])
+    if key not in cache:
+        cache.clear()
+        cache[key] = esv_pure(EsvSpec(point["s"], point["phi"], cutoff))
+    return (entangling_power(cache[key], point["tau"]),)
 
 
 def _eval_criteria(point, cutoff, cache):

@@ -228,17 +228,23 @@ def tail_mass(state: FockVector | DensityMatrix) -> float:
 
 
 def check_tail(state, context: str = "operation") -> None:
-    """Warn `TruncationWarning` when the tail mass exceeds TAIL_THRESHOLD.
+    """Warn `TruncationWarning` when the tail mass exceeds TAIL_THRESHOLD."""
+    _warn_tail(tail_mass(state), context, stacklevel=3)
 
-    The message does not carry the mass, so Python's per-location
-    de-duplication still prints a repeated warning once.
+
+def _warn_tail(mass: float, context: str, stacklevel: int = 2) -> None:
+    """The tail decision of `check_tail` for a mass computed elsewhere.
+
+    `stacklevel` counts from the caller, as in `warnings.warn`.  The message
+    does not carry the mass, so Python's per-location de-duplication still
+    prints a repeated warning once.
     """
-    if tail_mass(state) <= TAIL_THRESHOLD:
+    if mass <= TAIL_THRESHOLD:
         return
     warnings.warn(
         f"{context}: Fock-tail mass above {TAIL_THRESHOLD:.0e}; results may be truncation-limited",
         TruncationWarning,
-        stacklevel=3,
+        stacklevel=stacklevel + 1,
     )
 
 

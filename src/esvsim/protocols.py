@@ -2,13 +2,20 @@
 ancilla-assisted generation schemes for entangled squeezed vacua.
 
 All protocols are simulated as circuits: beam splitters, diagonal
-controlled-phase gates, projective measurements.  Beam splitters inside a
-protocol act on zero-padded mode pairs (each target mode enlarged to hold
-the full total-photon-number range of the pair), which makes the splitter
-exact on every populated block; outputs are truncated back to the caller's
-cutoff at the end.  Success probabilities are computed on the padded state,
-before any truncation.  Fidelities contract the target with the heralded
-amplitudes; no reduced density matrix is formed.
+controlled-phase gates, projective measurements.  A beam splitter inside a
+protocol acts on a zero-padded mode pair (each mode enlarged to hold the
+full total-photon-number range of the pair), which makes the splitter exact
+on every populated block; outputs are truncated back to the caller's cutoff
+at the end.
+
+Swapping and teleportation never form their joint state.  With E and O the
+squeezed vacuum on |4k> and on |4k + 2>, |s±> = E ± O, so the resources are
+finite sums of product terms: |Psi(pi)> ∝ O⊗E - E⊗O and the aligned state
+|Phi(pi)> ∝ E⊗O + O⊗E.  Each term's two-mode vector that meets the splitter
+goes through the padded splitter and the odd-odd projection on its own, and
+the heralding probability, the fidelity and the splitter's tail mass are
+Gram sums over the terms (`_herald`).  Fidelities are taken against the
+target at the caller's cutoff; no reduced density matrix is formed.
 """
 
 from __future__ import annotations
@@ -20,14 +27,16 @@ import numpy as np
 from .fock import (
     FockVector,
     ModeLayout,
-    _amplitude_matrix,
     _apply_unitary,
-    apply_beamsplitter,
+    _band_mask,
+    _beamsplitter_blocks,
+    _warn_tail,
+    check_tail,
     resize_mode,
     tensor,
 )
-from .states import (EsvSpec, SqueezeSpec, _pair, _superpose, esv_aligned, esv_pure, squeezed_vacuum,
-                     two_mode_squeezed_vacuum)
+from .states import (_DEGENERATE, _ZERO_NORM, EsvSpec, SqueezeSpec, _superpose, esv_aligned,
+                     squeezed_vacuum, two_mode_squeezed_vacuum)
 
 __all__ = [
     "QubitAmplitudes",
@@ -111,22 +120,57 @@ def _project_qubit(state: FockVector, mode: int, coeffs: np.ndarray) -> tuple[Fo
     return vec, float(vec.norm() ** 2)
 
 
-def _heralded_fidelity(projected: FockVector, keep: list[int], prob: float, target: FockVector) -> float:
-    """<target| rho |target> for the state rho of the `keep` modes of `projected`: with M
-    the amplitude matrix whose rows are the `keep` modes, rho = M M† / prob."""
-    if target.layout.dims != tuple(projected.layout.dims[m] for m in keep):
-        raise ValueError("layout mismatch")
-    return float(np.linalg.norm(target.amps.conj() @ _amplitude_matrix(projected, keep)) ** 2) / prob
+def _padded_balanced_bs(state: FockVector, mode_a: int, mode_b: int) -> FockVector:
+    """Balanced splitter on zero-padded modes; exact on all populated blocks.
+
+    No tail check here: the caller checks the state it owns.
+    """
+    big = state.layout.dims[mode_a] + state.layout.dims[mode_b] - 1
+    state = resize_mode(resize_mode(state, mode_a, big), mode_b, big)
+    return _apply_unitary(state, [mode_a, mode_b], _beamsplitter_blocks(big, big, np.pi / 4))
 
 
-def _padded_balanced_bs(state: FockVector, mode_a: int, mode_b: int):
-    """Balanced splitter on zero-padded modes; exact on all populated blocks."""
-    da = state.layout.dims[mode_a]
-    db = state.layout.dims[mode_b]
-    big = da + db - 1
-    state = resize_mode(state, mode_a, big)
-    state = resize_mode(state, mode_b, big)
-    return apply_beamsplitter(state, mode_a, mode_b, np.pi / 4)
+def _parity_split(s: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """(E, O): the squeezed vacuum at (s, cutoff) on |4k> and on |4k + 2>.
+
+    |s+> = E + O and |s-> = E - O, bit for bit.
+    """
+    u = squeezed_vacuum(SqueezeSpec(s, cutoff)).amps
+    even = np.where(np.arange(cutoff) % 4 == 0, u, 0)
+    return even, u - even
+
+
+def _herald(coefs: np.ndarray, kept: np.ndarray, kept_layout: ModeLayout,
+            pairs: list[tuple[np.ndarray, np.ndarray]], target: np.ndarray) -> tuple[float, float]:
+    """Heralding probability and fidelity for the resource sum_T c_T kept_T ⊗ pair_T.
+
+    Each two-mode pair_T = a_T ⊗ b_T, given as `pairs[T] = (a_T, b_T)`, meets
+    the padded balanced splitter B (a_T on its first port) and the odd-odd
+    projection P on its own, giving chi_T = P B pair_T; `kept` holds the
+    other modes' vector of each term (one row per term, over `kept_layout`).
+    Writing [x, y] for c† (G_x ∘ G_y) c, with G_x the Gram matrix of the
+    terms' x vectors, p = [kept, chi] / [kept, pair] and
+    F = |sum_T c_T <target|kept_T> chi_T|² / [kept, chi].
+
+    The splitter's tail check decides on the band mass of the padded joint
+    output, [kept, B pair] - [Q kept, Q B pair], where Q zeroes every level
+    in a mode's top band: the no-band part of a state is a product projection,
+    so the joint state is never formed.
+    """
+    def weight(x, y):
+        return float((coefs.conj() @ ((x.conj() @ x.T) * (y.conj() @ y.T)) @ coefs).real)
+
+    inputs = [FockVector(ModeLayout((a.size, b.size)), np.kron(a, b)) for a, b in pairs]
+    outs = [_padded_balanced_bs(vec, 0, 1) for vec in inputs]
+    out = np.array([o.amps for o in outs])
+    chi = np.array([odd_odd_projector(o, (0, 1))[0].amps for o in outs])
+    norm2 = weight(kept, np.array([vec.amps for vec in inputs]))
+    q_kept, q_out = ~_band_mask(kept_layout), ~_band_mask(outs[0].layout)
+    band = weight(kept, out) - weight(kept[:, q_kept], out[:, q_out])
+    _warn_tail(band / norm2, "beam splitter", stacklevel=2)
+    heralded = weight(kept, chi)
+    amp = (coefs * (kept @ target.conj())) @ chi
+    return heralded / norm2, float(np.vdot(amp, amp).real) / heralded
 
 
 def entanglement_swap(s: float, cutoff: int) -> tuple[float, float]:
@@ -136,13 +180,18 @@ def entanglement_swap(s: float, cutoff: int) -> tuple[float, float]:
     a balanced splitter and are projected onto odd photon numbers.  Returns
     the heralding probability (1/4, independent of squeezing) and the
     fidelity of the conditional state of modes (1, 4) with |Phi(pi)>.
+
+    The resource is (O⊗E - E⊗O) ⊗ (E⊗O + O⊗E) up to its norm: four terms,
+    each a product of a vector of modes (1, 4) and one of modes (2, 3).
     """
     if s <= 0:
         raise ValueError("swap requires s > 0")
+    even, odd = _parity_split(s, cutoff)
     target = esv_aligned(EsvSpec(s, np.pi, cutoff))
-    resource = tensor(esv_pure(EsvSpec(s, np.pi, cutoff)), target)
-    projected, prob = odd_odd_projector(_padded_balanced_bs(resource, 1, 2), (1, 2))
-    return prob, _heralded_fidelity(projected, [0, 3], prob, target)
+    kept = np.array([np.kron(odd, odd), np.kron(odd, even), np.kron(even, odd), np.kron(even, even)])
+    pairs = [(even, even), (even, odd), (odd, even), (odd, odd)]
+    return _herald(np.array([1.0, 1.0, -1.0, -1.0]), kept, ModeLayout((cutoff, cutoff)), pairs,
+                   target.amps)
 
 
 def teleport(inp: QubitAmplitudes, s: float, cutoff: int) -> tuple[float, float]:
@@ -154,16 +203,22 @@ def teleport(inp: QubitAmplitudes, s: float, cutoff: int) -> tuple[float, float]
     as R(-pi/2), which maps |s+-> to |s-+> (the two differ by (-1)^n on
     |2n>), so the target is a0|s-> + a1|s+>.  Returns (probability, output
     fidelity).
+
+    The joint state is input ⊗ (E⊗O + O⊗E) up to its norm: two terms, each
+    meeting the splitter as input ⊗ E or input ⊗ O.
     """
     if s <= 0:
         raise ValueError("teleportation requires s > 0")
-    plus, minus = _pair(s, cutoff)
+    even, odd = _parity_split(s, cutoff)
+    plus, minus = even + odd, even - odd
     message = "input superposition is the zero vector"
-    input_state = _superpose(inp.a0 * plus.amps, inp.a1 * minus.amps, (cutoff,), message)
-    joint = tensor(input_state, esv_aligned(EsvSpec(s, np.pi, cutoff)))
-    projected, prob = odd_odd_projector(_padded_balanced_bs(joint, 0, 1), (0, 1))
-    target = _superpose(inp.a0 * minus.amps, inp.a1 * plus.amps, (cutoff,), message)
-    return prob, _heralded_fidelity(projected, [2], prob, target)
+    input_state = _superpose(inp.a0 * plus, inp.a1 * minus, (cutoff,), message)
+    # |s+>|s+> - |s->|s-> = 2 (E⊗O + O⊗E) is the zero vector where `esv_aligned` says so
+    if 2.0 * np.sqrt(2.0) * np.linalg.norm(even) * np.linalg.norm(odd) < _ZERO_NORM:
+        raise ValueError(_DEGENERATE)
+    target = _superpose(inp.a0 * minus, inp.a1 * plus, (cutoff,), message)
+    pairs = [(input_state.amps, even), (input_state.amps, odd)]
+    return _herald(np.ones(2), np.array([odd, even]), ModeLayout((cutoff,)), pairs, target.amps)
 
 
 def _ancilla_vector(ancilla: QubitAmplitudes) -> FockVector:
@@ -213,6 +268,7 @@ def generate_scheme_b(s: float, ancilla: QubitAmplitudes, outcome: str,
     state = tensor(resource, _ancilla_vector(ancilla)).normalized()
     state = controlled_phase(state, 1, 2, kerr.gamma, control_value=1)
     state = _padded_balanced_bs(state, 0, 1)
+    check_tail(state, context="beam splitter")
     vec, prob = _measure_pm(state, 2, outcome)
     vec = resize_mode(resize_mode(vec, 0, cutoff), 1, cutoff)
     return vec.normalized(), prob

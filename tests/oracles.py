@@ -2,13 +2,20 @@
 
 Everything here is deliberately built from first principles with plain
 dense kron products, explicit factorials, Kraus sums, or covariance-matrix
-algebra, so it shares no code path with the package under test.
+algebra, so it shares no code path with the package under test.  The one
+exception is the padded swap and teleport circuits at the end: they form
+the joint state the package's term sums avoid, through the package's own
+splitter kernel, whose sizes put a dense matrix exponential out of reach.
 """
 
 import math
 
 import numpy as np
 from scipy.linalg import expm
+
+from esvsim import EsvSpec, apply_beamsplitter, esv_aligned, esv_pure, odd_odd_projector, tensor
+from esvsim.fock import _amplitude_matrix, resize_mode
+from esvsim.states import _pair, _superpose
 
 
 def ladder(dim):
@@ -256,3 +263,43 @@ def entangling_power_joint(state_array, dims, tau):
     else:
         joint = evolve @ state @ evolve.conj().T
     return np.einsum("iajbkalb->ijkl", joint.reshape((2, da, 2, db) * 2)).reshape(4, 4)
+
+
+# The padded four-mode circuits of swapping and teleportation: the joint
+# state is formed in full, its splitter modes are zero-padded to 2 cutoff - 1
+# levels, and `apply_beamsplitter` checks the tail of the whole padded output.
+# They share the splitter kernel with the package; the package's own protocols
+# never form the joint state.
+
+def padded_balanced_bs(state, mode_a, mode_b):
+    """Balanced splitter on zero-padded modes, with the joint output's tail check."""
+    big = state.layout.dims[mode_a] + state.layout.dims[mode_b] - 1
+    state = resize_mode(resize_mode(state, mode_a, big), mode_b, big)
+    return apply_beamsplitter(state, mode_a, mode_b, np.pi / 4)
+
+
+def heralded_fidelity(projected, keep, prob, target):
+    """<target| rho |target> for the state rho of the `keep` modes of `projected`: with M
+    the amplitude matrix whose rows are the `keep` modes, rho = M M† / prob."""
+    if target.layout.dims != tuple(projected.layout.dims[m] for m in keep):
+        raise ValueError("layout mismatch")
+    return float(np.linalg.norm(target.amps.conj() @ _amplitude_matrix(projected, keep)) ** 2) / prob
+
+
+def entanglement_swap_padded(s, cutoff):
+    """(probability, fidelity) of `entanglement_swap` on the padded 4-mode joint state."""
+    target = esv_aligned(EsvSpec(s, np.pi, cutoff))
+    resource = tensor(esv_pure(EsvSpec(s, np.pi, cutoff)), target)
+    projected, prob = odd_odd_projector(padded_balanced_bs(resource, 1, 2), (1, 2))
+    return prob, heralded_fidelity(projected, [0, 3], prob, target)
+
+
+def teleport_padded(inp, s, cutoff):
+    """(probability, fidelity) of `teleport` on the padded 3-mode joint state."""
+    plus, minus = _pair(s, cutoff)
+    message = "input superposition is the zero vector"
+    input_state = _superpose(inp.a0 * plus.amps, inp.a1 * minus.amps, (cutoff,), message)
+    joint = tensor(input_state, esv_aligned(EsvSpec(s, np.pi, cutoff)))
+    projected, prob = odd_odd_projector(padded_balanced_bs(joint, 0, 1), (0, 1))
+    target = _superpose(inp.a0 * minus.amps, inp.a1 * plus.amps, (cutoff,), message)
+    return prob, heralded_fidelity(projected, [2], prob, target)

@@ -162,6 +162,18 @@ def test_strict_is_warnings_as_errors(command, s, cutoff, sigma):
         assert strict_csv == loose_csv
 
 
+def test_strict_reaches_the_splitter_tail_of_the_term_sums():
+    # at s = 0.3, cutoff 16 every squeezed vacuum passes its tail check; only
+    # the padded splitter output, read off the Gram sums, fails it
+    for argv in (["swap", "s=0.3", "--cutoff", "16"], ["teleport", "s=0.3", "--cutoff", "16"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", TruncationWarning)
+            assert _main_stdout(argv)[0] == 0
+        contexts = {str(w.message).split(":")[0] for w in caught if issubclass(w.category, TruncationWarning)}
+        assert contexts == {"beam splitter"}
+        assert _main_stdout(argv + ["--strict"])[0] == 3
+
+
 # The seed-0 README command lines and their stored CSVs in bench/record.
 # ln-thermal and ln-phase are left out: their record predates the
 # closed-form noise channels.  ROADMAP item 2 rewrites the record, and this

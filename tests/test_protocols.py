@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from esvsim import (
     KerrSpec,
     QubitAmplitudes,
     SqueezeSpec,
+    TruncationWarning,
     entanglement_swap,
     esv_aligned,
     esv_pure,
@@ -21,10 +25,11 @@ from esvsim import (
     tensor,
     two_mode_squeezed_vacuum,
 )
-from esvsim.fock import FockVector, ModeLayout
-from esvsim.protocols import _heralded_fidelity, _padded_balanced_bs, controlled_phase
+from esvsim.fock import FockVector, ModeLayout, _beamsplitter_blocks
+from esvsim.protocols import _padded_balanced_bs, controlled_phase
 
-from oracles import basis_vector, partial_trace, phase_rotation
+from oracles import (basis_vector, entanglement_swap_padded, heralded_fidelity, partial_trace,
+                     phase_rotation, teleport_padded)
 
 HALF = 1 / np.sqrt(2)
 
@@ -84,7 +89,7 @@ def test_heralded_fidelity_matches_density_matrix_oracle(keep):
             prob = vec.norm() ** 2
             rho = partial_trace(vec.density().mat, dims, keep) / prob
             want = np.vdot(target.amps, rho @ target.amps).real
-            assert _heralded_fidelity(vec, keep, prob, target) == pytest.approx(want, abs=1e-12)
+            assert heralded_fidelity(vec, keep, prob, target) == pytest.approx(want, abs=1e-12)
 
 
 def test_heralded_fidelity_rejects_layout_mismatch():
@@ -92,7 +97,7 @@ def test_heralded_fidelity_rejects_layout_mismatch():
     vec = _random_vector((3, 4, 5), rng)
     for keep, dims in (([0, 2], (5, 3)), ([1], (5,)), ([2], (3, 5))):
         with pytest.raises(ValueError, match="layout mismatch"):
-            _heralded_fidelity(vec, keep, 1.0, _random_vector(dims, rng))
+            heralded_fidelity(vec, keep, 1.0, _random_vector(dims, rng))
 
 
 def test_swap_probability_is_squeezing_independent():
@@ -137,7 +142,7 @@ def teleport_rotating_input(inp, s, cutoff):
     joint = tensor(input_state, esv_aligned(EsvSpec(s, np.pi, cutoff)))
     projected, prob = odd_odd_projector(_padded_balanced_bs(joint, 0, 1), (0, 1))
     target = FockVector(input_state.layout, phase_rotation(cutoff, -np.pi / 2) @ input_state.amps)
-    return prob, _heralded_fidelity(projected, [2], prob, target)
+    return prob, heralded_fidelity(projected, [2], prob, target)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -149,6 +154,57 @@ def test_teleport_matches_dense_rotation_oracle(s, theta, alpha, beta, cutoff):
     p_want, f_want = teleport_rotating_input(inp, s, cutoff)
     assert abs(p - p_want) <= 1e-12
     assert abs(f - f_want) <= 1e-12
+
+
+def _values_and_contexts(protocol, *args):
+    """(p, F) and the set of TruncationWarning contexts warned on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TruncationWarning)
+        values = protocol(*args)
+    contexts = {str(w.message).split(":")[0] for w in caught if issubclass(w.category, TruncationWarning)}
+    return values, contexts
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(swap=st.booleans(), s=st.floats(0.05, 3.0), cutoff=st.integers(6, 24),
+       theta=st.floats(0.0, np.pi / 2), alpha=st.floats(-np.pi, np.pi), beta=st.floats(-np.pi, np.pi))
+def test_term_sums_match_padded_circuit_oracle(swap, s, cutoff, theta, alpha, beta):
+    # the Gram sums over product terms against the joint padded state, tail check included
+    if swap:
+        args, pair = (s, cutoff), (entanglement_swap, entanglement_swap_padded)
+    else:
+        inp = QubitAmplitudes(np.cos(theta) * np.exp(1j * alpha), np.sin(theta) * np.exp(1j * beta))
+        args, pair = (inp, s, cutoff), (teleport, teleport_padded)
+    (p, f), contexts = _values_and_contexts(pair[0], *args)
+    (p_want, f_want), contexts_want = _values_and_contexts(pair[1], *args)
+    assert abs(p - p_want) <= 1e-12
+    assert abs(f - f_want) <= 1e-12
+    assert contexts == contexts_want
+
+
+@pytest.mark.parametrize("s, cutoff", [(0.1, 12), (0.3, 16), (0.05, 8), (3.0, 12)])
+def test_splitter_tail_decision_matches_padded_circuit(s, cutoff):
+    # (0.1, 12): nothing warns; (0.3, 16) and (0.05, 8): only the splitter; (3.0, 12): both
+    inp = QubitAmplitudes(0.6, 0.8j)
+    for protocol, oracle, args in ((entanglement_swap, entanglement_swap_padded, (s, cutoff)),
+                                   (teleport, teleport_padded, (inp, s, cutoff))):
+        assert _values_and_contexts(protocol, *args)[1] == _values_and_contexts(oracle, *args)[1]
+
+
+def _peak_mb(protocol, *args):
+    _beamsplitter_blocks.cache_clear()      # the cold call, splitter blocks included
+    tracemalloc.start()
+    try:
+        protocol(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_protocols_form_no_joint_padded_state():
+    # the padded 4-mode swap vector alone is 24 * 47 * 47 * 24 * 16 B = 20 MB
+    assert _peak_mb(entanglement_swap, 1.0, 24) < 8.0
+    assert _peak_mb(teleport, QubitAmplitudes(1, 0), 1.0, 40) < 10.0
 
 
 def test_generation_schemes_agree_and_match_target():
