@@ -7,7 +7,6 @@ from .fock import (
     FockVector,
     ModeLayout,
     TruncationWarning,
-    apply_beamsplitter,
     fidelity,
     moment,
     partial_transpose,

@@ -4,9 +4,10 @@ ancilla-assisted generation schemes for entangled squeezed vacua.
 All protocols are simulated as circuits: beam splitters, diagonal
 controlled-phase gates, projective measurements.  A beam splitter inside a
 protocol acts on a zero-padded mode pair (each mode enlarged to hold the
-full total-photon-number range of the pair), which makes the splitter exact
-on every populated block; outputs are truncated back to the caller's cutoff
-at the end.
+full total-photon-number range of the pair), through the ideal balanced
+splitter blocks of `fock._balanced_splitter_blocks` on every total the
+padded input can reach, so it is exact; outputs are truncated back to the
+caller's cutoff at the end.
 
 Swapping and teleportation never form their joint state.  With E and O the
 squeezed vacuum on |4k> and on |4k + 2>, |s±> = E ± O, so the resources are
@@ -28,8 +29,8 @@ from .fock import (
     FockVector,
     ModeLayout,
     _apply_unitary,
+    _balanced_splitter_blocks,
     _band_mask,
-    _beamsplitter_blocks,
     _warn_tail,
     check_tail,
     resize_mode,
@@ -121,13 +122,15 @@ def _project_qubit(state: FockVector, mode: int, coeffs: np.ndarray) -> tuple[Fo
 
 
 def _padded_balanced_bs(state: FockVector, mode_a: int, mode_b: int) -> FockVector:
-    """Balanced splitter on zero-padded modes; exact on all populated blocks.
+    """Balanced splitter on modes zero-padded to d_a + d_b - 1 levels; exact.
 
-    No tail check here: the caller checks the state it owns.
+    The largest input total, d_a + d_b - 2, is below the padded cutoff, so
+    the builder's blocks cover every total the input reaches.  No tail
+    check here: the caller checks the state it owns.
     """
     big = state.layout.dims[mode_a] + state.layout.dims[mode_b] - 1
     state = resize_mode(resize_mode(state, mode_a, big), mode_b, big)
-    return _apply_unitary(state, [mode_a, mode_b], _beamsplitter_blocks(big, big, np.pi / 4))
+    return _apply_unitary(state, [mode_a, mode_b], _balanced_splitter_blocks(big))
 
 
 def _parity_split(s: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:

@@ -3,18 +3,21 @@
 Everything here is deliberately built from first principles with plain
 dense kron products, explicit factorials, Kraus sums, or covariance-matrix
 algebra, so it shares no code path with the package under test.  The one
-exception is the padded swap and teleport circuits at the end: they form
-the joint state the package's term sums avoid, through the package's own
-splitter kernel, whose sizes put a dense matrix exponential out of reach.
+exception is the beam splitter as the exponential of its truncated
+generator (`apply_beamsplitter`) and the padded swap and teleport circuits
+built on it at the end: they apply their blocks through the package's
+operator kernel, because the padded sizes put a dense matrix exponential of
+the whole grid out of reach.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
 
-from esvsim import EsvSpec, apply_beamsplitter, esv_aligned, esv_pure, odd_odd_projector, tensor
-from esvsim.fock import _amplitude_matrix, resize_mode
+from esvsim import EsvSpec, esv_aligned, esv_pure, odd_odd_projector, tensor
+from esvsim.fock import _I_POW, _amplitude_matrix, _apply_unitary, check_tail, resize_mode
 from esvsim.states import _pair, _superpose
 
 
@@ -74,6 +77,55 @@ def beamsplitter_matrix(dims, mode_a, mode_b, theta):
     gen = (full_operator(dims, [(mode_a, 0, 1), (mode_b, 1, 0)])
            - full_operator(dims, [(mode_a, 1, 0), (mode_b, 0, 1)]))
     return expm(theta * gen)
+
+
+def _expm_tridiagonal(off: np.ndarray) -> np.ndarray:
+    """exp(K) for the real antisymmetric tridiagonal K with K[k, k+1] = off[k].
+
+    With D = diag(i^k), D K D^-1 = -iT for the real symmetric tridiagonal T
+    with the same off-diagonal, so exp(K) = D^-1 W e^{-i lambda} Wᵀ D from
+    the eigenpairs (lambda, W) of T.  The result is real.
+    """
+    lam, w = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    d = _I_POW[np.arange(off.size + 1) % 4]
+    return ((d.conj()[:, None] * w) @ (np.exp(-1j * lam)[:, None] * w.T * d)).real
+
+
+@lru_cache(maxsize=16)
+def _beamsplitter_blocks(dim_a: int, dim_b: int, theta: float) -> tuple:
+    """(rows, block) pairs of exp[theta (a b† - a† b)], one per total photon number.
+
+    The generator conserves n_a + n_b even on the truncated grid, so the
+    exponential factorizes into one small unitary per total; this is exactly
+    the full matrix exponential, applied by `_apply_blocks` without ever
+    building the (dim_a*dim_b)^2 matrix.  Rows index the flattened pair
+    (m, n) as m*dim_b + n.
+    """
+    blocks = []
+    for total in range(dim_a + dim_b - 1):
+        ms = np.arange(max(0, total - dim_b + 1), min(dim_a, total + 1))
+        # a b† moves |m, total-m> to |m-1, total-m+1>
+        m = ms[1:]
+        block = _expm_tridiagonal(theta * np.sqrt(m * (total - m + 1)))
+        blocks.append((ms * dim_b + total - ms, block))
+    return tuple(blocks)
+
+
+def apply_beamsplitter(state, mode_a: int, mode_b: int, theta: float = np.pi / 4):
+    """Mix two modes on a beam splitter: a -> a cos(theta) + b sin(theta).
+
+    theta = pi/4 (default) is the balanced splitter.  Total photon number in
+    the pair is conserved exactly, including on the truncated grid.
+    """
+    state.layout.check_mode(mode_a)
+    state.layout.check_mode(mode_b)
+    if mode_a == mode_b:
+        raise ValueError("beam splitter requires two distinct modes")
+    dims = state.layout.dims
+    blocks = _beamsplitter_blocks(dims[mode_a], dims[mode_b], theta)
+    out = _apply_unitary(state, [mode_a, mode_b], blocks)
+    check_tail(out, context="beam splitter")
+    return out
 
 
 def squeezed_amplitudes(s, cutoff):
@@ -268,8 +320,9 @@ def entangling_power_joint(state_array, dims, tau):
 # The padded four-mode circuits of swapping and teleportation: the joint
 # state is formed in full, its splitter modes are zero-padded to 2 cutoff - 1
 # levels, and `apply_beamsplitter` checks the tail of the whole padded output.
-# They share the splitter kernel with the package; the package's own protocols
-# never form the joint state.
+# Their splitter is the truncated-generator exponential above, one Jacobi
+# eigensolve per total photon number, not the package's recursion; the
+# package's own protocols never form the joint state.
 
 def padded_balanced_bs(state, mode_a, mode_b):
     """Balanced splitter on zero-padded modes, with the joint output's tail check."""

@@ -11,7 +11,6 @@ from esvsim import (
     EsvSpec,
     MinorSelector,
     SqueezeSpec,
-    apply_beamsplitter,
     bs_loss,
     canonical_indices,
     esv_pure,
@@ -27,7 +26,7 @@ from esvsim import (
 from esvsim.fock import DensityMatrix, FockVector, ModeLayout
 from esvsim.protocols import controlled_phase
 
-from oracles import partial_trace, random_product_dm
+from oracles import apply_beamsplitter, partial_trace, random_product_dm
 
 
 def random_state(dims, rng):

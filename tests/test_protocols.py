@@ -25,11 +25,11 @@ from esvsim import (
     tensor,
     two_mode_squeezed_vacuum,
 )
-from esvsim.fock import FockVector, ModeLayout, _beamsplitter_blocks
+from esvsim.fock import FockVector, ModeLayout, _balanced_splitter_blocks
 from esvsim.protocols import _padded_balanced_bs, controlled_phase
 
-from oracles import (basis_vector, entanglement_swap_padded, heralded_fidelity, partial_trace,
-                     phase_rotation, teleport_padded)
+from oracles import (basis_vector, entanglement_swap_padded, heralded_fidelity, padded_balanced_bs,
+                     partial_trace, phase_rotation, teleport_padded)
 
 HALF = 1 / np.sqrt(2)
 
@@ -122,6 +122,24 @@ def test_teleport_heralding_complement():
     assert p + complement.norm() ** 2 == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("dims, mode_a, mode_b", [((1, 1), 0, 1), ((3, 4), 0, 1), ((6, 2, 2), 0, 1),
+                                                   ((5, 2, 3), 2, 0), ((2, 7, 5, 2), 1, 2)])
+def test_padded_splitter_matches_exponential_oracle(dims, mode_a, mode_b):
+    # random complex input against the eigensolve splitter on the same padding;
+    # the totals the recursion does not build come out as exact zeros
+    rng = np.random.default_rng(29)
+    psi = _random_vector(dims, rng)
+    got = _padded_balanced_bs(psi, mode_a, mode_b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        want = padded_balanced_bs(psi, mode_a, mode_b)
+    assert got.layout == want.layout
+    assert np.abs(got.amps - want.amps).max() < 1e-12
+    n = np.indices(got.layout.dims)
+    unbuilt = (n[mode_a] + n[mode_b] >= got.layout.dims[mode_a]).reshape(-1)
+    assert not got.amps[unbuilt].any()
+
+
 def test_squeezed_vacuum_sign_flip_is_exact():
     # |s-> = (-1)^n |s+> on |2n>, bit for bit: teleport's target a0|s-> + a1|s+>
     # is exactly the pi/2 rotation of its input a0|s+> + a1|s->
@@ -192,7 +210,7 @@ def test_splitter_tail_decision_matches_padded_circuit(s, cutoff):
 
 
 def _peak_mb(protocol, *args):
-    _beamsplitter_blocks.cache_clear()      # the cold call, splitter blocks included
+    _balanced_splitter_blocks.cache_clear()     # the cold call, splitter blocks included
     tracemalloc.start()
     try:
         protocol(*args)
