@@ -6,6 +6,12 @@ contains no numerics.  Parameters are given as ``name=value`` or
 declared parameter order, and values are printed with 12 significant
 digits, so reruns of the same command are byte-identical.
 
+Each command prepares shared work once per point of its leading (outer)
+parameters and then evaluates every row below it: one squeezed vacuum per
+``s`` (``eof-surface``), one channel output and LN curve per ``(s, sigma)``
+(``ln-thermal``, ``ln-phase``) and one state per ``(s, phi)``
+(``ent-power``); the other commands prepare nothing and evaluate point-wise.
+
 Every truncation check warns `TruncationWarning`; ``--strict`` runs the sweep
 under ``warnings.simplefilter("error", TruncationWarning)``, so on every
 command a flagged tail becomes a numeric-guard error.
@@ -18,6 +24,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import warnings
@@ -83,7 +90,8 @@ class SweepResult:
 class _Command:
     params: dict[str, tuple[float, float, int]]   # name -> default range
     diagnostics: tuple[str, ...]
-    evaluate: "callable"
+    prepare: "callable"   # (cutoff, *outer values) -> evaluate(*inner values) -> diagnostics
+    outer: int = 0        # how many leading params prepare takes
 
 
 def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
@@ -92,125 +100,101 @@ def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-# --- per-command evaluators: point dict -> tuple of diagnostics ------------
+# --- per-command preparation -------------------------------------------------
+# Library functions are looked up by module-global name when called, never
+# bound at import, so a profiler that rebinds them sees every call.
 
-def _eval_eof(point, cutoff, cache):
-    # phi is the inner grid axis: keep the EoF curve of the current s only
-    if point["s"] not in cache:
-        cache.clear()
-        cache[point["s"]] = esv_pure_eof_curve(point["s"], cutoff)
-    return (cache[point["s"]](point["phi"]),)
-
-
-def _noisy_ln(point, cutoff, cache, channel):
-    # phi is the innermost grid axis: keep the LN curve of the current (s, sigma) only
-    key = (point["s"], point["sigma"])
-    if key not in cache:
-        cache.clear()
-        psi = squeezed_vacuum(SqueezeSpec(point["s"], cutoff))
-        rho = channel(psi.normalized().density(), point["sigma"])
-        cache[key] = esv_mixed_ln_curve(rho, rho)
-    return (cache[key](point["phi"]),)
+def _prepare_eof(cutoff, s):
+    curve = esv_pure_eof_curve(s, cutoff)
+    return lambda phi: (curve(phi),)
 
 
-def _eval_ln_thermal(point, cutoff, cache):
-    return _noisy_ln(point, cutoff, cache, thermal_channel)
+def _prepare_noisy_ln(channel, cutoff, s, sigma):
+    rho = channel(squeezed_vacuum(SqueezeSpec(s, cutoff)).normalized().density(), sigma)
+    curve = esv_mixed_ln_curve(rho, rho)
+    return lambda phi: (curve(phi),)
 
 
-def _eval_ln_phase(point, cutoff, cache):
-    return _noisy_ln(point, cutoff, cache, phase_channel)
+def _prepare_ent_power(cutoff, s, phi):
+    state = esv_pure(EsvSpec(s, phi, cutoff))
+    return lambda tau: (entangling_power(state, tau),)
 
 
-def _eval_ent_power(point, cutoff, cache):
-    # tau is the innermost grid axis: keep the state of the current (s, phi) only
-    key = (point["s"], point["phi"])
-    if key not in cache:
-        cache.clear()
-        cache[key] = esv_pure(EsvSpec(point["s"], point["phi"], cutoff))
-    return (entangling_power(cache[key], point["tau"]),)
-
-
-def _eval_criteria(point, cutoff, cache):
-    state = esv_pure(EsvSpec(point["s"], point["phi"], cutoff))
+def _criteria(state):
     return (simon_det(state), duan_det(state), esv_criterion_det(state))
 
 
-def _eval_swap(point, cutoff, cache):
-    return entanglement_swap(point["s"], cutoff)
-
-
-def _amp_pair(point) -> QubitAmplitudes:
-    a = complex(point["a0"]), complex(point["a1"])
-    norm = np.sqrt(abs(a[0]) ** 2 + abs(a[1]) ** 2)
+def _amp_pair(a0: float, a1: float) -> QubitAmplitudes:
+    # hypot neither overflows nor underflows where the sum of squares would
+    norm = math.hypot(abs(a0), abs(a1))
     if norm == 0:
         raise ValueError("a0 = a1 = 0 is not a state")
-    return QubitAmplitudes(a[0] / norm, a[1] / norm)
+    return QubitAmplitudes(complex(a0) / norm, complex(a1) / norm)
 
 
-def _eval_teleport(point, cutoff, cache):
-    return teleport(_amp_pair(point), point["s"], cutoff)
-
-
-def _eval_generate(point, cutoff, cache):
-    anc = _amp_pair(point)
-    state_a, p_plus = generate_scheme_a(point["s"], anc, "+", cutoff)
-    _, p_minus = generate_scheme_a(point["s"], anc, "-", cutoff)
-    state_b, _ = generate_scheme_b(point["s"], anc, "+", cutoff)
-    target = esv_pure(EsvSpec(point["s"], 0.0, cutoff))
+def _generate(s, a0, a1, cutoff):
+    anc = _amp_pair(a0, a1)
+    state_a, p_plus = generate_scheme_a(s, anc, "+", cutoff)
+    _, p_minus = generate_scheme_a(s, anc, "-", cutoff)
+    state_b, _ = generate_scheme_b(s, anc, "+", cutoff)
+    target = esv_pure(EsvSpec(s, 0.0, cutoff))
     return (p_plus, p_minus, fidelity(state_a, state_b), fidelity(state_a, target))
 
 
-def _eval_overlap(point, cutoff, cache):
-    return (displaced_overlap(0.0, point["d"], point["r"]),)
-
+_QUBIT = {"s": (1.0, 1.0, 1), "a0": (0.7071067811865476, 0.7071067811865476, 1),
+          "a1": (0.7071067811865476, 0.7071067811865476, 1)}
 
 COMMANDS: dict[str, _Command] = {
     "eof-surface": _Command(
-        {"s": (0.05, 2.0, 20), "phi": (0.0, TWO_PI, 16)}, ("eof",), _eval_eof),
+        {"s": (0.05, 2.0, 20), "phi": (0.0, TWO_PI, 16)}, ("eof",), _prepare_eof, outer=1),
     "ln-thermal": _Command(
-        {"s": (1.0, 1.0, 1), "sigma": (0.0, 2.0, 5), "phi": (0.0, TWO_PI, 8)},
-        ("ln",), _eval_ln_thermal),
+        {"s": (1.0, 1.0, 1), "sigma": (0.0, 2.0, 5), "phi": (0.0, TWO_PI, 8)}, ("ln",),
+        lambda cutoff, s, sigma: _prepare_noisy_ln(thermal_channel, cutoff, s, sigma), outer=2),
     "ln-phase": _Command(
-        {"s": (1.0, 1.0, 1), "sigma": (0.0, 1.0, 5), "phi": (0.0, TWO_PI, 8)},
-        ("ln",), _eval_ln_phase),
+        {"s": (1.0, 1.0, 1), "sigma": (0.0, 1.0, 5), "phi": (0.0, TWO_PI, 8)}, ("ln",),
+        lambda cutoff, s, sigma: _prepare_noisy_ln(phase_channel, cutoff, s, sigma), outer=2),
     "ent-power": _Command(
         {"s": (1.1, 1.1, 1), "phi": (0.0, 0.0, 1), "tau": (0.0, 10.0, 21)},
-        ("value",), _eval_ent_power),
+        ("value",), _prepare_ent_power, outer=2),
     "criteria": _Command(
-        {"s": (0.2, 1.0, 3), "phi": (0.0, np.pi, 3)},
-        ("simon", "duan", "esv_criterion"), _eval_criteria),
+        {"s": (0.2, 1.0, 3), "phi": (0.0, np.pi, 3)}, ("simon", "duan", "esv_criterion"),
+        lambda cutoff: lambda s, phi: _criteria(esv_pure(EsvSpec(s, phi, cutoff)))),
     "swap": _Command(
-        {"s": (1.0, 1.0, 1)}, ("probability", "fidelity"), _eval_swap),
+        {"s": (1.0, 1.0, 1)}, ("probability", "fidelity"),
+        lambda cutoff: lambda s: entanglement_swap(s, cutoff)),
     "teleport": _Command(
-        {"s": (1.0, 1.0, 1), "a0": (0.7071067811865476, 0.7071067811865476, 1),
-         "a1": (0.7071067811865476, 0.7071067811865476, 1)},
-        ("probability", "fidelity"), _eval_teleport),
+        _QUBIT, ("probability", "fidelity"),
+        lambda cutoff: lambda s, a0, a1: teleport(_amp_pair(a0, a1), s, cutoff)),
     "generate": _Command(
-        {"s": (1.0, 1.0, 1), "a0": (0.7071067811865476, 0.7071067811865476, 1),
-         "a1": (0.7071067811865476, 0.7071067811865476, 1)},
-        ("p_plus", "p_minus", "fid_schemes", "fid_esv"), _eval_generate),
+        _QUBIT, ("p_plus", "p_minus", "fid_schemes", "fid_esv"),
+        lambda cutoff: lambda s, a0, a1: _generate(s, a0, a1, cutoff)),
     "overlap": _Command(
-        {"d": (2.0, 2.0, 1), "r": (0.0, 2.0, 41)}, ("overlap",), _eval_overlap),
+        {"d": (2.0, 2.0, 1), "r": (0.0, 2.0, 41)}, ("overlap",),
+        lambda cutoff: lambda d, r: (displaced_overlap(0.0, d, r),)),
 }
 
 
 def run(config: SweepConfig) -> SweepResult:
-    """Evaluate the sweep; rows come out in row-major grid order."""
+    """Evaluate the sweep; rows come out in row-major grid order.
+
+    The command's `prepare` runs once per point of its outer parameters, and
+    the `evaluate` it returns once per row of the inner grid below that point.
+    """
     cmd = COMMANDS[config.command]
-    ranges = {name: config.ranges.get(name, default) for name, default in cmd.params.items()}
-    axes = [(_grid(*ranges[name]), name) for name in cmd.params]
+    axes = [tuple(float(v) for v in _grid(*config.ranges.get(name, default)))
+            for name, default in cmd.params.items()]
     result = SweepResult(header=list(cmd.params) + list(cmd.diagnostics))
-    cache: dict = {}
     with warnings.catch_warnings():
         if config.strict:
             warnings.simplefilter("error", TruncationWarning)
-        for values in product(*(axis for axis, _ in axes)):
-            point = {name: float(v) for v, (_, name) in zip(values, axes)}
-            diag = cmd.evaluate(point, config.cutoff, cache)
-            row = tuple(point[name] for name in cmd.params) + tuple(float(x) for x in diag)
-            if not all(np.isfinite(row)):
-                raise ValueError(f"non-finite diagnostic at {point}")
-            result.rows.append(row)
+        for outer in product(*axes[:cmd.outer]):
+            evaluate = cmd.prepare(config.cutoff, *outer)
+            for inner in product(*axes[cmd.outer:]):
+                row = outer + inner + tuple(float(x) for x in evaluate(*inner))
+                if not all(np.isfinite(row)):
+                    raise ValueError(f"non-finite diagnostic at {dict(zip(cmd.params, row))}")
+                result.rows.append(row)
+            del evaluate   # free this preparation before the next one is built
     return result
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from esvsim import (
     squeezed_vacuum,
     thermal_channel,
 )
-from esvsim.cli import COMMANDS, SweepConfig, UsageError, _eval_eof, _noisy_ln, emit_csv, main, run
+from esvsim.cli import COMMANDS, SweepConfig, UsageError, emit_csv, main, run
 from esvsim.measures import esv_mixed_log_negativity, esv_pure_eof_curve
 
 RECORD_DIR = Path(__file__).resolve().parents[1] / "bench" / "record"
@@ -176,8 +177,8 @@ def test_strict_reaches_the_splitter_tail_of_the_term_sums():
 
 # The seed-0 README command lines and their stored CSVs in bench/record.
 # ln-thermal and ln-phase are left out: their record predates the
-# closed-form noise channels.  ROADMAP item 2 rewrites the record, and this
-# test with it.
+# closed-form noise channels.  ROADMAP item 1 rewrites their record, and
+# this test with it.
 RECORDED = [
     ["eof-surface", "s=0.05..5:40", "phi=0..6.283185307179586:40", "--cutoff", "40"],
     ["criteria", "s=0.2..1:3", "phi=0..3.141592653589793:3"],
@@ -235,6 +236,19 @@ def test_teleport_and_generate_commands(tmp_path):
     assert rows[0][3] + rows[0][4] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("command", ["teleport", "generate"])
+@pytest.mark.parametrize("a0, a1", [("1e200", "0"), ("1e-200", "0"), ("1e200", "1e-200")])
+def test_ancilla_amplitudes_normalize_without_overflow(command, a0, a1):
+    # the sum of squares overflows at 1e200 and underflows to 0 at 1e-200
+    def diagnostics(*amps):
+        rc, text = _main_stdout([command, "s=1", *amps, "--cutoff", "10"])
+        assert rc == 0
+        return text.splitlines()[1].split(",")[3:]
+
+    assert diagnostics(f"a0={a0}", f"a1={a1}") == diagnostics("a0=1", "a1=0")
+    assert main([command, "a0=0", "a1=0", "--cutoff", "10"]) == 3
+
+
 def test_ent_power_commands(tmp_path):
     out = tmp_path / "ep.csv"
     assert main(["ent-power", "tau=0..2:3", "--cutoff", "16", "--out", str(out)]) == 0
@@ -280,25 +294,43 @@ def test_noisy_ln_rows_match_joint_state_oracle(tmp_path, command, channel):
         assert abs(row[3] - log_negativity(esv_mixed(rho, rho, phi), [1])) <= 1e-10
 
 
-def test_noisy_ln_caches_one_curve_across_a_sigma_axis():
-    # phi is the innermost axis: a new (s, sigma) replaces the cached curve
-    cache = {}
-    for sigma in (0.0, 0.5, 1.0):
-        for phi in (0.0, 1.0, 2.5):
-            (value,) = _noisy_ln({"s": 0.8, "sigma": sigma, "phi": phi}, 10, cache, thermal_channel)
-            assert list(cache) == [(0.8, sigma)]
-            rho = thermal_channel(squeezed_vacuum(SqueezeSpec(0.8, 10)).normalized().density(), sigma)
-            assert value == esv_mixed_log_negativity(rho, rho, phi)
+def _ln_oracle(channel):
+    def ln(s, sigma, phi):
+        rho = channel(squeezed_vacuum(SqueezeSpec(s, 10)).normalized().density(), sigma)
+        return esv_mixed_log_negativity(rho, rho, phi)
+    return ln
 
 
-def test_eof_surface_caches_one_curve_per_s():
-    # phi is the innermost axis: a new s replaces the cached curve
-    cache = {}
-    for s in (0.0, 0.4, 1.7):
-        for phi in (0.0, 1.0, 2.5):
-            (value,) = _eval_eof({"s": s, "phi": phi}, 16, cache)
-            assert list(cache) == [s]
-            assert value == esv_pure_eof_curve(s, 16)(phi)
+# last column of a row from its parameters, at cutoff 10
+ROW_ORACLES = {
+    "eof-surface": lambda s, phi: esv_pure_eof_curve(s, 10)(phi),
+    "ln-thermal": _ln_oracle(thermal_channel),
+    "ln-phase": _ln_oracle(phase_channel),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_prepare_runs_once_per_outer_point(command, monkeypatch):
+    # two distinct values on every axis: a default range with lo == hi repeats
+    # its value, and with it an outer point
+    cmd = COMMANDS[command]
+    ranges = {name: (lo, lo + 0.5, 2) for name, (lo, _, _) in cmd.params.items()}
+    calls = []
+
+    def counting_prepare(cutoff, *outer):
+        calls.append(outer)
+        return cmd.prepare(cutoff, *outer)
+
+    monkeypatch.setitem(COMMANDS, command, dataclasses.replace(cmd, prepare=counting_prepare))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        rows = run(SweepConfig(command, ranges, cutoff=10)).rows
+    assert len(rows) == 2 ** len(cmd.params)
+    assert calls == list(dict.fromkeys(row[:cmd.outer] for row in rows))
+    assert len(calls) == 2 ** cmd.outer
+    if command in ROW_ORACLES:
+        for row in rows:
+            assert row[-1] == ROW_ORACLES[command](*row[:-1])
 
 
 def _run_python(code):
@@ -319,16 +351,19 @@ def test_cli_import_loads_no_scipy():
                                   ["ent-power", "tau=0..8:3", "--cutoff", "10"],
                                   ["criteria", "s=0.5", "phi=0..3.14:2", "--cutoff", "12"],
                                   ["teleport", "s=1", "a0=0.6", "a1=0.8", "--cutoff", "12"],
+                                  ["teleport", "s=1", "a0=1", "a1=0", "--cutoff", "40"],
                                   ["ln-thermal", "s=1", "sigma=0..1:2", "phi=0..6.28:3", "--cutoff", "10"],
                                   ["ln-thermal", "s=1", "sigma=0.5", "phi=0..6.28:3", "--cutoff", "11"],
                                   ["ln-phase", "sigma=0..1:2", "phi=0..6.28:3", "--cutoff", "10"],
                                   ["eof-surface", "s=0.05..2:3", "phi=0..6.28:3", "--cutoff", "10"],
                                   ["generate", "s=0.8", "--cutoff", "10"],
                                   ["overlap", "d=2", "r=0..2:3"]],
-                         ids=["swap", "ent-power", "criteria", "teleport", "ln-thermal",
-                              "ln-thermal-odd-cutoff", "ln-phase", "eof-surface", "generate", "overlap"])
+                         ids=["swap", "ent-power", "criteria", "teleport", "teleport-padded-79",
+                              "ln-thermal", "ln-thermal-odd-cutoff", "ln-phase", "eof-surface",
+                              "generate", "overlap"])
 def test_swap_runs_with_scipy_unavailable(argv, capsys):
-    # padded beam splitter and odd-odd projector (swap, teleport, generate), JC
+    # padded beam splitter and odd-odd projector (swap, teleport, generate; 79
+    # padded levels at teleport cutoff 40, the largest README size), JC
     # Kraus maps (ent-power), moment minors (criteria), noise channels and the
     # factor-block log-negativity with its swap halves (ln-thermal, ln-phase; at
     # cutoff 11 the even and odd factor blocks differ in size), the Gram-matrix
