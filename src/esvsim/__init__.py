@@ -17,11 +17,9 @@ from .measures import eof_pure, esv_mixed_log_negativity, log_negativity, two_qu
 from .protocols import (
     KerrSpec,
     QubitAmplitudes,
-    controlled_phase,
     entanglement_swap,
     generate_scheme_a,
     generate_scheme_b,
-    odd_odd_projector,
     teleport,
 )
 from .separability import (

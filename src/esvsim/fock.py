@@ -39,7 +39,6 @@ __all__ = [
     "annihilator",
     "tensor",
     "partial_transpose",
-    "resize_mode",
     "moment",
     "hermitian_blocks",
     "fidelity",
@@ -265,20 +264,6 @@ def _apply_blocks(t: np.ndarray, axes: Sequence[int], blocks) -> np.ndarray:
     return np.transpose(out.reshape(moved.shape), np.argsort(order))
 
 
-def _apply_unitary(state, modes: Sequence[int], blocks):
-    """Apply a unitary, given as `_apply_blocks` pairs, to modes: U|psi> or U rho U†.
-
-    A density matrix takes U on its ket axes and conj(U) on its bra axes.
-    """
-    if isinstance(state, FockVector):
-        return FockVector(state.layout, _apply_blocks(state.as_tensor(), modes, blocks).reshape(-1))
-    dims = state.layout.dims
-    n = len(dims)
-    t = _apply_blocks(state.mat.reshape(dims + dims), modes, blocks)
-    t = _apply_blocks(t, [m + n for m in modes], [(rows, b.conj()) for rows, b in blocks])
-    return DensityMatrix(state.layout, t.reshape(state.mat.shape))
-
-
 # ---------------------------------------------------------------------------
 # tensor structure
 # ---------------------------------------------------------------------------
@@ -315,24 +300,6 @@ def partial_transpose(state: DensityMatrix, modes: Iterable[int]) -> DensityMatr
         perm[m], perm[m + n] = perm[m + n], perm[m]
     d = state.layout.total_dim
     return DensityMatrix(state.layout, np.transpose(t, perm).reshape(d, d))
-
-
-def resize_mode(state: FockVector, mode: int, dim: int) -> FockVector:
-    """Zero-pad (or truncate) one mode of a pure state to a new cutoff.
-
-    Padding is exact.  Truncation discards the amplitudes above the new
-    cutoff, so the result may need renormalization; callers own that choice.
-    """
-    mode = state.layout.check_mode(mode)
-    dims = list(state.layout.dims)
-    if dim == dims[mode]:
-        return state
-    sel = [slice(None)] * len(dims)
-    sel[mode] = slice(0, min(dims[mode], dim))
-    dims[mode] = int(dim)
-    t = np.zeros(dims, dtype=complex)
-    t[tuple(sel)] = state.as_tensor()[tuple(sel)]
-    return FockVector(ModeLayout(tuple(dims)), t.reshape(-1))
 
 
 # ---------------------------------------------------------------------------

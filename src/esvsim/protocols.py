@@ -1,22 +1,25 @@
 """Heralded protocols: entanglement swapping, teleportation, and two
 ancilla-assisted generation schemes for entangled squeezed vacua.
 
-All protocols are simulated as circuits: beam splitters, diagonal
-controlled-phase gates, projective measurements.  A beam splitter inside a
-protocol acts on a zero-padded mode pair (each mode enlarged to hold the
-full total-photon-number range of the pair), through the ideal balanced
-splitter blocks of `fock._balanced_splitter_blocks` on every total the
-padded input can reach, so it is exact; outputs are truncated back to the
-caller's cutoff at the end.
+Every protocol is a sum of two-mode amplitude arrays, with E and O the
+squeezed vacuum on |4k> and on |4k + 2> (`states._parity_split`), so
+|s±> = E ± O.  No protocol forms a state of more than two oscillator modes
+or carries a qubit ancilla as a mode.  The beam splitter acts on two-mode
+arrays stacked on a trailing axis, each mode zero-padded to hold the full
+total-photon-number range of the pair (`_split_padded`), through the ideal
+balanced splitter blocks of `fock._balanced_splitter_blocks` on every total
+the padded input can reach, so it is exact; outputs are truncated back to
+the caller's cutoff at the end.
 
-Swapping and teleportation never form their joint state.  With E and O the
-squeezed vacuum on |4k> and on |4k + 2>, |s±> = E ± O, so the resources are
+The generation schemes keep one two-mode branch per ancilla basis state;
+measuring the ancilla in the |±> basis leaves (b0 ± b1)/sqrt(2)
+(`_conditional`).  Swapping and teleportation write their resources as
 finite sums of product terms: |Psi(pi)> ∝ O⊗E - E⊗O and the aligned state
 |Phi(pi)> ∝ E⊗O + O⊗E.  Each term's two-mode vector that meets the splitter
-goes through the padded splitter and the odd-odd projection on its own, and
-the heralding probability, the fidelity and the splitter's tail mass are
-Gram sums over the terms (`_herald`).  Fidelities are taken against the
-target at the caller's cutoff; no reduced density matrix is formed.
+goes through the padded splitter and the odd-odd projection, and the
+heralding probability, the fidelity and the splitter's tail mass are Gram
+sums over the terms (`_herald`).  Fidelities are taken against the target
+at the caller's cutoff; no reduced density matrix is formed.
 """
 
 from __future__ import annotations
@@ -25,25 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (
-    FockVector,
-    ModeLayout,
-    _apply_unitary,
-    _balanced_splitter_blocks,
-    _band_mask,
-    _warn_tail,
-    check_tail,
-    resize_mode,
-    tensor,
-)
-from .states import (_DEGENERATE, _ZERO_NORM, EsvSpec, SqueezeSpec, _superpose, esv_aligned,
-                     squeezed_vacuum, two_mode_squeezed_vacuum)
+from .fock import FockVector, ModeLayout, _apply_blocks, _balanced_splitter_blocks, _band_mask, _warn_tail
+from .states import (_DEGENERATE, _ZERO_NORM, EsvSpec, _pair, _parity_split, _superpose, esv_aligned,
+                     two_mode_squeezed_vacuum)
 
 __all__ = [
     "QubitAmplitudes",
     "KerrSpec",
-    "odd_odd_projector",
-    "controlled_phase",
     "entanglement_swap",
     "teleport",
     "generate_scheme_a",
@@ -59,6 +50,8 @@ class QubitAmplitudes:
     a1: complex
 
     def __post_init__(self):
+        if not (np.isfinite(self.a0) and np.isfinite(self.a1)):
+            raise ValueError("qubit amplitudes must be finite")
         norm = abs(self.a0) ** 2 + abs(self.a1) ** 2
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"|a0|^2 + |a1|^2 = {norm:.14f} is not 1")
@@ -75,72 +68,19 @@ class KerrSpec:
             raise ValueError("gamma must be finite")
 
 
-def odd_odd_projector(state: FockVector, modes: tuple[int, int]) -> tuple[FockVector, float]:
-    """Project onto odd photon number in both selected modes.
+def _split_padded(pairs: np.ndarray) -> np.ndarray:
+    """Balanced splitter on every (d_a, d_b) slice of a (d_a, d_b, k) array; exact.
 
-    Returns the unnormalized projected vector and the outcome probability
-    (its squared norm).
+    Both modes are zero-padded to d_a + d_b - 1 levels, so the largest input
+    total, d_a + d_b - 2, is below the padded cutoff and the builder's blocks
+    cover every total the input reaches.  Returns the (big, big, k) output.
+    No tail check here: the caller checks the state it owns.
     """
-    i, j = (state.layout.check_mode(m) for m in modes)
-    if i == j:
-        raise ValueError("projector needs two distinct modes")
-    t = state.as_tensor().copy()
-    for mode in (i, j):
-        np.moveaxis(t, mode, 0)[::2] = 0     # a view: zeroes the even levels of t in place
-    proj = FockVector(state.layout, t.reshape(-1))
-    return proj, float(proj.norm() ** 2)
-
-
-def controlled_phase(state, mode: int, control: int, gamma: float, control_value: int = 1):
-    """Diagonal gate e^{i gamma n_mode} applied when the control qubit is set.
-
-    The control must be a two-level mode; control_value selects which of its
-    basis states triggers the phase.
-    """
-    mode = state.layout.check_mode(mode)
-    control = state.layout.check_mode(control)
-    if state.layout.dims[control] != 2:
-        raise ValueError("control mode must have dimension 2")
-    if control_value not in (0, 1):
-        raise ValueError("control_value must be 0 or 1")
-    d = state.layout.dims[mode]
-    phase = np.exp(1j * gamma * np.arange(d))
-    diag = np.ones((d, 2), dtype=complex)
-    diag[:, control_value] = phase
-    u = np.diag(diag.reshape(-1))
-    return _apply_unitary(state, [mode, control], [(slice(None), u)])
-
-
-def _project_qubit(state: FockVector, mode: int, coeffs: np.ndarray) -> tuple[FockVector, float]:
-    """Contract a two-level mode against <coeffs| and drop it."""
-    mode = state.layout.check_mode(mode)
-    t = np.moveaxis(state.as_tensor(), mode, -1)
-    out = t @ coeffs.conj()
-    dims = tuple(d for k, d in enumerate(state.layout.dims) if k != mode)
-    vec = FockVector(ModeLayout(dims), out.reshape(-1))
-    return vec, float(vec.norm() ** 2)
-
-
-def _padded_balanced_bs(state: FockVector, mode_a: int, mode_b: int) -> FockVector:
-    """Balanced splitter on modes zero-padded to d_a + d_b - 1 levels; exact.
-
-    The largest input total, d_a + d_b - 2, is below the padded cutoff, so
-    the builder's blocks cover every total the input reaches.  No tail
-    check here: the caller checks the state it owns.
-    """
-    big = state.layout.dims[mode_a] + state.layout.dims[mode_b] - 1
-    state = resize_mode(resize_mode(state, mode_a, big), mode_b, big)
-    return _apply_unitary(state, [mode_a, mode_b], _balanced_splitter_blocks(big))
-
-
-def _parity_split(s: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """(E, O): the squeezed vacuum at (s, cutoff) on |4k> and on |4k + 2>.
-
-    |s+> = E + O and |s-> = E - O, bit for bit.
-    """
-    u = squeezed_vacuum(SqueezeSpec(s, cutoff)).amps
-    even = np.where(np.arange(cutoff) % 4 == 0, u, 0)
-    return even, u - even
+    d_a, d_b, k = pairs.shape
+    big = d_a + d_b - 1
+    padded = np.zeros((big, big, k), dtype=complex)
+    padded[:d_a, :d_b] = pairs
+    return _apply_blocks(padded, [0, 1], _balanced_splitter_blocks(big))
 
 
 def _herald(coefs: np.ndarray, kept: np.ndarray, kept_layout: ModeLayout,
@@ -149,10 +89,11 @@ def _herald(coefs: np.ndarray, kept: np.ndarray, kept_layout: ModeLayout,
 
     Each two-mode pair_T = a_T ⊗ b_T, given as `pairs[T] = (a_T, b_T)`, meets
     the padded balanced splitter B (a_T on its first port) and the odd-odd
-    projection P on its own, giving chi_T = P B pair_T; `kept` holds the
-    other modes' vector of each term (one row per term, over `kept_layout`).
-    Writing [x, y] for c† (G_x ∘ G_y) c, with G_x the Gram matrix of the
-    terms' x vectors, p = [kept, chi] / [kept, pair] and
+    projection P, giving chi_T = P B pair_T; all terms go through one stacked
+    `_split_padded` call.  `kept` holds the other modes' vector of each term
+    (one row per term, over `kept_layout`).  Writing [x, y] for
+    c† (G_x ∘ G_y) c, with G_x the Gram matrix of the terms' x vectors,
+    p = [kept, chi] / [kept, pair] and
     F = |sum_T c_T <target|kept_T> chi_T|² / [kept, chi].
 
     The splitter's tail check decides on the band mass of the padded joint
@@ -163,16 +104,19 @@ def _herald(coefs: np.ndarray, kept: np.ndarray, kept_layout: ModeLayout,
     def weight(x, y):
         return float((coefs.conj() @ ((x.conj() @ x.T) * (y.conj() @ y.T)) @ coefs).real)
 
-    inputs = [FockVector(ModeLayout((a.size, b.size)), np.kron(a, b)) for a, b in pairs]
-    outs = [_padded_balanced_bs(vec, 0, 1) for vec in inputs]
-    out = np.array([o.amps for o in outs])
-    chi = np.array([odd_odd_projector(o, (0, 1))[0].amps for o in outs])
-    norm2 = weight(kept, np.array([vec.amps for vec in inputs]))
-    q_kept, q_out = ~_band_mask(kept_layout), ~_band_mask(outs[0].layout)
-    band = weight(kept, out) - weight(kept[:, q_kept], out[:, q_out])
+    def rows(t):     # (..., T) -> one flat row per term
+        return t.reshape(-1, len(pairs)).T
+
+    stacked = np.stack([np.outer(a, b) for a, b in pairs], axis=-1)
+    out = _split_padded(stacked)
+    chi = out.copy()
+    chi[::2] = chi[:, ::2] = 0      # odd photon number in both modes
+    norm2 = weight(kept, rows(stacked))
+    q_kept, q_out = ~_band_mask(kept_layout), ~_band_mask(ModeLayout(out.shape[:2]))
+    band = weight(kept, rows(out)) - weight(kept[:, q_kept], rows(out)[:, q_out])
     _warn_tail(band / norm2, "beam splitter", stacklevel=2)
-    heralded = weight(kept, chi)
-    amp = (coefs * (kept @ target.conj())) @ chi
+    heralded = weight(kept, rows(chi))
+    amp = (coefs * (kept @ target.conj())) @ rows(chi)
     return heralded / norm2, float(np.vdot(amp, amp).real) / heralded
 
 
@@ -224,20 +168,25 @@ def teleport(inp: QubitAmplitudes, s: float, cutoff: int) -> tuple[float, float]
     return _herald(np.ones(2), np.array([odd, even]), ModeLayout((cutoff,)), pairs, target.amps)
 
 
-def _ancilla_vector(ancilla: QubitAmplitudes) -> FockVector:
-    amps = np.array([ancilla.a0, ancilla.a1], dtype=complex)
-    return FockVector(ModeLayout((2,)), amps)
+def _joint_norm2(branches: np.ndarray) -> float:
+    """Squared norm of sum_q branches[..., q] ⊗ |q>, q the ancilla's basis state."""
+    norm2 = float(np.vdot(branches, branches).real)
+    if norm2 == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    return norm2
 
 
-_PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
-_MINUS = np.array([1.0, -1.0]) / np.sqrt(2.0)
+def _conditional(branches: np.ndarray, norm2: float, outcome: str) -> tuple[np.ndarray, float]:
+    """Measure the ancilla of sum_q branches[..., q] ⊗ |q> in the |+-> basis.
 
-
-def _measure_pm(state: FockVector, mode: int, outcome: str) -> tuple[FockVector, float]:
+    Returns the unnormalized conditional state (b0 +- b1)/sqrt(2) and its
+    probability, given the joint state's squared norm.
+    """
     if outcome not in ("+", "-"):
         raise ValueError("outcome must be '+' or '-'")
-    coeffs = _PLUS if outcome == "+" else _MINUS
-    vec, prob = _project_qubit(state, mode, coeffs)
+    sign = 1.0 if outcome == "+" else -1.0
+    vec = (branches[..., 0] + sign * branches[..., 1]) / np.sqrt(2.0)
+    prob = float(np.vdot(vec, vec).real) / norm2
     if prob < 1e-14:
         raise ValueError("conditional state is null for this outcome")
     return vec, prob
@@ -249,14 +198,14 @@ def generate_scheme_a(s: float, ancilla: QubitAmplitudes, outcome: str,
 
     The ancilla toggles a pi/2 phase rotation (cross-Kerr with gamma = pi/2)
     on mode b when it reads 0 and on mode a when it reads 1; measuring it in
-    the |+->-basis leaves a0 |s+,s-> +- a1 |s-,s+> on the modes.
+    the |+->-basis leaves a0 |s+,s-> +- a1 |s-,s+> on the modes.  The
+    rotation maps |s+> to |s->, so the branches are a0 |s+,s-> and
+    a1 |s-,s+>, taken from the parity split.
     """
-    plus = squeezed_vacuum(SqueezeSpec(s, cutoff))
-    state = tensor(tensor(plus, plus), _ancilla_vector(ancilla)).normalized()
-    state = controlled_phase(state, 1, 2, np.pi / 2, control_value=0)
-    state = controlled_phase(state, 0, 2, np.pi / 2, control_value=1)
-    vec, prob = _measure_pm(state, 2, outcome)
-    return vec.normalized(), prob
+    plus, minus = _pair(s, cutoff)
+    branches = np.stack([ancilla.a0 * np.outer(plus, minus), ancilla.a1 * np.outer(minus, plus)], axis=-1)
+    vec, prob = _conditional(branches, _joint_norm2(branches), outcome)
+    return FockVector(ModeLayout((cutoff, cutoff)), vec).normalized(), prob
 
 
 def generate_scheme_b(s: float, ancilla: QubitAmplitudes, outcome: str,
@@ -266,12 +215,15 @@ def generate_scheme_b(s: float, ancilla: QubitAmplitudes, outcome: str,
     With gamma = pi the ancilla's |1> branch flips the sign of the two-mode
     squeezing; the balanced splitter then factors each branch into opposite
     single-mode squeezed vacua, reproducing scheme a's conditional states.
+    The branches a0 TMSV and a1 e^{i gamma n_b} TMSV meet the padded
+    splitter in one stacked call, and its tail check reads both.
     """
-    resource = two_mode_squeezed_vacuum(s, cutoff)
-    state = tensor(resource, _ancilla_vector(ancilla)).normalized()
-    state = controlled_phase(state, 1, 2, kerr.gamma, control_value=1)
-    state = _padded_balanced_bs(state, 0, 1)
-    check_tail(state, context="beam splitter")
-    vec, prob = _measure_pm(state, 2, outcome)
-    vec = resize_mode(resize_mode(vec, 0, cutoff), 1, cutoff)
-    return vec.normalized(), prob
+    tmsv = two_mode_squeezed_vacuum(s, cutoff).as_tensor()
+    kerr_phase = np.exp(1j * kerr.gamma * np.arange(cutoff))
+    branches = np.stack([ancilla.a0 * tmsv, ancilla.a1 * tmsv * kerr_phase], axis=-1)
+    norm2 = _joint_norm2(branches)
+    out = _split_padded(branches)
+    band = out[_band_mask(ModeLayout(out.shape[:2])).reshape(out.shape[:2])]
+    _warn_tail(float(np.vdot(band, band).real) / norm2, "beam splitter", stacklevel=2)
+    vec, prob = _conditional(out, norm2, outcome)
+    return FockVector(ModeLayout((cutoff, cutoff)), vec[:cutoff, :cutoff]).normalized(), prob

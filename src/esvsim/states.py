@@ -124,17 +124,28 @@ def squeezed_vacuum(spec: SqueezeSpec) -> FockVector:
     return out
 
 
-def _pair(spec_s: float, cutoff: int):
-    plus = squeezed_vacuum(SqueezeSpec(spec_s, cutoff))
-    minus = squeezed_vacuum(SqueezeSpec(-spec_s, cutoff))
-    return plus, minus
+def _parity_split(s: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """(E, O): the squeezed vacuum at (s, cutoff) on |4k> and on |4k + 2>.
+
+    |s+> = E + O and |s-> = E - O are the squeezed vacua at +s and -s, bit
+    for bit but for the sign of zero amplitudes at s = 0.
+    """
+    u = squeezed_vacuum(SqueezeSpec(s, cutoff)).amps
+    odd = np.zeros_like(u)
+    odd[2::4] = u[2::4]
+    return u - odd, odd
+
+
+def _pair(s: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """(|s+>, |s->) = (E + O, E - O) from one squeezed vacuum."""
+    even, odd = _parity_split(s, cutoff)
+    return even + odd, even - odd
 
 
 def esv_pure(spec: EsvSpec) -> FockVector:
     """|Psi(phi)> = N (|s+>|s-> + e^{i phi} |s->|s+>), normalized."""
     plus, minus = _pair(spec.s, spec.cutoff)
-    return _superpose(np.kron(plus.amps, minus.amps),
-                      np.exp(1j * spec.phi) * np.kron(minus.amps, plus.amps),
+    return _superpose(np.kron(plus, minus), np.exp(1j * spec.phi) * np.kron(minus, plus),
                       (spec.cutoff, spec.cutoff))
 
 
@@ -145,8 +156,7 @@ def esv_aligned(spec: EsvSpec) -> FockVector:
     |Psi(pi)> by a local pi/2 phase rotation on one mode.
     """
     plus, minus = _pair(spec.s, spec.cutoff)
-    return _superpose(np.kron(plus.amps, plus.amps),
-                      np.exp(1j * spec.phi) * np.kron(minus.amps, minus.amps),
+    return _superpose(np.kron(plus, plus), np.exp(1j * spec.phi) * np.kron(minus, minus),
                       (spec.cutoff, spec.cutoff))
 
 

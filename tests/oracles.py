@@ -4,10 +4,10 @@ Everything here is deliberately built from first principles with plain
 dense kron products, explicit factorials, Kraus sums, or covariance-matrix
 algebra, so it shares no code path with the package under test.  The one
 exception is the beam splitter as the exponential of its truncated
-generator (`apply_beamsplitter`) and the padded swap and teleport circuits
-built on it at the end: they apply their blocks through the package's
-operator kernel, because the padded sizes put a dense matrix exponential of
-the whole grid out of reach.
+generator (`apply_beamsplitter`) and the padded swap, teleport and
+generation circuits built on it at the end: they apply their blocks through
+the package's operator kernel, because the padded sizes put a dense matrix
+exponential of the whole grid out of reach.
 """
 
 import math
@@ -16,8 +16,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from esvsim import EsvSpec, esv_aligned, esv_pure, odd_odd_projector, tensor
-from esvsim.fock import _I_POW, _amplitude_matrix, _apply_unitary, check_tail, resize_mode
+from esvsim import (DensityMatrix, EsvSpec, FockVector, KerrSpec, ModeLayout, SqueezeSpec, esv_aligned,
+                    esv_pure, squeezed_vacuum, tensor, two_mode_squeezed_vacuum)
+from esvsim.fock import _I_POW, _amplitude_matrix, _apply_blocks, check_tail
 from esvsim.states import _pair, _superpose
 
 
@@ -109,6 +110,20 @@ def _beamsplitter_blocks(dim_a: int, dim_b: int, theta: float) -> tuple:
         block = _expm_tridiagonal(theta * np.sqrt(m * (total - m + 1)))
         blocks.append((ms * dim_b + total - ms, block))
     return tuple(blocks)
+
+
+def _apply_unitary(state, modes, blocks):
+    """Apply a unitary, given as `_apply_blocks` pairs, to modes: U|psi> or U rho U†.
+
+    A density matrix takes U on its ket axes and conj(U) on its bra axes.
+    """
+    if isinstance(state, FockVector):
+        return FockVector(state.layout, _apply_blocks(state.as_tensor(), modes, blocks).reshape(-1))
+    dims = state.layout.dims
+    n = len(dims)
+    t = _apply_blocks(state.mat.reshape(dims + dims), modes, blocks)
+    t = _apply_blocks(t, [m + n for m in modes], [(rows, b.conj()) for rows, b in blocks])
+    return DensityMatrix(state.layout, t.reshape(state.mat.shape))
 
 
 def apply_beamsplitter(state, mode_a: int, mode_b: int, theta: float = np.pi / 4):
@@ -317,12 +332,69 @@ def entangling_power_joint(state_array, dims, tau):
     return np.einsum("iajbkalb->ijkl", joint.reshape((2, da, 2, db) * 2)).reshape(4, 4)
 
 
-# The padded four-mode circuits of swapping and teleportation: the joint
-# state is formed in full, its splitter modes are zero-padded to 2 cutoff - 1
-# levels, and `apply_beamsplitter` checks the tail of the whole padded output.
-# Their splitter is the truncated-generator exponential above, one Jacobi
-# eigensolve per total photon number, not the package's recursion; the
-# package's own protocols never form the joint state.
+# The padded circuits of swapping, teleportation and generation: the joint
+# state is formed in full, a qubit ancilla is a two-level mode, the splitter
+# modes are zero-padded to d_a + d_b - 1 levels, and `apply_beamsplitter`
+# checks the tail of the whole padded output.  Their splitter is the
+# truncated-generator exponential above, one Jacobi eigensolve per total
+# photon number, not the package's recursion; their ancilla gates and
+# measurements are the diagonal controlled phase and the projection of the
+# ancilla mode.  The package's own protocols never form the joint state and
+# keep the ancilla's branches on a trailing axis instead.
+
+def resize_mode(state, mode, dim):
+    """Zero-pad (or truncate) one mode of a pure state to a new cutoff.
+
+    Padding is exact.  Truncation discards the amplitudes above the new
+    cutoff, so the result may need renormalization; callers own that choice.
+    """
+    mode = state.layout.check_mode(mode)
+    dims = list(state.layout.dims)
+    if dim == dims[mode]:
+        return state
+    sel = [slice(None)] * len(dims)
+    sel[mode] = slice(0, min(dims[mode], dim))
+    dims[mode] = int(dim)
+    t = np.zeros(dims, dtype=complex)
+    t[tuple(sel)] = state.as_tensor()[tuple(sel)]
+    return FockVector(ModeLayout(tuple(dims)), t.reshape(-1))
+
+
+def odd_odd_projector(state, modes):
+    """Project onto odd photon number in both selected modes.
+
+    Returns the unnormalized projected vector and the outcome probability
+    (its squared norm).
+    """
+    i, j = (state.layout.check_mode(m) for m in modes)
+    if i == j:
+        raise ValueError("projector needs two distinct modes")
+    t = state.as_tensor().copy()
+    for mode in (i, j):
+        np.moveaxis(t, mode, 0)[::2] = 0     # a view: zeroes the even levels of t in place
+    proj = FockVector(state.layout, t.reshape(-1))
+    return proj, float(proj.norm() ** 2)
+
+
+def controlled_phase(state, mode, control, gamma, control_value=1):
+    """Diagonal gate e^{i gamma n_mode} applied when the control qubit is set.
+
+    The control must be a two-level mode; control_value selects which of its
+    basis states triggers the phase.
+    """
+    mode = state.layout.check_mode(mode)
+    control = state.layout.check_mode(control)
+    if state.layout.dims[control] != 2:
+        raise ValueError("control mode must have dimension 2")
+    if control_value not in (0, 1):
+        raise ValueError("control_value must be 0 or 1")
+    d = state.layout.dims[mode]
+    phase = np.exp(1j * gamma * np.arange(d))
+    diag = np.ones((d, 2), dtype=complex)
+    diag[:, control_value] = phase
+    u = np.diag(diag.reshape(-1))
+    return _apply_unitary(state, [mode, control], [(slice(None), u)])
+
 
 def padded_balanced_bs(state, mode_a, mode_b):
     """Balanced splitter on zero-padded modes, with the joint output's tail check."""
@@ -351,8 +423,58 @@ def teleport_padded(inp, s, cutoff):
     """(probability, fidelity) of `teleport` on the padded 3-mode joint state."""
     plus, minus = _pair(s, cutoff)
     message = "input superposition is the zero vector"
-    input_state = _superpose(inp.a0 * plus.amps, inp.a1 * minus.amps, (cutoff,), message)
+    input_state = _superpose(inp.a0 * plus, inp.a1 * minus, (cutoff,), message)
     joint = tensor(input_state, esv_aligned(EsvSpec(s, np.pi, cutoff)))
     projected, prob = odd_odd_projector(padded_balanced_bs(joint, 0, 1), (0, 1))
-    target = _superpose(inp.a0 * minus.amps, inp.a1 * plus.amps, (cutoff,), message)
+    target = _superpose(inp.a0 * minus, inp.a1 * plus, (cutoff,), message)
     return prob, heralded_fidelity(projected, [2], prob, target)
+
+
+def _project_qubit(state, mode, coeffs):
+    """Contract a two-level mode against <coeffs| and drop it."""
+    mode = state.layout.check_mode(mode)
+    t = np.moveaxis(state.as_tensor(), mode, -1)
+    out = t @ coeffs.conj()
+    dims = tuple(d for k, d in enumerate(state.layout.dims) if k != mode)
+    vec = FockVector(ModeLayout(dims), out.reshape(-1))
+    return vec, float(vec.norm() ** 2)
+
+
+def _ancilla_vector(ancilla):
+    amps = np.array([ancilla.a0, ancilla.a1], dtype=complex)
+    return FockVector(ModeLayout((2,)), amps)
+
+
+_PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
+_MINUS = np.array([1.0, -1.0]) / np.sqrt(2.0)
+
+
+def _measure_pm(state, mode, outcome):
+    if outcome not in ("+", "-"):
+        raise ValueError("outcome must be '+' or '-'")
+    coeffs = _PLUS if outcome == "+" else _MINUS
+    vec, prob = _project_qubit(state, mode, coeffs)
+    if prob < 1e-14:
+        raise ValueError("conditional state is null for this outcome")
+    return vec, prob
+
+
+def generate_scheme_a_circuit(s, ancilla, outcome, cutoff):
+    """`generate_scheme_a` on the 3-mode state of the two vacua and the ancilla."""
+    plus = squeezed_vacuum(SqueezeSpec(s, cutoff))
+    state = tensor(tensor(plus, plus), _ancilla_vector(ancilla)).normalized()
+    state = controlled_phase(state, 1, 2, np.pi / 2, control_value=0)
+    state = controlled_phase(state, 0, 2, np.pi / 2, control_value=1)
+    vec, prob = _measure_pm(state, 2, outcome)
+    return vec.normalized(), prob
+
+
+def generate_scheme_b_circuit(s, ancilla, outcome, cutoff, kerr=KerrSpec(np.pi)):
+    """`generate_scheme_b` on the padded 3-mode state of the resource and the ancilla."""
+    resource = two_mode_squeezed_vacuum(s, cutoff)
+    state = tensor(resource, _ancilla_vector(ancilla)).normalized()
+    state = controlled_phase(state, 1, 2, kerr.gamma, control_value=1)
+    state = padded_balanced_bs(state, 0, 1)
+    vec, prob = _measure_pm(state, 2, outcome)
+    vec = resize_mode(resize_mode(vec, 0, cutoff), 1, cutoff)
+    return vec.normalized(), prob

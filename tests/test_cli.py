@@ -165,8 +165,10 @@ def test_strict_is_warnings_as_errors(command, s, cutoff, sigma):
 
 def test_strict_reaches_the_splitter_tail_of_the_term_sums():
     # at s = 0.3, cutoff 16 every squeezed vacuum passes its tail check; only
-    # the padded splitter output, read off the Gram sums, fails it
-    for argv in (["swap", "s=0.3", "--cutoff", "16"], ["teleport", "s=0.3", "--cutoff", "16"]):
+    # the padded splitter output, read off the Gram sums, fails it.  At cutoff 6
+    # the inputs carry no band, and only the stacked branches of scheme b warn
+    for argv in (["swap", "s=0.3", "--cutoff", "16"], ["teleport", "s=0.3", "--cutoff", "16"],
+                 ["generate", "s=0.5", "--cutoff", "6"]):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", TruncationWarning)
             assert _main_stdout(argv)[0] == 0

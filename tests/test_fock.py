@@ -17,12 +17,12 @@ from esvsim import (
     tail_mass,
     tensor,
 )
-from esvsim.fock import _balanced_splitter_blocks, resize_mode
-from esvsim.protocols import controlled_phase
+from esvsim.fock import _balanced_splitter_blocks
 from esvsim.states import EsvSpec, SqueezeSpec, esv_pure, squeezed_vacuum, two_mode_squeezed_vacuum
 
 from oracles import (_beamsplitter_blocks, _expm_tridiagonal, apply_beamsplitter, basis_vector,
-                     beamsplitter_matrix, kron_moment, partial_trace, phase_rotation, squeezed_amplitudes)
+                     beamsplitter_matrix, controlled_phase, kron_moment, partial_trace, phase_rotation,
+                     resize_mode, squeezed_amplitudes)
 
 
 def test_layout_validation():
@@ -53,7 +53,7 @@ def test_squeeze_gate_mean_photon_number():
 
 
 def test_gate_unitarity_preserves_norm():
-    # the library's gates: beam splitters at any angle and the controlled phase
+    # the circuit gates: beam splitters at any angle and the controlled phase
     v = tensor(tensor(squeezed_vacuum(SqueezeSpec(0.6, 20)), squeezed_vacuum(SqueezeSpec(-0.4, 20))),
                FockVector(ModeLayout((2,)), [0.6, 0.8j]))
     for theta in (np.pi / 4, 0.3, -1.1):

@@ -24,9 +24,8 @@ from esvsim import (
     two_mode_squeezed_vacuum,
 )
 from esvsim.fock import DensityMatrix, FockVector, ModeLayout
-from esvsim.protocols import controlled_phase
 
-from oracles import apply_beamsplitter, partial_trace, random_product_dm
+from oracles import apply_beamsplitter, controlled_phase, partial_trace, random_product_dm
 
 
 def random_state(dims, rng):

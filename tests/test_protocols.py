@@ -19,16 +19,16 @@ from esvsim import (
     generate_scheme_a,
     generate_scheme_b,
     log_negativity,
-    odd_odd_projector,
     squeezed_vacuum,
     teleport,
     tensor,
     two_mode_squeezed_vacuum,
 )
 from esvsim.fock import FockVector, ModeLayout, _balanced_splitter_blocks
-from esvsim.protocols import _padded_balanced_bs, controlled_phase
+from esvsim.protocols import _split_padded
 
-from oracles import (basis_vector, entanglement_swap_padded, heralded_fidelity, padded_balanced_bs,
+from oracles import (basis_vector, controlled_phase, entanglement_swap_padded, generate_scheme_a_circuit,
+                     generate_scheme_b_circuit, heralded_fidelity, odd_odd_projector, padded_balanced_bs,
                      partial_trace, phase_rotation, teleport_padded)
 
 HALF = 1 / np.sqrt(2)
@@ -38,10 +38,30 @@ def basis_state(dims, occupations):
     return FockVector(ModeLayout(dims), basis_vector(dims, occupations))
 
 
+def _padded_balanced_bs(state, mode_a, mode_b):
+    """`_split_padded` on two modes of a state, the other modes stacked on its trailing axis."""
+    t = np.moveaxis(state.as_tensor(), (mode_a, mode_b), (0, 1))
+    out = _split_padded(t.reshape(t.shape[0], t.shape[1], -1))
+    out = np.moveaxis(out.reshape(out.shape[:2] + t.shape[2:]), (0, 1), (mode_a, mode_b))
+    return FockVector(ModeLayout(out.shape), out.reshape(-1))
+
+
 def test_qubit_amplitudes_validation():
     QubitAmplitudes(HALF, HALF * 1j)
     with pytest.raises(ValueError):
         QubitAmplitudes(1.0, 0.5)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), complex(0.0, float("nan")),
+                                 complex(float("inf"), 0.0)])
+@pytest.mark.parametrize("slot", [0, 1])
+def test_qubit_amplitudes_reject_non_finite(bad, slot):
+    # NaN compares False with the norm tolerance, so it must be caught on its own
+    amps = [bad, 0.0] if slot == 0 else [0.0, bad]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="finite"):
+            QubitAmplitudes(*amps)
 
 
 def test_odd_odd_projector_basis_cases():
@@ -207,6 +227,39 @@ def test_splitter_tail_decision_matches_padded_circuit(s, cutoff):
     for protocol, oracle, args in ((entanglement_swap, entanglement_swap_padded, (s, cutoff)),
                                    (teleport, teleport_padded, (inp, s, cutoff))):
         assert _values_and_contexts(protocol, *args)[1] == _values_and_contexts(oracle, *args)[1]
+
+
+def _value_or_error(protocol, *args):
+    """protocol(*args), or the message of the ValueError it raises."""
+    try:
+        return protocol(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(scheme_b=st.booleans(), s=st.floats(-3.0, 3.0), cutoff=st.integers(4, 30),
+       theta=st.floats(0.0, np.pi / 2), alpha=st.floats(-np.pi, np.pi), beta=st.floats(-np.pi, np.pi),
+       outcome=st.sampled_from("+-"), gamma=st.floats(-2 * np.pi, 2 * np.pi))
+def test_branch_sums_match_generation_circuit_oracle(scheme_b, s, cutoff, theta, alpha, beta, outcome,
+                                                      gamma):
+    # the stacked two-mode branches against the 3-mode circuit with a qubit ancilla
+    anc = QubitAmplitudes(np.cos(theta) * np.exp(1j * alpha), np.sin(theta) * np.exp(1j * beta))
+    args = (s, anc, outcome, cutoff) + ((KerrSpec(gamma),) if scheme_b else ())
+    pair = ((generate_scheme_b, generate_scheme_b_circuit) if scheme_b
+            else (generate_scheme_a, generate_scheme_a_circuit))
+    (got, contexts), (want, contexts_want) = (_values_and_contexts(_value_or_error, protocol, *args)
+                                              for protocol in pair)
+    assert contexts == contexts_want
+    if isinstance(want, str):     # the same ValueError, after the same warnings
+        assert got == want
+        return
+    (state, p), (state_want, p_want) = got, want
+    assert state.layout == state_want.layout
+    # the conditional state is normalized from a vector of norm sqrt(p), so the
+    # branches' rounding grows as 1/sqrt(p) on near-null outcomes
+    assert np.abs(state.amps - state_want.amps).max() <= 1e-12 + 1e-15 / np.sqrt(p_want)
+    assert abs(p - p_want) <= 1e-12
 
 
 def _peak_mb(protocol, *args):
