@@ -54,16 +54,12 @@ def jc_unitary(spec: JcSpec) -> np.ndarray:
     the matrix is exactly unitary at any truncation.
     """
     d = spec.cutoff
+    n = np.arange(1, d)
+    theta = spec.tau * np.sqrt(n)
+    g, e = n, d + n - 1     # |g, n> and |e, n-1>
     u = np.eye(2 * d, dtype=complex)
-    for n in range(1, d):
-        c = np.cos(spec.tau * np.sqrt(n))
-        s = np.sin(spec.tau * np.sqrt(n))
-        ig = n            # |g, n>
-        ie = d + n - 1    # |e, n-1>
-        u[ig, ig] = c
-        u[ie, ie] = c
-        u[ie, ig] = -1j * s
-        u[ig, ie] = -1j * s
+    u[g, g] = u[e, e] = np.cos(theta)
+    u[e, g] = u[g, e] = -1j * np.sin(theta)
     return u
 
 
@@ -77,7 +73,9 @@ def entangling_power(state: FockVector | DensityMatrix, tau: float) -> float:
     """
     if state.layout.nmodes != 2:
         raise ValueError("entangling_power expects a two-mode state")
-    ka, kb = (jc_unitary(JcSpec(tau, d))[:, :d].reshape(2, d, d) for d in state.layout.dims)
+    da, db = state.layout.dims
+    ka = jc_unitary(JcSpec(tau, da))[:, :da].reshape(2, da, da)
+    kb = ka if db == da else jc_unitary(JcSpec(tau, db))[:, :db].reshape(2, db, db)
     if isinstance(state, FockVector):
         m = ((ka @ state.as_tensor())[:, None] @ kb.transpose(0, 2, 1)).reshape(4, -1)  # K_p psi K_qᵀ
         qubits = m @ m.conj().T

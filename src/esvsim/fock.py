@@ -306,6 +306,17 @@ def partial_transpose(state: DensityMatrix, modes: Iterable[int]) -> DensityMatr
 # moments, spectra, fidelity
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=256, typed=True)   # typed: a float power must not hit an int entry
+def _ladder_word(dim: int, ndag: int, nlow: int) -> np.ndarray:
+    """a†^ndag a^nlow on `dim` levels, built once per (dim, ndag, nlow); read-only."""
+    if ndag < 0 or nlow < 0:
+        raise ValueError("operator powers must be non-negative")
+    a = annihilator(dim)
+    f = np.linalg.matrix_power(a.conj().T, ndag) @ np.linalg.matrix_power(a, nlow)
+    f.flags.writeable = False
+    return f
+
+
 def _word_operators(layout: ModeLayout, word) -> dict[int, np.ndarray]:
     """Collapse an operator word into one matrix per touched mode.
 
@@ -316,11 +327,7 @@ def _word_operators(layout: ModeLayout, word) -> dict[int, np.ndarray]:
     ops: dict[int, np.ndarray] = {}
     for mode, ndag, nlow in word:
         mode = layout.check_mode(int(mode))
-        if ndag < 0 or nlow < 0:
-            raise ValueError("operator powers must be non-negative")
-        d = layout.dims[mode]
-        a = annihilator(d)
-        f = np.linalg.matrix_power(a.conj().T, ndag) @ np.linalg.matrix_power(a, nlow)
+        f = _ladder_word(layout.dims[mode], ndag, nlow)
         ops[mode] = f if mode not in ops else ops[mode] @ f
     return ops
 

@@ -24,6 +24,7 @@ at the caller's cutoff; no reduced density matrix is formed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,9 @@ class QubitAmplitudes:
     def __post_init__(self):
         if not (np.isfinite(self.a0) and np.isfinite(self.a1)):
             raise ValueError("qubit amplitudes must be finite")
-        norm = abs(self.a0) ** 2 + abs(self.a1) ** 2
+        # hypot neither overflows nor underflows where the sum of squares would
+        norm = math.hypot(abs(self.a0), abs(self.a1))
+        norm *= norm      # a float product saturates at inf where ** 2 raises
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"|a0|^2 + |a1|^2 = {norm:.14f} is not 1")
 

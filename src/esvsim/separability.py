@@ -10,6 +10,12 @@ directly on the original state:
 
     M_ij(rho^PT) = <a†^i1 a^i2  b†^j3 b^j4  a†^j2 a^j1  b†^i4 b^i3>_rho.
 
+That is <A ⊗ B> with A = a†^i1 a^i2 a†^j2 a^j1 and B = b†^j3 b^j4 b†^i4 b^i3,
+products of ladder words that `fock` builds once per cutoff.  On a pure state
+with d x d amplitude matrix Psi an entry is one contraction,
+vdot(Psi, A Psi Bᵀ); on a density matrix it is Tr[rho (A ⊗ B)].  A minor
+checks the Fock tail once, and only if one of its words raises.
+
 A state is inseparable iff some principal minor of M(rho^PT) has negative
 determinant.  The classic second-moment tests are the minors selected by
 positions (1,2,3,4,5) and (1,2,4) of the canonical multi-index enumeration;
@@ -25,7 +31,7 @@ from itertools import product
 
 import numpy as np
 
-from .fock import moment
+from .fock import FockVector, _ladder_word, check_tail
 
 __all__ = [
     "MomentIndex",
@@ -119,11 +125,7 @@ def canonical_indices(max_weight: int = MAX_WEIGHT) -> tuple[MomentIndex, ...]:
 
 def moment_matrix_entry(state, i: MomentIndex, j: MomentIndex) -> complex:
     """M_ij(rho^PT), evaluated on the original state via the b-swap identity."""
-    _check_two_mode(state)
-    if i.weight > MAX_WEIGHT or j.weight > MAX_WEIGHT:
-        raise ValueError(f"multi-index weight above {MAX_WEIGHT} not supported")
-    word = [(0, i.i1, i.i2), (1, j.i3, j.i4), (0, j.i2, j.i1), (1, i.i4, i.i3)]
-    return moment(state, word)
+    return _moment_entries(state, [(i, j)])[0]
 
 
 def minor_determinant(state, selector: MinorSelector) -> float:
@@ -141,11 +143,33 @@ def _moment_minor(state, indices) -> np.ndarray:
     """The principal minor of M(rho^PT) on `indices`.  M_ji = conj(M_ij), so only the
     entries with i <= j are evaluated: the lower triangle mirrors them, the diagonal is real."""
     k = len(indices)
+    rows, cols = np.triu_indices(k)
     m = np.zeros((k, k), dtype=complex)
-    for p, q in zip(*np.triu_indices(k)):
-        m[p, q] = moment_matrix_entry(state, indices[p], indices[q])
+    m[rows, cols] = _moment_entries(state, [(indices[p], indices[q]) for p, q in zip(rows, cols)])
     upper = np.triu(m, 1)
     return upper + upper.conj().T + np.diag(m.diagonal().real)
+
+
+def _moment_entries(state, pairs) -> list[complex]:
+    """M_ij(rho^PT) = <A ⊗ B> (module docstring) for each (i, j) of `pairs`.
+
+    The tail is checked once for all of them, as `fock.moment` does for one
+    word: iff some word has a raising operator.
+    """
+    _check_two_mode(state)
+    if any(i.weight > MAX_WEIGHT or j.weight > MAX_WEIGHT for i, j in pairs):
+        raise ValueError(f"multi-index weight above {MAX_WEIGHT} not supported")
+    if any(i.i1 or i.i4 or j.i2 or j.i3 for i, j in pairs):
+        check_tail(state, context="moment")
+    d0, d1 = state.layout.dims
+    ops = [(_ladder_word(d0, i.i1, i.i2) @ _ladder_word(d0, j.i2, j.i1),
+            _ladder_word(d1, j.i3, j.i4) @ _ladder_word(d1, i.i4, i.i3)) for i, j in pairs]
+    if isinstance(state, FockVector):
+        psi = state.as_tensor()
+        return [complex(np.vdot(psi, a @ psi @ b.T)) for a, b in ops]
+    # Tr[rho (A ⊗ B)] = sum rho[i, j, k, l] A[k, i] B[l, j], with rho regrouped as (i k) x (j l)
+    r = state.mat.reshape(d0, d1, d0, d1).transpose(0, 2, 1, 3).reshape(d0 * d0, d1 * d1)
+    return [complex(a.T.ravel() @ r @ b.T.ravel()) for a, b in ops]
 
 
 def simon_det(state) -> float:

@@ -22,6 +22,7 @@ of oppositely squeezed displaced states is given in closed form only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,13 +74,17 @@ class EsvSpec:
     cutoff: int
 
     def __post_init__(self):
-        if self.s < 0 or not np.isfinite(self.s):
+        if self.s < 0 or not math.isfinite(self.s):
             raise ValueError("squeezing parameter must be finite and >= 0")
         if self.cutoff < 2:
             raise ValueError("cutoff must be at least 2")
-        object.__setattr__(self, "phi", float(np.mod(self.phi, TWO_PI)))
-        # N = 1/sqrt(2 [1 + sech(2s) cos(phi)]) must stay finite
-        if 1.0 + np.cos(self.phi) / np.cosh(2.0 * self.s) < 1e-12:
+        if not math.isfinite(self.phi):
+            raise ValueError("phi must be finite")
+        object.__setattr__(self, "phi", float(self.phi % TWO_PI))
+        # N = 1/sqrt(2 [1 + sech(2s) cos(phi)]) must stay finite; sech(2s) is
+        # formed from e^{-2s}, which underflows to 0 where cosh(2s) would overflow
+        x = math.exp(-2.0 * self.s)
+        if 1.0 + math.cos(self.phi) * (2.0 * x / (1.0 + x * x)) < 1e-12:
             raise ValueError("degenerate superposition: s = 0 with phi = pi is the zero vector")
 
 

@@ -304,6 +304,25 @@ def log_negativity_dense(rho, dims, split, zero_band=1e-11):
     return max(0.0, math.log2(tn)) if tn > 0 else 0.0
 
 
+def jc_unitary_loop(tau, dim):
+    """The closed-form JC unitary filled one excitation block at a time, as a Python loop.
+
+    Each block {|g,n>, |e,n-1>} gets cos and -i sin of tau sqrt(n); the
+    top level |e, dim-1>, whose partner lies beyond the cutoff, keeps 1.
+    """
+    u = np.eye(2 * dim, dtype=complex)
+    for n in range(1, dim):
+        c = np.cos(tau * np.sqrt(n))
+        s = np.sin(tau * np.sqrt(n))
+        ig = n              # |g, n>
+        ie = dim + n - 1    # |e, n-1>
+        u[ig, ig] = c
+        u[ie, ie] = c
+        u[ie, ig] = -1j * s
+        u[ig, ie] = -1j * s
+    return u
+
+
 def jc_unitary_expm(tau, dim):
     """exp(-i tau (sigma_+ (x) a + sigma_- (x) a†)) on (qubit, mode), qubit first, |g> = 0."""
     sp = np.array([[0, 0], [1, 0]], dtype=complex)   # |e><g|

@@ -23,7 +23,7 @@ from esvsim import (
 from esvsim import dynamics
 from esvsim.fock import DensityMatrix, FockVector, ModeLayout
 
-from oracles import basis_vector, entangling_power_joint, log_negativity_dense
+from oracles import basis_vector, entangling_power_joint, jc_unitary_loop, log_negativity_dense
 
 
 def jc_evolve(q, n, d, tau):
@@ -118,6 +118,23 @@ def test_jc_unitary_matches_brute_force_exponential():
     h = np.kron(sp, a) + np.kron(sp.conj().T, a.conj().T)
     brute = expm(-1j * tau * h)
     assert np.abs(jc_unitary(JcSpec(tau, d)) - brute).max() < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(tau=st.floats(0.0, 1e3), d=st.integers(1, 40))
+def test_jc_unitary_matches_the_loop_form_and_is_unitary(tau, d):
+    u = jc_unitary(JcSpec(tau, d))
+    assert np.abs(u - jc_unitary_loop(tau, d)).max() <= 1e-15
+    assert np.abs(u @ u.conj().T - np.eye(2 * d)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("dims, builds", [((6, 6), 1), ((6, 5), 2)])
+def test_entangling_power_builds_one_jc_unitary_per_cutoff(dims, builds):
+    amps = np.random.default_rng(3).standard_normal(dims[0] * dims[1])
+    state = FockVector(ModeLayout(dims), amps / np.linalg.norm(amps))
+    with mock.patch.object(dynamics, "jc_unitary", wraps=jc_unitary) as spy:
+        entangling_power(state, 1.3)
+    assert spy.call_count == builds
 
 
 def test_entangling_power_pure_and_mixed_paths_agree():

@@ -274,6 +274,14 @@ def test_moment_vacuum_commutator():
     assert moment(v, [(0, 1, 1)]) == pytest.approx(0.0)
 
 
+def test_moment_rejects_a_float_power_also_after_the_int_word_is_cached():
+    v = FockVector(ModeLayout((7,)), basis_vector((7,), (2,)))
+    assert moment(v, [(0, 1, 1)]) == pytest.approx(2.0)
+    assert moment(v, [(0, np.int64(1), np.int64(1))]) == pytest.approx(2.0)
+    with pytest.raises(TypeError):
+        moment(v, [(0, 1.0, 1)])
+
+
 def test_moment_mean_photon_closed_form():
     # <a†a> on the entangled superposition, against the expression that
     # follows from the component overlaps

@@ -64,6 +64,13 @@ def test_qubit_amplitudes_reject_non_finite(bad, slot):
             QubitAmplitudes(*amps)
 
 
+@pytest.mark.parametrize("amps", [(1e200, 0.0), (0.0, 1e200), (1e-200, 0.0), (float("nan"), 0.0), (3.0, 4.0)])
+def test_qubit_amplitudes_reject_every_bad_pair_with_value_error(amps):
+    # the norm comes from hypot, so a huge or tiny amplitude neither overflows nor underflows
+    with pytest.raises(ValueError):
+        QubitAmplitudes(*amps)
+
+
 def test_odd_odd_projector_basis_cases():
     v = basis_state((4, 4), (1, 1))
     out, p = odd_odd_projector(v, (0, 1))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from esvsim import (
     tensor,
     two_mode_squeezed_vacuum,
 )
-from esvsim.fock import DensityMatrix, FockVector, ModeLayout
+from esvsim.fock import DensityMatrix, FockVector, ModeLayout, TruncationWarning, tail_mass
 from esvsim.separability import _ESV_CRITERION_INDICES, _moment_minor
 
 from oracles import basis_vector, full_operator, moment_matrix_entry_via_pt
@@ -190,3 +192,45 @@ def test_mirrored_minor_equals_the_full_matrix_on_random_mixed_states():
             want = np.linalg.det(full)
             assert abs(want.imag) <= 1e-12 * scale ** len(idx)
             assert abs(det(state) - want.real) <= 1e-12 * scale ** len(idx)
+
+
+def _heavy_tail_state(d=10):
+    amps = np.random.default_rng(5).standard_normal(d * d) + 0j
+    state = FockVector(ModeLayout((d, d)), amps / np.linalg.norm(amps))
+    assert tail_mass(state) > 1e-2
+    return state
+
+
+def test_minor_without_raising_operators_checks_no_tail():
+    # position 1 is the index (0, 0, 0, 0): its only word is the identity
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        assert minor_determinant(_heavy_tail_state(), MinorSelector((1,))) == pytest.approx(1.0)
+
+
+def test_minor_checks_the_tail_once():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        simon_det(_heavy_tail_state())
+    tails = [w for w in caught if issubclass(w.category, TruncationWarning)]
+    assert len(tails) == 1
+    assert str(tails[0].message).startswith("moment:")
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_minor_equals_the_entries_one_by_one(mixed):
+    rng = np.random.default_rng(17)
+    dims = (7, 5)
+    amps = rng.standard_normal(35) + 1j * rng.standard_normal(35)
+    state = FockVector(ModeLayout(dims), amps / np.linalg.norm(amps))
+    if mixed:
+        g = rng.standard_normal((35, 3)) + 1j * rng.standard_normal((35, 3))
+        state = DensityMatrix(ModeLayout(dims), g @ g.conj().T / np.linalg.norm(g) ** 2)
+    order = canonical_indices()
+    idx = [order[r] for r in sorted(rng.choice(len(order), size=7, replace=False))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        minor = _moment_minor(state, idx)
+        entries = np.array([[moment_matrix_entry(state, i, j) for j in idx] for i in idx])
+    assert np.abs(entries.imag).max() > 1e-3
+    assert np.abs(minor - entries).max() <= 1e-12 * max(1.0, np.abs(entries).max())

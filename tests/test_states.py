@@ -84,8 +84,27 @@ def test_esv_spec_validation():
         EsvSpec(0.0, np.pi, 10)           # the zero vector
     with pytest.raises(ValueError):
         EsvSpec(-0.2, 0.0, 10)
+    for phi in (np.nan, np.inf, -np.inf):    # phi % 2 pi would be nan, taken silently
+        with pytest.raises(ValueError, match="phi"):
+            EsvSpec(0.5, phi, 10)
     spec = EsvSpec(0.5, 2 * np.pi + 0.3, 10)
     assert spec.phi == pytest.approx(0.3)
+
+
+def test_esv_spec_checks_large_squeezing_without_overflow():
+    # cosh(2s) overflows from s ~ 355; sech(2s) is formed so that it underflows to 0 instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = EsvSpec(400.0, 0.0, 10)
+        assert EsvSpec(1e300, np.pi, 10).phi == np.pi
+    assert spec.s == 400.0
+
+
+@pytest.mark.parametrize("phi", [-1e-20, -7.0, 20.0, 2 * np.pi, np.float64(-3.3), 1e300])
+def test_esv_spec_wraps_phi_as_np_mod(phi):
+    got = EsvSpec(0.5, phi, 10).phi
+    assert type(got) is float
+    assert got == float(np.mod(phi, 2 * np.pi))
 
 
 def test_esv_aligned_is_local_rotation_of_esv_pure():
