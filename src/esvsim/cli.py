@@ -14,7 +14,10 @@ parameters and then evaluates every row below it: one squeezed vacuum per
 
 Every truncation check warns `TruncationWarning`; ``--strict`` runs the sweep
 under ``warnings.simplefilter("error", TruncationWarning)``, so on every
-command a flagged tail becomes a numeric-guard error.
+command a flagged tail becomes a numeric-guard error.  ``swap`` and
+``teleport`` are cutoff-free (closed-form Gram sums over E and O, see
+`esvsim.protocols`): they truncate nothing, so ``--cutoff`` and ``--strict``
+have nothing to act on there.
 
 Exit codes: 0 success, 2 usage error (an ``--out`` path whose directory is
 missing or not writable too, found before the sweep runs), 3 numeric-guard
@@ -161,10 +164,10 @@ COMMANDS: dict[str, _Command] = {
         lambda cutoff: lambda s, phi: _criteria(esv_pure(EsvSpec(s, phi, cutoff)))),
     "swap": _Command(
         {"s": (1.0, 1.0, 1)}, ("probability", "fidelity"),
-        lambda cutoff: lambda s: entanglement_swap(s, cutoff)),
+        lambda cutoff: lambda s: entanglement_swap(s)),
     "teleport": _Command(
         _QUBIT, ("probability", "fidelity"),
-        lambda cutoff: lambda s, a0, a1: teleport(_amp_pair(a0, a1), s, cutoff)),
+        lambda cutoff: lambda s, a0, a1: teleport(_amp_pair(a0, a1), s)),
     "generate": _Command(
         _QUBIT, ("p_plus", "p_minus", "fid_schemes", "fid_esv"),
         lambda cutoff: lambda s, a0, a1: _generate(s, a0, a1, cutoff)),
@@ -256,7 +259,8 @@ def _build_parser() -> argparse.ArgumentParser:
             help=f"columns: {', '.join(list(cmd.params) + list(cmd.diagnostics))}",
         )
         p.add_argument("assignments", nargs="*", metavar="name=value|name=min..max:steps")
-        p.add_argument("--cutoff", type=int, default=30)
+        p.add_argument("--cutoff", type=int, default=30,
+                       help="Fock cutoff per mode (swap and teleport are cutoff-free and ignore it)")
         p.add_argument("--strict", action="store_true",
                        help="turn truncation-tail warnings into errors")
         p.add_argument("--out", default=None, help="CSV output path (default: stdout)")

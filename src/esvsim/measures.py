@@ -47,6 +47,8 @@ from .states import (
     _check_esv_inputs,
     _check_esv_trace,
     _conditional_map,
+    _sech_2s,
+    _wrap_phi,
     squeezed_vacuum,
 )
 
@@ -255,17 +257,18 @@ def esv_pure_eof_curve(s: float, cutoff: int) -> Callable[[float], float]:
     sqrt(1 - 4 Delta) = sqrt(b (2a + b)) / (a + b) and lambda- = Delta / lambda+:
     no difference of nearly equal numbers is formed.
 
-    The squeezed vacuum, with its tail check, is built here once; per phi the
-    `EsvSpec` checks run, and a norm below `esv_pure`'s floor raises its
-    ValueError.  The entropy sums lambda > `EIG_ZERO_BAND`, as `eof_pure` does.
+    The squeezed vacuum, with its tail check, is built here once; per phi
+    `EsvSpec`'s phi checks run (`states._wrap_phi`), and a norm below
+    `esv_pure`'s floor raises its ValueError.  The entropy sums lambda > `EIG_ZERO_BAND`, as `eof_pure` does.
     """
     EsvSpec(s, 0.0, cutoff)     # the checks on s and the cutoff, before the tail check
+    sech_2s = _sech_2s(s)
     u2 = squeezed_vacuum(SqueezeSpec(s, cutoff)).amps.real[0::2] ** 2
     even, odd = float(u2[0::2].sum()), float(u2[1::2].sum())
     a, c2 = 4.0 * even * odd, (even - odd) ** 2
 
     def eof_at_phi(phi: float) -> float:
-        b = 2.0 * c2 * math.cos(0.5 * EsvSpec(s, phi, cutoff).phi) ** 2
+        b = 2.0 * c2 * math.cos(0.5 * _wrap_phi(phi, sech_2s)) ** 2
         if math.sqrt(2.0 * (a + b)) < _ZERO_NORM:
             raise ValueError(_DEGENERATE)
         lam_plus = 0.5 + 0.5 * math.sqrt(b * (2.0 * a + b)) / (a + b)

@@ -1,25 +1,28 @@
 """Heralded protocols: entanglement swapping, teleportation, and two
 ancilla-assisted generation schemes for entangled squeezed vacua.
 
-Every protocol is a sum of two-mode amplitude arrays, with E and O the
-squeezed vacuum on |4k> and on |4k + 2> (`states._parity_split`), so
-|s±> = E ± O.  No protocol forms a state of more than two oscillator modes
-or carries a qubit ancilla as a mode.  The beam splitter acts on two-mode
-arrays stacked on a trailing axis, each mode zero-padded to hold the full
-total-photon-number range of the pair (`_split_padded`), through the ideal
-balanced splitter blocks of `fock._balanced_splitter_blocks` on every total
-the padded input can reach, so it is exact; outputs are truncated back to
-the caller's cutoff at the end.
+Every protocol is built from E and O, the squeezed vacuum on |4k> and on
+|4k + 2> (`states._parity_split`), so |s±> = E ± O.  No protocol forms a
+state of more than two oscillator modes or carries a qubit ancilla as a
+mode.
+
+Swapping and teleportation need no Fock array and no cutoff.  Their
+resources are finite sums of product terms over E and O: |Psi(pi)> ∝
+O⊗E - E⊗O and the aligned state |Phi(pi)> ∝ E⊗O + O⊗E.  Every term meets
+the balanced splitter with even photon numbers in both modes, where the
+odd-odd herald is an antisymmetrizer (Hong-Ou-Mandel), so each term's
+heralded vector is a 2×2 determinant of its (E, O) coefficients times one
+fixed vector, and the heralding probability and the fidelity are Gram sums
+over the terms with the exact norms |E|² and |O|² (`_herald`).
 
 The generation schemes keep one two-mode branch per ancilla basis state;
 measuring the ancilla in the |±> basis leaves (b0 ± b1)/sqrt(2)
-(`_conditional`).  Swapping and teleportation write their resources as
-finite sums of product terms: |Psi(pi)> ∝ O⊗E - E⊗O and the aligned state
-|Phi(pi)> ∝ E⊗O + O⊗E.  Each term's two-mode vector that meets the splitter
-goes through the padded splitter and the odd-odd projection, and the
-heralding probability, the fidelity and the splitter's tail mass are Gram
-sums over the terms (`_herald`).  Fidelities are taken against the target
-at the caller's cutoff; no reduced density matrix is formed.
+(`_conditional`).  Scheme b's splitter acts on its two-mode branches stacked
+on a trailing axis, each mode zero-padded to hold the full total-photon-number
+range of the pair (`_split_padded`), through the ideal balanced splitter
+blocks of `fock._balanced_splitter_blocks` on every total the padded input
+can reach, so it is exact; its output is truncated back to the caller's
+cutoff at the end.
 """
 
 from __future__ import annotations
@@ -30,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockVector, ModeLayout, _apply_blocks, _balanced_splitter_blocks, _band_mask, _warn_tail
-from .states import (_DEGENERATE, _ZERO_NORM, EsvSpec, _pair, _parity_split, _superpose, esv_aligned,
-                     two_mode_squeezed_vacuum)
+from .states import _DEGENERATE, _ZERO_NORM, _pair, _sech_2s, two_mode_squeezed_vacuum
 
 __all__ = [
     "QubitAmplitudes",
@@ -86,44 +88,51 @@ def _split_padded(pairs: np.ndarray) -> np.ndarray:
     return _apply_blocks(padded, [0, 1], _balanced_splitter_blocks(big))
 
 
-def _herald(coefs: np.ndarray, kept: np.ndarray, kept_layout: ModeLayout,
-            pairs: list[tuple[np.ndarray, np.ndarray]], target: np.ndarray) -> tuple[float, float]:
-    """Heralding probability and fidelity for the resource sum_T c_T kept_T ⊗ pair_T.
+def _parity_weights(s: float, protocol: str) -> np.ndarray:
+    """(|E|², |O|²) = ((1 + c)/2, (1 - c)/2) untruncated, c = <s+|s-> = sech(2s)^1/2.
 
-    Each two-mode pair_T = a_T ⊗ b_T, given as `pairs[T] = (a_T, b_T)`, meets
-    the padded balanced splitter B (a_T on its first port) and the odd-odd
-    projection P, giving chi_T = P B pair_T; all terms go through one stacked
-    `_split_padded` call.  `kept` holds the other modes' vector of each term
-    (one row per term, over `kept_layout`).  Writing [x, y] for
-    c† (G_x ∘ G_y) c, with G_x the Gram matrix of the terms' x vectors,
-    p = [kept, chi] / [kept, pair] and
-    F = |sum_T c_T <target|kept_T> chi_T|² / [kept, chi].
-
-    The splitter's tail check decides on the band mass of the padded joint
-    output, [kept, B pair] - [Q kept, Q B pair], where Q zeroes every level
-    in a mode's top band: the no-band part of a state is a product projection,
-    so the joint state is never formed.
+    1 - c = (1 - sech 2s)/(1 + c) with 1 - sech 2s = (1 - x)²/(1 + x²) and
+    x = e^{-2s}, 1 - x from expm1: no cancellation at small s, no overflow.
     """
-    def weight(x, y):
-        return float((coefs.conj() @ ((x.conj() @ x.T) * (y.conj() @ y.T)) @ coefs).real)
-
-    def rows(t):     # (..., T) -> one flat row per term
-        return t.reshape(-1, len(pairs)).T
-
-    stacked = np.stack([np.outer(a, b) for a, b in pairs], axis=-1)
-    out = _split_padded(stacked)
-    chi = out.copy()
-    chi[::2] = chi[:, ::2] = 0      # odd photon number in both modes
-    norm2 = weight(kept, rows(stacked))
-    q_kept, q_out = ~_band_mask(kept_layout), ~_band_mask(ModeLayout(out.shape[:2]))
-    band = weight(kept, rows(out)) - weight(kept[:, q_kept], rows(out)[:, q_out])
-    _warn_tail(band / norm2, "beam splitter", stacklevel=2)
-    heralded = weight(kept, rows(chi))
-    amp = (coefs * (kept @ target.conj())) @ rows(chi)
-    return heralded / norm2, float(np.vdot(amp, amp).real) / heralded
+    if s <= 0:
+        raise ValueError(f"{protocol} requires s > 0")
+    if not math.isfinite(s):
+        raise ValueError("squeezing parameter must be finite")
+    x = math.exp(-2.0 * s)
+    c = math.sqrt(_sech_2s(s))
+    return np.array([(1.0 + c) / 2.0, math.expm1(-2.0 * s) ** 2 / (1.0 + x * x) / (1.0 + c) / 2.0])
 
 
-def entanglement_swap(s: float, cutoff: int) -> tuple[float, float]:
+def _herald(coefs: np.ndarray, kept_norm2: np.ndarray, pairs: np.ndarray, weights: np.ndarray,
+            target: np.ndarray) -> tuple[float, float]:
+    """Heralding probability and fidelity for the resource sum_T c_T kept_T ⊗ a_T ⊗ b_T.
+
+    The kept_T are orthogonal, with squared norms `kept_norm2`, and `target`
+    holds the target's coefficients on them.  `pairs[T] = (a_T, b_T)` holds the
+    coefficients over (E, O), squared norms `weights` = (e, o), of the modes
+    that meet the balanced splitter B (a_T on its first port) and the
+    odd-odd projection P.  On even photon numbers in both modes B† P B is the
+    antisymmetrizer, <B(a⊗b)| P |B(a'⊗b')> = (<a|a'><b|b'> - <a|b'><b|a'>)/2,
+    so P B (a_T ⊗ b_T) = det(pairs[T]) chi with |chi|² = e o / 2, and the
+    heralded state is h ⊗ chi with h = sum_T c_T det(pairs[T]) kept_T.  Then
+    p = |h|² e o / 2 over the resource's squared norm and
+    F = |<target|h>|² / (|h|² |target|²).
+    """
+    # the resource's |Phi(pi)> ∝ E⊗O + O⊗E is the zero vector where `esv_aligned` says so
+    if 2.0 * math.sqrt(2.0 * weights[0] * weights[1]) < _ZERO_NORM:
+        raise ValueError(_DEGENERATE)
+    a, b = pairs[:, 0], pairs[:, 1]
+    norm2 = kept_norm2 @ (np.abs(coefs) ** 2 * (np.abs(a) ** 2 @ weights) * (np.abs(b) ** 2 @ weights))
+    h = coefs * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+    h2 = kept_norm2 @ np.abs(h) ** 2
+    fidelity = abs(np.vdot(target, kept_norm2 * h)) ** 2 / (h2 * (kept_norm2 @ np.abs(target) ** 2))
+    return float(h2 * weights[0] * weights[1] / 2.0 / norm2), float(fidelity)
+
+
+_E, _O = np.eye(2)
+
+
+def entanglement_swap(s: float) -> tuple[float, float]:
     """Swap entanglement onto modes (1, 4) of a doubled squeezed resource.
 
     Resource: |Psi(pi)>_{12} (x) |Phi(pi)>_{34}; modes 2 and 3 interfere on
@@ -132,43 +141,32 @@ def entanglement_swap(s: float, cutoff: int) -> tuple[float, float]:
     fidelity of the conditional state of modes (1, 4) with |Phi(pi)>.
 
     The resource is (O⊗E - E⊗O) ⊗ (E⊗O + O⊗E) up to its norm: four terms,
-    each a product of a vector of modes (1, 4) and one of modes (2, 3).
+    O⊗O, O⊗E, E⊗O and E⊗E on modes (1, 4) times one pair on modes (2, 3).
     """
-    if s <= 0:
-        raise ValueError("swap requires s > 0")
-    even, odd = _parity_split(s, cutoff)
-    target = esv_aligned(EsvSpec(s, np.pi, cutoff))
-    kept = np.array([np.kron(odd, odd), np.kron(odd, even), np.kron(even, odd), np.kron(even, even)])
-    pairs = [(even, even), (even, odd), (odd, even), (odd, odd)]
-    return _herald(np.array([1.0, 1.0, -1.0, -1.0]), kept, ModeLayout((cutoff, cutoff)), pairs,
-                   target.amps)
+    weights = _parity_weights(s, "swap")
+    pairs = np.array([(_E, _E), (_E, _O), (_O, _E), (_O, _O)])
+    return _herald(np.array([1.0, 1.0, -1.0, -1.0]), np.kron(weights, weights)[::-1], pairs, weights,
+                   np.array([0.0, 1.0, 1.0, 0.0]))
 
 
-def teleport(inp: QubitAmplitudes, s: float, cutoff: int) -> tuple[float, float]:
-    """Teleport (a0|s+> + a1|s->) through the |Phi(pi)> resource.
+def teleport(inp: QubitAmplitudes, s: float) -> tuple[float, float]:
+    """Teleport (a0|s+> + a1|s->) = (a0 + a1) E + (a0 - a1) O through |Phi(pi)>.
 
     The input mode and resource mode 1 interfere on a balanced splitter and
     are projected onto odd photon numbers; a pi/2 phase-space rotation on
     mode 2 then restores the input.  That rotation is moved onto the target
-    as R(-pi/2), which maps |s+-> to |s-+> (the two differ by (-1)^n on
-    |2n>), so the target is a0|s-> + a1|s+>.  Returns (probability, output
-    fidelity).
+    as R(-pi/2), which maps |s+-> to |s-+>, so the target is
+    a0|s-> + a1|s+>.  Returns (probability, output fidelity).
 
-    The joint state is input ⊗ (E⊗O + O⊗E) up to its norm: two terms, each
-    meeting the splitter as input ⊗ E or input ⊗ O.
+    The joint state is input ⊗ (E⊗O + O⊗E) up to its norm: two terms, input
+    ⊗ E meeting the splitter with O kept, and input ⊗ O with E kept.
     """
-    if s <= 0:
-        raise ValueError("teleportation requires s > 0")
-    even, odd = _parity_split(s, cutoff)
-    plus, minus = even + odd, even - odd
-    message = "input superposition is the zero vector"
-    input_state = _superpose(inp.a0 * plus, inp.a1 * minus, (cutoff,), message)
-    # |s+>|s+> - |s->|s-> = 2 (E⊗O + O⊗E) is the zero vector where `esv_aligned` says so
-    if 2.0 * np.sqrt(2.0) * np.linalg.norm(even) * np.linalg.norm(odd) < _ZERO_NORM:
-        raise ValueError(_DEGENERATE)
-    target = _superpose(inp.a0 * minus, inp.a1 * plus, (cutoff,), message)
-    pairs = [(input_state.amps, even), (input_state.amps, odd)]
-    return _herald(np.ones(2), np.array([odd, even]), ModeLayout((cutoff,)), pairs, target.amps)
+    weights = _parity_weights(s, "teleportation")
+    source = np.array([inp.a0 + inp.a1, inp.a0 - inp.a1])
+    if math.sqrt(weights @ np.abs(source) ** 2) < _ZERO_NORM:
+        raise ValueError("input superposition is the zero vector")
+    return _herald(np.ones(2), weights[::-1], np.array([(source, _E), (source, _O)]), weights,
+                   np.array([inp.a1 - inp.a0, inp.a0 + inp.a1]))
 
 
 def _joint_norm2(branches: np.ndarray) -> float:

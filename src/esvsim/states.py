@@ -78,14 +78,27 @@ class EsvSpec:
             raise ValueError("squeezing parameter must be finite and >= 0")
         if self.cutoff < 2:
             raise ValueError("cutoff must be at least 2")
-        if not math.isfinite(self.phi):
-            raise ValueError("phi must be finite")
-        object.__setattr__(self, "phi", float(self.phi % TWO_PI))
-        # N = 1/sqrt(2 [1 + sech(2s) cos(phi)]) must stay finite; sech(2s) is
-        # formed from e^{-2s}, which underflows to 0 where cosh(2s) would overflow
-        x = math.exp(-2.0 * self.s)
-        if 1.0 + math.cos(self.phi) * (2.0 * x / (1.0 + x * x)) < 1e-12:
-            raise ValueError("degenerate superposition: s = 0 with phi = pi is the zero vector")
+        object.__setattr__(self, "phi", _wrap_phi(self.phi, _sech_2s(self.s)))
+
+
+def _sech_2s(s: float) -> float:
+    """sech(2s) from e^{-2s}, which underflows to 0 where cosh(2s) would overflow."""
+    x = math.exp(-2.0 * s)
+    return 2.0 * x / (1.0 + x * x)
+
+
+def _wrap_phi(phi: float, sech_2s: float) -> float:
+    """phi wrapped into [0, 2*pi), checked as `EsvSpec` checks it.
+
+    Raises ValueError for a non-finite phi, and where the norm
+    N = 1/sqrt(2 [1 + sech(2s) cos(phi)]) of |Psi(phi)> would not be finite.
+    """
+    if not math.isfinite(phi):
+        raise ValueError("phi must be finite")
+    phi = float(phi % TWO_PI)
+    if 1.0 + math.cos(phi) * sech_2s < 1e-12:
+        raise ValueError("degenerate superposition: s = 0 with phi = pi is the zero vector")
+    return phi
 
 
 def _phase_fixed(amps: np.ndarray) -> np.ndarray:

@@ -7,7 +7,9 @@ exception is the beam splitter as the exponential of its truncated
 generator (`apply_beamsplitter`) and the padded swap, teleport and
 generation circuits built on it at the end: they apply their blocks through
 the package's operator kernel, because the padded sizes put a dense matrix
-exponential of the whole grid out of reach.
+exponential of the whole grid out of reach.  The Fock term sums of swapping
+and teleportation after them use the package's padded splitter
+(`_split_padded`) and tail check.
 """
 
 import math
@@ -18,8 +20,9 @@ from scipy.linalg import expm
 
 from esvsim import (DensityMatrix, EsvSpec, FockVector, KerrSpec, ModeLayout, SqueezeSpec, esv_aligned,
                     esv_pure, squeezed_vacuum, tensor, two_mode_squeezed_vacuum)
-from esvsim.fock import _I_POW, _amplitude_matrix, _apply_blocks, check_tail
-from esvsim.states import _pair, _superpose
+from esvsim.fock import _I_POW, _amplitude_matrix, _apply_blocks, _band_mask, _warn_tail, check_tail
+from esvsim.protocols import _split_padded
+from esvsim.states import _DEGENERATE, _ZERO_NORM, _pair, _parity_split, _superpose
 
 
 def ladder(dim):
@@ -447,6 +450,73 @@ def teleport_padded(inp, s, cutoff):
     projected, prob = odd_odd_projector(padded_balanced_bs(joint, 0, 1), (0, 1))
     target = _superpose(inp.a0 * minus, inp.a1 * plus, (cutoff,), message)
     return prob, heralded_fidelity(projected, [2], prob, target)
+
+
+# The Fock term sums of swapping and teleportation: the package's formulation
+# before it became cutoff-free.  Each product term's two-mode vector meets the
+# zero-padded splitter (`_split_padded`, in one stacked call) and the odd-odd
+# projection, and p, F and the splitter's tail mass are Gram sums over the
+# truncated terms.
+
+def _herald_terms(coefs, kept, kept_layout, pairs, target):
+    """Heralding probability and fidelity for the resource sum_T c_T kept_T ⊗ pair_T.
+
+    Each two-mode pair_T = a_T ⊗ b_T, given as `pairs[T] = (a_T, b_T)`, meets
+    the padded balanced splitter B (a_T on its first port) and the odd-odd
+    projection P, giving chi_T = P B pair_T.  `kept` holds the other modes'
+    vector of each term (one row per term, over `kept_layout`).  Writing
+    [x, y] for c† (G_x ∘ G_y) c, with G_x the Gram matrix of the terms' x
+    vectors, p = [kept, chi] / [kept, pair] and
+    F = |sum_T c_T <target|kept_T> chi_T|² / [kept, chi].
+
+    The splitter's tail check decides on the band mass of the padded joint
+    output, [kept, B pair] - [Q kept, Q B pair], where Q zeroes every level
+    in a mode's top band.
+    """
+    def weight(x, y):
+        return float((coefs.conj() @ ((x.conj() @ x.T) * (y.conj() @ y.T)) @ coefs).real)
+
+    def rows(t):     # (..., T) -> one flat row per term
+        return t.reshape(-1, len(pairs)).T
+
+    stacked = np.stack([np.outer(a, b) for a, b in pairs], axis=-1)
+    out = _split_padded(stacked)
+    chi = out.copy()
+    chi[::2] = chi[:, ::2] = 0      # odd photon number in both modes
+    norm2 = weight(kept, rows(stacked))
+    q_kept, q_out = ~_band_mask(kept_layout), ~_band_mask(ModeLayout(out.shape[:2]))
+    band = weight(kept, rows(out)) - weight(kept[:, q_kept], rows(out)[:, q_out])
+    _warn_tail(band / norm2, "beam splitter", stacklevel=2)
+    heralded = weight(kept, rows(chi))
+    amp = (coefs * (kept @ target.conj())) @ rows(chi)
+    return heralded / norm2, float(np.vdot(amp, amp).real) / heralded
+
+
+def entanglement_swap_terms(s, cutoff):
+    """`entanglement_swap` as a Fock term sum at a cutoff: four terms."""
+    if s <= 0:
+        raise ValueError("swap requires s > 0")
+    even, odd = _parity_split(s, cutoff)
+    target = esv_aligned(EsvSpec(s, np.pi, cutoff))
+    kept = np.array([np.kron(odd, odd), np.kron(odd, even), np.kron(even, odd), np.kron(even, even)])
+    pairs = [(even, even), (even, odd), (odd, even), (odd, odd)]
+    return _herald_terms(np.array([1.0, 1.0, -1.0, -1.0]), kept, ModeLayout((cutoff, cutoff)), pairs,
+                         target.amps)
+
+
+def teleport_terms(inp, s, cutoff):
+    """`teleport` as a Fock term sum at a cutoff: two terms."""
+    if s <= 0:
+        raise ValueError("teleportation requires s > 0")
+    even, odd = _parity_split(s, cutoff)
+    plus, minus = even + odd, even - odd
+    message = "input superposition is the zero vector"
+    input_state = _superpose(inp.a0 * plus, inp.a1 * minus, (cutoff,), message)
+    if 2.0 * np.sqrt(2.0) * np.linalg.norm(even) * np.linalg.norm(odd) < _ZERO_NORM:
+        raise ValueError(_DEGENERATE)
+    target = _superpose(inp.a0 * minus, inp.a1 * plus, (cutoff,), message)
+    pairs = [(input_state.amps, even), (input_state.amps, odd)]
+    return _herald_terms(np.ones(2), np.array([odd, even]), ModeLayout((cutoff,)), pairs, target.amps)
 
 
 def _project_qubit(state, mode, coeffs):

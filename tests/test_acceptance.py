@@ -55,7 +55,7 @@ def report(num, ok, detail):
 
 def test_criterion_01_swap_probability_and_fidelity():
     t0 = time.time()
-    results = {s: entanglement_swap(s, 24) for s in (0.3, 0.6, 1.0, 1.5)}
+    results = {s: entanglement_swap(s) for s in (0.3, 0.6, 1.0, 1.5)}
     elapsed = time.time() - t0
     worst_p = max(abs(p - 0.25) for p, _ in results.values())
     worst_f = min(f for _, f in results.values())
@@ -212,7 +212,7 @@ def test_criterion_10_protocol_exactness():
     tele_ok = True
     worst_p, worst_f = 0.0, 1.0
     for a0, a1 in ((1.0, 0.0), (0.0, 1.0), (HALF, HALF)):
-        p, f = teleport(QubitAmplitudes(a0, a1), 1.0, 40)
+        p, f = teleport(QubitAmplitudes(a0, a1), 1.0)
         worst_p = max(worst_p, abs(p - 0.25))
         worst_f = min(worst_f, f)
     tele_ok = worst_p <= 2e-3 and worst_f >= 1 - 1e-6

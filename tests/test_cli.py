@@ -129,9 +129,13 @@ def test_numeric_guard_exit_3():
     assert main(["criteria", "s=0.62", "phi=0", "--strict"]) == 3
     # the degenerate (s = 0, phi = pi) point is a guard error too
     assert main(["eof-surface", "s=0..0:1", "phi=3.141592653589793..3.2:1"]) == 3
-    # strict reaches the protocols and the thermal channel's tail check
-    assert main(["swap", "s=3", "--cutoff", "12", "--strict"]) == 3
-    assert main(["teleport", "s=3", "a0=1", "a1=0", "--cutoff", "12", "--strict"]) == 3
+    # strict reaches generation and the thermal channel's tail check; swap and
+    # teleport are cutoff-free, so nothing they print is truncated
+    assert _main_stdout(["swap", "s=3", "--cutoff", "12", "--strict"]) == (
+        0, "s,probability,fidelity\n3.00000000000e+00,2.50000000000e-01,1.00000000000e+00\n")
+    assert _main_stdout(["teleport", "s=3", "a0=1", "a1=0", "--cutoff", "12", "--strict"]) == (
+        0, "s,a0,a1,probability,fidelity\n"
+           "3.00000000000e+00,1.00000000000e+00,0.00000000000e+00,2.50000000000e-01,1.00000000000e+00\n")
     assert main(["generate", "s=3", "--cutoff", "12", "--strict"]) == 3
     assert main(["ln-thermal", "s=0.3", "sigma=2", "phi=0", "--cutoff", "30", "--strict"]) == 3
 
@@ -163,18 +167,30 @@ def test_strict_is_warnings_as_errors(command, s, cutoff, sigma):
         assert strict_csv == loose_csv
 
 
+def _contexts(argv):
+    """Exit code, stdout and the TruncationWarning contexts of one CLI run."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TruncationWarning)
+        rc, text = _main_stdout(argv)
+    warned = [w for w in caught if issubclass(w.category, TruncationWarning)]
+    return rc, text, {str(w.message).split(":")[0] for w in warned}
+
+
 def test_strict_reaches_the_splitter_tail_of_the_term_sums():
-    # at s = 0.3, cutoff 16 every squeezed vacuum passes its tail check; only
-    # the padded splitter output, read off the Gram sums, fails it.  At cutoff 6
-    # the inputs carry no band, and only the stacked branches of scheme b warn
-    for argv in (["swap", "s=0.3", "--cutoff", "16"], ["teleport", "s=0.3", "--cutoff", "16"],
-                 ["generate", "s=0.5", "--cutoff", "6"]):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", TruncationWarning)
-            assert _main_stdout(argv)[0] == 0
-        contexts = {str(w.message).split(":")[0] for w in caught if issubclass(w.category, TruncationWarning)}
-        assert contexts == {"beam splitter"}
-        assert _main_stdout(argv + ["--strict"])[0] == 3
+    # at cutoff 6 the inputs of scheme b carry no band, and only its stacked
+    # branches, through the padded splitter, warn
+    argv = ["generate", "s=0.5", "--cutoff", "6"]
+    rc, _, contexts = _contexts(argv)
+    assert rc == 0 and contexts == {"beam splitter"}
+    assert _main_stdout(argv + ["--strict"])[0] == 3
+    # swap and teleport are cutoff-free: no cutoff warns, and --strict prints the same 1/4 and 1
+    for cutoff in ("4", "6", "16", "30", "80"):
+        for argv in (["swap", "s=0.3", "--cutoff", cutoff],
+                     ["teleport", "s=3", "a0=0.6", "a1=0.8", "--cutoff", cutoff]):
+            rc, text, contexts = _contexts(argv)
+            assert rc == 0 and contexts == set()
+            assert [float(v) for v in text.splitlines()[1].split(",")[-2:]] == [0.25, 1.0]
+            assert _main_stdout(argv + ["--strict"]) == (0, text)
 
 
 # The seed-0 README command lines and their stored CSVs in bench/record.
@@ -364,8 +380,8 @@ def test_cli_import_loads_no_scipy():
                               "ln-thermal", "ln-thermal-odd-cutoff", "ln-phase", "eof-surface",
                               "generate", "overlap"])
 def test_swap_runs_with_scipy_unavailable(argv, capsys):
-    # padded beam splitter and odd-odd projector (swap, teleport, generate; 79
-    # padded levels at teleport cutoff 40, the largest README size), JC
+    # the cutoff-free swap and teleport algebra (at the README's teleport
+    # cutoff 40 too, which it ignores), the padded beam splitter of generate, JC
     # Kraus maps (ent-power), moment minors (criteria), noise channels and the
     # factor-block log-negativity with its swap halves (ln-thermal, ln-phase; at
     # cutoff 11 the even and odd factor blocks differ in size), the Gram-matrix

@@ -153,6 +153,22 @@ def test_esv_pure_eof_curve_matches_eof_pure(s, phi, cutoff):
         assert abs(got - want) <= 1e-12
 
 
+@pytest.mark.parametrize("s", [0.0, 0.7])
+@pytest.mark.parametrize("phi", [-1e-20, -7.0, 20.0, 2 * np.pi, 3 * np.pi, -np.pi, np.float64(-3.3), 1e300,
+                                 np.nan, np.inf, -np.inf])
+def test_esv_pure_eof_curve_wraps_phi_as_esv_spec(s, phi):
+    # the curve wraps and checks phi as EsvSpec does: the same value, bit for bit, or the same error
+    curve = esv_pure_eof_curve(s, 12)
+    try:
+        wrapped = EsvSpec(s, phi, 12).phi
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            curve(phi)
+        assert str(got.value) == str(exc)
+        return
+    assert curve(phi) == curve(wrapped)
+
+
 def test_esv_pure_eof_curve_guards():
     with pytest.raises(ValueError, match=">= 0"):
         esv_pure_eof_curve(-0.1, 10)

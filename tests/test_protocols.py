@@ -24,12 +24,16 @@ from esvsim import (
     tensor,
     two_mode_squeezed_vacuum,
 )
+import esvsim.protocols
+import esvsim.states
 from esvsim.fock import FockVector, ModeLayout, _balanced_splitter_blocks
-from esvsim.protocols import _split_padded
+from esvsim.protocols import _parity_weights, _split_padded
+from esvsim.states import _DEGENERATE, _parity_split
 
-from oracles import (basis_vector, controlled_phase, entanglement_swap_padded, generate_scheme_a_circuit,
-                     generate_scheme_b_circuit, heralded_fidelity, odd_odd_projector, padded_balanced_bs,
-                     partial_trace, phase_rotation, teleport_padded)
+from oracles import (basis_vector, controlled_phase, entanglement_swap_padded, entanglement_swap_terms,
+                     generate_scheme_a_circuit, generate_scheme_b_circuit, heralded_fidelity,
+                     odd_odd_projector, padded_balanced_bs, partial_trace, phase_rotation, teleport_padded,
+                     teleport_terms)
 
 HALF = 1 / np.sqrt(2)
 
@@ -93,11 +97,11 @@ def test_odd_odd_projector_on_tmsv_geometric_series():
 
 def test_entanglement_swap_probability_and_fidelity():
     for s in (0.3, 0.6, 1.0, 1.5):
-        p, f = entanglement_swap(s, 24)
+        p, f = entanglement_swap(s)
         assert p == pytest.approx(0.25, abs=2e-3)
         assert f >= 1 - 1e-6
     with pytest.raises(ValueError):
-        entanglement_swap(0.0, 16)
+        entanglement_swap(0.0)
 
 
 def _random_vector(dims, rng):
@@ -128,13 +132,13 @@ def test_heralded_fidelity_rejects_layout_mismatch():
 
 
 def test_swap_probability_is_squeezing_independent():
-    probs = [entanglement_swap(s, 20)[0] for s in (0.4, 0.9, 1.3)]
+    probs = [entanglement_swap(s)[0] for s in (0.4, 0.9, 1.3)]
     assert np.ptp(probs) < 1e-9
 
 
 def test_teleport_three_inputs():
     for a0, a1 in ((1.0, 0.0), (0.0, 1.0), (HALF, HALF)):
-        p, f = teleport(QubitAmplitudes(a0, a1), 1.0, 40)
+        p, f = teleport(QubitAmplitudes(a0, a1), 1.0)
         assert p == pytest.approx(0.25, abs=2e-3)
         assert f >= 1 - 1e-6
 
@@ -195,7 +199,7 @@ def teleport_rotating_input(inp, s, cutoff):
        beta=st.floats(-np.pi, np.pi), cutoff=st.integers(6, 36))
 def test_teleport_matches_dense_rotation_oracle(s, theta, alpha, beta, cutoff):
     inp = QubitAmplitudes(np.cos(theta) * np.exp(1j * alpha), np.sin(theta) * np.exp(1j * beta))
-    p, f = teleport(inp, s, cutoff)
+    p, f = teleport(inp, s)
     p_want, f_want = teleport_rotating_input(inp, s, cutoff)
     assert abs(p - p_want) <= 1e-12
     assert abs(f - f_want) <= 1e-12
@@ -211,29 +215,94 @@ def _values_and_contexts(protocol, *args):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(swap=st.booleans(), s=st.floats(0.05, 3.0), cutoff=st.integers(6, 24),
+@given(swap=st.booleans(), s=st.floats(1e-3, 6.0), cutoff=st.integers(4, 24),
        theta=st.floats(0.0, np.pi / 2), alpha=st.floats(-np.pi, np.pi), beta=st.floats(-np.pi, np.pi))
 def test_term_sums_match_padded_circuit_oracle(swap, s, cutoff, theta, alpha, beta):
-    # the Gram sums over product terms against the joint padded state, tail check included
+    # the cutoff-free algebra against the truncated Fock term sums and the joint padded state
     if swap:
-        args, pair = (s, cutoff), (entanglement_swap, entanglement_swap_padded)
+        args, oracles = (s,), (entanglement_swap_terms, entanglement_swap_padded)
+        protocol = entanglement_swap
     else:
         inp = QubitAmplitudes(np.cos(theta) * np.exp(1j * alpha), np.sin(theta) * np.exp(1j * beta))
-        args, pair = (inp, s, cutoff), (teleport, teleport_padded)
-    (p, f), contexts = _values_and_contexts(pair[0], *args)
-    (p_want, f_want), contexts_want = _values_and_contexts(pair[1], *args)
-    assert abs(p - p_want) <= 1e-12
-    assert abs(f - f_want) <= 1e-12
-    assert contexts == contexts_want
+        args, oracles = (inp, s), (teleport_terms, teleport_padded)
+        protocol = teleport
+    (p, f), contexts = _values_and_contexts(protocol, *args)
+    assert contexts == set()
+    for oracle in oracles:
+        p_want, f_want = oracle(*args, cutoff)
+        assert abs(p - p_want) <= 1e-12
+        assert abs(f - f_want) <= 1e-12
 
 
 @pytest.mark.parametrize("s, cutoff", [(0.1, 12), (0.3, 16), (0.05, 8), (3.0, 12)])
 def test_splitter_tail_decision_matches_padded_circuit(s, cutoff):
-    # (0.1, 12): nothing warns; (0.3, 16) and (0.05, 8): only the splitter; (3.0, 12): both
+    # (0.1, 12): nothing warns; (0.3, 16) and (0.05, 8): only the splitter; (3.0, 12): both.
+    # The Fock term-sum oracle decides as the padded circuit does; the library
+    # has no cutoff and no splitter, so it warns nothing and gives 1/4 and 1
     inp = QubitAmplitudes(0.6, 0.8j)
-    for protocol, oracle, args in ((entanglement_swap, entanglement_swap_padded, (s, cutoff)),
-                                   (teleport, teleport_padded, (inp, s, cutoff))):
-        assert _values_and_contexts(protocol, *args)[1] == _values_and_contexts(oracle, *args)[1]
+    cases = ((entanglement_swap, entanglement_swap_terms, entanglement_swap_padded, (s,)),
+             (teleport, teleport_terms, teleport_padded, (inp, s)))
+    for protocol, terms, padded, args in cases:
+        assert _values_and_contexts(terms, *args, cutoff)[1] == _values_and_contexts(padded, *args, cutoff)[1]
+        (p, f), contexts = _values_and_contexts(protocol, *args)
+        assert contexts == set()
+        assert abs(p - 0.25) <= 1e-15 and abs(f - 1.0) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d_a=st.integers(4, 16), d_b=st.integers(4, 16), seed=st.integers(0, 2**32 - 1))
+def test_odd_odd_herald_of_the_splitter_is_an_antisymmetrizer(d_a, d_b, seed):
+    # on even photon numbers in both modes, <B(a⊗b)| P_oo |B(a'⊗b')> = (<a|a'><b|b'> - <a|b'><b|a'>)/2;
+    # the overlaps across modes are taken on the common levels
+    rng = np.random.default_rng(seed)
+
+    def even_vector(d):
+        v = np.zeros(d, dtype=complex)
+        v[::2] = rng.standard_normal((d + 1) // 2) + 1j * rng.standard_normal((d + 1) // 2)
+        return v
+
+    a, a2, b, b2 = even_vector(d_a), even_vector(d_a), even_vector(d_b), even_vector(d_b)
+    out = _split_padded(np.stack([np.outer(a, b), np.outer(a2, b2)], axis=-1))
+    chi = out[1::2, 1::2]
+    got = np.vdot(chi[..., 0], chi[..., 1])
+    d = min(d_a, d_b)
+    want = 0.5 * (np.vdot(a, a2) * np.vdot(b, b2) - np.vdot(a[:d], b2[:d]) * np.vdot(b[:d], a2[:d]))
+    scale = np.linalg.norm(a) * np.linalg.norm(a2) * np.linalg.norm(b) * np.linalg.norm(b2)
+    assert abs(got - want) <= 1e-12 * scale
+
+
+def test_swap_and_teleport_build_no_fock_vector(monkeypatch):
+    # the two protocols are cutoff-free: no squeezed vacuum, no splitter, no operator kernel
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Fock-space routine was called")
+
+    for module, name in ((esvsim.protocols, "_split_padded"), (esvsim.protocols, "_apply_blocks"),
+                         (esvsim.states, "squeezed_vacuum"), (esvsim.states, "_parity_split")):
+        monkeypatch.setattr(module, name, forbidden)
+    assert entanglement_swap(1.0) == pytest.approx((0.25, 1.0), abs=1e-15)
+    assert teleport(QubitAmplitudes(0.6, 0.8j), 1.0) == pytest.approx((0.25, 1.0), abs=1e-15)
+
+
+@pytest.mark.parametrize("s", [1e-14, 1e-6, 400.0])
+def test_swap_and_teleport_edge_squeezing(s):
+    # a finite (1/4, 1) or the degenerate-resource ValueError, never nan, and no RuntimeWarning
+    inputs = (QubitAmplitudes(1.0, 0.0), QubitAmplitudes(0.6, 0.8j), QubitAmplitudes(HALF, -HALF))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for protocol, args in [(entanglement_swap, (s,))] + [(teleport, (inp, s)) for inp in inputs]:
+            got = _value_or_error(protocol, *args)
+            if s == 1e-14:
+                assert got in (_DEGENERATE, "input superposition is the zero vector")
+            else:
+                assert got == pytest.approx((0.25, 1.0), abs=1e-15)
+
+
+def test_parity_weights_match_the_truncated_norms():
+    # (|E|², |O|²) in closed form against the squeezed vacuum at a cutoff whose tail is below 1e-17
+    for s in (1e-8, 1e-6, 1e-3, 0.1, 1.0, 2.0):
+        even, odd = _parity_split(s, 1500)
+        want = np.array([np.vdot(even, even).real, np.vdot(odd, odd).real])
+        assert np.allclose(_parity_weights(s, "swap"), want, rtol=1e-13, atol=0)
 
 
 def _value_or_error(protocol, *args):
@@ -280,9 +349,11 @@ def _peak_mb(protocol, *args):
 
 
 def test_protocols_form_no_joint_padded_state():
-    # the padded 4-mode swap vector alone is 24 * 47 * 47 * 24 * 16 B = 20 MB
-    assert _peak_mb(entanglement_swap, 1.0, 24) < 8.0
-    assert _peak_mb(teleport, QubitAmplitudes(1, 0), 1.0, 40) < 10.0
+    # the padded 4-mode swap vector alone is 24 * 47 * 47 * 24 * 16 B = 20 MB;
+    # the cutoff-free swap and teleport hold a few arrays of at most four entries
+    assert _peak_mb(entanglement_swap, 1.0) < 0.05
+    assert _peak_mb(teleport, QubitAmplitudes(1, 0), 1.0) < 0.05
+    assert _peak_mb(generate_scheme_b, 1.0, QubitAmplitudes(HALF, HALF), "+", 24) < 8.0
 
 
 def test_generation_schemes_agree_and_match_target():
