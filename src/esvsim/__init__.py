@@ -13,7 +13,7 @@ from .fock import (
     tail_mass,
     tensor,
 )
-from .measures import eof_pure, esv_mixed_log_negativity, log_negativity, two_qubit_negativity
+from .measures import eof_pure, log_negativity, two_qubit_negativity
 from .protocols import (
     KerrSpec,
     QubitAmplitudes,

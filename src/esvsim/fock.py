@@ -6,20 +6,8 @@ with mode 0 the slowest index.  All operations are pure functions: inputs are
 never mutated and outputs are freshly allocated, so values can be shared
 freely across threads.
 
-Conventions fixed here and relied on everywhere else:
-
-* vacuum quadrature variance is 1/2, with x = (a + a^dag)/sqrt(2);
-* the balanced beam splitter on modes (a, b) realizes
-  a -> (a + b)/sqrt(2), b -> (b - a)/sqrt(2).
-
-On a total of N photons the ideal balanced splitter is the Wigner matrix
-d^{N/2}(pi/2) (the SU(2) picture of Campos, Saleh & Teich, PRA 40, 1371
-(1989)).  `_balanced_splitter_blocks` builds it one total from the last by
-a four-term recursion in the style of Risbo's (J. Geodesy 70, 383 (1996)):
-no eigensolve, and each block is orthogonal to rounding.  The blocks stop
-below the cutoff, so they are exact on every state whose total photon
-number stays below it; the protocols zero-pad their mode pairs to make it
-so.
+The vacuum quadrature variance is 1/2, with x = (a + a^dag)/sqrt(2); every
+other module relies on this convention.
 """
 
 from __future__ import annotations
@@ -162,34 +150,6 @@ def annihilator(dim: int) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=16)
-def _balanced_splitter_blocks(dim: int) -> tuple:
-    """(rows, block) pairs of the balanced splitter, one per total N < dim.
-
-    Block N maps the inputs |m, N-m> (columns, m = 0..N) to the outputs
-    (rows), at flat indices m*dim + N - m of a (dim, dim) mode pair.  Since
-    U a† U† = (a† + b†)/sqrt(2) and U b† U† = (b† - a†)/sqrt(2),
-    N U|m,n> = sqrt(m) (a† + b†)/sqrt(2) U|m-1,n> + sqrt(n) (b† - a†)/sqrt(2) U|m,n-1>,
-    four shifted, weighted copies of block N-1.  Totals N >= dim are not
-    built; `_apply_blocks` writes zeros there.
-    """
-    blocks = []
-    block = np.ones((1, 1))
-    for total in range(dim):
-        ms = np.arange(total + 1)
-        if total:
-            r = np.sqrt(ms[1:])       # sqrt(k), k = 1..N
-            q = r[::-1]               # sqrt(N - k), k = 0..N-1
-            nxt = np.zeros((total + 1, total + 1))
-            nxt[1:, 1:] += r[:, None] * block * r
-            nxt[:-1, 1:] += q[:, None] * block * r
-            nxt[:-1, :-1] += q[:, None] * block * q
-            nxt[1:, :-1] -= r[:, None] * block * q
-            block = nxt / (np.sqrt(2.0) * total)
-        blocks.append((ms * dim + total - ms, block))
-    return tuple(blocks)
-
-
 # ---------------------------------------------------------------------------
 # tail-mass diagnostic
 # ---------------------------------------------------------------------------
@@ -198,17 +158,14 @@ def _band_mask(layout: ModeLayout) -> np.ndarray:
     """Boolean mask of basis states with any mode in its top Fock band.
 
     The band is the top 10% of levels, at least two of them so that both
-    photon-number parities are covered.  Modes with fewer than 8 levels
-    (qubit ancillas and the like) are not treated as truncated oscillators
-    and carry no band.
+    photon-number parities are covered.  Every mode is a truncated
+    oscillator, however few its levels: at d <= 2 all of them are in the band.
     """
     mask = np.zeros(layout.dims, dtype=bool)
     for m, d in enumerate(layout.dims):
-        if d < 8:
-            continue
         band = max(2, int(round(TAIL_FRACTION * d)))
         idx = [slice(None)] * layout.nmodes
-        idx[m] = slice(d - band, d)
+        idx[m] = slice(max(0, d - band), d)
         mask[tuple(idx)] = True
     return mask.reshape(-1)
 
@@ -240,28 +197,6 @@ def _warn_tail(mass: float, context: str, stacklevel: int = 2) -> None:
         TruncationWarning,
         stacklevel=stacklevel + 1,
     )
-
-
-# ---------------------------------------------------------------------------
-# applying operators
-# ---------------------------------------------------------------------------
-
-def _apply_blocks(t: np.ndarray, axes: Sequence[int], blocks) -> np.ndarray:
-    """Left action of a block-sparse operator on some axes of a tensor.
-
-    `blocks` holds (rows, block) pairs with disjoint rows of the row-major
-    flattened index of the target axes; each block maps its rows onto
-    themselves.  Rows that no block names are written as zeros, so t must
-    vanish there.  A dense operator u is the single pair (slice(None), u).
-    The other axes are left alone, and t is not modified.
-    """
-    order = list(axes) + [ax for ax in range(t.ndim) if ax not in axes]
-    moved = np.transpose(t, order)
-    flat = moved.reshape(int(np.prod(moved.shape[:len(axes)])), -1)
-    out = np.zeros_like(flat)
-    for rows, block in blocks:
-        out[rows] = block @ flat[rows]
-    return np.transpose(out.reshape(moved.shape), np.argsort(order))
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +273,9 @@ def moment(state, word) -> complex:
     Example: ``moment(psi, [(0, 1, 1)])`` is <a†a> on mode 0, and
     ``moment(psi, [(0, 1, 0), (1, 0, 1)])`` is <a† b>.  A word with a
     raising operator reads the top Fock levels, so it checks the tail.
+    Each touched mode's operator is contracted with that mode's axis of the
+    state, its ket axis for a density matrix, on any number of modes; the
+    result is <psi|O psi> or Tr[O rho].
     """
     ops = _word_operators(state.layout, word)
     if any(ndag for _, ndag, _ in word):
@@ -346,7 +284,7 @@ def moment(state, word) -> complex:
     pure = isinstance(state, FockVector)
     t = state.as_tensor() if pure else state.mat.reshape(dims + dims)
     for mode, op in ops.items():
-        t = _apply_blocks(t, [mode], [(slice(None), op)])
+        t = np.moveaxis(np.tensordot(op, t, axes=(1, mode)), 0, mode)
     if pure:
         return complex(np.vdot(state.amps, t.reshape(-1)))
     return complex(np.trace(t.reshape(state.mat.shape)))

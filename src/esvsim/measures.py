@@ -2,11 +2,11 @@
 
 Logarithmic negativity is log2 of the trace norm of the partial transpose;
 it vanishes on PPT states and equals 1 for a maximally entangled qubit pair.
-`esv_mixed_log_negativity` computes it for the output of `states.esv_mixed`
-from the two single-mode inputs: each block of the partial transpose is
+`esv_mixed_ln_curve` computes it for the output of `states.esv_mixed` from
+the two single-mode inputs: each block of the partial transpose is
 (rho_a (x) rho_bᵀ) ∘ W on factor blocks, W from the conditional map.  A
-sweep over phi calls `esv_mixed_ln_curve` once per input pair: it prepares
-the factor blocks and their krons, and per phi gathers each W from one
+sweep over phi calls it once per input pair: it prepares the factor blocks
+and their krons, and returns phi -> LN, which gathers each W from one
 16 x 16 table over (n_a mod 4, n_b mod 4) and eigensolves.  For equal real
 inputs, as in both noisy sweeps, a same-parity block pairs with itself and
 commutes with the mode swap |i, j> -> |j, i>; it is eigensolved as its
@@ -52,8 +52,7 @@ from .states import (
     squeezed_vacuum,
 )
 
-__all__ = ["log_negativity", "esv_mixed_ln_curve", "esv_mixed_log_negativity", "eof_pure",
-           "esv_pure_eof_curve", "two_qubit_negativity"]
+__all__ = ["log_negativity", "esv_mixed_ln_curve", "eof_pure", "esv_pure_eof_curve", "two_qubit_negativity"]
 
 
 def _log2_trace_norm(ev: np.ndarray) -> float:
@@ -223,12 +222,6 @@ def esv_mixed_ln_curve(rho_a: DensityMatrix, rho_b: DensityMatrix) -> Callable[[
         return _log2_trace_norm(np.concatenate(spectra) / tr)
 
     return ln_at_phi
-
-
-def esv_mixed_log_negativity(rho_a: DensityMatrix, rho_b: DensityMatrix, phi: float) -> float:
-    """``log_negativity(esv_mixed(rho_a, rho_b, phi), [1])`` from the d x d inputs:
-    `esv_mixed_ln_curve` at one phi.  Raises the ValueErrors of `esv_mixed`."""
-    return esv_mixed_ln_curve(rho_a, rho_b)(phi)
 
 
 def eof_pure(state: FockVector, split: Iterable[int]) -> float:

@@ -15,14 +15,16 @@ heralded vector is a 2×2 determinant of its (E, O) coefficients times one
 fixed vector, and the heralding probability and the fidelity are Gram sums
 over the terms with the exact norms |E|² and |O|² (`_herald`).
 
+The balanced splitter on modes (a, b) realizes a -> (a + b)/sqrt(2),
+b -> (b - a)/sqrt(2).
+
 The generation schemes keep one two-mode branch per ancilla basis state;
 measuring the ancilla in the |±> basis leaves (b0 ± b1)/sqrt(2)
-(`_conditional`).  Scheme b's splitter acts on its two-mode branches stacked
-on a trailing axis, each mode zero-padded to hold the full total-photon-number
-range of the pair (`_split_padded`), through the ideal balanced splitter
-blocks of `fock._balanced_splitter_blocks` on every total the padded input
-can reach, so it is exact; its output is truncated back to the caller's
-cutoff at the end.
+(`_conditional`).  Both schemes' branches are products of |s+> and |s->.
+The splitter turns the two-mode squeezed vacuum into |s+, s-> (Kim, Son,
+Bužek & Knight, PRA 65, 032323 (2002)), and scheme b's Kerr phase
+e^{i gamma n_b} equals e^{i gamma N/2} on it, N = n_a + n_b, which commutes
+with the splitter; so scheme b needs no splitter either.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, ModeLayout, _apply_blocks, _balanced_splitter_blocks, _band_mask, _warn_tail
-from .states import _DEGENERATE, _ZERO_NORM, _pair, _sech_2s, two_mode_squeezed_vacuum
+from .fock import FockVector, ModeLayout
+from .states import _DEGENERATE, _ZERO_NORM, _pair, _sech_2s
 
 __all__ = [
     "QubitAmplitudes",
@@ -71,21 +73,6 @@ class KerrSpec:
     def __post_init__(self):
         if not np.isfinite(self.gamma):
             raise ValueError("gamma must be finite")
-
-
-def _split_padded(pairs: np.ndarray) -> np.ndarray:
-    """Balanced splitter on every (d_a, d_b) slice of a (d_a, d_b, k) array; exact.
-
-    Both modes are zero-padded to d_a + d_b - 1 levels, so the largest input
-    total, d_a + d_b - 2, is below the padded cutoff and the builder's blocks
-    cover every total the input reaches.  Returns the (big, big, k) output.
-    No tail check here: the caller checks the state it owns.
-    """
-    d_a, d_b, k = pairs.shape
-    big = d_a + d_b - 1
-    padded = np.zeros((big, big, k), dtype=complex)
-    padded[:d_a, :d_b] = pairs
-    return _apply_blocks(padded, [0, 1], _balanced_splitter_blocks(big))
 
 
 def _parity_weights(s: float, protocol: str) -> np.ndarray:
@@ -213,18 +200,21 @@ def generate_scheme_b(s: float, ancilla: QubitAmplitudes, outcome: str,
                       cutoff: int, kerr: KerrSpec = KerrSpec(np.pi)) -> tuple[FockVector, float]:
     """Single cross-Kerr gate on a two-mode squeezed vacuum, then a splitter.
 
-    With gamma = pi the ancilla's |1> branch flips the sign of the two-mode
-    squeezing; the balanced splitter then factors each branch into opposite
-    single-mode squeezed vacua, reproducing scheme a's conditional states.
-    The branches a0 TMSV and a1 e^{i gamma n_b} TMSV meet the padded
-    splitter in one stacked call, and its tail check reads both.
+    The ancilla's |q> branch is a_q e^{i gamma_q n_b} TMSV(s), gamma_0 = 0 and
+    gamma_1 = gamma.  On the TMSV n_a = n_b, so that phase is e^{i gamma_q N/2},
+    which commutes with the splitter, and the splitter maps TMSV(s) to
+    |s+, s->: the branches leave it as a_q e^{i gamma_q N/2} |s+, s->, built
+    here at the cutoff with the squeezed vacua's tail check.  With gamma = pi
+    they are scheme a's.  The splitter preserves norms, so the probability is
+    read before it, from the truncated TMSV's populations tanh(s)^{2n}.
     """
-    tmsv = two_mode_squeezed_vacuum(s, cutoff).as_tensor()
-    kerr_phase = np.exp(1j * kerr.gamma * np.arange(cutoff))
-    branches = np.stack([ancilla.a0 * tmsv, ancilla.a1 * tmsv * kerr_phase], axis=-1)
-    norm2 = _joint_norm2(branches)
-    out = _split_padded(branches)
-    band = out[_band_mask(ModeLayout(out.shape[:2])).reshape(out.shape[:2])]
-    _warn_tail(float(np.vdot(band, band).real) / norm2, "beam splitter", stacklevel=2)
-    vec, prob = _conditional(out, norm2, outcome)
-    return FockVector(ModeLayout((cutoff, cutoff)), vec[:cutoff, :cutoff]).normalized(), prob
+    plus, minus = _pair(s, cutoff)
+    levels = np.arange(cutoff)
+    diag = np.tanh(s) ** levels / np.cosh(s)      # the TMSV on |n, n>
+    tmsv = np.stack([ancilla.a0 * diag, ancilla.a1 * np.exp(1j * kerr.gamma * levels) * diag], axis=-1)
+    _, prob = _conditional(tmsv, _joint_norm2(tmsv), outcome)
+    half = np.exp(0.5j * kerr.gamma * levels)     # e^{i gamma N/2} = e^{i gamma n_a/2} e^{i gamma n_b/2}
+    branches = np.stack([ancilla.a0 * np.outer(plus, minus), ancilla.a1 * np.outer(half * plus, half * minus)],
+                        axis=-1)
+    vec, _ = _conditional(branches, _joint_norm2(branches), outcome)
+    return FockVector(ModeLayout((cutoff, cutoff)), vec).normalized(), prob

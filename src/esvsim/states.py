@@ -182,7 +182,7 @@ def _check_esv_inputs(rho_a: DensityMatrix, rho_b: DensityMatrix) -> int:
     """The common cutoff of two physical unit-trace single-mode inputs.
 
     Raises ValueError for anything else; `esv_mixed` and
-    `measures.esv_mixed_log_negativity` share this check.
+    `measures.esv_mixed_ln_curve` share this check.
     """
     if rho_a.layout.nmodes != 1 or rho_b.layout.nmodes != 1:
         raise ValueError("esv_mixed needs two single-mode density matrices")
@@ -215,9 +215,9 @@ def esv_mixed(rho_a: DensityMatrix, rho_b: DensityMatrix, phi: float) -> Density
     basis; the output T (rho_a (x) rho_b) T† is renormalized to unit trace.
     On pure squeezed-vacuum inputs this reproduces |Psi(phi)><Psi(phi)|.
 
-    For the log-negativity of this state, `measures.esv_mixed_log_negativity`
-    gives the same value from the d x d inputs without building the d^2 x d^2
-    joint state; this function is its reference.
+    For the log-negativity of this state, `measures.esv_mixed_ln_curve` gives
+    the same value from the d x d inputs without building the d^2 x d^2 joint
+    state; this function is its reference.
     """
     d = _check_esv_inputs(rho_a, rho_b)
     t_diag = _conditional_map(d, phi).reshape(-1)

@@ -2,14 +2,14 @@
 
 Everything here is deliberately built from first principles with plain
 dense kron products, explicit factorials, Kraus sums, or covariance-matrix
-algebra, so it shares no code path with the package under test.  The one
-exception is the beam splitter as the exponential of its truncated
-generator (`apply_beamsplitter`) and the padded swap, teleport and
-generation circuits built on it at the end: they apply their blocks through
-the package's operator kernel, because the padded sizes put a dense matrix
-exponential of the whole grid out of reach.  The Fock term sums of swapping
-and teleportation after them use the package's padded splitter
-(`_split_padded`) and tail check.
+algebra, so it shares no code path with the package under test.  The
+padded circuits at the end have their own block-sparse operator kernel
+(`_apply_blocks`), because the padded sizes put a dense matrix exponential
+of the whole grid out of reach.  Their splitter is the exponential of its
+truncated generator (`apply_beamsplitter`); the Fock term and branch sums
+after them use the balanced splitter's Wigner-matrix recursion
+(`_balanced_splitter_blocks`, through `_split_padded`) and the package's
+tail-band mask.
 """
 
 import math
@@ -20,8 +20,7 @@ from scipy.linalg import expm
 
 from esvsim import (DensityMatrix, EsvSpec, FockVector, KerrSpec, ModeLayout, SqueezeSpec, esv_aligned,
                     esv_pure, squeezed_vacuum, tensor, two_mode_squeezed_vacuum)
-from esvsim.fock import _I_POW, _amplitude_matrix, _apply_blocks, _band_mask, _warn_tail, check_tail
-from esvsim.protocols import _split_padded
+from esvsim.fock import _I_POW, _amplitude_matrix, _band_mask, _warn_tail, check_tail
 from esvsim.states import _DEGENERATE, _ZERO_NORM, _pair, _parity_split, _superpose
 
 
@@ -95,6 +94,24 @@ def _expm_tridiagonal(off: np.ndarray) -> np.ndarray:
     return ((d.conj()[:, None] * w) @ (np.exp(-1j * lam)[:, None] * w.T * d)).real
 
 
+def _apply_blocks(t, axes, blocks):
+    """Left action of a block-sparse operator on some axes of a tensor.
+
+    `blocks` holds (rows, block) pairs with disjoint rows of the row-major
+    flattened index of the target axes; each block maps its rows onto
+    themselves.  Rows that no block names are written as zeros, so t must
+    vanish there.  A dense operator u is the single pair (slice(None), u).
+    The other axes are left alone, and t is not modified.
+    """
+    order = list(axes) + [ax for ax in range(t.ndim) if ax not in axes]
+    moved = np.transpose(t, order)
+    flat = moved.reshape(int(np.prod(moved.shape[:len(axes)])), -1)
+    out = np.zeros_like(flat)
+    for rows, block in blocks:
+        out[rows] = block @ flat[rows]
+    return np.transpose(out.reshape(moved.shape), np.argsort(order))
+
+
 @lru_cache(maxsize=16)
 def _beamsplitter_blocks(dim_a: int, dim_b: int, theta: float) -> tuple:
     """(rows, block) pairs of exp[theta (a b† - a† b)], one per total photon number.
@@ -113,6 +130,53 @@ def _beamsplitter_blocks(dim_a: int, dim_b: int, theta: float) -> tuple:
         block = _expm_tridiagonal(theta * np.sqrt(m * (total - m + 1)))
         blocks.append((ms * dim_b + total - ms, block))
     return tuple(blocks)
+
+
+@lru_cache(maxsize=16)
+def _balanced_splitter_blocks(dim):
+    """(rows, block) pairs of the balanced splitter, one per total N < dim.
+
+    On a total of N photons the balanced splitter is the Wigner matrix
+    d^{N/2}(pi/2) (the SU(2) picture of Campos, Saleh & Teich, PRA 40, 1371
+    (1989)), built here one total from the last by a four-term recursion in
+    the style of Risbo's (J. Geodesy 70, 383 (1996)), with no eigensolve.
+    Block N maps the inputs |m, N-m> (columns, m = 0..N) to the outputs
+    (rows), at flat indices m*dim + N - m of a (dim, dim) mode pair.  Since
+    U a† U† = (a† + b†)/sqrt(2) and U b† U† = (b† - a†)/sqrt(2),
+    N U|m,n> = sqrt(m) (a† + b†)/sqrt(2) U|m-1,n> + sqrt(n) (b† - a†)/sqrt(2) U|m,n-1>,
+    four shifted, weighted copies of block N-1.  Totals N >= dim are not
+    built; `_apply_blocks` writes zeros there.
+    """
+    blocks = []
+    block = np.ones((1, 1))
+    for total in range(dim):
+        ms = np.arange(total + 1)
+        if total:
+            r = np.sqrt(ms[1:])       # sqrt(k), k = 1..N
+            q = r[::-1]               # sqrt(N - k), k = 0..N-1
+            nxt = np.zeros((total + 1, total + 1))
+            nxt[1:, 1:] += r[:, None] * block * r
+            nxt[:-1, 1:] += q[:, None] * block * r
+            nxt[:-1, :-1] += q[:, None] * block * q
+            nxt[1:, :-1] -= r[:, None] * block * q
+            block = nxt / (np.sqrt(2.0) * total)
+        blocks.append((ms * dim + total - ms, block))
+    return tuple(blocks)
+
+
+def _split_padded(pairs):
+    """Balanced splitter on every (d_a, d_b) slice of a (d_a, d_b, k) array; exact.
+
+    Both modes are zero-padded to d_a + d_b - 1 levels, so the largest input
+    total, d_a + d_b - 2, is below the padded cutoff and the recursion's
+    blocks cover every total the input reaches.  Returns the (big, big, k)
+    output.  No tail check here: the caller checks the state it owns.
+    """
+    d_a, d_b, k = pairs.shape
+    big = d_a + d_b - 1
+    padded = np.zeros((big, big, k), dtype=complex)
+    padded[:d_a, :d_b] = pairs
+    return _apply_blocks(padded, [0, 1], _balanced_splitter_blocks(big))
 
 
 def _apply_unitary(state, modes, blocks):
@@ -359,10 +423,12 @@ def entangling_power_joint(state_array, dims, tau):
 # modes are zero-padded to d_a + d_b - 1 levels, and `apply_beamsplitter`
 # checks the tail of the whole padded output.  Their splitter is the
 # truncated-generator exponential above, one Jacobi eigensolve per total
-# photon number, not the package's recursion; their ancilla gates and
+# photon number, not the Wigner recursion; their ancilla gates and
 # measurements are the diagonal controlled phase and the projection of the
 # ancilla mode.  The package's own protocols never form the joint state and
-# keep the ancilla's branches on a trailing axis instead.
+# keep the ancilla's branches on a trailing axis instead.  The tail band of
+# a two-level ancilla mode is both its levels, so the scheme-b circuit's
+# tail check warns on every call: tests compare its values, not its warnings.
 
 def resize_mode(state, mode, dim):
     """Zero-pad (or truncate) one mode of a pure state to a new cutoff.
@@ -452,8 +518,9 @@ def teleport_padded(inp, s, cutoff):
     return prob, heralded_fidelity(projected, [2], prob, target)
 
 
-# The Fock term sums of swapping and teleportation: the package's formulation
-# before it became cutoff-free.  Each product term's two-mode vector meets the
+# The Fock term sums of swapping and teleportation and the branch sums of
+# generation scheme b: the package's formulations before they became
+# cutoff-free or products.  Each product term's two-mode vector meets the
 # zero-padded splitter (`_split_padded`, in one stacked call) and the odd-odd
 # projection, and p, F and the splitter's tail mass are Gram sums over the
 # truncated terms.
@@ -565,5 +632,24 @@ def generate_scheme_b_circuit(s, ancilla, outcome, cutoff, kerr=KerrSpec(np.pi))
     state = controlled_phase(state, 1, 2, kerr.gamma, control_value=1)
     state = padded_balanced_bs(state, 0, 1)
     vec, prob = _measure_pm(state, 2, outcome)
+    vec = resize_mode(resize_mode(vec, 0, cutoff), 1, cutoff)
+    return vec.normalized(), prob
+
+
+def generate_scheme_b_branches(s, ancilla, outcome, cutoff, kerr=KerrSpec(np.pi)):
+    """`generate_scheme_b` as padded Fock branch sums at a cutoff.
+
+    The branches a0 TMSV and a1 e^{i gamma n_b} TMSV meet the padded
+    splitter in one stacked call, with the band mass of the padded joint
+    output tail-checked as "beam splitter"; the ancilla is measured on the
+    splitter's output, which is then cropped back to the cutoff.
+    """
+    tmsv = two_mode_squeezed_vacuum(s, cutoff).as_tensor()
+    branches = np.stack([ancilla.a0 * tmsv, ancilla.a1 * tmsv * np.exp(1j * kerr.gamma * np.arange(cutoff))],
+                        axis=-1)
+    out = _split_padded(branches / np.linalg.norm(branches))
+    band = out[_band_mask(ModeLayout(out.shape[:2])).reshape(out.shape[:2])]
+    _warn_tail(float(np.vdot(band, band).real), "beam splitter", stacklevel=2)
+    vec, prob = _measure_pm(FockVector(ModeLayout(out.shape), out.reshape(-1)), 2, outcome)
     vec = resize_mode(resize_mode(vec, 0, cutoff), 1, cutoff)
     return vec.normalized(), prob

@@ -22,7 +22,7 @@ from esvsim import (
     thermal_channel,
 )
 from esvsim.cli import COMMANDS, SweepConfig, UsageError, emit_csv, main, run
-from esvsim.measures import esv_mixed_log_negativity, esv_pure_eof_curve
+from esvsim.measures import esv_mixed_ln_curve, esv_pure_eof_curve
 
 RECORD_DIR = Path(__file__).resolve().parents[1] / "bench" / "record"
 
@@ -177,12 +177,16 @@ def _contexts(argv):
 
 
 def test_strict_reaches_the_splitter_tail_of_the_term_sums():
-    # at cutoff 6 the inputs of scheme b carry no band, and only its stacked
-    # branches, through the padded splitter, warn
+    # every mode carries a tail band, however few its levels: at cutoff 6 scheme b's
+    # squeezed vacua warn, and so do the criteria and EoF rows, which print +0.645
+    # for a negative esv_criterion at phi = pi/2 and 0.499 for an EoF of 0.8993
     argv = ["generate", "s=0.5", "--cutoff", "6"]
     rc, _, contexts = _contexts(argv)
-    assert rc == 0 and contexts == {"beam splitter"}
+    assert rc == 0 and contexts == {"squeezed_vacuum"}
     assert _main_stdout(argv + ["--strict"])[0] == 3
+    for argv in (["criteria", "s=1", "--cutoff", "6"], ["eof-surface", "s=2", "phi=0", "--cutoff", "6"]):
+        assert _contexts(argv)[0] == 0
+        assert _main_stdout(argv + ["--strict"])[0] == 3
     # swap and teleport are cutoff-free: no cutoff warns, and --strict prints the same 1/4 and 1
     for cutoff in ("4", "6", "16", "30", "80"):
         for argv in (["swap", "s=0.3", "--cutoff", cutoff],
@@ -315,7 +319,7 @@ def test_noisy_ln_rows_match_joint_state_oracle(tmp_path, command, channel):
 def _ln_oracle(channel):
     def ln(s, sigma, phi):
         rho = channel(squeezed_vacuum(SqueezeSpec(s, 10)).normalized().density(), sigma)
-        return esv_mixed_log_negativity(rho, rho, phi)
+        return esv_mixed_ln_curve(rho, rho)(phi)
     return ln
 
 
@@ -381,7 +385,7 @@ def test_cli_import_loads_no_scipy():
                               "generate", "overlap"])
 def test_swap_runs_with_scipy_unavailable(argv, capsys):
     # the cutoff-free swap and teleport algebra (at the README's teleport
-    # cutoff 40 too, which it ignores), the padded beam splitter of generate, JC
+    # cutoff 40 too, which it ignores), the product branches of generate, JC
     # Kraus maps (ent-power), moment minors (criteria), noise channels and the
     # factor-block log-negativity with its swap halves (ln-thermal, ln-phase; at
     # cutoff 11 the even and odd factor blocks differ in size), the Gram-matrix

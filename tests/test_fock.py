@@ -17,12 +17,11 @@ from esvsim import (
     tail_mass,
     tensor,
 )
-from esvsim.fock import _balanced_splitter_blocks
 from esvsim.states import EsvSpec, SqueezeSpec, esv_pure, squeezed_vacuum, two_mode_squeezed_vacuum
 
-from oracles import (_beamsplitter_blocks, _expm_tridiagonal, apply_beamsplitter, basis_vector,
-                     beamsplitter_matrix, controlled_phase, kron_moment, partial_trace, phase_rotation,
-                     resize_mode, squeezed_amplitudes)
+from oracles import (_balanced_splitter_blocks, _beamsplitter_blocks, _expm_tridiagonal, apply_beamsplitter,
+                     basis_vector, beamsplitter_matrix, controlled_phase, kron_moment, partial_trace,
+                     phase_rotation, resize_mode, squeezed_amplitudes)
 
 
 def test_layout_validation():
@@ -325,6 +324,33 @@ def test_moment_matches_dense_kron_on_mixed_state():
     rho = DensityMatrix(ModeLayout((d, d)), m)
     word = [(0, 2, 1), (1, 0, 1), (0, 0, 1), (1, 1, 0)]
     assert moment(rho, word) == pytest.approx(kron_moment(m, (d, d), word), abs=1e-12)
+
+
+@st.composite
+def _moment_case(draw):
+    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    word = draw(st.lists(st.tuples(st.integers(0, len(dims) - 1), st.integers(0, 2), st.integers(0, 2)),
+                         max_size=4))
+    return dims, word
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_moment_case(), mixed=st.booleans(), seed=st.integers(0, 2**16))
+def test_moment_matches_dense_kron_property(case, mixed, seed):
+    # random words, with repeated and interleaved modes, on random 1- to 3-mode
+    # vectors and density matrices of rank up to 3
+    dims, word = case
+    rng = np.random.default_rng(seed)
+    d = int(np.prod(dims))
+    v = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
+    if mixed:
+        m = v @ v.conj().T
+        state = DensityMatrix(ModeLayout(dims), m / np.trace(m).real)
+        array = state.mat
+    else:
+        state = FockVector(ModeLayout(dims), v[:, 0] / np.linalg.norm(v[:, 0]))
+        array = state.amps
+    assert abs(moment(state, word) - kron_moment(array, dims, word)) <= 1e-12
 
 
 def test_fidelity_basics():

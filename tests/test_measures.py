@@ -12,7 +12,6 @@ from esvsim import (
     TruncationWarning,
     eof_pure,
     esv_mixed,
-    esv_mixed_log_negativity,
     esv_pure,
     log_negativity,
     partial_transpose,
@@ -243,7 +242,7 @@ def test_ppt_noisy_esv_log_negativity_is_exactly_zero():
     rho = phase_channel(squeezed_vacuum(SqueezeSpec(1.0, 30)).normalized().density(), 1.0)
     for phi in np.linspace(0.0, 2 * np.pi, 8)[[1, 6]]:
         assert log_negativity(esv_mixed(rho, rho, phi), [1]) == 0.0
-        assert esv_mixed_log_negativity(rho, rho, phi) == 0.0
+        assert esv_mixed_ln_curve(rho, rho)(phi) == 0.0
 
 
 def test_eof_equals_log_negativity_on_maximally_entangled_pair():
@@ -370,7 +369,7 @@ def test_block_log_negativity_property(kind, s, sigma, phi, cutoff, theta):
     assert abs(log_negativity(rotated(rho, 1, theta), [1]) - value) <= 1e-12
 
 
-# --- esv_mixed_log_negativity: the noisy sweeps from the d x d factors --------
+# --- esv_mixed_ln_curve: the noisy sweeps from the d x d factors --------------
 
 def noised(kind, s, sigma, cutoff):
     """A squeezed vacuum through the ln-thermal or ln-phase channel."""
@@ -409,7 +408,7 @@ def block_sizes(solved):
 
 
 def assert_matches_oracle(rho_a, rho_b, phi):
-    got = esv_mixed_log_negativity(rho_a, rho_b, phi)
+    got = esv_mixed_ln_curve(rho_a, rho_b)(phi)
     want = log_negativity(esv_mixed(rho_a, rho_b, phi), [1])
     assert abs(got - want) <= 1e-12
     return got
@@ -519,7 +518,7 @@ def test_esv_mixed_ln_curve_matches_fresh_calls_in_any_order(kind, s, s_b, sigma
     curve = esv_mixed_ln_curve(rho_a, rho_b)
     for phi in phis:
         got = curve(phi)
-        assert abs(got - esv_mixed_log_negativity(rho_a, rho_b, phi)) <= 1e-12
+        assert abs(got - esv_mixed_ln_curve(rho_a, rho_b)(phi)) <= 1e-12
         assert abs(got - log_negativity(esv_mixed(rho_a, rho_b, phi), [1])) <= 1e-12
 
 
@@ -536,8 +535,8 @@ def test_esv_mixed_log_negativity_even_in_phi_for_equal_inputs(kind, s, sigma, p
     # two independent calls, nothing shared between them
     rho = noised(kind, s, sigma, cutoff)
     assert not rho.mat.imag.any()
-    plus = esv_mixed_log_negativity(rho, rho, phi)
-    minus = esv_mixed_log_negativity(noised(kind, s, sigma, cutoff), noised(kind, s, sigma, cutoff), -phi)
+    plus = esv_mixed_ln_curve(rho, rho)(phi)
+    minus = esv_mixed_ln_curve(noised(kind, s, sigma, cutoff), noised(kind, s, sigma, cutoff))(-phi)
     assert abs(plus - minus) <= 1e-12
 
 
@@ -595,6 +594,6 @@ def test_esv_mixed_log_negativity_raises_what_esv_mixed_raises():
         with pytest.raises(ValueError) as want:
             esv_mixed(rho_a, rho_b, phi)
         with pytest.raises(ValueError) as got:
-            esv_mixed_log_negativity(rho_a, rho_b, phi)
+            esv_mixed_ln_curve(rho_a, rho_b)(phi)
         assert str(got.value) == str(want.value)
-    assert esv_mixed_log_negativity(one, one, 0.0) == 0.0
+    assert esv_mixed_ln_curve(one, one)(0.0) == 0.0

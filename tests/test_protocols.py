@@ -26,14 +26,14 @@ from esvsim import (
 )
 import esvsim.protocols
 import esvsim.states
-from esvsim.fock import FockVector, ModeLayout, _balanced_splitter_blocks
-from esvsim.protocols import _parity_weights, _split_padded
+from esvsim.fock import FockVector, ModeLayout
+from esvsim.protocols import _parity_weights
 from esvsim.states import _DEGENERATE, _parity_split
 
-from oracles import (basis_vector, controlled_phase, entanglement_swap_padded, entanglement_swap_terms,
-                     generate_scheme_a_circuit, generate_scheme_b_circuit, heralded_fidelity,
-                     odd_odd_projector, padded_balanced_bs, partial_trace, phase_rotation, teleport_padded,
-                     teleport_terms)
+from oracles import (_split_padded, basis_vector, controlled_phase, entanglement_swap_padded,
+                     entanglement_swap_terms, generate_scheme_a_circuit, generate_scheme_b_branches,
+                     generate_scheme_b_circuit, heralded_fidelity, odd_odd_projector, padded_balanced_bs,
+                     partial_trace, phase_rotation, teleport_padded, teleport_terms)
 
 HALF = 1 / np.sqrt(2)
 
@@ -272,12 +272,12 @@ def test_odd_odd_herald_of_the_splitter_is_an_antisymmetrizer(d_a, d_b, seed):
 
 
 def test_swap_and_teleport_build_no_fock_vector(monkeypatch):
-    # the two protocols are cutoff-free: no squeezed vacuum, no splitter, no operator kernel
+    # the two protocols are cutoff-free: no squeezed vacuum (the library has no splitter
+    # and no operator kernel left to call)
     def forbidden(*args, **kwargs):
         raise AssertionError("a Fock-space routine was called")
 
-    for module, name in ((esvsim.protocols, "_split_padded"), (esvsim.protocols, "_apply_blocks"),
-                         (esvsim.states, "squeezed_vacuum"), (esvsim.states, "_parity_split")):
+    for module, name in ((esvsim.states, "squeezed_vacuum"), (esvsim.states, "_parity_split")):
         monkeypatch.setattr(module, name, forbidden)
     assert entanglement_swap(1.0) == pytest.approx((0.25, 1.0), abs=1e-15)
     assert teleport(QubitAmplitudes(0.6, 0.8j), 1.0) == pytest.approx((0.25, 1.0), abs=1e-15)
@@ -319,13 +319,16 @@ def _value_or_error(protocol, *args):
        outcome=st.sampled_from("+-"), gamma=st.floats(-2 * np.pi, 2 * np.pi))
 def test_branch_sums_match_generation_circuit_oracle(scheme_b, s, cutoff, theta, alpha, beta, outcome,
                                                       gamma):
-    # the stacked two-mode branches against the 3-mode circuit with a qubit ancilla
+    # the stacked two-mode branches against the 3-mode circuit with a qubit ancilla; both
+    # schemes truncate the same pair |s+>, |s->, so scheme b warns what scheme a warns
     anc = QubitAmplitudes(np.cos(theta) * np.exp(1j * alpha), np.sin(theta) * np.exp(1j * beta))
     args = (s, anc, outcome, cutoff) + ((KerrSpec(gamma),) if scheme_b else ())
     pair = ((generate_scheme_b, generate_scheme_b_circuit) if scheme_b
             else (generate_scheme_a, generate_scheme_a_circuit))
     (got, contexts), (want, contexts_want) = (_values_and_contexts(_value_or_error, protocol, *args)
                                               for protocol in pair)
+    if scheme_b:
+        contexts_want = _values_and_contexts(_value_or_error, generate_scheme_a, *args[:4])[1]
     assert contexts == contexts_want
     if isinstance(want, str):     # the same ValueError, after the same warnings
         assert got == want
@@ -338,8 +341,35 @@ def test_branch_sums_match_generation_circuit_oracle(scheme_b, s, cutoff, theta,
     assert abs(p - p_want) <= 1e-12
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(s=st.floats(-3.0, 3.0), cutoff=st.integers(4, 30), theta=st.floats(0.0, np.pi / 2),
+       alpha=st.floats(-np.pi, np.pi), beta=st.floats(-np.pi, np.pi), outcome=st.sampled_from("+-"),
+       gamma=st.floats(-2 * np.pi, 2 * np.pi))
+def test_scheme_b_products_match_padded_branch_sums(s, cutoff, theta, alpha, beta, outcome, gamma):
+    # the product branches against the TMSV branches through the padded splitter, cropped to
+    # the cutoff; wherever the padded output's band check warns, the squeezed vacua's does too
+    anc = QubitAmplitudes(np.cos(theta) * np.exp(1j * alpha), np.sin(theta) * np.exp(1j * beta))
+    args = (s, anc, outcome, cutoff, KerrSpec(gamma))
+    (got, contexts), (want, contexts_want) = (_values_and_contexts(_value_or_error, protocol, *args)
+                                              for protocol in (generate_scheme_b, generate_scheme_b_branches))
+    assert "beam splitter" not in contexts_want or "squeezed_vacuum" in contexts
+    if isinstance(want, str):
+        assert got == want
+        return
+    (state, p), (state_want, p_want) = got, want
+    assert np.abs(state.amps - state_want.amps).max() <= 1e-12 + 1e-15 / np.sqrt(p_want)
+    assert abs(p - p_want) <= 1e-12
+
+
+def test_scheme_b_flags_the_truncation_its_crop_hid():
+    # at (s, cutoff) = (1, 40) the cutoff drops 3.5e-6 of each squeezed vacuum's squared norm;
+    # the padded band lies beyond the crop and reads none of it
+    args = (1.0, QubitAmplitudes(HALF, HALF), "+", 40)
+    assert _values_and_contexts(generate_scheme_b, *args)[1] == {"squeezed_vacuum"}
+    assert _values_and_contexts(generate_scheme_b_branches, *args)[1] == set()
+
+
 def _peak_mb(protocol, *args):
-    _balanced_splitter_blocks.cache_clear()     # the cold call, splitter blocks included
     tracemalloc.start()
     try:
         protocol(*args)
