@@ -11,7 +11,6 @@ from .fock import (
     moment,
     partial_transpose,
     tail_mass,
-    tensor,
 )
 from .measures import eof_pure, log_negativity, two_qubit_negativity
 from .protocols import (
@@ -31,7 +30,6 @@ from .separability import (
     duan_det,
     esv_criterion_det,
     minor_determinant,
-    moment_matrix_entry,
     multiindex_compare,
     simon_det,
 )
@@ -39,7 +37,6 @@ from .states import (
     EsvSpec,
     SqueezeSpec,
     displaced_overlap,
-    esv_aligned,
     esv_mixed,
     esv_pure,
     squeezed_vacuum,

@@ -3,8 +3,9 @@
 Each mode is truncated to a finite photon-number basis |0>, ..., |cutoff-1>.
 Multi-mode objects are stored flat (row-major over the per-mode dimensions),
 with mode 0 the slowest index.  All operations are pure functions: inputs are
-never mutated and outputs are freshly allocated, so values can be shared
-freely across threads.
+never mutated, so values can be shared freely across threads.  States and
+spectra are freshly allocated; `annihilator` and `_ladder_word` return
+shared, cached, read-only arrays.
 
 The vacuum quadrature variance is 1/2, with x = (a + a^dag)/sqrt(2); every
 other module relies on this convention.
@@ -25,7 +26,6 @@ __all__ = [
     "DensityMatrix",
     "TruncationWarning",
     "annihilator",
-    "tensor",
     "partial_transpose",
     "moment",
     "hermitian_blocks",
@@ -34,7 +34,7 @@ __all__ = [
     "check_tail",
 ]
 
-TAIL_THRESHOLD = 1e-8     # tolerated population in the top Fock band
+TAIL_THRESHOLD = 1e-8     # tolerated share of a state's norm or trace in the top Fock band
 TAIL_FRACTION = 0.1       # the "top band" is the highest 10% of levels
 HERMITICITY_TOL = 1e-10
 EIG_ZERO_BAND = 1e-11     # eigenvalues below this are treated as exact zeros
@@ -179,39 +179,26 @@ def tail_mass(state: FockVector | DensityMatrix) -> float:
 
 
 def check_tail(state, context: str = "operation") -> None:
-    """Warn `TruncationWarning` when the tail mass exceeds TAIL_THRESHOLD."""
-    _warn_tail(tail_mass(state), context, stacklevel=3)
+    """Warn `TruncationWarning` unless the tail mass is at most TAIL_THRESHOLD
+    times the state's total, its squared norm or its trace; a zero total warns.
 
-
-def _warn_tail(mass: float, context: str, stacklevel: int = 2) -> None:
-    """The tail decision of `check_tail` for a mass computed elsewhere.
-
-    `stacklevel` counts from the caller, as in `warnings.warn`.  The message
-    does not carry the mass, so Python's per-location de-duplication still
-    prints a repeated warning once.
+    Judging the share, not the absolute mass, flags a state whose truncation
+    kept almost none of its norm.  The message does not carry the mass, so
+    Python's per-location de-duplication still prints a repeated warning once.
     """
-    if mass <= TAIL_THRESHOLD:
+    total = float(np.vdot(state.amps, state.amps).real) if isinstance(state, FockVector) else state.trace()
+    if total > 0 and tail_mass(state) <= TAIL_THRESHOLD * total:
         return
     warnings.warn(
         f"{context}: Fock-tail mass above {TAIL_THRESHOLD:.0e}; results may be truncation-limited",
         TruncationWarning,
-        stacklevel=stacklevel + 1,
+        stacklevel=3,
     )
 
 
 # ---------------------------------------------------------------------------
 # tensor structure
 # ---------------------------------------------------------------------------
-
-def tensor(x, y):
-    """Tensor product of two states of the same kind; layouts concatenate."""
-    layout = ModeLayout(x.layout.dims + y.layout.dims)
-    if isinstance(x, FockVector) and isinstance(y, FockVector):
-        return FockVector(layout, np.kron(x.amps, y.amps))
-    if isinstance(x, DensityMatrix) and isinstance(y, DensityMatrix):
-        return DensityMatrix(layout, np.kron(x.mat, y.mat))
-    raise TypeError("tensor requires two FockVectors or two DensityMatrices")
-
 
 def _parse_modes(layout: ModeLayout, modes: Iterable[int]) -> list[int]:
     return sorted({layout.check_mode(int(m)) for m in modes})

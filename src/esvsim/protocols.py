@@ -105,7 +105,7 @@ def _herald(coefs: np.ndarray, kept_norm2: np.ndarray, pairs: np.ndarray, weight
     p = |h|² e o / 2 over the resource's squared norm and
     F = |<target|h>|² / (|h|² |target|²).
     """
-    # the resource's |Phi(pi)> ∝ E⊗O + O⊗E is the zero vector where `esv_aligned` says so
+    # |s+,s+> - |s-,s-> = 2 (E⊗O + O⊗E), of norm 2 sqrt(2eo), is degenerate where `_superpose` says so
     if 2.0 * math.sqrt(2.0 * weights[0] * weights[1]) < _ZERO_NORM:
         raise ValueError(_DEGENERATE)
     a, b = pairs[:, 0], pairs[:, 1]
@@ -156,20 +156,15 @@ def teleport(inp: QubitAmplitudes, s: float) -> tuple[float, float]:
                    np.array([inp.a1 - inp.a0, inp.a0 + inp.a1]))
 
 
-def _joint_norm2(branches: np.ndarray) -> float:
-    """Squared norm of sum_q branches[..., q] ⊗ |q>, q the ancilla's basis state."""
-    norm2 = float(np.vdot(branches, branches).real)
-    if norm2 == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return norm2
-
-
-def _conditional(branches: np.ndarray, norm2: float, outcome: str) -> tuple[np.ndarray, float]:
+def _conditional(branches: np.ndarray, outcome: str) -> tuple[np.ndarray, float]:
     """Measure the ancilla of sum_q branches[..., q] ⊗ |q> in the |+-> basis.
 
     Returns the unnormalized conditional state (b0 +- b1)/sqrt(2) and its
-    probability, given the joint state's squared norm.
+    probability, relative to the joint state's squared norm.
     """
+    norm2 = float(np.vdot(branches, branches).real)
+    if norm2 == 0.0:
+        raise ValueError("cannot normalize the zero vector")
     if outcome not in ("+", "-"):
         raise ValueError("outcome must be '+' or '-'")
     sign = 1.0 if outcome == "+" else -1.0
@@ -192,7 +187,7 @@ def generate_scheme_a(s: float, ancilla: QubitAmplitudes, outcome: str,
     """
     plus, minus = _pair(s, cutoff)
     branches = np.stack([ancilla.a0 * np.outer(plus, minus), ancilla.a1 * np.outer(minus, plus)], axis=-1)
-    vec, prob = _conditional(branches, _joint_norm2(branches), outcome)
+    vec, prob = _conditional(branches, outcome)
     return FockVector(ModeLayout((cutoff, cutoff)), vec).normalized(), prob
 
 
@@ -212,9 +207,9 @@ def generate_scheme_b(s: float, ancilla: QubitAmplitudes, outcome: str,
     levels = np.arange(cutoff)
     diag = np.tanh(s) ** levels / np.cosh(s)      # the TMSV on |n, n>
     tmsv = np.stack([ancilla.a0 * diag, ancilla.a1 * np.exp(1j * kerr.gamma * levels) * diag], axis=-1)
-    _, prob = _conditional(tmsv, _joint_norm2(tmsv), outcome)
+    _, prob = _conditional(tmsv, outcome)
     half = np.exp(0.5j * kerr.gamma * levels)     # e^{i gamma N/2} = e^{i gamma n_a/2} e^{i gamma n_b/2}
     branches = np.stack([ancilla.a0 * np.outer(plus, minus), ancilla.a1 * np.outer(half * plus, half * minus)],
                         axis=-1)
-    vec, _ = _conditional(branches, _joint_norm2(branches), outcome)
+    vec, _ = _conditional(branches, outcome)
     return FockVector(ModeLayout((cutoff, cutoff)), vec).normalized(), prob

@@ -38,7 +38,6 @@ __all__ = [
     "MinorSelector",
     "multiindex_compare",
     "canonical_indices",
-    "moment_matrix_entry",
     "minor_determinant",
     "simon_det",
     "duan_det",
@@ -121,11 +120,6 @@ def canonical_indices(max_weight: int = MAX_WEIGHT) -> tuple[MomentIndex, ...]:
     idx = [MomentIndex(*t) for t in product(range(max_weight + 1), repeat=4)
            if sum(t) <= max_weight]
     return tuple(sorted(idx, key=cmp_to_key(multiindex_compare)))
-
-
-def moment_matrix_entry(state, i: MomentIndex, j: MomentIndex) -> complex:
-    """M_ij(rho^PT), evaluated on the original state via the b-swap identity."""
-    return _moment_entries(state, [(i, j)])[0]
 
 
 def minor_determinant(state, selector: MinorSelector) -> float:

@@ -40,7 +40,6 @@ __all__ = [
     "EsvSpec",
     "squeezed_vacuum",
     "esv_pure",
-    "esv_aligned",
     "esv_mixed",
     "displaced_overlap",
     "two_mode_squeezed_vacuum",
@@ -110,17 +109,16 @@ def _phase_fixed(amps: np.ndarray) -> np.ndarray:
     return amps * (np.conj(z) / abs(z))
 
 
-def _superpose(first: np.ndarray, second: np.ndarray, dims: tuple[int, ...],
-               message: str = _DEGENERATE) -> FockVector:
+def _superpose(first: np.ndarray, second: np.ndarray, dims: tuple[int, ...]) -> FockVector:
     """first + second, normalized, with the global phase fixed.
 
     A sum whose norm is below `_ZERO_NORM` is a degenerate superposition and
-    raises ValueError(message).
+    raises ValueError(_DEGENERATE).
     """
     amps = first + second
     norm = np.linalg.norm(amps)
     if norm < _ZERO_NORM:
-        raise ValueError(message)
+        raise ValueError(_DEGENERATE)
     return FockVector(ModeLayout(dims), _phase_fixed(amps / norm))
 
 
@@ -164,17 +162,6 @@ def esv_pure(spec: EsvSpec) -> FockVector:
     """|Psi(phi)> = N (|s+>|s-> + e^{i phi} |s->|s+>), normalized."""
     plus, minus = _pair(spec.s, spec.cutoff)
     return _superpose(np.kron(plus, minus), np.exp(1j * spec.phi) * np.kron(minus, plus),
-                      (spec.cutoff, spec.cutoff))
-
-
-def esv_aligned(spec: EsvSpec) -> FockVector:
-    """The companion state N (|s+>|s+> + e^{i phi} |s->|s->).
-
-    For phi = pi this is the swap/teleportation resource; it differs from
-    |Psi(pi)> by a local pi/2 phase rotation on one mode.
-    """
-    plus, minus = _pair(spec.s, spec.cutoff)
-    return _superpose(np.kron(plus, plus), np.exp(1j * spec.phi) * np.kron(minus, minus),
                       (spec.cutoff, spec.cutoff))
 
 
@@ -234,8 +221,8 @@ def displaced_overlap(alpha: complex, beta: complex, r: float) -> float:
     monotonically in |beta - alpha| and, at fixed separation d > 1, is
     maximized over r at r = arccosh(d^2)/2.
     """
-    c = np.cosh(2.0 * r)
-    return float(np.exp(-abs(beta - alpha) ** 2 / c) / c)
+    sech = _sech_2s(abs(r))
+    return float(np.exp(-abs(beta - alpha) ** 2 * sech) * sech)
 
 
 def two_mode_squeezed_vacuum(s: float, cutoff: int) -> FockVector:

@@ -3,25 +3,55 @@
 Everything here is deliberately built from first principles with plain
 dense kron products, explicit factorials, Kraus sums, or covariance-matrix
 algebra, so it shares no code path with the package under test.  The
-padded circuits at the end have their own block-sparse operator kernel
+exceptions come first: `tensor`, `esv_aligned` and `moment_matrix_entry`
+are thin helpers over the package that only the tests use.  The padded
+circuits at the end have their own block-sparse operator kernel
 (`_apply_blocks`), because the padded sizes put a dense matrix exponential
 of the whole grid out of reach.  Their splitter is the exponential of its
 truncated generator (`apply_beamsplitter`); the Fock term and branch sums
 after them use the balanced splitter's Wigner-matrix recursion
-(`_balanced_splitter_blocks`, through `_split_padded`) and the package's
-tail-band mask.
+(`_balanced_splitter_blocks`, through `_split_padded`), the package's
+tail-band mask and its tail decision (`_check_band`).
 """
 
 import math
+import warnings
 from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
 
-from esvsim import (DensityMatrix, EsvSpec, FockVector, KerrSpec, ModeLayout, SqueezeSpec, esv_aligned,
-                    esv_pure, squeezed_vacuum, tensor, two_mode_squeezed_vacuum)
-from esvsim.fock import _I_POW, _amplitude_matrix, _band_mask, _warn_tail, check_tail
+from esvsim import (DensityMatrix, EsvSpec, FockVector, KerrSpec, ModeLayout, SqueezeSpec, TruncationWarning,
+                    esv_pure, squeezed_vacuum, two_mode_squeezed_vacuum)
+from esvsim.fock import _I_POW, TAIL_THRESHOLD, _amplitude_matrix, _band_mask, check_tail
+from esvsim.separability import _moment_entries
 from esvsim.states import _DEGENERATE, _ZERO_NORM, _pair, _parity_split, _superpose
+
+
+def tensor(x, y):
+    """Tensor product of two states of the same kind; layouts concatenate."""
+    layout = ModeLayout(x.layout.dims + y.layout.dims)
+    if isinstance(x, FockVector) and isinstance(y, FockVector):
+        return FockVector(layout, np.kron(x.amps, y.amps))
+    if isinstance(x, DensityMatrix) and isinstance(y, DensityMatrix):
+        return DensityMatrix(layout, np.kron(x.mat, y.mat))
+    raise TypeError("tensor requires two FockVectors or two DensityMatrices")
+
+
+def esv_aligned(spec):
+    """The companion state N (|s+>|s+> + e^{i phi} |s->|s->).
+
+    For phi = pi this is the swap/teleportation resource; it differs from
+    |Psi(pi)> by a local pi/2 phase rotation on one mode.
+    """
+    plus, minus = _pair(spec.s, spec.cutoff)
+    return _superpose(np.kron(plus, plus), np.exp(1j * spec.phi) * np.kron(minus, minus),
+                      (spec.cutoff, spec.cutoff))
+
+
+def moment_matrix_entry(state, i, j):
+    """M_ij(rho^PT) for multi-indices i and j, one entry of the package's minor evaluation."""
+    return _moment_entries(state, [(i, j)])[0]
 
 
 def ladder(dim):
@@ -507,14 +537,21 @@ def entanglement_swap_padded(s, cutoff):
     return prob, heralded_fidelity(projected, [0, 3], prob, target)
 
 
+def _qubit_state(first, second):
+    """`_superpose` of one mode, raising the teleportation input's zero-vector message."""
+    try:
+        return _superpose(first, second, first.shape)
+    except ValueError:
+        raise ValueError("input superposition is the zero vector") from None
+
+
 def teleport_padded(inp, s, cutoff):
     """(probability, fidelity) of `teleport` on the padded 3-mode joint state."""
     plus, minus = _pair(s, cutoff)
-    message = "input superposition is the zero vector"
-    input_state = _superpose(inp.a0 * plus, inp.a1 * minus, (cutoff,), message)
+    input_state = _qubit_state(inp.a0 * plus, inp.a1 * minus)
     joint = tensor(input_state, esv_aligned(EsvSpec(s, np.pi, cutoff)))
     projected, prob = odd_odd_projector(padded_balanced_bs(joint, 0, 1), (0, 1))
-    target = _superpose(inp.a0 * minus, inp.a1 * plus, (cutoff,), message)
+    target = _qubit_state(inp.a0 * minus, inp.a1 * plus)
     return prob, heralded_fidelity(projected, [2], prob, target)
 
 
@@ -524,6 +561,15 @@ def teleport_padded(inp, s, cutoff):
 # zero-padded splitter (`_split_padded`, in one stacked call) and the odd-odd
 # projection, and p, F and the splitter's tail mass are Gram sums over the
 # truncated terms.
+
+def _check_band(mass, total):
+    """`check_tail`'s decision and message, as "beam splitter", for a band mass
+    and a total computed here; the warning names the oracle's caller."""
+    if total > 0 and mass <= TAIL_THRESHOLD * total:
+        return
+    message = f"beam splitter: Fock-tail mass above {TAIL_THRESHOLD:.0e}; results may be truncation-limited"
+    warnings.warn(message, TruncationWarning, stacklevel=3)
+
 
 def _herald_terms(coefs, kept, kept_layout, pairs, target):
     """Heralding probability and fidelity for the resource sum_T c_T kept_T ⊗ pair_T.
@@ -553,7 +599,7 @@ def _herald_terms(coefs, kept, kept_layout, pairs, target):
     norm2 = weight(kept, rows(stacked))
     q_kept, q_out = ~_band_mask(kept_layout), ~_band_mask(ModeLayout(out.shape[:2]))
     band = weight(kept, rows(out)) - weight(kept[:, q_kept], rows(out)[:, q_out])
-    _warn_tail(band / norm2, "beam splitter", stacklevel=2)
+    _check_band(band, norm2)
     heralded = weight(kept, rows(chi))
     amp = (coefs * (kept @ target.conj())) @ rows(chi)
     return heralded / norm2, float(np.vdot(amp, amp).real) / heralded
@@ -577,11 +623,10 @@ def teleport_terms(inp, s, cutoff):
         raise ValueError("teleportation requires s > 0")
     even, odd = _parity_split(s, cutoff)
     plus, minus = even + odd, even - odd
-    message = "input superposition is the zero vector"
-    input_state = _superpose(inp.a0 * plus, inp.a1 * minus, (cutoff,), message)
+    input_state = _qubit_state(inp.a0 * plus, inp.a1 * minus)
     if 2.0 * np.sqrt(2.0) * np.linalg.norm(even) * np.linalg.norm(odd) < _ZERO_NORM:
         raise ValueError(_DEGENERATE)
-    target = _superpose(inp.a0 * minus, inp.a1 * plus, (cutoff,), message)
+    target = _qubit_state(inp.a0 * minus, inp.a1 * plus)
     pairs = [(input_state.amps, even), (input_state.amps, odd)]
     return _herald_terms(np.ones(2), np.array([odd, even]), ModeLayout((cutoff,)), pairs, target.amps)
 
@@ -649,7 +694,7 @@ def generate_scheme_b_branches(s, ancilla, outcome, cutoff, kerr=KerrSpec(np.pi)
                         axis=-1)
     out = _split_padded(branches / np.linalg.norm(branches))
     band = out[_band_mask(ModeLayout(out.shape[:2])).reshape(out.shape[:2])]
-    _warn_tail(float(np.vdot(band, band).real), "beam splitter", stacklevel=2)
+    _check_band(float(np.vdot(band, band).real), float(np.vdot(out, out).real))
     vec, prob = _measure_pm(FockVector(ModeLayout(out.shape), out.reshape(-1)), 2, outcome)
     vec = resize_mode(resize_mode(vec, 0, cutoff), 1, cutoff)
     return vec.normalized(), prob

@@ -140,6 +140,17 @@ def test_numeric_guard_exit_3():
     assert main(["ln-thermal", "s=0.3", "sigma=2", "phi=0", "--cutoff", "30", "--strict"]) == 3
 
 
+def test_strict_flags_truncation_that_keeps_almost_no_norm():
+    # at large s a cutoff keeps almost none of the squeezed vacuum's norm and prints
+    # a wrong value (EoF 0.9103 for 1, p_plus 0.5162 for 0.5); its band is a large
+    # share of what is kept, though a tiny absolute mass
+    for argv in (["eof-surface", "s=25", "phi=0"], ["generate", "s=25"],
+                 ["ln-phase", "s=30", "sigma=0", "phi=0", "--cutoff", "6"]):
+        rc, _, contexts = _contexts(argv)
+        assert rc == 0 and contexts == {"squeezed_vacuum"}
+        assert _main_stdout(argv + ["--strict"])[0] == 3
+
+
 def _main_stdout(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):

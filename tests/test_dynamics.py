@@ -16,14 +16,13 @@ from esvsim import (
     jc_unitary,
     log_negativity,
     squeezed_vacuum,
-    tensor,
     two_mode_squeezed_vacuum,
     two_qubit_negativity,
 )
 from esvsim import dynamics
 from esvsim.fock import DensityMatrix, FockVector, ModeLayout
 
-from oracles import basis_vector, entangling_power_joint, jc_unitary_loop, log_negativity_dense
+from oracles import basis_vector, entangling_power_joint, jc_unitary_loop, log_negativity_dense, tensor
 
 
 def jc_evolve(q, n, d, tau):

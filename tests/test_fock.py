@@ -15,13 +15,13 @@ from esvsim import (
     moment,
     partial_transpose,
     tail_mass,
-    tensor,
 )
+from esvsim.fock import check_tail
 from esvsim.states import EsvSpec, SqueezeSpec, esv_pure, squeezed_vacuum, two_mode_squeezed_vacuum
 
 from oracles import (_balanced_splitter_blocks, _beamsplitter_blocks, _expm_tridiagonal, apply_beamsplitter,
                      basis_vector, beamsplitter_matrix, controlled_phase, kron_moment, partial_trace,
-                     phase_rotation, resize_mode, squeezed_amplitudes)
+                     phase_rotation, resize_mode, squeezed_amplitudes, tensor)
 
 
 def test_layout_validation():
@@ -395,6 +395,24 @@ def test_tail_mass_flags_undersized_cutoff():
     assert tail_mass(comfortable) < 1e-12
     with pytest.warns(Warning):
         squeezed_vacuum(SqueezeSpec(1.5, 12))
+
+
+def test_tail_check_judges_the_band_share_of_the_state():
+    # at s = 30 and cutoff 6 the truncated vacuum keeps |v|^2 = 3.5e-13, and its
+    # band of 7e-14 is a fifth of that: the absolute mass alone would pass it
+    with pytest.warns(TruncationWarning, match="squeezed_vacuum"):
+        v = squeezed_vacuum(SqueezeSpec(30.0, 6))
+    assert tail_mass(v) < 1e-8 < tail_mass(v) / v.norm() ** 2
+    zeros = (FockVector(v.layout, np.zeros(6)), DensityMatrix(v.layout, np.zeros((6, 6))))
+    for state in (v, v.density()) + zeros:
+        with pytest.warns(TruncationWarning, match="probe"):
+            check_tail(state, context="probe")
+    # the share, not the scale, decides: a comfortable state passes at any norm
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        small = squeezed_vacuum(SqueezeSpec(0.3, 40))
+        check_tail(FockVector(small.layout, 1e-9 * small.amps), context="probe")
+        check_tail(DensityMatrix(small.layout, 1e-18 * small.density().mat), context="probe")
 
 
 def test_density_matrix_rejects_non_hermitian():

@@ -17,7 +17,6 @@ from esvsim import (
     partial_transpose,
     phase_channel,
     squeezed_vacuum,
-    tensor,
     thermal_channel,
     two_mode_squeezed_vacuum,
     two_qubit_negativity,
@@ -26,7 +25,7 @@ from esvsim.fock import HERMITICITY_TOL, DensityMatrix, FockVector, ModeLayout, 
 from esvsim.measures import esv_mixed_ln_curve, esv_pure_eof_curve
 
 from oracles import (basis_vector, displaced_squeezed_amplitudes, entropy2, esv_reduced_spectrum,
-                     log_negativity_dense, phase_rotation, tmsv_logneg)
+                     log_negativity_dense, phase_rotation, tensor, tmsv_logneg)
 
 
 def rotated(state, mode, theta):

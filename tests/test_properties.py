@@ -19,13 +19,12 @@ from esvsim import (
     partial_transpose,
     phase_channel,
     squeezed_vacuum,
-    tensor,
     thermal_channel,
     two_mode_squeezed_vacuum,
 )
 from esvsim.fock import DensityMatrix, FockVector, ModeLayout
 
-from oracles import apply_beamsplitter, controlled_phase, partial_trace, random_product_dm
+from oracles import apply_beamsplitter, controlled_phase, partial_trace, random_product_dm, tensor
 
 
 def random_state(dims, rng):

@@ -13,7 +13,6 @@ from esvsim import (
     SqueezeSpec,
     TruncationWarning,
     entanglement_swap,
-    esv_aligned,
     esv_pure,
     fidelity,
     generate_scheme_a,
@@ -21,7 +20,6 @@ from esvsim import (
     log_negativity,
     squeezed_vacuum,
     teleport,
-    tensor,
     two_mode_squeezed_vacuum,
 )
 import esvsim.protocols
@@ -31,9 +29,10 @@ from esvsim.protocols import _parity_weights
 from esvsim.states import _DEGENERATE, _parity_split
 
 from oracles import (_split_padded, basis_vector, controlled_phase, entanglement_swap_padded,
-                     entanglement_swap_terms, generate_scheme_a_circuit, generate_scheme_b_branches,
-                     generate_scheme_b_circuit, heralded_fidelity, odd_odd_projector, padded_balanced_bs,
-                     partial_trace, phase_rotation, teleport_padded, teleport_terms)
+                     entanglement_swap_terms, esv_aligned, generate_scheme_a_circuit,
+                     generate_scheme_b_branches, generate_scheme_b_circuit, heralded_fidelity,
+                     odd_odd_projector, padded_balanced_bs, partial_trace, phase_rotation, teleport_padded,
+                     teleport_terms, tensor)
 
 HALF = 1 / np.sqrt(2)
 
@@ -422,7 +421,6 @@ def test_generation_with_trivial_ancilla():
         state, p = generate_scheme_a(0.9, anc, outcome, 30)
         assert p == pytest.approx(0.5, abs=1e-12)
         # conditional state is the product |s+, s->
-        from esvsim import SqueezeSpec, squeezed_vacuum, tensor
         target = tensor(squeezed_vacuum(SqueezeSpec(0.9, 30)),
                         squeezed_vacuum(SqueezeSpec(-0.9, 30))).normalized()
         assert fidelity(state, target) >= 1 - 1e-10

@@ -15,17 +15,15 @@ from esvsim import (
     esv_criterion_det,
     esv_pure,
     minor_determinant,
-    moment_matrix_entry,
     multiindex_compare,
     simon_det,
     squeezed_vacuum,
-    tensor,
     two_mode_squeezed_vacuum,
 )
 from esvsim.fock import DensityMatrix, FockVector, ModeLayout, TruncationWarning, tail_mass
 from esvsim.separability import _ESV_CRITERION_INDICES, _moment_minor
 
-from oracles import basis_vector, full_operator, moment_matrix_entry_via_pt
+from oracles import basis_vector, full_operator, moment_matrix_entry, moment_matrix_entry_via_pt, tensor
 
 
 def test_ordering_examples():

@@ -9,7 +9,6 @@ from esvsim import (
     SqueezeSpec,
     TruncationWarning,
     displaced_overlap,
-    esv_aligned,
     esv_mixed,
     esv_pure,
     fidelity,
@@ -20,8 +19,8 @@ from esvsim import (
 from esvsim.fock import ModeLayout
 from esvsim.states import _conditional_map
 
-from oracles import (basis_vector, displaced_squeezed_amplitudes, phase_rotation, squeezed_amplitudes,
-                     squeezed_overlap_series)
+from oracles import (basis_vector, displaced_squeezed_amplitudes, esv_aligned, phase_rotation,
+                     squeezed_amplitudes, squeezed_overlap_series)
 
 
 def vacuum(dims):
@@ -166,6 +165,19 @@ def test_displaced_overlap_closed_form():
     # complex displacements only enter through |beta - alpha|
     num = fidelity(displaced_squeezed(0.5 + 0.5j, 0.3, 60), displaced_squeezed(-0.5, -0.3, 60))
     assert num == pytest.approx(displaced_overlap(0.5 + 0.5j, -0.5, 0.3), abs=1e-6)
+
+
+def test_displaced_overlap_at_huge_squeezing_is_zero_without_overflow():
+    # cosh(2r) overflows from |r| ~ 355; the pyproject filter makes a RuntimeWarning an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert displaced_overlap(0.0, 2.0, 400.0) == 0.0
+        assert displaced_overlap(0.0, 2.0, -400.0) == 0.0
+    # and it is even in r and equal to the cosh form where that is finite
+    for r in np.linspace(-2.0, 2.0, 81):
+        c = np.cosh(2.0 * r)
+        assert displaced_overlap(0.0, 2.0, r) == pytest.approx(np.exp(-4.0 / c) / c, rel=1e-14)
+        assert displaced_overlap(0.0, 2.0, r) == displaced_overlap(0.0, 2.0, -r)
 
 
 def test_displaced_overlap_maximum_location():
