@@ -12,7 +12,7 @@ from .fock import (
     partial_transpose,
     tail_mass,
 )
-from .measures import eof_pure, log_negativity, two_qubit_negativity
+from .measures import eof_pure, log_negativity
 from .protocols import (
     KerrSpec,
     QubitAmplitudes,

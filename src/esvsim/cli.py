@@ -97,12 +97,6 @@ class _Command:
     outer: int = 0        # how many leading params prepare takes
 
 
-def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
-    if steps == 1:
-        return np.array([lo])
-    return np.linspace(lo, hi, steps)
-
-
 # --- per-command preparation -------------------------------------------------
 # Library functions are looked up by module-global name when called, never
 # bound at import, so a profiler that rebinds them sees every call.
@@ -114,7 +108,7 @@ def _prepare_eof(cutoff, s):
 
 def _prepare_noisy_ln(channel, cutoff, s, sigma):
     rho = channel(squeezed_vacuum(SqueezeSpec(s, cutoff)).normalized().density(), sigma)
-    curve = esv_mixed_ln_curve(rho, rho)
+    curve = esv_mixed_ln_curve(rho)
     return lambda phi: (curve(phi),)
 
 
@@ -184,7 +178,7 @@ def run(config: SweepConfig) -> SweepResult:
     the `evaluate` it returns once per row of the inner grid below that point.
     """
     cmd = COMMANDS[config.command]
-    axes = [tuple(float(v) for v in _grid(*config.ranges.get(name, default)))
+    axes = [tuple(float(v) for v in np.linspace(*config.ranges.get(name, default)))
             for name, default in cmd.params.items()]
     result = SweepResult(header=list(cmd.params) + list(cmd.diagnostics))
     with warnings.catch_warnings():

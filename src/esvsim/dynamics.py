@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import DensityMatrix, FockVector, ModeLayout
-from .measures import two_qubit_negativity
+from .measures import log_negativity
 
 __all__ = ["JcSpec", "jc_unitary", "entangling_power"]
 
@@ -83,4 +83,4 @@ def entangling_power(state: FockVector | DensityMatrix, tau: float) -> float:
         rho = state.mat.reshape(state.layout.dims * 2)
         qubits = np.einsum("pij,qkl,jlmn,rim,skn->pqrs", ka, kb, rho, ka.conj(), kb.conj(),
                            optimize=True).reshape(4, 4)
-    return two_qubit_negativity(DensityMatrix(ModeLayout((2, 2)), qubits))
+    return log_negativity(DensityMatrix(ModeLayout((2, 2)), qubits), [1])

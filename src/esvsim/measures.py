@@ -2,16 +2,17 @@
 
 Logarithmic negativity is log2 of the trace norm of the partial transpose;
 it vanishes on PPT states and equals 1 for a maximally entangled qubit pair.
-`esv_mixed_ln_curve` computes it for the output of `states.esv_mixed` from
-the two single-mode inputs: each block of the partial transpose is
-(rho_a (x) rho_bᵀ) ∘ W on factor blocks, W from the conditional map.  A
-sweep over phi calls it once per input pair: it prepares the factor blocks
-and their krons, and returns phi -> LN, which gathers each W from one
-16 x 16 table over (n_a mod 4, n_b mod 4) and eigensolves.  For equal real
-inputs, as in both noisy sweeps, a same-parity block pairs with itself and
-commutes with the mode swap |i, j> -> |j, i>; it is eigensolved as its
-swap-symmetric and antisymmetric halves, whose spectra together are exactly
-the block's.
+`esv_mixed_ln_curve` computes it for the output of `states.esv_mixed` on
+one real input with no coherence between photon numbers of opposite parity,
+as the channel outputs of both noisy sweeps are: each block of the partial transpose is
+(rho (x) rho) ∘ W on a pair of the input's parity sectors, W from the
+conditional map.  A sweep over phi calls it once per input: it prepares the
+sectors and their krons, and returns phi -> LN, which gathers each W from
+one 16 x 16 table over (n_a mod 4, n_b mod 4) and eigensolves.  A sector
+paired with itself commutes with the mode swap |i, j> -> |j, i>; it is
+eigensolved as its swap-symmetric and antisymmetric halves, whose spectra
+together are exactly the block's.  Any other input takes the reference path,
+`log_negativity(esv_mixed(rho_a, rho_b, phi), [1])`.
 Entanglement of formation (pure states only) is the entropy, base 2, of the
 Schmidt spectrum: the squared singular values of the amplitude matrix.  The
 entangled squeezed vacuum N(|s+>|s-> + e^{i phi}|s->|s+>) has a rank-2
@@ -52,7 +53,7 @@ from .states import (
     squeezed_vacuum,
 )
 
-__all__ = ["log_negativity", "esv_mixed_ln_curve", "eof_pure", "esv_pure_eof_curve", "two_qubit_negativity"]
+__all__ = ["log_negativity", "esv_mixed_ln_curve", "eof_pure", "esv_pure_eof_curve"]
 
 
 def _log2_trace_norm(ev: np.ndarray) -> float:
@@ -101,13 +102,6 @@ def log_negativity(state: FockVector | DensityMatrix, split: Iterable[int]) -> f
     return _log2_trace_norm(np.concatenate(spectra))
 
 
-def _factor_blocks(mat: np.ndarray) -> list[np.ndarray]:
-    """`hermitian_blocks` of mat, isolated indices as 1 x 1 blocks, all-zero blocks dropped."""
-    blocks, isolated = hermitian_blocks(mat)
-    return [b for b in blocks + [isolated[k:k + 1] for k in range(isolated.size)]
-            if mat[np.ix_(b, b)].any()]
-
-
 def _swap_halves(k: np.ndarray, rows: np.ndarray) -> tuple:
     """The parts of (K (x) K) ∘ W that its mode-swap halves are formed from.
 
@@ -144,76 +138,74 @@ def _half_spectra(direct: np.ndarray, crossed: np.ndarray, off: np.ndarray) -> l
     return spectra
 
 
-def esv_mixed_ln_curve(rho_a: DensityMatrix, rho_b: DensityMatrix) -> Callable[[float], float]:
-    """phi -> ``log_negativity(esv_mixed(rho_a, rho_b, phi), [1])`` from the d x d inputs.
+def esv_mixed_ln_curve(rho: DensityMatrix) -> Callable[[float], float]:
+    """phi -> ``log_negativity(esv_mixed(rho, rho, phi), [1])`` from the d x d input.
 
-    The partial transpose on mode 1 of T (rho_a (x) rho_b) T† is
-    (rho_a (x) rho_bᵀ) ∘ W, W[(n_a, n_b), (m_a, m_b)] = t(n_a, m_b) conj(t(m_a, n_b))
+    The input must be real and have no coherence between photon numbers of
+    opposite parity (no nonzero entry at an odd offset n - m), as the
+    thermal and phase channel outputs of a squeezed vacuum have; any other
+    input raises ValueError, and `log_negativity(esv_mixed(...), [1])`
+    serves it.  The partial transpose on mode 1 of T (rho (x) rho) T† is
+    (rho (x) rho) ∘ W, W[(n_a, n_b), (m_a, m_b)] = t(n_a, m_b) conj(t(m_a, n_b))
     with t = `states._conditional_map`; its spectrum is divided by the trace.
-    A connected block A of rho_a and one B of rho_bᵀ span an invariant block,
-    one kron of factor sub-blocks times W; no d^2 x d^2 matrix is formed.
+    A pair of nonzero parity sectors A, B of rho spans an invariant block,
+    one kron of sector sub-blocks times W; no d^2 x d^2 matrix is formed.
 
     Everything but W and the trace is independent of phi and is prepared
-    here once: the input checks, the factors' Hermitian parts, their blocks
-    and krons.  t depends on (n_a, n_b) only mod 4, so per phi W is one
+    here once: the input checks, the input's Hermitian part, its sectors and
+    their krons.  t depends on (n_a, n_b) only mod 4, so per phi W is one
     16 x 16 table over (n_a mod 4, n_b mod 4), formed in real arithmetic so
-    that it is exactly Hermitian, and each block gathers its W from it.  For
-    real inputs and one photon-number parity per factor block, W is real
-    between rows of equal i^(n_a - n_b) and imaginary across the two classes,
-    so the gauge u = 1 on the first row's class and i on the other, applied
-    to the table, makes the block real symmetric.
+    that it is exactly Hermitian, and each block gathers its W from it.  With
+    one photon-number parity per sector, W is real between rows of equal
+    i^(n_a - n_b) and imaginary across the two classes, so the gauge u = 1 on
+    the first row's class and i on the other, applied to the table, makes the
+    block real symmetric.
 
-    When the inputs are real and equal (a = bᵀ after taking Hermitian parts),
-    a same-parity factor block K pairs with itself into K (x) K.  With all four
-    photon numbers of one parity, i^p (-i)^q is real and symmetric in (p, q),
-    so W[(n_a, n_b), (m_a, m_b)] = W[(n_b, n_a), (m_b, m_a)], and the gauge
+    A sector K paired with itself gives K (x) K.  With all four photon numbers
+    of one parity, i^p (-i)^q is real and symmetric in (p, q), so
+    W[(n_a, n_b), (m_a, m_b)] = W[(n_b, n_a), (m_b, m_a)], and the gauge
     classes {0, 2} are swap-invariant too: the block commutes with the mode
     swap F|i, j> = |j, i>.  Its spectrum is then exactly the union of those of
     its symmetric half, on the n(n+1)/2 pairs i <= j, and its antisymmetric
     half, on the n(n-1)/2 pairs i < j (`_swap_halves`), eigensolved apart.
-    Every other block (1 x 1 ones too), and every block of unequal or complex
-    inputs, is eigensolved whole.  Every block is exactly Hermitian and goes to
-    `eigvalsh` unchecked.  Raises the ValueErrors of `esv_mixed`: those of
-    the inputs here, the annihilated-trace one when called.
+    The two cross-parity blocks are eigensolved whole.  Every block is
+    exactly Hermitian and goes to `eigvalsh` unchecked.  Raises the
+    ValueErrors of `esv_mixed`: those of the input here, the
+    annihilated-trace one when called.
     """
-    d = _check_esv_inputs(rho_a, rho_b)
-    a, bt = (0.5 * (m + m.conj().T) for m in (rho_a.mat, rho_b.mat.T))
-    real = not (a.imag.any() or bt.imag.any())
-    if real:
-        a, bt = a.real, bt.real
-    same = real and np.array_equal(a, bt)
-    diag_a, diag_b = a.diagonal().real, bt.diagonal().real
-    mod4 = np.arange(d) % 4
+    d = _check_esv_inputs(rho, rho)
+    a = 0.5 * (rho.mat + rho.mat.conj().T)
+    n = np.arange(d)
+    if a.imag.any() or a[(n[:, None] - n) % 2 == 1].any():
+        raise ValueError("esv_mixed_ln_curve needs a real input with no coherence between "
+                         "photon numbers of opposite parity; use log_negativity(esv_mixed(...), [1])")
+    a = a.real
+    diag = a.diagonal()
+    mod4 = n % 4
     classes = (np.arange(16) // 4 - np.arange(16) % 4) % 4      # i^(n_a - n_b) per table row
-    blocks_a = _factor_blocks(a)
-    blocks_b = blocks_a if same else _factor_blocks(bt)
-    solves = []     # (kron or swap-direct factor, table rows, real-gauge class or None, swap parts or None)
-    for rows_a in blocks_a:
-        for rows_b in blocks_b:
+    sectors = [rows for rows in (n[0::2], n[1::2]) if a[np.ix_(rows, rows)].any()]
+    solves = []     # (kron or swap-direct factor, table rows, real gauge u, swap parts or None)
+    for rows_a in sectors:
+        for rows_b in sectors:
             rows = (mod4[rows_a, None] * 4 + mod4[None, rows_b]).reshape(-1)
-            gauge = real and np.ptp(rows_a % 2) == 0 and np.ptp(rows_b % 2) == 0
-            cls = classes[rows[0]] if gauge else None
-            if gauge and rows_b is rows_a and rows_a.size > 1:
+            u = np.where(classes == classes[rows[0]], 1.0, 1j)
+            if rows_b is rows_a:
                 kron, rows, swap = _swap_halves(a[np.ix_(rows_a, rows_a)], rows)
             else:
-                kron, swap = np.kron(a[np.ix_(rows_a, rows_a)], bt[np.ix_(rows_b, rows_b)]), None
-            solves.append((kron, rows, cls, swap))
+                kron, swap = np.kron(a[np.ix_(rows_a, rows_a)], a[np.ix_(rows_b, rows_b)]), None
+            solves.append((kron, rows, u, swap))
 
     def ln_at_phi(phi: float) -> float:
         t4 = _conditional_map(4, phi)
         t = t4[np.ix_(mod4, mod4)]
-        tr = _check_esv_trace(float(diag_a @ np.abs(t) ** 2 @ diag_b))
+        tr = _check_esv_trace(float(diag @ np.abs(t) ** 2 @ diag))
         x, y = t4[:, None, None, :], t4.T[None, :, :, None]     # t(n_a, m_b), t(m_a, n_b)
         # W = x conj(y) in real arithmetic: exactly Hermitian, unlike a fused complex product
         w = x.real * y.real + x.imag * y.imag + 1j * (x.imag * y.real - x.real * y.imag)
         w = w.reshape(16, 16)
         spectra = []
-        for kron, rows, cls, swap in solves:
-            table = w
-            if cls is not None:
-                u = np.where(classes == cls, 1.0, 1j)
-                table = (w * u.conj()[:, None] * u).real
-            table = table.take(rows, 0)
+        for kron, rows, u, swap in solves:
+            table = (w * u.conj()[:, None] * u).real.take(rows, 0)
             if swap is None:
                 spectra.append(np.linalg.eigvalsh(kron * table.take(rows, 1))[::-1])
             else:
@@ -269,10 +261,3 @@ def esv_pure_eof_curve(s: float, cutoff: int) -> Callable[[float], float]:
         return sum(-lam * math.log2(lam) for lam in (lam_plus, lam_minus) if lam > EIG_ZERO_BAND)
 
     return eof_at_phi
-
-
-def two_qubit_negativity(rho: DensityMatrix) -> float:
-    """Logarithmic negativity specialized to a two-qubit density matrix."""
-    if rho.layout.dims != (2, 2):
-        raise ValueError(f"expected a (2, 2) qubit layout, got {rho.layout.dims}")
-    return log_negativity(rho, [1])

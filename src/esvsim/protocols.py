@@ -205,7 +205,7 @@ def generate_scheme_b(s: float, ancilla: QubitAmplitudes, outcome: str,
     """
     plus, minus = _pair(s, cutoff)
     levels = np.arange(cutoff)
-    diag = np.tanh(s) ** levels / np.cosh(s)      # the TMSV on |n, n>
+    diag = np.tanh(s) ** levels * _sech_2s(abs(s) / 2)      # the TMSV on |n, n>
     tmsv = np.stack([ancilla.a0 * diag, ancilla.a1 * np.exp(1j * kerr.gamma * levels) * diag], axis=-1)
     _, prob = _conditional(tmsv, outcome)
     half = np.exp(0.5j * kerr.gamma * levels)     # e^{i gamma N/2} = e^{i gamma n_a/2} e^{i gamma n_b/2}

@@ -101,11 +101,11 @@ def _wrap_phi(phi: float, sech_2s: float) -> float:
 
 
 def _phase_fixed(amps: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the largest amplitude is real positive."""
-    k = int(np.argmax(np.abs(amps)))
-    z = amps[k]
-    if abs(z) == 0.0:
-        return amps
+    """Rotate the global phase so the largest amplitude is real positive.
+
+    `amps` is normalized, so that amplitude has modulus at least 1/sqrt(n).
+    """
+    z = amps[int(np.argmax(np.abs(amps)))]
     return amps * (np.conj(z) / abs(z))
 
 
@@ -133,7 +133,7 @@ def squeezed_vacuum(spec: SqueezeSpec) -> FockVector:
     t = np.tanh(spec.s)
     n = np.arange(1, (d + 1) // 2)
     ratios = -t * np.sqrt((2.0 * n - 1.0) / (2.0 * n))
-    evens = np.concatenate([[1.0], np.cumprod(ratios)]) / np.sqrt(np.cosh(spec.s))
+    evens = np.concatenate([[1.0], np.cumprod(ratios)]) * math.sqrt(_sech_2s(abs(spec.s) / 2))
     amps[0::2] = evens
     out = FockVector(ModeLayout((d,)), amps)
     check_tail(out, context="squeezed_vacuum")
@@ -169,7 +169,8 @@ def _check_esv_inputs(rho_a: DensityMatrix, rho_b: DensityMatrix) -> int:
     """The common cutoff of two physical unit-trace single-mode inputs.
 
     Raises ValueError for anything else; `esv_mixed` and
-    `measures.esv_mixed_ln_curve` share this check.
+    `measures.esv_mixed_ln_curve`, which passes its one input as both, share
+    this check.
     """
     if rho_a.layout.nmodes != 1 or rho_b.layout.nmodes != 1:
         raise ValueError("esv_mixed needs two single-mode density matrices")
@@ -202,9 +203,12 @@ def esv_mixed(rho_a: DensityMatrix, rho_b: DensityMatrix, phi: float) -> Density
     basis; the output T (rho_a (x) rho_b) T† is renormalized to unit trace.
     On pure squeezed-vacuum inputs this reproduces |Psi(phi)><Psi(phi)|.
 
-    For the log-negativity of this state, `measures.esv_mixed_ln_curve` gives
-    the same value from the d x d inputs without building the d^2 x d^2 joint
-    state; this function is its reference.
+    For the log-negativity of this state with rho_a = rho_b real and free of
+    coherence between opposite photon-number parities, as in both noisy
+    sweeps, `measures.esv_mixed_ln_curve` gives the same value from the d x d
+    input without building the d^2 x d^2 joint state; this function is its
+    reference, and `log_negativity(esv_mixed(...), [1])` serves every other
+    input.
     """
     d = _check_esv_inputs(rho_a, rho_b)
     t_diag = _conditional_map(d, phi).reshape(-1)
@@ -222,7 +226,10 @@ def displaced_overlap(alpha: complex, beta: complex, r: float) -> float:
     maximized over r at r = arccosh(d^2)/2.
     """
     sech = _sech_2s(abs(r))
-    return float(np.exp(-abs(beta - alpha) ** 2 * sech) * sech)
+    dist = abs(beta - alpha)
+    # dist * dist saturates at inf where dist ** 2 raises OverflowError; with
+    # sech 2r = 0 the overlap is 0, also where inf * 0 would give nan
+    return float(np.exp(-(dist * dist) * sech) * sech) if sech else 0.0
 
 
 def two_mode_squeezed_vacuum(s: float, cutoff: int) -> FockVector:
@@ -230,7 +237,7 @@ def two_mode_squeezed_vacuum(s: float, cutoff: int) -> FockVector:
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
     d = cutoff
-    diag = (np.tanh(s) ** np.arange(d)) / np.cosh(s)
+    diag = (np.tanh(s) ** np.arange(d)) * _sech_2s(abs(s) / 2)
     amps = np.zeros((d, d), dtype=complex)
     np.fill_diagonal(amps, diag)
     out = FockVector(ModeLayout((d, d)), amps.reshape(-1))

@@ -85,6 +85,12 @@ def test_csv_format_significant_digits(tmp_path):
         assert len(mantissa.replace("-", "").replace(".", "")) == 12
 
 
+def test_overlap_at_huge_separation_prints_zero(capsys):
+    # the squared separation saturates at inf: a row of 0.0, not a traceback
+    assert main(["overlap", "d=1e200", "r=0"]) == 0
+    assert capsys.readouterr().out == "d,r,overlap\n1.00000000000e+200,0.00000000000e+00,0.00000000000e+00\n"
+
+
 def test_usage_errors_exit_2():
     assert main(["swap", "squeeze=1"]) == 2          # unknown parameter
     assert main(["swap", "s=0..1"]) == 2             # range without steps
@@ -330,7 +336,7 @@ def test_noisy_ln_rows_match_joint_state_oracle(tmp_path, command, channel):
 def _ln_oracle(channel):
     def ln(s, sigma, phi):
         rho = channel(squeezed_vacuum(SqueezeSpec(s, 10)).normalized().density(), sigma)
-        return esv_mixed_ln_curve(rho, rho)(phi)
+        return esv_mixed_ln_curve(rho)(phi)
     return ln
 
 

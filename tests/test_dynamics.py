@@ -17,7 +17,6 @@ from esvsim import (
     log_negativity,
     squeezed_vacuum,
     two_mode_squeezed_vacuum,
-    two_qubit_negativity,
 )
 from esvsim import dynamics
 from esvsim.fock import DensityMatrix, FockVector, ModeLayout
@@ -174,11 +173,11 @@ def test_entangling_power_matches_joint_state_oracle(dims, tau, rank, seed):
     want = entangling_power_joint(array, dims, tau)
     seen = []
 
-    def spy(qubits):
+    def spy(qubits, split):
         seen.append(qubits.mat)
-        return two_qubit_negativity(qubits)
+        return log_negativity(qubits, split)
 
-    with mock.patch.object(dynamics, "two_qubit_negativity", spy):
+    with mock.patch.object(dynamics, "log_negativity", spy):
         value = entangling_power(state, tau)
     assert np.abs(seen[0] - want).max() <= 1e-12     # the qubit state, not only its negativity
     assert abs(value - log_negativity_dense(want, (2, 2), [1])) <= 1e-12

@@ -19,7 +19,6 @@ from esvsim import (
     squeezed_vacuum,
     thermal_channel,
     two_mode_squeezed_vacuum,
-    two_qubit_negativity,
 )
 from esvsim.fock import HERMITICITY_TOL, DensityMatrix, FockVector, ModeLayout, hermitian_blocks
 from esvsim.measures import esv_mixed_ln_curve, esv_pure_eof_curve
@@ -205,18 +204,16 @@ def test_eof_requires_normalized_pure_state():
 
 
 def test_two_qubit_negativity_bell_and_product():
-    assert two_qubit_negativity(bell_dm()) == pytest.approx(1.0, abs=1e-12)
+    assert log_negativity(bell_dm(), [1]) == pytest.approx(1.0, abs=1e-12)
     v = np.kron([1, 0], [1 / np.sqrt(2), 1j / np.sqrt(2)]).astype(complex)
     prod = DensityMatrix(ModeLayout((2, 2)), np.outer(v, v.conj()))
-    assert two_qubit_negativity(prod) == 0.0
+    assert log_negativity(prod, [1]) == 0.0
 
 
 def test_two_qubit_negativity_werner_boundary():
     # partial-transpose eigenvalues (1+p)/4 (x3) and (1-3p)/4: PPT at p=1/3
-    assert two_qubit_negativity(werner_dm(1 / 3)) == pytest.approx(0.0, abs=1e-9)
-    assert two_qubit_negativity(werner_dm(0.6)) > 0.1
-    with pytest.raises(ValueError):
-        two_qubit_negativity(vaccum_like := DensityMatrix(ModeLayout((3, 3)), np.eye(9) / 9))
+    assert log_negativity(werner_dm(1 / 3), [1]) == pytest.approx(0.0, abs=1e-9)
+    assert log_negativity(werner_dm(0.6), [1]) > 0.1
 
 
 def test_ppt_states_have_zero_log_negativity():
@@ -241,7 +238,7 @@ def test_ppt_noisy_esv_log_negativity_is_exactly_zero():
     rho = phase_channel(squeezed_vacuum(SqueezeSpec(1.0, 30)).normalized().density(), 1.0)
     for phi in np.linspace(0.0, 2 * np.pi, 8)[[1, 6]]:
         assert log_negativity(esv_mixed(rho, rho, phi), [1]) == 0.0
-        assert esv_mixed_ln_curve(rho, rho)(phi) == 0.0
+        assert esv_mixed_ln_curve(rho)(phi) == 0.0
 
 
 def test_eof_equals_log_negativity_on_maximally_entangled_pair():
@@ -406,9 +403,9 @@ def block_sizes(solved):
     return sizes
 
 
-def assert_matches_oracle(rho_a, rho_b, phi):
-    got = esv_mixed_ln_curve(rho_a, rho_b)(phi)
-    want = log_negativity(esv_mixed(rho_a, rho_b, phi), [1])
+def assert_matches_oracle(rho, phi):
+    got = esv_mixed_ln_curve(rho)(phi)
+    want = log_negativity(esv_mixed(rho, rho, phi), [1])
     assert abs(got - want) <= 1e-12
     return got
 
@@ -420,84 +417,92 @@ def test_esv_mixed_log_negativity_matches_oracle_on_noisy_ln_sweeps(kind, sigmas
     for sigma in sigmas:
         rho = noised(kind, 1.0, sigma, 30)
         for phi in np.linspace(0.0, 2 * np.pi, 8):
-            assert_matches_oracle(rho, rho, phi)
+            assert_matches_oracle(rho, phi)
     assert all_exactly_hermitian(hermitian_blocks_solved)
 
 
 @pytest.mark.parametrize("kind, sizes", [("thermal", [105, 105, 120, 120, 225, 225]),
                                          ("phase", [105, 120])])
 def test_esv_mixed_ln_curve_splits_equal_inputs_into_swap_halves(kind, sizes, hermitian_blocks_solved):
-    # README inputs: each same-parity 15 x 15 factor block pairs with itself
-    # into 120 symmetric and 105 antisymmetric pairs; the (even, odd) and
-    # (odd, even) blocks of the thermal state stay whole
+    # README inputs: each 15 x 15 parity sector pairs with itself into 120
+    # symmetric and 105 antisymmetric pairs; the (even, odd) and (odd, even)
+    # blocks of the thermal state stay whole, and the phase state's all-zero
+    # odd sector is dropped
     rho = noised(kind, 1.0, 0.5, 30)
-    curve = esv_mixed_ln_curve(rho, rho)
+    curve = esv_mixed_ln_curve(rho)
     for phi in (0.0, 1.1, np.pi / 2, 4.0):
         curve(phi)
         assert block_sizes(hermitian_blocks_solved) == sizes
 
 
 def test_esv_mixed_ln_curve_keeps_whole_blocks_without_the_swap_symmetry(hermitian_blocks_solved):
-    rho = noised("thermal", 1.0, 0.5, 16)
-    turned = rotated(rho, 0, 0.7)
-    displaced = displaced_sq_dm(0.4, -0.6, 16)
-    assert not displaced.mat.imag.any()
-    odd = noised("thermal", 0.8, 0.5, 11)
+    # the cross-parity blocks stay whole; a cutoff of 11 has 6 even and 5 odd
+    # levels, and at cutoffs 2 and 3 the odd sector is 1 x 1, with an empty
+    # antisymmetric half
     cases = [
-        (rho, noised("thermal", 0.8, 0.5, 16), [64] * 4),     # unequal real inputs
-        (turned, turned, [64] * 4),                           # equal complex inputs
-        (displaced, displaced, [256]),                        # equal, both parities in one block
-        (odd, odd, [10, 15, 15, 21, 30, 30]),                 # 6 even, 5 odd: (e, o), (o, e) whole
+        (noised("thermal", 0.8, 0.5, 11), [10, 15, 15, 21, 30, 30]),
+        (noised("thermal", 0.8, 0.5, 3), [0, 1, 1, 2, 2, 3]),
+        (noised("thermal", 0.8, 0.5, 2), [0, 0, 1, 1, 1, 1]),
     ]
-    for rho_a, rho_b, sizes in cases:
-        curve = esv_mixed_ln_curve(rho_a, rho_b)
+    for rho, sizes in cases:
+        curve = esv_mixed_ln_curve(rho)
         for phi in (0.0, 1.1, np.pi):
             got = curve(phi)
             assert block_sizes(hermitian_blocks_solved) == sizes
-            assert abs(got - log_negativity(esv_mixed(rho_a, rho_b, phi), [1])) <= 1e-12
+            assert abs(got - log_negativity(esv_mixed(rho, rho, phi), [1])) <= 1e-12
 
 
 def test_esv_mixed_log_negativity_complex_and_mixed_parity_inputs():
-    # a local phase rotation makes the inputs complex; a displaced squeezed
-    # state has both photon-number parities: neither block is gauged real
+    # a local phase rotation makes the input complex; a displaced squeezed
+    # state has coherences between both photon-number parities: the curve
+    # rejects both, and the reference path serves them
     rho = noised("thermal", 0.8, 0.5, 16)
     turned = rotated(rho, 0, 0.7)
     assert turned.mat.imag.any()
     displaced = displaced_sq_dm(0.4, -0.6, 16)
-    for phi in (0.0, 1.1, np.pi):
-        assert assert_matches_oracle(rho, turned, phi) > 0.0
-        assert assert_matches_oracle(displaced, rho, phi) > 0.0
-        assert assert_matches_oracle(turned, displaced, phi) > 0.0
+    assert not displaced.mat.imag.any()
+    for other in (turned, displaced):
+        with pytest.raises(ValueError, match=r"log_negativity\(esv_mixed\(\.\.\.\), \[1\]\)"):
+            esv_mixed_ln_curve(other)
+        for phi in (0.0, 1.1, np.pi):
+            assert log_negativity(esv_mixed(other, other, phi), [1]) > 0.0
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
-    kind=st.sampled_from(["thermal", "phase"]),
-    s_a=st.floats(0.1, 1.2),
-    s_b=st.floats(-1.2, -0.1),
+    kind=st.sampled_from(["thermal", "phase", "random"]),
+    s=st.one_of(st.floats(-1.2, -0.1), st.floats(0.1, 1.2)),
     sigma=st.floats(0.0, 2.0),
     phi=st.one_of(st.sampled_from([0.0, np.pi]), st.floats(0.0, 2 * np.pi)),
-    cutoff=st.integers(6, 14),
-    theta=st.one_of(st.just(0.0), st.floats(-np.pi, np.pi)),
-    alpha=st.one_of(st.just(0.0), st.floats(0.1, 0.5)),
+    cutoff=st.integers(2, 14),
+    seed=st.integers(0, 2 ** 32 - 1),
 )
-def test_esv_mixed_log_negativity_property(kind, s_a, s_b, sigma, phi, cutoff, theta, alpha):
-    rho_a = noised(kind, s_a, sigma, cutoff)
-    if alpha:
-        pure_b = displaced_sq_dm(alpha, s_b, cutoff)
-        rho_b = thermal_channel(pure_b, sigma) if kind == "thermal" else phase_channel(pure_b, sigma)
+def test_esv_mixed_log_negativity_property(kind, s, sigma, phi, cutoff, seed):
+    # the noisy-sweep inputs, and random real states with one photon-number
+    # parity per coherence, of any rank and with all-zero sectors
+    if kind == "random":
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((cutoff, rng.integers(1, cutoff + 1)))
+        g[rng.integers(0, 2)::2] *= rng.integers(0, 2)      # maybe empty one parity
+        mat = g @ g.T
+        n = np.arange(cutoff)
+        mat[(n[:, None] - n) % 2 == 1] = 0.0
+        rho = DensityMatrix(ModeLayout((cutoff,)), mat / np.trace(mat))
     else:
-        rho_b = noised(kind, s_b, sigma, cutoff)
-    rho_b = rotated(rho_b, 0, theta)
-    assert_matches_oracle(rho_a, rho_b, phi)
-    assert_matches_oracle(rho_b, rho_a, phi)
+        rho = noised(kind, s, sigma, cutoff)
+    try:
+        want = log_negativity(esv_mixed(rho, rho, phi), [1])
+    except ValueError as exc:       # T annihilated the input
+        with pytest.raises(ValueError, match=str(exc)):
+            esv_mixed_ln_curve(rho)(phi)
+        return
+    assert abs(esv_mixed_ln_curve(rho)(phi) - want) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(["thermal", "phase"]),
-    s=st.floats(0.1, 1.2),
-    s_b=st.one_of(st.none(), st.floats(-1.2, 1.2)),
+    s=st.one_of(st.floats(-1.2, -0.1), st.floats(0.1, 1.2)),
     sigma=st.floats(0.0, 2.0),
     cutoff=st.integers(6, 14),
     shift=st.one_of(st.just(0.0), st.floats(-np.pi, np.pi)),
@@ -506,19 +511,18 @@ def test_esv_mixed_log_negativity_property(kind, s_a, s_b, sigma, phi, cutoff, t
                    max_size=4),
     order=st.randoms(use_true_random=False),
 )
-def test_esv_mixed_ln_curve_matches_fresh_calls_in_any_order(kind, s, s_b, sigma, cutoff, shift,
+def test_esv_mixed_ln_curve_matches_fresh_calls_in_any_order(kind, s, sigma, cutoff, shift,
                                                              steps, extra, order):
     # one prepared curve over a shifted (not symmetric about 0) grid plus
     # stray phases, visited in a random order
-    rho_a = noised(kind, s, sigma, cutoff)
-    rho_b = rho_a if s_b is None else noised(kind, s_b, sigma, cutoff)
+    rho = noised(kind, s, sigma, cutoff)
     phis = list(np.linspace(shift, shift + 2 * np.pi, steps)) + extra
     order.shuffle(phis)
-    curve = esv_mixed_ln_curve(rho_a, rho_b)
+    curve = esv_mixed_ln_curve(rho)
     for phi in phis:
         got = curve(phi)
-        assert abs(got - esv_mixed_ln_curve(rho_a, rho_b)(phi)) <= 1e-12
-        assert abs(got - log_negativity(esv_mixed(rho_a, rho_b, phi), [1])) <= 1e-12
+        assert abs(got - esv_mixed_ln_curve(rho)(phi)) <= 1e-12
+        assert abs(got - log_negativity(esv_mixed(rho, rho, phi), [1])) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -534,14 +538,15 @@ def test_esv_mixed_log_negativity_even_in_phi_for_equal_inputs(kind, s, sigma, p
     # two independent calls, nothing shared between them
     rho = noised(kind, s, sigma, cutoff)
     assert not rho.mat.imag.any()
-    plus = esv_mixed_ln_curve(rho, rho)(phi)
-    minus = esv_mixed_ln_curve(noised(kind, s, sigma, cutoff), noised(kind, s, sigma, cutoff))(-phi)
+    plus = esv_mixed_ln_curve(rho)(phi)
+    minus = esv_mixed_ln_curve(noised(kind, s, sigma, cutoff))(-phi)
     assert abs(plus - minus) <= 1e-12
 
 
 def test_esv_mixed_log_negativity_blocks_exactly_hermitian_under_input_noise(hermitian_blocks_solved):
-    # inputs pass the DensityMatrix check with 1e-13 anti-Hermitian noise: complex
-    # noise on a complex input, real antisymmetric noise that keeps a real input real
+    # inputs pass the DensityMatrix check with 1e-13 anti-Hermitian noise, real
+    # or complex; the Hermitian part of a real input stays real, and stays zero
+    # at odd offsets
     rng = np.random.default_rng(5)
 
     def with_noise(rho, dtype):
@@ -552,13 +557,11 @@ def test_esv_mixed_log_negativity_blocks_exactly_hermitian_under_input_noise(her
         assert not np.array_equal(noisy.mat, noisy.mat.conj().T)
         return noisy
 
-    rho = noised("thermal", 0.8, 0.5, 16)
-    turned = rotated(noised("phase", -0.6, 0.4, 16), 0, 0.7)
-    for rho_a, rho_b in ((with_noise(rho, float), with_noise(rho, float)),
-                         (with_noise(rho, float), with_noise(turned, complex)),
-                         (with_noise(turned, complex), with_noise(turned, complex))):
+    thermal = noised("thermal", 0.8, 0.5, 16)
+    phase = noised("phase", -0.6, 0.4, 16)
+    for rho in (with_noise(thermal, float), with_noise(thermal, complex), with_noise(phase, complex)):
         for phi in (0.0, 1.1, np.pi):
-            assert assert_matches_oracle(rho_a, rho_b, phi) > 0.0
+            assert assert_matches_oracle(rho, phi) > 0.0
     assert all_exactly_hermitian(hermitian_blocks_solved)
 
 
@@ -571,7 +574,7 @@ def test_esv_mixed_ln_curve_at_zero_noise_matches_two_level_oracle(s, d):
     u = psi.amps.real
     v = u * (-1.0) ** (np.arange(d) // 2)
     rho = psi.normalized().density()
-    curve = esv_mixed_ln_curve(rho, rho)
+    curve = esv_mixed_ln_curve(rho)
     for phi in (0.0, 0.5, 1.3, np.pi / 2, 2.6, np.pi, 4.4):
         lam = esv_reduced_spectrum(u @ v / (u @ u), phi)
         assert abs(curve(phi) - 2.0 * np.log2(np.sqrt(lam).sum())) <= 1e-12
@@ -580,19 +583,17 @@ def test_esv_mixed_ln_curve_at_zero_noise_matches_two_level_oracle(s, d):
 def test_esv_mixed_log_negativity_raises_what_esv_mixed_raises():
     d = 6
     layout = ModeLayout((d,))
-    vac = basis_dm(d, 0)
     one = basis_dm(d, 1)
     negative = DensityMatrix(layout, np.diag([1.2, -0.2, 0, 0, 0, 0]).astype(complex))
     cases = [
-        (esv_pure(EsvSpec(0.5, 0.0, d)).density(), vac, 0.0),      # two-mode input
-        (vac, basis_dm(d + 1, 0), 0.0),                            # cutoffs differ
-        (vac, negative, 0.0),                                      # not physical
-        (one, one, np.pi),                                         # T annihilates |1,1>
+        (esv_pure(EsvSpec(0.5, 0.0, d)).density(), 0.0),      # two-mode input
+        (negative, 0.0),                                      # not physical
+        (one, np.pi),                                         # T annihilates |1,1>
     ]
-    for rho_a, rho_b, phi in cases:
+    for rho, phi in cases:
         with pytest.raises(ValueError) as want:
-            esv_mixed(rho_a, rho_b, phi)
+            esv_mixed(rho, rho, phi)
         with pytest.raises(ValueError) as got:
-            esv_mixed_ln_curve(rho_a, rho_b)(phi)
+            esv_mixed_ln_curve(rho)(phi)
         assert str(got.value) == str(want.value)
-    assert esv_mixed_ln_curve(one, one)(0.0) == 0.0
+    assert esv_mixed_ln_curve(one)(0.0) == 0.0

@@ -385,6 +385,16 @@ def test_protocols_form_no_joint_padded_state():
     assert _peak_mb(generate_scheme_b, 1.0, QubitAmplitudes(HALF, HALF), "+", 24) < 8.0
 
 
+def test_generation_schemes_at_large_squeezing_raise_without_cosh_overflow():
+    # cosh s overflows from |s| ~ 710; sech s from e^{-|s|} underflows to 0,
+    # every truncated amplitude is 0, and the heralded zero vector raises
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for scheme in (generate_scheme_a, generate_scheme_b):
+            with pytest.raises(ValueError):
+                scheme(800.0, QubitAmplitudes(HALF, HALF), "+", 8)
+
+
 def test_generation_schemes_agree_and_match_target():
     anc = QubitAmplitudes(HALF, HALF)
     state_a, pa = generate_scheme_a(1.0, anc, "+", 40)

@@ -180,6 +180,25 @@ def test_displaced_overlap_at_huge_squeezing_is_zero_without_overflow():
         assert displaced_overlap(0.0, 2.0, r) == displaced_overlap(0.0, 2.0, -r)
 
 
+def test_displaced_overlap_at_huge_separation_is_zero_without_overflow():
+    # |beta - alpha|^2 exceeds the float range from ~1.3e154: a float product
+    # saturates at inf, where ** 2 raised OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for alpha, beta in ((0.0, 1e200), (-1e200, 0.0), (1e200j, -1e200), (3e160 + 4e160j, 0.0)):
+            for r in (0.0, 0.7, -2.0, 400.0):       # at r = 400 sech 2r is 0: no inf * 0
+                assert displaced_overlap(alpha, beta, r) == 0.0
+
+
+def test_large_squeezing_states_build_without_cosh_overflow():
+    # cosh s overflows from |s| ~ 710; sech s from e^{-|s|} underflows to 0 instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for s in (800.0, -800.0):
+            assert not squeezed_vacuum(SqueezeSpec(s, 8)).amps.any()
+            assert not two_mode_squeezed_vacuum(s, 8).amps.any()
+
+
 def test_displaced_overlap_maximum_location():
     # at fixed separation, the overlap peaks at r = arccosh(|b-a|^2)/2
     rs = np.linspace(0.0, 2.0, 4001)
@@ -197,6 +216,7 @@ def test_two_mode_squeezed_vacuum():
     off = t - np.diag(np.diag(t))
     assert np.abs(off).max() == 0.0                       # support only on |n,n>
     assert (t[1, 1] / t[0, 0]).real == pytest.approx(np.tanh(0.7), abs=1e-12)
+    assert t[0, 0].real == pytest.approx(1 / np.cosh(0.7), rel=1e-15)
     n_mean = moment(v.normalized(), [(0, 1, 1)]).real
     assert n_mean == pytest.approx(np.sinh(0.7) ** 2, abs=1e-8)
     n_b = moment(v.normalized(), [(1, 1, 1)]).real
