@@ -15,7 +15,7 @@ parameters and then evaluates every row below it: one squeezed vacuum per
 Every truncation check warns `TruncationWarning`; ``--strict`` runs the sweep
 under ``warnings.simplefilter("error", TruncationWarning)``, so on every
 command a flagged tail becomes a numeric-guard error.  ``swap`` and
-``teleport`` are cutoff-free (closed-form Gram sums over E and O, see
+``teleport`` are cutoff-free (closed forms over E and O, see
 `esvsim.protocols`): they truncate nothing, so ``--cutoff`` and ``--strict``
 have nothing to act on there.
 

@@ -8,7 +8,7 @@ as the channel outputs of both noisy sweeps are: each block of the partial trans
 (rho (x) rho) ∘ W on a pair of the input's parity sectors, W from the
 conditional map.  A sweep over phi calls it once per input: it prepares the
 sectors and their krons, and returns phi -> LN, which gathers each W from
-one 16 x 16 table over (n_a mod 4, n_b mod 4) and eigensolves.  A sector
+one real 4 x 4 table over the signs of i^{n_a} and i^{n_b} and eigensolves.  A sector
 paired with itself commutes with the mode swap |i, j> -> |j, i>; it is
 eigensolved as its swap-symmetric and antisymmetric halves, whose spectra
 together are exactly the block's.  Any other input takes the reference path,
@@ -31,6 +31,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .fock import (
+    _I_POW,
     EIG_ZERO_BAND,
     DensityMatrix,
     FockVector,
@@ -129,13 +130,17 @@ def _swap_halves(k: np.ndarray, rows: np.ndarray) -> tuple:
 def _half_spectra(direct: np.ndarray, crossed: np.ndarray, off: np.ndarray) -> list[np.ndarray]:
     """The spectra of the symmetric half direct + crossed and of the antisymmetric
     half direct - crossed on the pairs `off`, from the W-weighted `_swap_halves`
-    factors.  W is swap-invariant in exact arithmetic only, so each half is
-    symmetrized before `eigvalsh`.  A function of its own, so that its
-    temporaries are freed before the next block is formed."""
-    spectra = []
-    for half in (direct + crossed, (direct - crossed).take(off, 0).take(off, 1)):
-        spectra.append(np.linalg.eigvalsh(0.5 * (half + half.T))[::-1])
-    return spectra
+    factors.  Both halves are exactly symmetric, as `_sign_weight` is.  A function
+    of its own, so that its temporaries are freed before the next block is formed."""
+    symmetric, antisymmetric = direct + crossed, (direct - crossed).take(off, 0).take(off, 1)
+    return [np.linalg.eigvalsh(symmetric)[::-1], np.linalg.eigvalsh(antisymmetric)[::-1]]
+
+
+def _sign_weight(rot: complex) -> np.ndarray:
+    """The gauged W of `esv_mixed_ln_curve` over sign classes, for e^{i theta} = `rot`."""
+    x, y = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])     # sigma(n_a), sigma(n_b) per class
+    z = x * y
+    return np.outer(x, x) + np.outer(y, y) + rot.real * (z[:, None] + z) + rot.imag * (np.outer(z, z) - 1.0)
 
 
 def esv_mixed_ln_curve(rho: DensityMatrix) -> Callable[[float], float]:
@@ -151,27 +156,23 @@ def esv_mixed_ln_curve(rho: DensityMatrix) -> Callable[[float], float]:
     A pair of nonzero parity sectors A, B of rho spans an invariant block,
     one kron of sector sub-blocks times W; no d^2 x d^2 matrix is formed.
 
-    Everything but W and the trace is independent of phi and is prepared
-    here once: the input checks, the input's Hermitian part, its sectors and
-    their krons.  t depends on (n_a, n_b) only mod 4, so per phi W is one
-    16 x 16 table over (n_a mod 4, n_b mod 4), formed in real arithmetic so
-    that it is exactly Hermitian, and each block gathers its W from it.  With
-    one photon-number parity per sector, W is real between rows of equal
-    i^(n_a - n_b) and imaginary across the two classes, so the gauge u = 1 on
-    the first row's class and i on the other, applied to the table, makes the
-    block real symmetric.
+    With sigma(n) = (-1)^floor(n/2), i^n = i^(n mod 2) sigma(n).  On sectors of
+    parities (p_a, p_b), with x, y, z = sigma(n_a), sigma(n_b), xy on the row
+    and x', y', z' on the column, W = x x' + y y' + e^{i theta} z + e^{-i theta} z',
+    theta = phi + (p_a - p_b) pi/2.  The unitary gauge 1 on z = 1 and i on
+    z = -1 makes it the real table x x' + y y' + cos theta (z + z') +
+    sin theta (z z' - 1) over the sign classes 2 [x < 0] + [y < 0]
+    (`_sign_weight`), exactly symmetric term by term.  Only that table and the
+    trace depend on phi; the input checks, sectors, krons and sign classes are
+    prepared here once.
 
-    A sector K paired with itself gives K (x) K.  With all four photon numbers
-    of one parity, i^p (-i)^q is real and symmetric in (p, q), so
-    W[(n_a, n_b), (m_a, m_b)] = W[(n_b, n_a), (m_b, m_a)], and the gauge
-    classes {0, 2} are swap-invariant too: the block commutes with the mode
-    swap F|i, j> = |j, i>.  Its spectrum is then exactly the union of those of
-    its symmetric half, on the n(n+1)/2 pairs i <= j, and its antisymmetric
-    half, on the n(n-1)/2 pairs i < j (`_swap_halves`), eigensolved apart.
-    The two cross-parity blocks are eigensolved whole.  Every block is
-    exactly Hermitian and goes to `eigvalsh` unchecked.  Raises the
-    ValueErrors of `esv_mixed`: those of the input here, the
-    annihilated-trace one when called.
+    A sector paired with itself gives K (x) K, whose table is invariant under
+    the mode swap |i, j> -> |j, i> (x <-> y): its spectrum is exactly that of
+    its symmetric half, on the n(n+1)/2 pairs i <= j, with that of its
+    antisymmetric half, on the n(n-1)/2 pairs i < j (`_swap_halves`).  The two
+    cross-parity blocks are eigensolved whole.  Every block and half is exactly
+    symmetric and goes to `eigvalsh` unchecked.  Raises the ValueErrors of
+    `esv_mixed`: those of the input here, the annihilated-trace one when called.
     """
     d = _check_esv_inputs(rho, rho)
     a = 0.5 * (rho.mat + rho.mat.conj().T)
@@ -181,31 +182,24 @@ def esv_mixed_ln_curve(rho: DensityMatrix) -> Callable[[float], float]:
                          "photon numbers of opposite parity; use log_negativity(esv_mixed(...), [1])")
     a = a.real
     diag = a.diagonal()
-    mod4 = n % 4
-    classes = (np.arange(16) // 4 - np.arange(16) % 4) % 4      # i^(n_a - n_b) per table row
+    negative = n // 2 % 2       # [sigma(n) < 0]
     sectors = [rows for rows in (n[0::2], n[1::2]) if a[np.ix_(rows, rows)].any()]
-    solves = []     # (kron or swap-direct factor, table rows, real gauge u, swap parts or None)
+    solves = []     # (kron or swap-direct factor, sign classes, i^(p_a - p_b), swap parts or None)
     for rows_a in sectors:
         for rows_b in sectors:
-            rows = (mod4[rows_a, None] * 4 + mod4[None, rows_b]).reshape(-1)
-            u = np.where(classes == classes[rows[0]], 1.0, 1j)
+            rows = (2 * negative[rows_a, None] + negative[None, rows_b]).reshape(-1)
+            shift = _I_POW[(rows_a[0] - rows_b[0]) % 4]
             if rows_b is rows_a:
                 kron, rows, swap = _swap_halves(a[np.ix_(rows_a, rows_a)], rows)
             else:
                 kron, swap = np.kron(a[np.ix_(rows_a, rows_a)], a[np.ix_(rows_b, rows_b)]), None
-            solves.append((kron, rows, u, swap))
+            solves.append((kron, rows, shift, swap))
 
     def ln_at_phi(phi: float) -> float:
-        t4 = _conditional_map(4, phi)
-        t = t4[np.ix_(mod4, mod4)]
-        tr = _check_esv_trace(float(diag @ np.abs(t) ** 2 @ diag))
-        x, y = t4[:, None, None, :], t4.T[None, :, :, None]     # t(n_a, m_b), t(m_a, n_b)
-        # W = x conj(y) in real arithmetic: exactly Hermitian, unlike a fused complex product
-        w = x.real * y.real + x.imag * y.imag + 1j * (x.imag * y.real - x.real * y.imag)
-        w = w.reshape(16, 16)
-        spectra = []
-        for kron, rows, u, swap in solves:
-            table = (w * u.conj()[:, None] * u).real.take(rows, 0)
+        tr = _check_esv_trace(float(diag @ np.abs(_conditional_map(d, phi)) ** 2 @ diag))
+        rot, spectra = np.exp(1j * phi), []
+        for kron, rows, shift, swap in solves:
+            table = _sign_weight(rot * shift).take(rows, 0)
             if swap is None:
                 spectra.append(np.linalg.eigvalsh(kron * table.take(rows, 1))[::-1])
             else:

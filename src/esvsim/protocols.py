@@ -7,13 +7,14 @@ state of more than two oscillator modes or carries a qubit ancilla as a
 mode.
 
 Swapping and teleportation need no Fock array and no cutoff.  Their
-resources are finite sums of product terms over E and O: |Psi(pi)> ∝
-O⊗E - E⊗O and the aligned state |Phi(pi)> ∝ E⊗O + O⊗E.  Every term meets
-the balanced splitter with even photon numbers in both modes, where the
-odd-odd herald is an antisymmetrizer (Hong-Ou-Mandel), so each term's
-heralded vector is a 2×2 determinant of its (E, O) coefficients times one
-fixed vector, and the heralding probability and the fidelity are Gram sums
-over the terms with the exact norms |E|² and |O|² (`_herald`).
+resources are sums of product terms over E and O, (e, o) = (|E|², |O|²):
+|Psi(pi)> ∝ O⊗E - E⊗O and the aligned state |Phi(pi)> ∝ E⊗O + O⊗E.  Every
+term meets the splitter B with even photon numbers in both modes, where
+the odd-odd herald P is an antisymmetrizer (Hong-Ou-Mandel),
+<B(a⊗b)| P |B(a'⊗b')> = (<a|a'><b|b'> - <a|b'><b|a'>)/2, so
+P B (a ⊗ b) = det(a, b) chi over the (E, O) coefficients, |chi|² = eo/2.
+The heralded state is exactly the target and p = 1/4 at every squeezing:
+both protocols return (1/4, 1) after their domain checks.
 
 The balanced splitter on modes (a, b) realizes a -> (a + b)/sqrt(2),
 b -> (b - a)/sqrt(2).
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockVector, ModeLayout
-from .states import _DEGENERATE, _ZERO_NORM, _pair, _sech_2s
+from .states import _DEGENERATE, _ZERO_NORM, _pair, _sech_2s, _sech_s
 
 __all__ = [
     "QubitAmplitudes",
@@ -90,33 +91,10 @@ def _parity_weights(s: float, protocol: str) -> np.ndarray:
     return np.array([(1.0 + c) / 2.0, math.expm1(-2.0 * s) ** 2 / (1.0 + x * x) / (1.0 + c) / 2.0])
 
 
-def _herald(coefs: np.ndarray, kept_norm2: np.ndarray, pairs: np.ndarray, weights: np.ndarray,
-            target: np.ndarray) -> tuple[float, float]:
-    """Heralding probability and fidelity for the resource sum_T c_T kept_T ⊗ a_T ⊗ b_T.
-
-    The kept_T are orthogonal, with squared norms `kept_norm2`, and `target`
-    holds the target's coefficients on them.  `pairs[T] = (a_T, b_T)` holds the
-    coefficients over (E, O), squared norms `weights` = (e, o), of the modes
-    that meet the balanced splitter B (a_T on its first port) and the
-    odd-odd projection P.  On even photon numbers in both modes B† P B is the
-    antisymmetrizer, <B(a⊗b)| P |B(a'⊗b')> = (<a|a'><b|b'> - <a|b'><b|a'>)/2,
-    so P B (a_T ⊗ b_T) = det(pairs[T]) chi with |chi|² = e o / 2, and the
-    heralded state is h ⊗ chi with h = sum_T c_T det(pairs[T]) kept_T.  Then
-    p = |h|² e o / 2 over the resource's squared norm and
-    F = |<target|h>|² / (|h|² |target|²).
-    """
-    # |s+,s+> - |s-,s-> = 2 (E⊗O + O⊗E), of norm 2 sqrt(2eo), is degenerate where `_superpose` says so
+def _check_resource(weights: np.ndarray) -> None:
+    """Raise where |s+,s+> - |s-,s-> = 2 (E⊗O + O⊗E), of norm 2 sqrt(2eo), is degenerate."""
     if 2.0 * math.sqrt(2.0 * weights[0] * weights[1]) < _ZERO_NORM:
         raise ValueError(_DEGENERATE)
-    a, b = pairs[:, 0], pairs[:, 1]
-    norm2 = kept_norm2 @ (np.abs(coefs) ** 2 * (np.abs(a) ** 2 @ weights) * (np.abs(b) ** 2 @ weights))
-    h = coefs * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
-    h2 = kept_norm2 @ np.abs(h) ** 2
-    fidelity = abs(np.vdot(target, kept_norm2 * h)) ** 2 / (h2 * (kept_norm2 @ np.abs(target) ** 2))
-    return float(h2 * weights[0] * weights[1] / 2.0 / norm2), float(fidelity)
-
-
-_E, _O = np.eye(2)
 
 
 def entanglement_swap(s: float) -> tuple[float, float]:
@@ -124,36 +102,36 @@ def entanglement_swap(s: float) -> tuple[float, float]:
 
     Resource: |Psi(pi)>_{12} (x) |Phi(pi)>_{34}; modes 2 and 3 interfere on
     a balanced splitter and are projected onto odd photon numbers.  Returns
-    the heralding probability (1/4, independent of squeezing) and the
-    fidelity of the conditional state of modes (1, 4) with |Phi(pi)>.
+    the heralding probability and the fidelity of the conditional state of
+    modes (1, 4) with |Phi(pi)>: exactly (1/4, 1).
 
-    The resource is (O⊗E - E⊗O) ⊗ (E⊗O + O⊗E) up to its norm: four terms,
-    O⊗O, O⊗E, E⊗O and E⊗E on modes (1, 4) times one pair on modes (2, 3).
+    The resource (O⊗E - E⊗O) ⊗ (E⊗O + O⊗E), of squared norm 4e²o², meets the
+    splitter in the pairs (E, E), (E, O), (O, E) and (O, O), of determinants
+    0, 1, -1 and 0, times O⊗O, O⊗E, -E⊗O and -E⊗E kept.  So the heralded state
+    is (O⊗E + E⊗O) ⊗ chi, |Phi(pi)> itself with h² = 2eo, and p = h² eo/2 / (4e²o²).
     """
-    weights = _parity_weights(s, "swap")
-    pairs = np.array([(_E, _E), (_E, _O), (_O, _E), (_O, _O)])
-    return _herald(np.array([1.0, 1.0, -1.0, -1.0]), np.kron(weights, weights)[::-1], pairs, weights,
-                   np.array([0.0, 1.0, 1.0, 0.0]))
+    _check_resource(_parity_weights(s, "swap"))
+    return 0.25, 1.0
 
 
 def teleport(inp: QubitAmplitudes, s: float) -> tuple[float, float]:
-    """Teleport (a0|s+> + a1|s->) = (a0 + a1) E + (a0 - a1) O through |Phi(pi)>.
+    """Teleport x = a0|s+> + a1|s-> = x0 E + x1 O, (x0, x1) = (a0 + a1, a0 - a1), through |Phi(pi)>.
 
     The input mode and resource mode 1 interfere on a balanced splitter and
     are projected onto odd photon numbers; a pi/2 phase-space rotation on
     mode 2 then restores the input.  That rotation is moved onto the target
     as R(-pi/2), which maps |s+-> to |s-+>, so the target is
-    a0|s-> + a1|s+>.  Returns (probability, output fidelity).
-
-    The joint state is input ⊗ (E⊗O + O⊗E) up to its norm: two terms, input
-    ⊗ E meeting the splitter with O kept, and input ⊗ O with E kept.
+    a0|s-> + a1|s+> = x0 E - x1 O.  Returns (probability, output fidelity):
+    exactly (1/4, 1).  The joint state x ⊗ (E⊗O + O⊗E), of squared norm
+    2eo h² with h² = e|x0|² + o|x1|², meets the splitter in the pairs (x, E)
+    and (x, O), of determinants -x1 and x0, times O and E kept.  So mode 2
+    holds the target x0 E - x1 O, of squared norm h², and p = h² eo/2 / (2eo h²).
     """
     weights = _parity_weights(s, "teleportation")
-    source = np.array([inp.a0 + inp.a1, inp.a0 - inp.a1])
-    if math.sqrt(weights @ np.abs(source) ** 2) < _ZERO_NORM:
+    if math.sqrt(weights @ np.abs([inp.a0 + inp.a1, inp.a0 - inp.a1]) ** 2) < _ZERO_NORM:
         raise ValueError("input superposition is the zero vector")
-    return _herald(np.ones(2), weights[::-1], np.array([(source, _E), (source, _O)]), weights,
-                   np.array([inp.a1 - inp.a0, inp.a0 + inp.a1]))
+    _check_resource(weights)
+    return 0.25, 1.0
 
 
 def _conditional(branches: np.ndarray, outcome: str) -> tuple[np.ndarray, float]:
@@ -205,7 +183,7 @@ def generate_scheme_b(s: float, ancilla: QubitAmplitudes, outcome: str,
     """
     plus, minus = _pair(s, cutoff)
     levels = np.arange(cutoff)
-    diag = np.tanh(s) ** levels * _sech_2s(abs(s) / 2)      # the TMSV on |n, n>
+    diag = np.tanh(s) ** levels * _sech_s(s)      # the TMSV on |n, n>
     tmsv = np.stack([ancilla.a0 * diag, ancilla.a1 * np.exp(1j * kerr.gamma * levels) * diag], axis=-1)
     _, prob = _conditional(tmsv, outcome)
     half = np.exp(0.5j * kerr.gamma * levels)     # e^{i gamma N/2} = e^{i gamma n_a/2} e^{i gamma n_b/2}

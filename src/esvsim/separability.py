@@ -26,7 +26,7 @@ squeezed-vacuum superpositions for every squeezing and relative phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -46,7 +46,7 @@ __all__ = [
     "DUAN_SELECTOR",
 ]
 
-MAX_WEIGHT = 4          # moment words above this weight are not supported
+MAX_WEIGHT = 4          # the weight of the canonical multi-index table
 
 
 @dataclass(frozen=True)
@@ -99,19 +99,16 @@ _ESV_CRITERION_INDICES = (
 )
 
 
-def multiindex_compare(i: MomentIndex, j: MomentIndex) -> int:
-    """Total order on multi-indices: -1, 0 or +1 for i < j, i = j, i > j.
+def _order_key(i: MomentIndex) -> tuple[int, int, int, int, int]:
+    """The order of multi-indices: lower total weight first; at equal weight the
+    highest position where the indices differ decides, larger entry meaning larger index."""
+    return (i.weight, i.i4, i.i3, i.i2, i.i1)
 
-    Lower total weight comes first; at equal weight the highest position k
-    where the indices differ decides, larger entry meaning larger index.
-    """
-    if i.weight != j.weight:
-        return -1 if i.weight < j.weight else 1
-    ti, tj = i.astuple(), j.astuple()
-    for k in (3, 2, 1, 0):
-        if ti[k] != tj[k]:
-            return -1 if ti[k] < tj[k] else 1
-    return 0
+
+def multiindex_compare(i: MomentIndex, j: MomentIndex) -> int:
+    """Total order on multi-indices (`_order_key`): -1, 0 or +1 for i < j, i = j, i > j."""
+    ki, kj = _order_key(i), _order_key(j)
+    return (ki > kj) - (ki < kj)
 
 
 @lru_cache(maxsize=None)
@@ -119,7 +116,7 @@ def canonical_indices(max_weight: int = MAX_WEIGHT) -> tuple[MomentIndex, ...]:
     """All multi-indices with weight <= max_weight, ascending in the order above."""
     idx = [MomentIndex(*t) for t in product(range(max_weight + 1), repeat=4)
            if sum(t) <= max_weight]
-    return tuple(sorted(idx, key=cmp_to_key(multiindex_compare)))
+    return tuple(sorted(idx, key=_order_key))
 
 
 def minor_determinant(state, selector: MinorSelector) -> float:
@@ -151,8 +148,6 @@ def _moment_entries(state, pairs) -> list[complex]:
     word: iff some word has a raising operator.
     """
     _check_two_mode(state)
-    if any(i.weight > MAX_WEIGHT or j.weight > MAX_WEIGHT for i, j in pairs):
-        raise ValueError(f"multi-index weight above {MAX_WEIGHT} not supported")
     if any(i.i1 or i.i4 or j.i2 or j.i3 for i, j in pairs):
         check_tail(state, context="moment")
     d0, d1 = state.layout.dims

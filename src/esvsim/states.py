@@ -86,6 +86,14 @@ def _sech_2s(s: float) -> float:
     return 2.0 * x / (1.0 + x * x)
 
 
+def _sech_s(s: float) -> float:
+    """sech s from e^{-|s|}; ValueError where it underflows to 0, and every truncated amplitude with it."""
+    sech = _sech_2s(abs(s) / 2)
+    if not sech:
+        raise ValueError(f"sech s underflows to 0 at s = {s:g}: every truncated amplitude is 0")
+    return sech
+
+
 def _wrap_phi(phi: float, sech_2s: float) -> float:
     """phi wrapped into [0, 2*pi), checked as `EsvSpec` checks it.
 
@@ -133,7 +141,7 @@ def squeezed_vacuum(spec: SqueezeSpec) -> FockVector:
     t = np.tanh(spec.s)
     n = np.arange(1, (d + 1) // 2)
     ratios = -t * np.sqrt((2.0 * n - 1.0) / (2.0 * n))
-    evens = np.concatenate([[1.0], np.cumprod(ratios)]) * math.sqrt(_sech_2s(abs(spec.s) / 2))
+    evens = np.concatenate([[1.0], np.cumprod(ratios)]) * math.sqrt(_sech_s(spec.s))
     amps[0::2] = evens
     out = FockVector(ModeLayout((d,)), amps)
     check_tail(out, context="squeezed_vacuum")
@@ -237,7 +245,7 @@ def two_mode_squeezed_vacuum(s: float, cutoff: int) -> FockVector:
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
     d = cutoff
-    diag = (np.tanh(s) ** np.arange(d)) * _sech_2s(abs(s) / 2)
+    diag = (np.tanh(s) ** np.arange(d)) * _sech_s(s)
     amps = np.zeros((d, d), dtype=complex)
     np.fill_diagonal(amps, diag)
     out = FockVector(ModeLayout((d, d)), amps.reshape(-1))

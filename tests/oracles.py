@@ -24,7 +24,7 @@ from scipy.linalg import expm
 from esvsim import (DensityMatrix, EsvSpec, FockVector, KerrSpec, ModeLayout, SqueezeSpec, TruncationWarning,
                     esv_pure, squeezed_vacuum, two_mode_squeezed_vacuum)
 from esvsim.fock import _I_POW, TAIL_THRESHOLD, _amplitude_matrix, _band_mask, check_tail
-from esvsim.separability import _moment_entries
+from esvsim.separability import MAX_WEIGHT, _moment_entries
 from esvsim.states import _DEGENERATE, _ZERO_NORM, _pair, _parity_split, _superpose
 
 
@@ -50,7 +50,13 @@ def esv_aligned(spec):
 
 
 def moment_matrix_entry(state, i, j):
-    """M_ij(rho^PT) for multi-indices i and j, one entry of the package's minor evaluation."""
+    """M_ij(rho^PT) for multi-indices i and j, one entry of the package's minor evaluation.
+
+    The package's minors take indices of weight at most `MAX_WEIGHT` only (the
+    canonical table and the fourth-order criterion), so this entry point keeps that bound.
+    """
+    if max(i.weight, j.weight) > MAX_WEIGHT:
+        raise ValueError(f"multi-index weight above {MAX_WEIGHT} not supported")
     return _moment_entries(state, [(i, j)])[0]
 
 

@@ -146,6 +146,18 @@ def test_numeric_guard_exit_3():
     assert main(["ln-thermal", "s=0.3", "sigma=2", "phi=0", "--cutoff", "30", "--strict"]) == 3
 
 
+@pytest.mark.parametrize("argv", [["eof-surface", "s=800", "phi=0"], ["eof-surface", "s=1e300", "phi=0"],
+                                  ["generate", "s=800"]])
+def test_squeezing_whose_sech_underflows_exits_3_naming_the_underflow(argv, capsys):
+    # sech s underflows to 0, so every truncated amplitude would be 0: the state is not
+    # a degenerate superposition, and no row is printed, with or without --strict
+    for strict in ([], ["--strict"]):
+        assert main(argv + strict) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: numeric-guard: sech s underflows to 0")
+
+
 def test_strict_flags_truncation_that_keeps_almost_no_norm():
     # at large s a cutoff keeps almost none of the squeezed vacuum's norm and prints
     # a wrong value (EoF 0.9103 for 1, p_plus 0.5162 for 0.5); its band is a large

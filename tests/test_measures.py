@@ -20,8 +20,9 @@ from esvsim import (
     thermal_channel,
     two_mode_squeezed_vacuum,
 )
-from esvsim.fock import HERMITICITY_TOL, DensityMatrix, FockVector, ModeLayout, hermitian_blocks
-from esvsim.measures import esv_mixed_ln_curve, esv_pure_eof_curve
+from esvsim.fock import _I_POW, HERMITICITY_TOL, DensityMatrix, FockVector, ModeLayout, hermitian_blocks
+from esvsim.measures import _sign_weight, esv_mixed_ln_curve, esv_pure_eof_curve
+from esvsim.states import _conditional_map
 
 from oracles import (basis_vector, displaced_squeezed_amplitudes, entropy2, esv_reduced_spectrum,
                      log_negativity_dense, phase_rotation, tensor, tmsv_logneg)
@@ -433,6 +434,26 @@ def test_esv_mixed_ln_curve_splits_equal_inputs_into_swap_halves(kind, sizes, he
     for phi in (0.0, 1.1, np.pi / 2, 4.0):
         curve(phi)
         assert block_sizes(hermitian_blocks_solved) == sizes
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.4, 1.1, np.pi / 2, 2.6928, np.pi, 4.0, 5.9])
+def test_sign_weight_is_the_gauged_conditional_map_weight(phi):
+    # W[(n_a, n_b), (m_a, m_b)] = t(n_a, m_b) conj(t(m_a, n_b)) on each sector pair, gauged by
+    # 1 on sigma(n_a) sigma(n_b) = 1 and i on -1, against the 4 x 4 sign-class table, over all
+    # 16 classes (n_a mod 4, n_b mod 4) and every column of the same parities
+    t = _conditional_map(4, phi)
+    sigma = (-1) ** (np.arange(4) // 2)
+    gauge = np.where(np.outer(sigma, sigma) == 1, 1.0, 1j)
+    sign_class = 2 * (sigma[:, None] < 0) + (sigma[None, :] < 0)
+    for n_a in range(4):
+        for n_b in range(4):
+            table = _sign_weight(np.exp(1j * phi) * _I_POW[(n_a % 2 - n_b % 2) % 4])
+            assert np.array_equal(table, table.T) and table.dtype == float
+            for m_a in (n_a % 2, n_a % 2 + 2):
+                for m_b in (n_b % 2, n_b % 2 + 2):
+                    w = t[n_a, m_b] * np.conj(t[m_a, n_b])
+                    gauged = np.conj(gauge[n_a, n_b]) * w * gauge[m_a, m_b]
+                    assert abs(gauged - table[sign_class[n_a, n_b], sign_class[m_a, m_b]]) <= 1e-15
 
 
 def test_esv_mixed_ln_curve_keeps_whole_blocks_without_the_swap_symmetry(hermitian_blocks_solved):

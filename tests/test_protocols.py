@@ -296,6 +296,16 @@ def test_swap_and_teleport_edge_squeezing(s):
                 assert got == pytest.approx((0.25, 1.0), abs=1e-15)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(s=st.one_of(st.floats(1e-6, 10.0), st.floats(10.0, 1e300)), theta=st.floats(0.0, np.pi / 2),
+       alpha=st.floats(-np.pi, np.pi), beta=st.floats(-np.pi, np.pi))
+def test_swap_and_teleport_are_exactly_one_quarter_and_one(s, theta, alpha, beta):
+    # past the degenerate floor (s ~ 5e-13) the two-level algebra fixes both results exactly
+    inp = QubitAmplitudes(np.cos(theta) * np.exp(1j * alpha), np.sin(theta) * np.exp(1j * beta))
+    assert entanglement_swap(s) == (0.25, 1.0)
+    assert teleport(inp, s) == (0.25, 1.0)
+
+
 def test_parity_weights_match_the_truncated_norms():
     # (|E|², |O|²) in closed form against the squeezed vacuum at a cutoff whose tail is below 1e-17
     for s in (1e-8, 1e-6, 1e-3, 0.1, 1.0, 2.0):
@@ -386,12 +396,12 @@ def test_protocols_form_no_joint_padded_state():
 
 
 def test_generation_schemes_at_large_squeezing_raise_without_cosh_overflow():
-    # cosh s overflows from |s| ~ 710; sech s from e^{-|s|} underflows to 0,
-    # every truncated amplitude is 0, and the heralded zero vector raises
+    # cosh s overflows from |s| ~ 710; sech s from e^{-|s|} underflows to 0, where
+    # every truncated amplitude is 0, and the squeezed vacua raise before any branch forms
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for scheme in (generate_scheme_a, generate_scheme_b):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="sech s underflows to 0"):
                 scheme(800.0, QubitAmplitudes(HALF, HALF), "+", 8)
 
 

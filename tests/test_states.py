@@ -191,12 +191,15 @@ def test_displaced_overlap_at_huge_separation_is_zero_without_overflow():
 
 
 def test_large_squeezing_states_build_without_cosh_overflow():
-    # cosh s overflows from |s| ~ 710; sech s from e^{-|s|} underflows to 0 instead
+    # cosh s overflows from |s| ~ 710; sech s from e^{-|s|} underflows to 0 instead,
+    # where every truncated amplitude would be 0: both constructors name the underflow
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for s in (800.0, -800.0):
-            assert not squeezed_vacuum(SqueezeSpec(s, 8)).amps.any()
-            assert not two_mode_squeezed_vacuum(s, 8).amps.any()
+            with pytest.raises(ValueError, match="sech s underflows to 0"):
+                squeezed_vacuum(SqueezeSpec(s, 8))
+            with pytest.raises(ValueError, match="sech s underflows to 0"):
+                two_mode_squeezed_vacuum(s, 8)
 
 
 def test_displaced_overlap_maximum_location():
