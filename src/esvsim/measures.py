@@ -46,7 +46,7 @@ from .states import (
     _ZERO_NORM,
     EsvSpec,
     SqueezeSpec,
-    _check_esv_inputs,
+    _check_esv_input,
     _check_esv_trace,
     _conditional_map,
     _sech_2s,
@@ -174,7 +174,7 @@ def esv_mixed_ln_curve(rho: DensityMatrix) -> Callable[[float], float]:
     symmetric and goes to `eigvalsh` unchecked.  Raises the ValueErrors of
     `esv_mixed`: those of the input here, the annihilated-trace one when called.
     """
-    d = _check_esv_inputs(rho, rho)
+    d = _check_esv_input(rho, "rho_a")
     a = 0.5 * (rho.mat + rho.mat.conj().T)
     n = np.arange(d)
     if a.imag.any() or a[(n[:, None] - n) % 2 == 1].any():

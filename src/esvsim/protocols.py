@@ -13,8 +13,9 @@ term meets the splitter B with even photon numbers in both modes, where
 the odd-odd herald P is an antisymmetrizer (Hong-Ou-Mandel),
 <B(a⊗b)| P |B(a'⊗b')> = (<a|a'><b|b'> - <a|b'><b|a'>)/2, so
 P B (a ⊗ b) = det(a, b) chi over the (E, O) coefficients, |chi|² = eo/2.
-The heralded state is exactly the target and p = 1/4 at every squeezing:
-both protocols return (1/4, 1) after their domain checks.
+The heralded state is exactly the target and p = 1/4: both protocols
+return (1/4, 1) at every finite s > 0, where e = (1 + c)/2 and
+o = (1 - c)/2 are positive (c = sech^{1/2} 2s < 1), and check nothing else.
 
 The balanced splitter on modes (a, b) realizes a -> (a + b)/sqrt(2),
 b -> (b - a)/sqrt(2).
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockVector, ModeLayout
-from .states import _DEGENERATE, _ZERO_NORM, _pair, _sech_2s, _sech_s
+from .states import _pair, _sech_s
 
 __all__ = [
     "QubitAmplitudes",
@@ -76,25 +77,12 @@ class KerrSpec:
             raise ValueError("gamma must be finite")
 
 
-def _parity_weights(s: float, protocol: str) -> np.ndarray:
-    """(|E|², |O|²) = ((1 + c)/2, (1 - c)/2) untruncated, c = <s+|s-> = sech(2s)^1/2.
-
-    1 - c = (1 - sech 2s)/(1 + c) with 1 - sech 2s = (1 - x)²/(1 + x²) and
-    x = e^{-2s}, 1 - x from expm1: no cancellation at small s, no overflow.
-    """
+def _check_squeezing(s: float, protocol: str) -> None:
+    """Raise unless s is finite and positive, the domain of the closed form."""
     if s <= 0:
         raise ValueError(f"{protocol} requires s > 0")
     if not math.isfinite(s):
         raise ValueError("squeezing parameter must be finite")
-    x = math.exp(-2.0 * s)
-    c = math.sqrt(_sech_2s(s))
-    return np.array([(1.0 + c) / 2.0, math.expm1(-2.0 * s) ** 2 / (1.0 + x * x) / (1.0 + c) / 2.0])
-
-
-def _check_resource(weights: np.ndarray) -> None:
-    """Raise where |s+,s+> - |s-,s-> = 2 (E⊗O + O⊗E), of norm 2 sqrt(2eo), is degenerate."""
-    if 2.0 * math.sqrt(2.0 * weights[0] * weights[1]) < _ZERO_NORM:
-        raise ValueError(_DEGENERATE)
 
 
 def entanglement_swap(s: float) -> tuple[float, float]:
@@ -103,14 +91,14 @@ def entanglement_swap(s: float) -> tuple[float, float]:
     Resource: |Psi(pi)>_{12} (x) |Phi(pi)>_{34}; modes 2 and 3 interfere on
     a balanced splitter and are projected onto odd photon numbers.  Returns
     the heralding probability and the fidelity of the conditional state of
-    modes (1, 4) with |Phi(pi)>: exactly (1/4, 1).
+    modes (1, 4) with |Phi(pi)>: exactly (1/4, 1) at every finite s > 0.
 
     The resource (O⊗E - E⊗O) ⊗ (E⊗O + O⊗E), of squared norm 4e²o², meets the
     splitter in the pairs (E, E), (E, O), (O, E) and (O, O), of determinants
     0, 1, -1 and 0, times O⊗O, O⊗E, -E⊗O and -E⊗E kept.  So the heralded state
     is (O⊗E + E⊗O) ⊗ chi, |Phi(pi)> itself with h² = 2eo, and p = h² eo/2 / (4e²o²).
     """
-    _check_resource(_parity_weights(s, "swap"))
+    _check_squeezing(s, "swap")
     return 0.25, 1.0
 
 
@@ -122,15 +110,14 @@ def teleport(inp: QubitAmplitudes, s: float) -> tuple[float, float]:
     mode 2 then restores the input.  That rotation is moved onto the target
     as R(-pi/2), which maps |s+-> to |s-+>, so the target is
     a0|s-> + a1|s+> = x0 E - x1 O.  Returns (probability, output fidelity):
-    exactly (1/4, 1).  The joint state x ⊗ (E⊗O + O⊗E), of squared norm
-    2eo h² with h² = e|x0|² + o|x1|², meets the splitter in the pairs (x, E)
-    and (x, O), of determinants -x1 and x0, times O and E kept.  So mode 2
-    holds the target x0 E - x1 O, of squared norm h², and p = h² eo/2 / (2eo h²).
+    exactly (1/4, 1) at every finite s > 0, for every normalized input.
+    The joint state x ⊗ (E⊗O + O⊗E), of squared norm 2eo h² with
+    h² = e|x0|² + o|x1|² > 0 (e, o > 0 and (x0, x1) != 0), meets the splitter
+    in the pairs (x, E) and (x, O), of determinants -x1 and x0, times O and E
+    kept.  So mode 2 holds the target x0 E - x1 O, of squared norm h², and
+    p = h² eo/2 / (2eo h²).
     """
-    weights = _parity_weights(s, "teleportation")
-    if math.sqrt(weights @ np.abs([inp.a0 + inp.a1, inp.a0 - inp.a1]) ** 2) < _ZERO_NORM:
-        raise ValueError("input superposition is the zero vector")
-    _check_resource(weights)
+    _check_squeezing(s, "teleportation")
     return 0.25, 1.0
 
 

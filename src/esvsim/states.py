@@ -173,22 +173,17 @@ def esv_pure(spec: EsvSpec) -> FockVector:
                       (spec.cutoff, spec.cutoff))
 
 
-def _check_esv_inputs(rho_a: DensityMatrix, rho_b: DensityMatrix) -> int:
-    """The common cutoff of two physical unit-trace single-mode inputs.
+def _check_esv_input(rho: DensityMatrix, name: str) -> int:
+    """The cutoff of a physical unit-trace single-mode input; ValueError for anything else.
 
-    Raises ValueError for anything else; `esv_mixed` and
-    `measures.esv_mixed_ln_curve`, which passes its one input as both, share
-    this check.
+    `esv_mixed` checks each of its two inputs, `measures.esv_mixed_ln_curve`
+    its one input once.
     """
-    if rho_a.layout.nmodes != 1 or rho_b.layout.nmodes != 1:
+    if rho.layout.nmodes != 1:
         raise ValueError("esv_mixed needs two single-mode density matrices")
-    if rho_a.layout.dims != rho_b.layout.dims:
-        raise ValueError("input cutoffs must match")
-    for name, rho in (("rho_a", rho_a), ("rho_b", rho_b)):
-        ev_min = float(np.linalg.eigvalsh(rho.mat).min())
-        if ev_min < -1e-9 or abs(rho.trace() - 1.0) > 1e-6:
-            raise ValueError(f"{name} is not a physical unit-trace state")
-    return rho_a.layout.dims[0]
+    if float(np.linalg.eigvalsh(rho.mat).min()) < -1e-9 or abs(rho.trace() - 1.0) > 1e-6:
+        raise ValueError(f"{name} is not a physical unit-trace state")
+    return rho.layout.dims[0]
 
 
 def _check_esv_trace(tr: float) -> float:
@@ -218,7 +213,9 @@ def esv_mixed(rho_a: DensityMatrix, rho_b: DensityMatrix, phi: float) -> Density
     reference, and `log_negativity(esv_mixed(...), [1])` serves every other
     input.
     """
-    d = _check_esv_inputs(rho_a, rho_b)
+    d = _check_esv_input(rho_a, "rho_a")
+    if _check_esv_input(rho_b, "rho_b") != d:
+        raise ValueError("input cutoffs must match")
     t_diag = _conditional_map(d, phi).reshape(-1)
     joint = np.kron(rho_a.mat, rho_b.mat)
     out = t_diag[:, None] * joint * t_diag.conj()[None, :]

@@ -3,11 +3,11 @@
 Everything here is deliberately built from first principles with plain
 dense kron products, explicit factorials, Kraus sums, or covariance-matrix
 algebra, so it shares no code path with the package under test.  The
-exceptions come first: `tensor`, `esv_aligned` and `moment_matrix_entry`
-are thin helpers over the package that only the tests use.  The padded
-circuits at the end have their own block-sparse operator kernel
-(`_apply_blocks`), because the padded sizes put a dense matrix exponential
-of the whole grid out of reach.  Their splitter is the exponential of its
+exceptions come first: `tensor`, `esv_aligned`, `moment_matrix_entry` and
+`parity_weights` are thin helpers over the package that only the tests
+use.  The padded circuits at the end have their own block-sparse operator
+kernel (`_apply_blocks`), because the padded sizes put a dense matrix
+exponential of the whole grid out of reach.  Their splitter is the exponential of its
 truncated generator (`apply_beamsplitter`); the Fock term and branch sums
 after them use the balanced splitter's Wigner-matrix recursion
 (`_balanced_splitter_blocks`, through `_split_padded`), the package's
@@ -25,7 +25,7 @@ from esvsim import (DensityMatrix, EsvSpec, FockVector, KerrSpec, ModeLayout, Sq
                     esv_pure, squeezed_vacuum, two_mode_squeezed_vacuum)
 from esvsim.fock import _I_POW, TAIL_THRESHOLD, _amplitude_matrix, _band_mask, check_tail
 from esvsim.separability import MAX_WEIGHT, _moment_entries
-from esvsim.states import _DEGENERATE, _ZERO_NORM, _pair, _parity_split, _superpose
+from esvsim.states import _DEGENERATE, _ZERO_NORM, _pair, _parity_split, _sech_2s, _superpose
 
 
 def tensor(x, y):
@@ -58,6 +58,17 @@ def moment_matrix_entry(state, i, j):
     if max(i.weight, j.weight) > MAX_WEIGHT:
         raise ValueError(f"multi-index weight above {MAX_WEIGHT} not supported")
     return _moment_entries(state, [(i, j)])[0]
+
+
+def parity_weights(s):
+    """(|E|², |O|²) = ((1 + c)/2, (1 - c)/2) untruncated, c = <s+|s-> = sech(2s)^1/2, for s > 0.
+
+    1 - c = (1 - sech 2s)/(1 + c) with 1 - sech 2s = (1 - x)²/(1 + x²) and
+    x = e^{-2s}, 1 - x from expm1: no cancellation at small s, no overflow.
+    """
+    x = math.exp(-2.0 * s)
+    c = math.sqrt(_sech_2s(s))
+    return np.array([(1.0 + c) / 2.0, math.expm1(-2.0 * s) ** 2 / (1.0 + x * x) / (1.0 + c) / 2.0])
 
 
 def ladder(dim):

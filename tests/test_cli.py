@@ -146,6 +146,20 @@ def test_numeric_guard_exit_3():
     assert main(["ln-thermal", "s=0.3", "sigma=2", "phi=0", "--cutoff", "30", "--strict"]) == 3
 
 
+def test_swap_and_teleport_exit_0_at_every_positive_squeezing(capsys):
+    # the closed form holds at every finite s > 0, subnormals and a1 = -a0 included;
+    # s = 0 stays outside its domain
+    assert main(["swap", "s=1e-13"]) == 0
+    assert capsys.readouterr().out == ("s,probability,fidelity\n"
+                                       "1.00000000000e-13,2.50000000000e-01,1.00000000000e+00\n")
+    for argv in (["swap", "s=5e-324"], ["teleport", "s=1e-13", "a0=1", "a1=-1"]):
+        assert main(argv + ["--strict"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith(",2.50000000000e-01,1.00000000000e+00")
+    assert main(["swap", "s=0"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: numeric-guard: swap requires s > 0\n"
+
+
 @pytest.mark.parametrize("argv", [["eof-surface", "s=800", "phi=0"], ["eof-surface", "s=1e300", "phi=0"],
                                   ["generate", "s=800"]])
 def test_squeezing_whose_sech_underflows_exits_3_naming_the_underflow(argv, capsys):
@@ -254,6 +268,22 @@ def test_readme_sweeps_reproduce_the_value_record(argv):
         got, want = line.split(","), ref.split(",")
         assert got[:nparams] == want[:nparams]
         assert max(abs(float(x) - float(y)) for x, y in zip(got[nparams:], want[nparams:])) <= 1e-10
+
+
+def _command_lines(text):
+    """The esvsim command lines of a text, as argument lists without --strict or a comment."""
+    return [[arg for arg in line.split("#")[0].split()[1:] if arg != "--strict"]
+            for line in map(str.strip, text.splitlines()) if line.startswith("esvsim ")]
+
+
+def test_ci_runs_every_readme_command_line():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    blocks = [block.split("\n", 1)[1] for block in readme.split("```")[1::2] if block.startswith("sh\n")]
+    documented = [argv for block in blocks for argv in _command_lines(block)]
+    ran = _command_lines((root / ".github" / "workflows" / "tests.yml").read_text())
+    assert len(documented) == 9
+    assert [argv for argv in documented if argv not in ran] == []
 
 
 def test_run_api_defaults():

@@ -601,6 +601,26 @@ def test_esv_mixed_ln_curve_at_zero_noise_matches_two_level_oracle(s, d):
         assert abs(curve(phi) - 2.0 * np.log2(np.sqrt(lam).sum())) <= 1e-12
 
 
+def test_esv_mixed_ln_curve_checks_its_input_positivity_once(monkeypatch):
+    # the curve's one input is checked once, not once per side of esv_mixed
+    rho = noised("thermal", 1.0, 1.0, 30)
+    solve, shapes = np.linalg.eigvalsh, []
+
+    def spy(mat, *args, **kwargs):
+        shapes.append(mat.shape)
+        return solve(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    curve = esv_mixed_ln_curve(rho)
+    assert shapes == [(30, 30)]
+    shapes.clear()
+    esv_mixed(rho, rho, 0.5)
+    assert shapes == [(30, 30), (30, 30)]
+    shapes.clear()
+    curve(0.5)
+    assert (30, 30) not in shapes
+
+
 def test_esv_mixed_log_negativity_raises_what_esv_mixed_raises():
     d = 6
     layout = ModeLayout((d,))

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from esvsim import (
@@ -25,14 +25,13 @@ from esvsim import (
 import esvsim.protocols
 import esvsim.states
 from esvsim.fock import FockVector, ModeLayout
-from esvsim.protocols import _parity_weights
-from esvsim.states import _DEGENERATE, _parity_split
+from esvsim.states import _parity_split
 
 from oracles import (_split_padded, basis_vector, controlled_phase, entanglement_swap_padded,
                      entanglement_swap_terms, esv_aligned, generate_scheme_a_circuit,
                      generate_scheme_b_branches, generate_scheme_b_circuit, heralded_fidelity,
-                     odd_odd_projector, padded_balanced_bs, partial_trace, phase_rotation, teleport_padded,
-                     teleport_terms, tensor)
+                     odd_odd_projector, padded_balanced_bs, parity_weights, partial_trace, phase_rotation,
+                     teleport_padded, teleport_terms, tensor)
 
 HALF = 1 / np.sqrt(2)
 
@@ -284,26 +283,41 @@ def test_swap_and_teleport_build_no_fock_vector(monkeypatch):
 
 @pytest.mark.parametrize("s", [1e-14, 1e-6, 400.0])
 def test_swap_and_teleport_edge_squeezing(s):
-    # a finite (1/4, 1) or the degenerate-resource ValueError, never nan, and no RuntimeWarning
+    # exactly (1/4, 1), a1 = -a0 included, and no RuntimeWarning
     inputs = (QubitAmplitudes(1.0, 0.0), QubitAmplitudes(0.6, 0.8j), QubitAmplitudes(HALF, -HALF))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for protocol, args in [(entanglement_swap, (s,))] + [(teleport, (inp, s)) for inp in inputs]:
-            got = _value_or_error(protocol, *args)
-            if s == 1e-14:
-                assert got in (_DEGENERATE, "input superposition is the zero vector")
-            else:
-                assert got == pytest.approx((0.25, 1.0), abs=1e-15)
+        assert entanglement_swap(s) == (0.25, 1.0)
+        for inp in inputs:
+            assert teleport(inp, s) == (0.25, 1.0)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(s=st.one_of(st.floats(1e-6, 10.0), st.floats(10.0, 1e300)), theta=st.floats(0.0, np.pi / 2),
-       alpha=st.floats(-np.pi, np.pi), beta=st.floats(-np.pi, np.pi))
-def test_swap_and_teleport_are_exactly_one_quarter_and_one(s, theta, alpha, beta):
-    # past the degenerate floor (s ~ 5e-13) the two-level algebra fixes both results exactly
-    inp = QubitAmplitudes(np.cos(theta) * np.exp(1j * alpha), np.sin(theta) * np.exp(1j * beta))
+@given(s=st.one_of(st.floats(5e-324, 1e-300, allow_subnormal=True), st.floats(1e-300, 1e-6),
+                   st.floats(1e-6, 10.0), st.floats(10.0, 1e300)),
+       theta=st.floats(0.0, np.pi / 2), alpha=st.floats(-np.pi, np.pi), beta=st.floats(-np.pi, np.pi),
+       antiparallel=st.booleans())
+@example(s=5e-324, theta=np.pi / 4, alpha=0.0, beta=0.0, antiparallel=True)
+@example(s=1e-13, theta=np.pi / 4, alpha=0.0, beta=0.0, antiparallel=True)
+def test_swap_and_teleport_are_exactly_one_quarter_and_one(s, theta, alpha, beta, antiparallel):
+    # at every finite s > 0, subnormals included, the two-level algebra fixes both results
+    # exactly; a1 = -a0 is x = sqrt(2) O, of squared norm 1 - c > 0
+    if antiparallel:
+        inp = QubitAmplitudes(HALF * np.exp(1j * alpha), -HALF * np.exp(1j * alpha))
+    else:
+        inp = QubitAmplitudes(np.cos(theta) * np.exp(1j * alpha), np.sin(theta) * np.exp(1j * beta))
     assert entanglement_swap(s) == (0.25, 1.0)
     assert teleport(inp, s) == (0.25, 1.0)
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, -np.inf, np.nan, np.inf])
+def test_swap_and_teleport_reject_squeezing_outside_the_closed_form(s):
+    # the closed form holds on every finite s > 0 and nowhere else
+    for protocol, args, message in ((entanglement_swap, (s,), "swap requires s > 0"),
+                                    (teleport, (QubitAmplitudes(1.0, 0.0), s), "teleportation requires s > 0")):
+        with pytest.raises(ValueError) as err:
+            protocol(*args)
+        assert str(err.value) == (message if s <= 0 else "squeezing parameter must be finite")
 
 
 def test_parity_weights_match_the_truncated_norms():
@@ -311,7 +325,7 @@ def test_parity_weights_match_the_truncated_norms():
     for s in (1e-8, 1e-6, 1e-3, 0.1, 1.0, 2.0):
         even, odd = _parity_split(s, 1500)
         want = np.array([np.vdot(even, even).real, np.vdot(odd, odd).real])
-        assert np.allclose(_parity_weights(s, "swap"), want, rtol=1e-13, atol=0)
+        assert np.allclose(parity_weights(s), want, rtol=1e-13, atol=0)
 
 
 def _value_or_error(protocol, *args):
