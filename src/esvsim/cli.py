@@ -21,7 +21,7 @@ have nothing to act on there.
 
 Exit codes: 0 success, 2 usage error (an ``--out`` path whose directory is
 missing or not writable too, found before the sweep runs), 3 numeric-guard
-error.
+error (a ``RuntimeWarning`` that a warnings filter raises as an error too).
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ class SweepConfig:
     ranges: dict[str, tuple[float, float, int]]
     cutoff: int = 30
     strict: bool = False
-    out: str | None = None
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -269,22 +268,21 @@ def main(argv: list[str] | None = None) -> int:
             if name in ranges:
                 raise UsageError(f"parameter {name!r} given more than once")
             ranges[name] = grid
-        config = SweepConfig(command=args.command, ranges=ranges,
-                             cutoff=args.cutoff, strict=args.strict, out=args.out)
+        config = SweepConfig(command=args.command, ranges=ranges, cutoff=args.cutoff, strict=args.strict)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2
-    problem = None if config.out is None else _out_path_problem(config.out)
+    problem = None if args.out is None else _out_path_problem(args.out)
     if problem is not None:
         print(f"error: output: {problem}", file=sys.stderr)
         return 2
     try:
         result = run(config)
-    except (TruncationWarning, ValueError) as exc:
+    except (TruncationWarning, RuntimeWarning, ValueError) as exc:
         print(f"error: numeric-guard: {exc}", file=sys.stderr)
         return 3
     try:
-        emit_csv(result, config.out)
+        emit_csv(result, args.out)
     except OSError as exc:
         print(f"error: output: {exc}", file=sys.stderr)
         return 2

@@ -309,7 +309,20 @@ def hermitian_blocks(mat: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
 
 
 def fidelity(x: FockVector, y: FockVector) -> float:
-    """|<x|y>|^2 for two normalized pure states on the same layout."""
+    """|<x|y>|^2 for two normalized pure states on the same layout.
+
+    Rounding can put the result above 1, and it is not clipped.  For unit
+    vectors as this package builds them, v / fl(||v||) times at most a unit
+    phase, on a layout of dimension n, with u = 2^-53 and to first order in
+    u (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    §3.1 and §3.6; sums in any order):
+    - ||x||² is within (n + 15)u of 1: the sum of 2n squares (n + 1), the
+      square root (2), the division (2) and the phase factor (10);
+    - the real and imaginary parts of <x|y> are sums of 2n products, so
+      |fl(<x|y>) - <x|y>| <= 2 sqrt(2) n u ||x|| ||y||;
+    - abs and the square add 3u.
+    So the result is at most 1 + (2(n + 15) + 4 sqrt(2) n + 3)u < 1 + (8n + 33)u.
+    """
     if x.layout != y.layout:
         raise ValueError("fidelity requires matching layouts")
     return float(np.abs(np.vdot(x.amps, y.amps)) ** 2)

@@ -1,12 +1,13 @@
 """Heralded protocols: entanglement swapping, teleportation, and two
 ancilla-assisted generation schemes for entangled squeezed vacua.
 
-Every protocol is built from E and O, the squeezed vacuum on |4k> and on
-|4k + 2> (`states._parity_split`), so |s±> = E ± O.  No protocol forms a
-state of more than two oscillator modes or carries a qubit ancilla as a
-mode.
+The algebra below is written in E and O, the squeezed vacuum on |4k> and
+on |4k + 2>, so |s±> = E ± O.  Only the generation schemes build Fock
+arrays: |s+> and |s-> at the caller's cutoff (`states._pair`).  No
+protocol forms a state of more than two oscillator modes or carries a
+qubit ancilla as a mode.
 
-Swapping and teleportation need no Fock array and no cutoff.  Their
+Swapping and teleportation build nothing and need no cutoff.  Their
 resources are sums of product terms over E and O, (e, o) = (|E|², |O|²):
 |Psi(pi)> ∝ O⊗E - E⊗O and the aligned state |Phi(pi)> ∝ E⊗O + O⊗E.  Every
 term meets the splitter B with even photon numbers in both modes, where

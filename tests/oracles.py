@@ -7,11 +7,14 @@ exceptions come first: `tensor`, `esv_aligned`, `moment_matrix_entry` and
 `parity_weights` are thin helpers over the package that only the tests
 use.  The padded circuits at the end have their own block-sparse operator
 kernel (`_apply_blocks`), because the padded sizes put a dense matrix
-exponential of the whole grid out of reach.  Their splitter is the exponential of its
-truncated generator (`apply_beamsplitter`); the Fock term and branch sums
-after them use the balanced splitter's Wigner-matrix recursion
-(`_balanced_splitter_blocks`, through `_split_padded`), the package's
-tail-band mask and its tail decision (`_check_band`).
+exponential of the whole grid out of reach.  Their one splitter is the
+exponential of its truncated generator, one Jacobi eigensolve per total
+photon number (`_beamsplitter_blocks`), which the tests hold to scipy's dense
+`expm` of the whole grid (`beamsplitter_matrix`).  `apply_beamsplitter`
+applies it to a state with the package's tail check, and `_split_padded`
+applies the balanced one to stacked two-mode slices.  Scheme b's padded
+branch sums, last, also use the package's tail-band mask and a copy of its
+tail decision (`_check_band`).
 """
 
 import math
@@ -25,7 +28,7 @@ from esvsim import (DensityMatrix, EsvSpec, FockVector, KerrSpec, ModeLayout, Sq
                     esv_pure, squeezed_vacuum, two_mode_squeezed_vacuum)
 from esvsim.fock import _I_POW, TAIL_THRESHOLD, _amplitude_matrix, _band_mask, check_tail
 from esvsim.separability import MAX_WEIGHT, _moment_entries
-from esvsim.states import _DEGENERATE, _ZERO_NORM, _pair, _parity_split, _sech_2s, _superpose
+from esvsim.states import _pair, _sech_2s, _superpose
 
 
 def tensor(x, y):
@@ -179,51 +182,19 @@ def _beamsplitter_blocks(dim_a: int, dim_b: int, theta: float) -> tuple:
     return tuple(blocks)
 
 
-@lru_cache(maxsize=16)
-def _balanced_splitter_blocks(dim):
-    """(rows, block) pairs of the balanced splitter, one per total N < dim.
-
-    On a total of N photons the balanced splitter is the Wigner matrix
-    d^{N/2}(pi/2) (the SU(2) picture of Campos, Saleh & Teich, PRA 40, 1371
-    (1989)), built here one total from the last by a four-term recursion in
-    the style of Risbo's (J. Geodesy 70, 383 (1996)), with no eigensolve.
-    Block N maps the inputs |m, N-m> (columns, m = 0..N) to the outputs
-    (rows), at flat indices m*dim + N - m of a (dim, dim) mode pair.  Since
-    U a† U† = (a† + b†)/sqrt(2) and U b† U† = (b† - a†)/sqrt(2),
-    N U|m,n> = sqrt(m) (a† + b†)/sqrt(2) U|m-1,n> + sqrt(n) (b† - a†)/sqrt(2) U|m,n-1>,
-    four shifted, weighted copies of block N-1.  Totals N >= dim are not
-    built; `_apply_blocks` writes zeros there.
-    """
-    blocks = []
-    block = np.ones((1, 1))
-    for total in range(dim):
-        ms = np.arange(total + 1)
-        if total:
-            r = np.sqrt(ms[1:])       # sqrt(k), k = 1..N
-            q = r[::-1]               # sqrt(N - k), k = 0..N-1
-            nxt = np.zeros((total + 1, total + 1))
-            nxt[1:, 1:] += r[:, None] * block * r
-            nxt[:-1, 1:] += q[:, None] * block * r
-            nxt[:-1, :-1] += q[:, None] * block * q
-            nxt[1:, :-1] -= r[:, None] * block * q
-            block = nxt / (np.sqrt(2.0) * total)
-        blocks.append((ms * dim + total - ms, block))
-    return tuple(blocks)
-
-
 def _split_padded(pairs):
     """Balanced splitter on every (d_a, d_b) slice of a (d_a, d_b, k) array; exact.
 
     Both modes are zero-padded to d_a + d_b - 1 levels, so the largest input
-    total, d_a + d_b - 2, is below the padded cutoff and the recursion's
-    blocks cover every total the input reaches.  Returns the (big, big, k)
-    output.  No tail check here: the caller checks the state it owns.
+    total, d_a + d_b - 2, is below the padded cutoff and no photon reaches a
+    level the padding cut.  Returns the (big, big, k) output.  No tail check
+    here: the caller checks the state it owns.
     """
     d_a, d_b, k = pairs.shape
     big = d_a + d_b - 1
     padded = np.zeros((big, big, k), dtype=complex)
     padded[:d_a, :d_b] = pairs
-    return _apply_blocks(padded, [0, 1], _balanced_splitter_blocks(big))
+    return _apply_blocks(padded, [0, 1], _beamsplitter_blocks(big, big, np.pi / 4))
 
 
 def _apply_unitary(state, modes, blocks):
@@ -470,10 +441,10 @@ def entangling_power_joint(state_array, dims, tau):
 # modes are zero-padded to d_a + d_b - 1 levels, and `apply_beamsplitter`
 # checks the tail of the whole padded output.  Their splitter is the
 # truncated-generator exponential above, one Jacobi eigensolve per total
-# photon number, not the Wigner recursion; their ancilla gates and
-# measurements are the diagonal controlled phase and the projection of the
-# ancilla mode.  The package's own protocols never form the joint state and
-# keep the ancilla's branches on a trailing axis instead.  The tail band of
+# photon number; their ancilla gates and measurements are the diagonal
+# controlled phase and the projection of the ancilla mode.  They are the
+# references of the package's swap and teleport closed forms and of both
+# generation schemes, which never form the joint state.  The tail band of
 # a two-level ancilla mode is both its levels, so the scheme-b circuit's
 # tail check warns on every call: tests compare its values, not its warnings.
 
@@ -554,30 +525,20 @@ def entanglement_swap_padded(s, cutoff):
     return prob, heralded_fidelity(projected, [0, 3], prob, target)
 
 
-def _qubit_state(first, second):
-    """`_superpose` of one mode, raising the teleportation input's zero-vector message."""
-    try:
-        return _superpose(first, second, first.shape)
-    except ValueError:
-        raise ValueError("input superposition is the zero vector") from None
-
-
 def teleport_padded(inp, s, cutoff):
     """(probability, fidelity) of `teleport` on the padded 3-mode joint state."""
     plus, minus = _pair(s, cutoff)
-    input_state = _qubit_state(inp.a0 * plus, inp.a1 * minus)
+    input_state = _superpose(inp.a0 * plus, inp.a1 * minus, (cutoff,))
     joint = tensor(input_state, esv_aligned(EsvSpec(s, np.pi, cutoff)))
     projected, prob = odd_odd_projector(padded_balanced_bs(joint, 0, 1), (0, 1))
-    target = _qubit_state(inp.a0 * minus, inp.a1 * plus)
+    target = _superpose(inp.a0 * minus, inp.a1 * plus, (cutoff,))
     return prob, heralded_fidelity(projected, [2], prob, target)
 
 
-# The Fock term sums of swapping and teleportation and the branch sums of
-# generation scheme b: the package's formulations before they became
-# cutoff-free or products.  Each product term's two-mode vector meets the
-# zero-padded splitter (`_split_padded`, in one stacked call) and the odd-odd
-# projection, and p, F and the splitter's tail mass are Gram sums over the
-# truncated terms.
+# The branch sums of generation scheme b, the reference for its product
+# branches and for where it flags truncation: the two TMSV branches meet the
+# zero-padded splitter (`_split_padded`, in one stacked call), and the
+# splitter's tail mass is the band mass of the padded joint output.
 
 def _check_band(mass, total):
     """`check_tail`'s decision and message, as "beam splitter", for a band mass
@@ -586,66 +547,6 @@ def _check_band(mass, total):
         return
     message = f"beam splitter: Fock-tail mass above {TAIL_THRESHOLD:.0e}; results may be truncation-limited"
     warnings.warn(message, TruncationWarning, stacklevel=3)
-
-
-def _herald_terms(coefs, kept, kept_layout, pairs, target):
-    """Heralding probability and fidelity for the resource sum_T c_T kept_T ⊗ pair_T.
-
-    Each two-mode pair_T = a_T ⊗ b_T, given as `pairs[T] = (a_T, b_T)`, meets
-    the padded balanced splitter B (a_T on its first port) and the odd-odd
-    projection P, giving chi_T = P B pair_T.  `kept` holds the other modes'
-    vector of each term (one row per term, over `kept_layout`).  Writing
-    [x, y] for c† (G_x ∘ G_y) c, with G_x the Gram matrix of the terms' x
-    vectors, p = [kept, chi] / [kept, pair] and
-    F = |sum_T c_T <target|kept_T> chi_T|² / [kept, chi].
-
-    The splitter's tail check decides on the band mass of the padded joint
-    output, [kept, B pair] - [Q kept, Q B pair], where Q zeroes every level
-    in a mode's top band.
-    """
-    def weight(x, y):
-        return float((coefs.conj() @ ((x.conj() @ x.T) * (y.conj() @ y.T)) @ coefs).real)
-
-    def rows(t):     # (..., T) -> one flat row per term
-        return t.reshape(-1, len(pairs)).T
-
-    stacked = np.stack([np.outer(a, b) for a, b in pairs], axis=-1)
-    out = _split_padded(stacked)
-    chi = out.copy()
-    chi[::2] = chi[:, ::2] = 0      # odd photon number in both modes
-    norm2 = weight(kept, rows(stacked))
-    q_kept, q_out = ~_band_mask(kept_layout), ~_band_mask(ModeLayout(out.shape[:2]))
-    band = weight(kept, rows(out)) - weight(kept[:, q_kept], rows(out)[:, q_out])
-    _check_band(band, norm2)
-    heralded = weight(kept, rows(chi))
-    amp = (coefs * (kept @ target.conj())) @ rows(chi)
-    return heralded / norm2, float(np.vdot(amp, amp).real) / heralded
-
-
-def entanglement_swap_terms(s, cutoff):
-    """`entanglement_swap` as a Fock term sum at a cutoff: four terms."""
-    if s <= 0:
-        raise ValueError("swap requires s > 0")
-    even, odd = _parity_split(s, cutoff)
-    target = esv_aligned(EsvSpec(s, np.pi, cutoff))
-    kept = np.array([np.kron(odd, odd), np.kron(odd, even), np.kron(even, odd), np.kron(even, even)])
-    pairs = [(even, even), (even, odd), (odd, even), (odd, odd)]
-    return _herald_terms(np.array([1.0, 1.0, -1.0, -1.0]), kept, ModeLayout((cutoff, cutoff)), pairs,
-                         target.amps)
-
-
-def teleport_terms(inp, s, cutoff):
-    """`teleport` as a Fock term sum at a cutoff: two terms."""
-    if s <= 0:
-        raise ValueError("teleportation requires s > 0")
-    even, odd = _parity_split(s, cutoff)
-    plus, minus = even + odd, even - odd
-    input_state = _qubit_state(inp.a0 * plus, inp.a1 * minus)
-    if 2.0 * np.sqrt(2.0) * np.linalg.norm(even) * np.linalg.norm(odd) < _ZERO_NORM:
-        raise ValueError(_DEGENERATE)
-    target = _qubit_state(inp.a0 * minus, inp.a1 * plus)
-    pairs = [(input_state.amps, even), (input_state.amps, odd)]
-    return _herald_terms(np.ones(2), np.array([odd, even]), ModeLayout((cutoff,)), pairs, target.amps)
 
 
 def _project_qubit(state, mode, coeffs):

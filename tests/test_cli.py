@@ -172,6 +172,16 @@ def test_squeezing_whose_sech_underflows_exits_3_naming_the_underflow(argv, caps
         assert err.startswith("error: numeric-guard: sech s underflows to 0")
 
 
+def test_runtime_warning_raised_as_error_exits_3(capsys):
+    # under PYTHONWARNINGS=error::RuntimeWarning, as CI runs the console script, the subnormal
+    # pivot of this criteria minor raises from np.linalg.det: a numeric-guard error, not a traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["criteria", "s=1e-300", "phi=1e-13", "--cutoff", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: numeric-guard: divide by zero encountered in det\n"
+
+
 def test_strict_flags_truncation_that_keeps_almost_no_norm():
     # at large s a cutoff keeps almost none of the squeezed vacuum's norm and prints
     # a wrong value (EoF 0.9103 for 1, p_plus 0.5162 for 0.5); its band is a large

@@ -19,9 +19,9 @@ from esvsim import (
 from esvsim.fock import check_tail
 from esvsim.states import EsvSpec, SqueezeSpec, esv_pure, squeezed_vacuum, two_mode_squeezed_vacuum
 
-from oracles import (_balanced_splitter_blocks, _beamsplitter_blocks, _expm_tridiagonal, apply_beamsplitter,
-                     basis_vector, beamsplitter_matrix, controlled_phase, kron_moment, partial_trace,
-                     phase_rotation, resize_mode, squeezed_amplitudes, tensor)
+from oracles import (_beamsplitter_blocks, _expm_tridiagonal, apply_beamsplitter, basis_vector, beamsplitter_matrix,
+                     controlled_phase, kron_moment, partial_trace, phase_rotation, resize_mode, squeezed_amplitudes,
+                     tensor)
 
 
 def test_layout_validation():
@@ -183,30 +183,6 @@ def test_gate_exponential_property(dim, seed, scale, theta, dim_b):
     off = scale * np.random.default_rng(seed).standard_normal(dim - 1)
     assert_gate_matches(_expm_tridiagonal(off), tridiagonal_oracle(off))
     assert_splitter_blocks_match(min(dim, 12), dim_b, theta)
-
-
-def assert_balanced_splitter_matches_oracle(dim):
-    # the recursion's rows are exactly the flat indices m*dim + n with m + n < dim,
-    # one block per total, and each block is the truncated-generator exponential's
-    blocks = _balanced_splitter_blocks(dim)
-    m, n = np.divmod(np.arange(dim * dim), dim)
-    assert len(blocks) == dim
-    assert np.array_equal(np.sort(np.concatenate([rows for rows, _ in blocks])), np.flatnonzero(m + n < dim))
-    for (rows, block), (want_rows, want) in zip(blocks, _beamsplitter_blocks(dim, dim, np.pi / 4)):
-        assert np.array_equal(rows, want_rows)
-        assert np.abs(block - want).max() < 1e-13
-        assert np.abs(block @ block.conj().T - np.eye(len(block))).max() < 1e-13
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3, 47, 59, 79, 160])
-def test_balanced_splitter_recursion_matches_exponential_oracle(dim):
-    assert_balanced_splitter_matches_oracle(dim)
-
-
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(dim=st.integers(1, 100))
-def test_balanced_splitter_recursion_property(dim):
-    assert_balanced_splitter_matches_oracle(dim)
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -27,25 +28,16 @@ import esvsim.states
 from esvsim.fock import FockVector, ModeLayout
 from esvsim.states import _parity_split
 
-from oracles import (_split_padded, basis_vector, controlled_phase, entanglement_swap_padded,
-                     entanglement_swap_terms, esv_aligned, generate_scheme_a_circuit,
-                     generate_scheme_b_branches, generate_scheme_b_circuit, heralded_fidelity,
-                     odd_odd_projector, padded_balanced_bs, parity_weights, partial_trace, phase_rotation,
-                     teleport_padded, teleport_terms, tensor)
+from oracles import (_split_padded, basis_vector, controlled_phase, entanglement_swap_padded, esv_aligned,
+                     generate_scheme_a_circuit, generate_scheme_b_branches, generate_scheme_b_circuit,
+                     heralded_fidelity, odd_odd_projector, padded_balanced_bs, parity_weights, partial_trace,
+                     phase_rotation, teleport_padded, tensor)
 
 HALF = 1 / np.sqrt(2)
 
 
 def basis_state(dims, occupations):
     return FockVector(ModeLayout(dims), basis_vector(dims, occupations))
-
-
-def _padded_balanced_bs(state, mode_a, mode_b):
-    """`_split_padded` on two modes of a state, the other modes stacked on its trailing axis."""
-    t = np.moveaxis(state.as_tensor(), (mode_a, mode_b), (0, 1))
-    out = _split_padded(t.reshape(t.shape[0], t.shape[1], -1))
-    out = np.moveaxis(out.reshape(out.shape[:2] + t.shape[2:]), (0, 1), (mode_a, mode_b))
-    return FockVector(ModeLayout(out.shape), out.reshape(-1))
 
 
 def test_qubit_amplitudes_validation():
@@ -145,28 +137,10 @@ def test_teleport_heralding_complement():
     # the odd-odd projector plus its complement resolve the identity
     inp = squeezed_vacuum(SqueezeSpec(1.0, 24)).normalized()
     joint = tensor(inp, esv_aligned(EsvSpec(1.0, np.pi, 24)))
-    mixed = _padded_balanced_bs(joint, 0, 1)
+    mixed = padded_balanced_bs(joint, 0, 1)
     projected, p = odd_odd_projector(mixed, (0, 1))
     complement = FockVector(mixed.layout, mixed.amps - projected.amps)
     assert p + complement.norm() ** 2 == pytest.approx(1.0, abs=1e-9)
-
-
-@pytest.mark.parametrize("dims, mode_a, mode_b", [((1, 1), 0, 1), ((3, 4), 0, 1), ((6, 2, 2), 0, 1),
-                                                   ((5, 2, 3), 2, 0), ((2, 7, 5, 2), 1, 2)])
-def test_padded_splitter_matches_exponential_oracle(dims, mode_a, mode_b):
-    # random complex input against the eigensolve splitter on the same padding;
-    # the totals the recursion does not build come out as exact zeros
-    rng = np.random.default_rng(29)
-    psi = _random_vector(dims, rng)
-    got = _padded_balanced_bs(psi, mode_a, mode_b)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        want = padded_balanced_bs(psi, mode_a, mode_b)
-    assert got.layout == want.layout
-    assert np.abs(got.amps - want.amps).max() < 1e-12
-    n = np.indices(got.layout.dims)
-    unbuilt = (n[mode_a] + n[mode_b] >= got.layout.dims[mode_a]).reshape(-1)
-    assert not got.amps[unbuilt].any()
 
 
 def test_squeezed_vacuum_sign_flip_is_exact():
@@ -187,7 +161,7 @@ def teleport_rotating_input(inp, s, cutoff):
             + inp.a1 * squeezed_vacuum(SqueezeSpec(-s, cutoff)).amps)
     input_state = FockVector(ModeLayout((cutoff,)), amps / np.linalg.norm(amps))
     joint = tensor(input_state, esv_aligned(EsvSpec(s, np.pi, cutoff)))
-    projected, prob = odd_odd_projector(_padded_balanced_bs(joint, 0, 1), (0, 1))
+    projected, prob = odd_odd_projector(padded_balanced_bs(joint, 0, 1), (0, 1))
     target = FockVector(input_state.layout, phase_rotation(cutoff, -np.pi / 2) @ input_state.amps)
     return prob, heralded_fidelity(projected, [2], prob, target)
 
@@ -215,36 +189,18 @@ def _values_and_contexts(protocol, *args):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(swap=st.booleans(), s=st.floats(1e-3, 6.0), cutoff=st.integers(4, 24),
        theta=st.floats(0.0, np.pi / 2), alpha=st.floats(-np.pi, np.pi), beta=st.floats(-np.pi, np.pi))
-def test_term_sums_match_padded_circuit_oracle(swap, s, cutoff, theta, alpha, beta):
-    # the cutoff-free algebra against the truncated Fock term sums and the joint padded state
+def test_closed_forms_match_padded_circuit_oracle(swap, s, cutoff, theta, alpha, beta):
+    # the cutoff-free algebra, which warns nothing, against the joint padded state at a cutoff
     if swap:
-        args, oracles = (s,), (entanglement_swap_terms, entanglement_swap_padded)
-        protocol = entanglement_swap
+        args, protocol, oracle = (s,), entanglement_swap, entanglement_swap_padded
     else:
         inp = QubitAmplitudes(np.cos(theta) * np.exp(1j * alpha), np.sin(theta) * np.exp(1j * beta))
-        args, oracles = (inp, s), (teleport_terms, teleport_padded)
-        protocol = teleport
+        args, protocol, oracle = (inp, s), teleport, teleport_padded
     (p, f), contexts = _values_and_contexts(protocol, *args)
     assert contexts == set()
-    for oracle in oracles:
-        p_want, f_want = oracle(*args, cutoff)
-        assert abs(p - p_want) <= 1e-12
-        assert abs(f - f_want) <= 1e-12
-
-
-@pytest.mark.parametrize("s, cutoff", [(0.1, 12), (0.3, 16), (0.05, 8), (3.0, 12)])
-def test_splitter_tail_decision_matches_padded_circuit(s, cutoff):
-    # (0.1, 12): nothing warns; (0.3, 16) and (0.05, 8): only the splitter; (3.0, 12): both.
-    # The Fock term-sum oracle decides as the padded circuit does; the library
-    # has no cutoff and no splitter, so it warns nothing and gives 1/4 and 1
-    inp = QubitAmplitudes(0.6, 0.8j)
-    cases = ((entanglement_swap, entanglement_swap_terms, entanglement_swap_padded, (s,)),
-             (teleport, teleport_terms, teleport_padded, (inp, s)))
-    for protocol, terms, padded, args in cases:
-        assert _values_and_contexts(terms, *args, cutoff)[1] == _values_and_contexts(padded, *args, cutoff)[1]
-        (p, f), contexts = _values_and_contexts(protocol, *args)
-        assert contexts == set()
-        assert abs(p - 0.25) <= 1e-15 and abs(f - 1.0) <= 1e-15
+    p_want, f_want = oracle(*args, cutoff)
+    assert abs(p - p_want) <= 1e-12
+    assert abs(f - f_want) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -447,6 +403,27 @@ def test_generation_probabilities():
     # p+ = (1 + 2 Re(a0 conj(a1)) / cosh 2s)/2 up to the truncated overlap
     assert p_plus == pytest.approx((1 + 1 / np.cosh(2.0)) / 2, abs=1e-5)
     assert p_plus == pytest.approx(0.6329, abs=1e-4)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(s=st.floats(0.01, 3.0), phi=st.floats(0.0, 2 * np.pi), cutoff=st.integers(2, 40),
+       a0=st.floats(0.05, 1.0), a1=st.floats(0.05, 1.0), beta=st.floats(-np.pi / 2, np.pi / 2))
+@example(s=1.0, phi=0.0, cutoff=30, a0=0.7071067811865476, a1=0.7071067811865476, beta=0.0)
+def test_fidelity_of_built_unit_vectors_stays_within_its_rounding_bound(s, phi, cutoff, a0, a1, beta):
+    # the generate command's fid_schemes and fid_esv (the example is its README row, which
+    # computes 1.0000000000000022) and ESVs with themselves: F - 1 <= (8n + 33)u on a layout
+    # of dimension n, as `fock.fidelity` derives, and F is the rounded |<x|y>|² unclipped
+    norm = math.hypot(a0, a1)     # the ancilla as the CLI normalizes it
+    anc = QubitAmplitudes(complex(a0) / norm, a1 * np.exp(1j * beta) / norm)
+    state_a, _ = generate_scheme_a(s, anc, "+", cutoff)
+    state_b, _ = generate_scheme_b(s, anc, "+", cutoff)
+    target = esv_pure(EsvSpec(s, 0.0, cutoff))
+    esv = esv_pure(EsvSpec(s, phi, cutoff))
+    bound = (8 * cutoff * cutoff + 33) * 2.0 ** -53
+    for x, y in ((state_a, state_b), (state_a, target), (esv, esv), (state_b, state_b)):
+        f = fidelity(x, y)
+        assert f == np.abs(np.vdot(x.amps, y.amps)) ** 2
+        assert f - 1.0 <= bound
 
 
 def test_generation_with_trivial_ancilla():
