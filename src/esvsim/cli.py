@@ -14,10 +14,13 @@ parameters and then evaluates every row below it: one squeezed vacuum per
 
 Every truncation check warns `TruncationWarning`; ``--strict`` runs the sweep
 under ``warnings.simplefilter("error", TruncationWarning)``, so on every
-command a flagged tail becomes a numeric-guard error.  ``swap`` and
-``teleport`` are cutoff-free (closed forms over E and O, see
-`esvsim.protocols`): they truncate nothing, so ``--cutoff`` and ``--strict``
-have nothing to act on there.
+command a flagged tail becomes a numeric-guard error.  ``swap``,
+``teleport`` and ``overlap`` are cutoff-free (closed forms, see
+`esvsim.protocols` and `esvsim.states.displaced_overlap`): they truncate
+nothing, so ``--cutoff`` and ``--strict`` have nothing to act on there.
+
+`main` builds the argument parser of the command it is given and no other;
+help, usage and error text are those of the parser with every command.
 
 Exit codes: 0 success, 2 usage error (an ``--out`` path whose directory is
 missing or not writable too, found before the sweep runs), 3 numeric-guard
@@ -187,7 +190,7 @@ def run(config: SweepConfig) -> SweepResult:
             evaluate = cmd.prepare(config.cutoff, *outer)
             for inner in product(*axes[cmd.outer:]):
                 row = outer + inner + tuple(float(x) for x in evaluate(*inner))
-                if not all(np.isfinite(row)):
+                if not all(map(math.isfinite, row)):
                     raise ValueError(f"non-finite diagnostic at {dict(zip(cmd.params, row))}")
                 result.rows.append(row)
             del evaluate   # free this preparation before the next one is built
@@ -240,20 +243,27 @@ def _parse_assignment(text: str) -> tuple[str, tuple[float, float, int]]:
         raise UsageError(f"bad parameter {text!r}: {exc}") from exc
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(names: tuple[str, ...] = tuple(COMMANDS)) -> argparse.ArgumentParser:
+    """The esvsim parser, with a subparser for each command in `names`."""
     parser = argparse.ArgumentParser(
         prog="esvsim",
         description="Parameter sweeps over entangled-squeezed-vacuum diagnostics (CSV output).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, cmd in COMMANDS.items():
+    # the top-level usage, printed for an unrecognized argument too, names every
+    # command; a metavar does that when only some are registered (with all, it
+    # would also rename "command" in the missing-command error)
+    metavar = None if names == tuple(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        cmd = COMMANDS[name]
         p = sub.add_parser(
             name,
             help=f"columns: {', '.join(list(cmd.params) + list(cmd.diagnostics))}",
         )
         p.add_argument("assignments", nargs="*", metavar="name=value|name=min..max:steps")
         p.add_argument("--cutoff", type=int, default=30,
-                       help="Fock cutoff per mode (swap and teleport are cutoff-free and ignore it)")
+                       help="Fock cutoff per mode (swap, teleport and overlap are cutoff-free "
+                            "and ignore it)")
         p.add_argument("--strict", action="store_true",
                        help="turn truncation-tail warnings into errors")
         p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
@@ -261,7 +271,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a command named first is the one that runs: build only its parser
+    names = (argv[0],) if argv and argv[0] in COMMANDS else tuple(COMMANDS)
+    args = _build_parser(names).parse_args(argv)
     try:
         ranges = {}
         for name, grid in map(_parse_assignment, args.assignments):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -21,7 +22,7 @@ from esvsim import (
     squeezed_vacuum,
     thermal_channel,
 )
-from esvsim.cli import COMMANDS, SweepConfig, UsageError, emit_csv, main, run
+from esvsim.cli import COMMANDS, SweepConfig, UsageError, _build_parser, emit_csv, main, run
 from esvsim.measures import esv_mixed_ln_curve, esv_pure_eof_curve
 
 RECORD_DIR = Path(__file__).resolve().parents[1] / "bench" / "record"
@@ -99,6 +100,65 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def _parse_exit(parse, argv):
+    """Exit code, stdout and stderr of parsing `argv` where argparse exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+PARSER_EXITS = [[name, "-h"] for name in COMMANDS] + [
+    ["-h"], [], ["no-such-command"], ["--cutoff", "3", "swap"],
+    ["swap", "--foo"], ["swap", "s=1", "--cutoff", "x"], ["overlap", "--strict=1"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_EXITS, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_parses_as_the_parser_with_every_command(argv):
+    # main builds only the named command's parser, yet prints the help, usage
+    # and errors of the full one: for an unrecognized option argparse prints
+    # the top-level usage, which lists every command
+    expected = _parse_exit(_build_parser().parse_args, argv)
+    assert expected[0] == (0 if "-h" in argv else 2)
+    assert _parse_exit(main, argv) == expected
+
+
+def test_top_level_help_lists_every_command():
+    code, out, _ = _parse_exit(main, ["-h"])
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines() if "columns:" in line] == list(COMMANDS)
+
+
+def test_a_named_command_registers_only_its_own_parser(monkeypatch):
+    registered = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        registered.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    for name in COMMANDS:
+        registered.clear()
+        _parse_exit(main, [name, "-h"])
+        assert registered == [name]
+    registered.clear()
+    assert main(["overlap", "d=2", "r=0"]) == 0
+    assert registered == ["overlap"]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_diagnostic_exits_3_naming_the_point(bad, monkeypatch, capsys):
+    # a finite row at r = 0, then the non-finite one at r = 1
+    cmd = COMMANDS["overlap"]
+    monkeypatch.setitem(COMMANDS, "overlap",
+                        dataclasses.replace(cmd, prepare=lambda cutoff: lambda d, r: (bad if r else 0.5,)))
+    assert main(["overlap", "d=2", "r=0..1:2"]) == 3
+    assert capsys.readouterr().err == "error: numeric-guard: non-finite diagnostic at {'d': 2.0, 'r': 1.0}\n"
 
 
 def test_unwritable_out_path_exits_2(tmp_path, capsys, monkeypatch):
