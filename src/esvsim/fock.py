@@ -4,8 +4,10 @@ Each mode is truncated to a finite photon-number basis |0>, ..., |cutoff-1>.
 Multi-mode objects are stored flat (row-major over the per-mode dimensions),
 with mode 0 the slowest index.  All operations are pure functions: inputs are
 never mutated, so values can be shared freely across threads.  States and
-spectra are freshly allocated; `annihilator` and `_ladder_word` return
-shared, cached, read-only arrays.
+spectra are freshly allocated; `_ladder_word` returns shared, cached,
+read-only arrays.  `_product_expectations` is the one contraction of a state
+with operators: `moment` and the moment-matrix minors of `separability` both
+call it.
 
 The vacuum quadrature variance is 1/2, with x = (a + a^dag)/sqrt(2); every
 other module relies on this convention.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,7 +27,6 @@ __all__ = [
     "FockVector",
     "DensityMatrix",
     "TruncationWarning",
-    "annihilator",
     "partial_transpose",
     "moment",
     "hermitian_blocks",
@@ -126,7 +127,7 @@ class DensityMatrix:
         d = self.layout.total_dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} != ({d}, {d})")
-        scale = max(1.0, float(np.abs(mat).max())) if mat.size else 1.0
+        scale = max(1.0, float(np.abs(mat).max()))
         dev = float(np.abs(mat - mat.conj().T).max())
         if dev > HERMITICITY_TOL * scale:
             raise ValueError(f"matrix not Hermitian: max deviation {dev:.3e}")
@@ -134,20 +135,6 @@ class DensityMatrix:
 
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
-
-
-# ---------------------------------------------------------------------------
-# elementary matrices
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def annihilator(dim: int) -> np.ndarray:
-    """Truncated annihilation operator a with a|n> = sqrt(n)|n-1>."""
-    a = np.zeros((dim, dim), dtype=complex)
-    ns = np.arange(1, dim)
-    a[ns - 1, ns] = np.sqrt(ns)
-    a.flags.writeable = False
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +217,11 @@ def partial_transpose(state: DensityMatrix, modes: Iterable[int]) -> DensityMatr
 
 @lru_cache(maxsize=256, typed=True)   # typed: a float power must not hit an int entry
 def _ladder_word(dim: int, ndag: int, nlow: int) -> np.ndarray:
-    """a†^ndag a^nlow on `dim` levels, built once per (dim, ndag, nlow); read-only."""
+    """a†^ndag a^nlow on `dim` levels, a|n> = sqrt(n)|n-1>, built once per
+    (dim, ndag, nlow); read-only."""
     if ndag < 0 or nlow < 0:
         raise ValueError("operator powers must be non-negative")
-    a = annihilator(dim)
+    a = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
     f = np.linalg.matrix_power(a.conj().T, ndag) @ np.linalg.matrix_power(a, nlow)
     f.flags.writeable = False
     return f
@@ -254,27 +242,40 @@ def _word_operators(layout: ModeLayout, word) -> dict[int, np.ndarray]:
     return ops
 
 
+def _product_expectations(state, pairs) -> list[complex]:
+    """<A ⊗ B> for each (A, B) of `pairs`: A acts on mode 0, B on the other
+    modes, flattened as the state is.
+
+    On a pure state with amplitude matrix Psi (mode 0 by the rest) each value
+    is one contraction, vdot(Psi, A Psi Bᵀ); on a density matrix it is
+    Tr[rho (A ⊗ B)].
+    """
+    d0 = state.layout.dims[0]
+    if isinstance(state, FockVector):
+        psi = state.amps.reshape(d0, -1)
+        return [complex(np.vdot(psi, a @ psi @ b.T)) for a, b in pairs]
+    d1 = state.layout.total_dim // d0
+    # Tr[rho (A ⊗ B)] = sum rho[i, j, k, l] A[k, i] B[l, j], with rho regrouped as (i k) x (j l)
+    r = state.mat.reshape(d0, d1, d0, d1).transpose(0, 2, 1, 3).reshape(d0 * d0, d1 * d1)
+    return [complex(a.T.ravel() @ r @ b.T.ravel()) for a, b in pairs]
+
+
 def moment(state, word) -> complex:
     """Expectation of an ordered ladder-operator word, <a†^k a^l ...>.
 
     Example: ``moment(psi, [(0, 1, 1)])`` is <a†a> on mode 0, and
     ``moment(psi, [(0, 1, 0), (1, 0, 1)])`` is <a† b>.  A word with a
     raising operator reads the top Fock levels, so it checks the tail.
-    Each touched mode's operator is contracted with that mode's axis of the
-    state, its ket axis for a density matrix, on any number of modes; the
-    result is <psi|O psi> or Tr[O rho].
+    `_product_expectations` evaluates it as <A ⊗ B>: A is the word's
+    operator on mode 0 and B the kron of its operators on the other modes,
+    the identity on a mode it does not touch; on one or two modes no kron
+    is formed.
     """
     ops = _word_operators(state.layout, word)
     if any(ndag for _, ndag, _ in word):
         check_tail(state, context="moment")
-    dims = state.layout.dims
-    pure = isinstance(state, FockVector)
-    t = state.as_tensor() if pure else state.mat.reshape(dims + dims)
-    for mode, op in ops.items():
-        t = np.moveaxis(np.tensordot(op, t, axes=(1, mode)), 0, mode)
-    if pure:
-        return complex(np.vdot(state.amps, t.reshape(-1)))
-    return complex(np.trace(t.reshape(state.mat.shape)))
+    first, *rest = [ops.get(m, np.eye(d)) for m, d in enumerate(state.layout.dims)]
+    return _product_expectations(state, [(first, reduce(np.kron, rest or [np.eye(1)]))])[0]
 
 
 def hermitian_blocks(mat: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:

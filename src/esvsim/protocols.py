@@ -149,7 +149,7 @@ def generate_scheme_a(s: float, ancilla: QubitAmplitudes, outcome: str,
     on mode b when it reads 0 and on mode a when it reads 1; measuring it in
     the |+->-basis leaves a0 |s+,s-> +- a1 |s-,s+> on the modes.  The
     rotation maps |s+> to |s->, so the branches are a0 |s+,s-> and
-    a1 |s-,s+>, taken from the parity split.
+    a1 |s-,s+>, both from one squeezed vacuum (`states._pair`).
     """
     plus, minus = _pair(s, cutoff)
     branches = np.stack([ancilla.a0 * np.outer(plus, minus), ancilla.a1 * np.outer(minus, plus)], axis=-1)

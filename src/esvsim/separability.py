@@ -11,10 +11,10 @@ directly on the original state:
     M_ij(rho^PT) = <a†^i1 a^i2  b†^j3 b^j4  a†^j2 a^j1  b†^i4 b^i3>_rho.
 
 That is <A ⊗ B> with A = a†^i1 a^i2 a†^j2 a^j1 and B = b†^j3 b^j4 b†^i4 b^i3,
-products of ladder words that `fock` builds once per cutoff.  On a pure state
-with d x d amplitude matrix Psi an entry is one contraction,
-vdot(Psi, A Psi Bᵀ); on a density matrix it is Tr[rho (A ⊗ B)].  A minor
-checks the Fock tail once, and only if one of its words raises.
+products of ladder words that `fock` builds once per cutoff, and `fock`
+evaluates <A ⊗ B> on the state, pure or mixed.  A minor checks the Fock tail
+once, and only if one of its words raises.  Its determinant is the product
+of its eigenvalues, which stays finite where an LU pivot is subnormal.
 
 A state is inseparable iff some principal minor of M(rho^PT) has negative
 determinant.  The classic second-moment tests are the minors selected by
@@ -31,7 +31,7 @@ from itertools import product
 
 import numpy as np
 
-from .fock import FockVector, _ladder_word, check_tail
+from .fock import _ladder_word, _product_expectations, check_tail
 
 __all__ = [
     "MomentIndex",
@@ -126,8 +126,16 @@ def minor_determinant(state, selector: MinorSelector) -> float:
         raise ValueError(
             f"selector position {selector.rows[-1]} beyond the weight-{MAX_WEIGHT} table"
         )
-    idx = [order[r - 1] for r in selector.rows]
-    return float(np.linalg.det(_moment_minor(state, idx)).real)
+    return _determinant(_moment_minor(state, [order[r - 1] for r in selector.rows]))
+
+
+def _determinant(minor: np.ndarray) -> float:
+    """The determinant of a Hermitian minor, as the product of its eigenvalues.
+
+    LU (`np.linalg.det`) can pivot on a subnormal entry and return nan; the
+    eigenvalues of a Hermitian matrix are real and finite.
+    """
+    return float(np.prod(np.linalg.eigvalsh(minor)))
 
 
 def _moment_minor(state, indices) -> np.ndarray:
@@ -151,14 +159,9 @@ def _moment_entries(state, pairs) -> list[complex]:
     if any(i.i1 or i.i4 or j.i2 or j.i3 for i, j in pairs):
         check_tail(state, context="moment")
     d0, d1 = state.layout.dims
-    ops = [(_ladder_word(d0, i.i1, i.i2) @ _ladder_word(d0, j.i2, j.i1),
-            _ladder_word(d1, j.i3, j.i4) @ _ladder_word(d1, i.i4, i.i3)) for i, j in pairs]
-    if isinstance(state, FockVector):
-        psi = state.as_tensor()
-        return [complex(np.vdot(psi, a @ psi @ b.T)) for a, b in ops]
-    # Tr[rho (A ⊗ B)] = sum rho[i, j, k, l] A[k, i] B[l, j], with rho regrouped as (i k) x (j l)
-    r = state.mat.reshape(d0, d1, d0, d1).transpose(0, 2, 1, 3).reshape(d0 * d0, d1 * d1)
-    return [complex(a.T.ravel() @ r @ b.T.ravel()) for a, b in ops]
+    return _product_expectations(state, [(_ladder_word(d0, i.i1, i.i2) @ _ladder_word(d0, j.i2, j.i1),
+                                          _ladder_word(d1, j.i3, j.i4) @ _ladder_word(d1, i.i4, i.i3))
+                                         for i, j in pairs])
 
 
 def simon_det(state) -> float:
@@ -177,7 +180,7 @@ def esv_criterion_det(state) -> float:
     Negative value certifies a negative partial transpose.  Unlike the
     second-moment tests it detects |Psi(phi)> for every s > 0 and phi.
     """
-    return float(np.linalg.det(_moment_minor(state, _ESV_CRITERION_INDICES)).real)
+    return _determinant(_moment_minor(state, _ESV_CRITERION_INDICES))
 
 
 def _check_two_mode(state) -> None:

@@ -148,22 +148,13 @@ def squeezed_vacuum(spec: SqueezeSpec) -> FockVector:
     return out
 
 
-def _parity_split(s: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """(E, O): the squeezed vacuum at (s, cutoff) on |4k> and on |4k + 2>.
-
-    |s+> = E + O and |s-> = E - O are the squeezed vacua at +s and -s, bit
-    for bit but for the sign of zero amplitudes at s = 0.
-    """
-    u = squeezed_vacuum(SqueezeSpec(s, cutoff)).amps
-    odd = np.zeros_like(u)
-    odd[2::4] = u[2::4]
-    return u - odd, odd
-
-
 def _pair(s: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """(|s+>, |s->) = (E + O, E - O) from one squeezed vacuum."""
-    even, odd = _parity_split(s, cutoff)
-    return even + odd, even - odd
+    """(|s+>, |s->), the squeezed vacua at +s and -s, from one squeezed vacuum:
+    |s-> is |s+> with the sign of every |4k + 2> amplitude flipped."""
+    plus = squeezed_vacuum(SqueezeSpec(s, cutoff)).amps
+    minus = plus.copy()
+    minus[2::4] = -plus[2::4]
+    return plus, minus
 
 
 def esv_pure(spec: EsvSpec) -> FockVector:

@@ -102,12 +102,6 @@ def test_thermal_maps_vacuum_to_thermal_state(sigma):
     assert np.abs(out - np.diag(p / p.sum())).max() <= 1e-15
 
 
-def test_thermal_trace_preserved():
-    rho = sq_dm(1.0, 30)
-    out = thermal_channel(rho, 2.0)
-    assert out.trace() == pytest.approx(rho.trace(), abs=1e-12)
-
-
 def test_thermal_truncation_is_flagged_not_reflected():
     with pytest.warns(TruncationWarning, match="thermal channel"):
         thermal_channel(sq_dm(0.5, 12), 1.0)
@@ -159,16 +153,6 @@ def test_bs_loss_matches_kraus_oracle():
     purity = float(np.trace(got.mat @ got.mat).real)
     assert purity < 1.0 - 1e-3
     assert got.trace() == pytest.approx(1.0, abs=1e-10)
-
-
-def test_channels_preserve_positivity():
-    rho = sq_dm(0.9, 30)
-    for out in (
-        thermal_channel(rho, 1.5),
-        phase_channel(rho, 0.8),
-        bs_loss(rho, 0.6),
-    ):
-        assert np.linalg.eigvalsh(out.mat).min() >= -1e-8
 
 
 def test_thermal_and_phase_commute_on_diagonal_inputs():

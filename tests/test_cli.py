@@ -232,14 +232,30 @@ def test_squeezing_whose_sech_underflows_exits_3_naming_the_underflow(argv, caps
         assert err.startswith("error: numeric-guard: sech s underflows to 0")
 
 
-def test_runtime_warning_raised_as_error_exits_3(capsys):
-    # under PYTHONWARNINGS=error::RuntimeWarning, as CI runs the console script, the subnormal
-    # pivot of this criteria minor raises from np.linalg.det: a numeric-guard error, not a traceback
+def test_subnormal_criteria_minor_prints_the_zeros_row(capsys):
+    # the state is |00> to within subnormal amplitudes: an LU determinant pivoted on one of
+    # them and divided by zero, where the eigenvalue product gives the exact zeros of s = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert main(["criteria", "s=1e-300", "phi=1e-13", "--cutoff", "3"]) == 3
+        assert main(["criteria", "s=1e-300", "phi=1e-13", "--cutoff", "3"]) == 0
     out, err = capsys.readouterr()
-    assert out == "" and err == "error: numeric-guard: divide by zero encountered in det\n"
+    assert out.splitlines()[1] == "1.00000000000e-300,1.00000000000e-13," + ",".join(["0.00000000000e+00"] * 3)
+    assert err == ""
+
+
+def test_runtime_warning_raised_as_error_exits_3(monkeypatch, capsys):
+    # under PYTHONWARNINGS=error::RuntimeWarning, as CI runs the console script, a warning
+    # raised in a sweep is a numeric-guard error, not a traceback
+    def evaluate(d, r):
+        warnings.warn("divide by zero encountered in log", RuntimeWarning)
+        return (0.5,)
+
+    monkeypatch.setitem(COMMANDS, "overlap", dataclasses.replace(COMMANDS["overlap"], prepare=lambda cutoff: evaluate))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["overlap", "d=2", "r=0"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: numeric-guard: divide by zero encountered in log\n"
 
 
 def test_strict_flags_truncation_that_keeps_almost_no_norm():

@@ -1,4 +1,5 @@
-"""Structural property suite: invariants that must hold on random inputs.
+"""Structural property suite: invariants that must hold on random and on
+squeezed-state inputs.
 
 Runnable standalone (`pytest tests/test_properties.py`); every check uses
 fixed seeds so failures reproduce exactly.
@@ -24,7 +25,7 @@ from esvsim import (
 )
 from esvsim.fock import DensityMatrix, FockVector, ModeLayout
 
-from oracles import apply_beamsplitter, controlled_phase, partial_trace, random_product_dm, tensor
+from oracles import apply_beamsplitter, basis_vector, controlled_phase, partial_trace, random_product_dm, tensor
 
 
 def random_state(dims, rng):
@@ -42,51 +43,61 @@ def random_dm(dims, rng, rank=4):
     return DensityMatrix(ModeLayout(dims), mat)
 
 
+def sq_dm(s, d):
+    return squeezed_vacuum(SqueezeSpec(s, d)).normalized().density()
+
+
 def test_partial_transpose_involution_exact():
     rng = np.random.default_rng(0)
-    for dims in ((4, 5), (3, 3, 2)):
-        rho = random_dm(dims, rng)
-        pt = partial_transpose(rho, [0])
-        assert np.array_equal(partial_transpose(pt, [0]).mat, rho.mat)
+    for rho, modes in ((random_dm((4, 5), rng), [0]), (random_dm((3, 3, 2), rng), [0]),
+                       (esv_pure(EsvSpec(0.5, 0.4, 10)).density(), [1])):
+        pt = partial_transpose(rho, modes)
+        assert np.array_equal(partial_transpose(pt, modes).mat, rho.mat)
         assert np.abs(pt.mat - pt.mat.conj().T).max() < 1e-15  # Hermiticity preserved
 
 
 def test_channels_trace_preserving_and_positive():
     rng = np.random.default_rng(2)
-    rho = random_dm((16,), rng)
-    for out in (
-        thermal_channel(rho, 0.8),
-        phase_channel(rho, 0.6),
-        bs_loss(rho, 0.75),
-    ):
-        assert out.trace() == pytest.approx(rho.trace(), abs=1e-6)
-        assert np.linalg.eigvalsh(out.mat).min() >= -1e-8
+    for rho, channels in ((random_dm((16,), rng), ((thermal_channel, 0.8), (phase_channel, 0.6), (bs_loss, 0.75))),
+                          (sq_dm(0.9, 30), ((thermal_channel, 1.5), (phase_channel, 0.8), (bs_loss, 0.6))),
+                          (sq_dm(1.0, 30), ((thermal_channel, 2.0),))):
+        for channel, param in channels:
+            out = channel(rho, param)
+            assert out.trace() == pytest.approx(rho.trace(), abs=1e-12)
+            assert np.linalg.eigvalsh(out.mat).min() >= -1e-8
 
 
 def test_beamsplitter_conserves_total_photon_distribution():
     rng = np.random.default_rng(3)
-    state = random_state((9, 9), rng)
-    out = apply_beamsplitter(state, 0, 1)
 
     def total_dist(v):
+        d = v.layout.dims[0]
         p = np.abs(v.as_tensor()) ** 2
-        dist = np.zeros(17)
-        for m in range(9):
-            for n in range(9):
+        dist = np.zeros(2 * d - 1)
+        for m in range(d):
+            for n in range(d):
                 dist[m + n] += p[m, n]
         return dist
 
-    assert np.abs(total_dist(state) - total_dist(out)).max() < 1e-10
-    assert out.norm() == pytest.approx(1.0, abs=1e-10)
+    for state in (random_state((9, 9), rng), esv_pure(EsvSpec(0.9, 1.1, 18))):
+        out = apply_beamsplitter(state, 0, 1)
+        assert np.abs(total_dist(state) - total_dist(out)).max() < 1e-10
+        assert out.norm() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_gates_unitary_on_random_states():
     rng = np.random.default_rng(4)
-    state = random_state((12, 9, 2), rng)
-    for theta in (0.4, np.pi / 4, -2.2):
-        assert apply_beamsplitter(state, 1, 0, theta).norm() == pytest.approx(1.0, abs=1e-10)
-    for gamma in (0.4, np.pi, 2.2):
-        assert controlled_phase(state, 0, 2, gamma).norm() == pytest.approx(1.0, abs=1e-10)
+    # a squeezed product keeps its truncated norm, below 1
+    product = tensor(tensor(squeezed_vacuum(SqueezeSpec(0.6, 20)), squeezed_vacuum(SqueezeSpec(-0.4, 20))),
+                     FockVector(ModeLayout((2,)), [0.6, 0.8j]))
+    # (state, splitter modes, angles, controlled-phase mode, phases)
+    for state, modes, thetas, target, gammas in (
+            (random_state((12, 9, 2), rng), (1, 0), (0.4, np.pi / 4, -2.2), 0, (0.4, np.pi, 2.2)),
+            (product, (0, 1), (np.pi / 4, 0.3, -1.1), 1, (np.pi / 2, np.pi, 0.7))):
+        for theta in thetas:
+            assert apply_beamsplitter(state, *modes, theta).norm() == pytest.approx(state.norm(), abs=1e-10)
+        for gamma in gammas:
+            assert controlled_phase(state, target, 2, gamma).norm() == pytest.approx(state.norm(), abs=1e-14)
 
 
 def test_constructor_normalization_contracts():
@@ -143,12 +154,18 @@ def test_pt_of_separable_state_stays_positive():
     for _ in range(5):
         rho = DensityMatrix(ModeLayout((6, 6)), random_product_dm((6, 6), rng))
         assert np.linalg.eigvalsh(partial_transpose(rho, [1]).mat).min() >= -1e-10
+    prod = tensor(squeezed_vacuum(SqueezeSpec(0.5, 10)).normalized(),
+                  squeezed_vacuum(SqueezeSpec(0.2, 10)).normalized()).density()
+    assert np.linalg.eigvalsh(partial_transpose(prod, [0]).mat).min() >= -1e-10
 
 
 def test_tensor_then_trace_roundtrip_random():
     rng = np.random.default_rng(7)
-    a = random_dm((5,), rng)
-    b = random_dm((6,), rng)
-    joint = tensor(a, b)
-    assert np.abs(partial_trace(joint.mat, (5, 6), [0]) - a.mat).max() < 1e-12
-    assert np.abs(partial_trace(joint.mat, (5, 6), [1]) - b.mat).max() < 1e-12
+    for a, b in ((random_dm((5,), rng), random_dm((6,), rng)), (sq_dm(0.4, 12), sq_dm(-0.7, 12))):
+        dims = a.layout.dims + b.layout.dims
+        joint = tensor(a, b)
+        assert joint.trace() == pytest.approx(a.trace() * b.trace(), abs=1e-12)
+        assert np.abs(partial_trace(joint.mat, dims, [0]) - a.mat).max() < 1e-12
+        assert np.abs(partial_trace(joint.mat, dims, [1]) - b.mat).max() < 1e-12
+    v = FockVector(ModeLayout((3,)), basis_vector((3,), (0,)))
+    assert np.array_equal(tensor(v, v).amps, basis_vector((3, 3), (0, 0)))

@@ -26,7 +26,7 @@ from esvsim import (
 import esvsim.protocols
 import esvsim.states
 from esvsim.fock import FockVector, ModeLayout
-from esvsim.states import _parity_split
+from esvsim.states import _pair
 
 from oracles import (_split_padded, basis_vector, controlled_phase, entanglement_swap_padded, esv_aligned,
                      generate_scheme_a_circuit, generate_scheme_b_branches, generate_scheme_b_circuit,
@@ -226,12 +226,11 @@ def test_odd_odd_herald_of_the_splitter_is_an_antisymmetrizer(d_a, d_b, seed):
 
 
 def test_swap_and_teleport_build_no_fock_vector(monkeypatch):
-    # the two protocols are cutoff-free: no squeezed vacuum (the library has no splitter
-    # and no operator kernel left to call)
+    # the two protocols are cutoff-free: they build no squeezed vacuum and no |s+>, |s-> pair
     def forbidden(*args, **kwargs):
         raise AssertionError("a Fock-space routine was called")
 
-    for module, name in ((esvsim.states, "squeezed_vacuum"), (esvsim.states, "_parity_split")):
+    for module, name in ((esvsim.states, "squeezed_vacuum"), (esvsim.protocols, "_pair")):
         monkeypatch.setattr(module, name, forbidden)
     assert entanglement_swap(1.0) == pytest.approx((0.25, 1.0), abs=1e-15)
     assert teleport(QubitAmplitudes(0.6, 0.8j), 1.0) == pytest.approx((0.25, 1.0), abs=1e-15)
@@ -279,7 +278,8 @@ def test_swap_and_teleport_reject_squeezing_outside_the_closed_form(s):
 def test_parity_weights_match_the_truncated_norms():
     # (|E|², |O|²) in closed form against the squeezed vacuum at a cutoff whose tail is below 1e-17
     for s in (1e-8, 1e-6, 1e-3, 0.1, 1.0, 2.0):
-        even, odd = _parity_split(s, 1500)
+        plus, minus = _pair(s, 1500)
+        even, odd = (plus + minus) / 2, (plus - minus) / 2     # exact: each level is 2u / 2 or 0
         want = np.array([np.vdot(even, even).real, np.vdot(odd, odd).real])
         assert np.allclose(parity_weights(s), want, rtol=1e-13, atol=0)
 
