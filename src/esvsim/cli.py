@@ -8,7 +8,7 @@ digits, so reruns of the same command are byte-identical.
 
 Each command prepares shared work once per point of its leading (outer)
 parameters and then evaluates every row below it: one squeezed vacuum per
-``s`` (``eof-surface``), one channel output and LN curve per ``(s, sigma)``
+``s`` (``eof-surface``, ``criteria``), one channel output and LN curve per ``(s, sigma)``
 (``ln-thermal``, ``ln-phase``) and one state per ``(s, phi)``
 (``ent-power``); the other commands prepare nothing and evaluate point-wise.
 
@@ -44,7 +44,7 @@ from .dynamics import entangling_power
 from .fock import TruncationWarning, fidelity
 from .measures import esv_mixed_ln_curve, esv_pure_eof_curve
 from .protocols import QubitAmplitudes, entanglement_swap, generate_scheme_a, generate_scheme_b, teleport
-from .separability import duan_det, esv_criterion_det, simon_det
+from .separability import esv_criteria_curve
 from .states import EsvSpec, SqueezeSpec, displaced_overlap, esv_pure, squeezed_vacuum
 
 __all__ = ["SweepConfig", "SweepResult", "run", "emit_csv", "main"]
@@ -119,10 +119,6 @@ def _prepare_ent_power(cutoff, s, phi):
     return lambda tau: (entangling_power(state, tau),)
 
 
-def _criteria(state):
-    return (simon_det(state), duan_det(state), esv_criterion_det(state))
-
-
 def _amp_pair(a0: float, a1: float) -> QubitAmplitudes:
     # hypot neither overflows nor underflows where the sum of squares would
     norm = math.hypot(abs(a0), abs(a1))
@@ -157,7 +153,7 @@ COMMANDS: dict[str, _Command] = {
         ("value",), _prepare_ent_power, outer=2),
     "criteria": _Command(
         {"s": (0.2, 1.0, 3), "phi": (0.0, np.pi, 3)}, ("simon", "duan", "esv_criterion"),
-        lambda cutoff: lambda s, phi: _criteria(esv_pure(EsvSpec(s, phi, cutoff)))),
+        lambda cutoff, s: esv_criteria_curve(s, cutoff), outer=1),
     "swap": _Command(
         {"s": (1.0, 1.0, 1)}, ("probability", "fidelity"),
         lambda cutoff: lambda s: entanglement_swap(s)),

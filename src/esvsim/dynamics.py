@@ -22,6 +22,7 @@ transferred entanglement is identically zero for all tau.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ __all__ = ["JcSpec", "jc_unitary", "entangling_power"]
 
 @dataclass(frozen=True)
 class JcSpec:
-    """Rescaled interaction time tau = g*t and the mode cutoff."""
+    """Rescaled interaction time tau = g*t and the mode cutoff, an integer >= 1."""
 
     tau: float
     cutoff: int
@@ -42,8 +43,13 @@ class JcSpec:
     def __post_init__(self):
         if not np.isfinite(self.tau) or self.tau < 0:
             raise ValueError("tau must be finite and >= 0")
-        if self.cutoff < 1:
+        try:
+            cutoff = operator.index(self.cutoff)
+        except TypeError:
+            raise TypeError(f"cutoff must be an integer, got {self.cutoff!r}") from None
+        if cutoff < 1:
             raise ValueError("cutoff must be positive")
+        object.__setattr__(self, "cutoff", cutoff)
 
 
 def jc_unitary(spec: JcSpec) -> np.ndarray:

@@ -6,8 +6,9 @@ with mode 0 the slowest index.  All operations are pure functions: inputs are
 never mutated, so values can be shared freely across threads.  States and
 spectra are freshly allocated; `_ladder_word` returns shared, cached,
 read-only arrays.  `_product_expectations` is the one contraction of a state
-with operators: `moment` and the moment-matrix minors of `separability` both
-call it.
+with operators: `moment` and the moment-matrix minors of `separability` call
+it, and `separability.esv_criteria_curve` calls it on a 2 x 2 coefficient
+matrix with operators projected onto a two-ket basis.
 
 The vacuum quadrature variance is 1/2, with x = (a + a^dag)/sqrt(2); every
 other module relies on this convention.
@@ -141,18 +142,22 @@ class DensityMatrix:
 # tail-mass diagnostic
 # ---------------------------------------------------------------------------
 
-def _band_mask(layout: ModeLayout) -> np.ndarray:
-    """Boolean mask of basis states with any mode in its top Fock band.
+def _top_band(d: int) -> int:
+    """The number of levels in the top Fock band of a d-level mode.
 
     The band is the top 10% of levels, at least two of them so that both
     photon-number parities are covered.  Every mode is a truncated
     oscillator, however few its levels: at d <= 2 all of them are in the band.
     """
+    return max(2, int(round(TAIL_FRACTION * d)))
+
+
+def _band_mask(layout: ModeLayout) -> np.ndarray:
+    """Boolean mask of basis states with any mode in its top Fock band (`_top_band`)."""
     mask = np.zeros(layout.dims, dtype=bool)
     for m, d in enumerate(layout.dims):
-        band = max(2, int(round(TAIL_FRACTION * d)))
         idx = [slice(None)] * layout.nmodes
-        idx[m] = slice(max(0, d - band), d)
+        idx[m] = slice(max(0, d - _top_band(d)), d)
         mask[tuple(idx)] = True
     return mask.reshape(-1)
 
@@ -174,12 +179,20 @@ def check_tail(state, context: str = "operation") -> None:
     Python's per-location de-duplication still prints a repeated warning once.
     """
     total = float(np.vdot(state.amps, state.amps).real) if isinstance(state, FockVector) else state.trace()
-    if total > 0 and tail_mass(state) <= TAIL_THRESHOLD * total:
+    _check_tail_share(tail_mass(state), total, context, stacklevel=3)
+
+
+def _check_tail_share(mass: float, total: float, context: str, stacklevel: int) -> None:
+    """`check_tail`'s test and warning on a tail mass and total computed elsewhere.
+
+    `stacklevel` counts from the caller, as it does for `warnings.warn`.
+    """
+    if total > 0 and mass <= TAIL_THRESHOLD * total:
         return
     warnings.warn(
         f"{context}: Fock-tail mass above {TAIL_THRESHOLD:.0e}; results may be truncation-limited",
         TruncationWarning,
-        stacklevel=3,
+        stacklevel=stacklevel + 1,
     )
 
 

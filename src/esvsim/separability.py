@@ -21,17 +21,27 @@ determinant.  The classic second-moment tests are the minors selected by
 positions (1,2,3,4,5) and (1,2,4) of the canonical multi-index enumeration;
 a dedicated fourth-order 5x5 minor certifies the entanglement of the
 squeezed-vacuum superpositions for every squeezing and relative phase.
+
+The entangled squeezed vacuum lies in span{e, o} (x) span{e, o}, e and o the
+|4k> and |4k + 2> parts of the squeezed vacuum, so `esv_criteria_curve`, which
+the `criteria` sweep uses, evaluates all three minors on its 2 x 2 coefficient
+matrix over that parity basis: each word is projected onto the basis once per
+squeezing, and `fock` contracts the 2 x 2 matrix with the projections.  The
+minors on `states.esv_pure` are its reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import Callable
 
 import numpy as np
 
-from .fock import _ladder_word, _product_expectations, check_tail
+from .fock import FockVector, ModeLayout, _check_tail_share, _ladder_word, _product_expectations, _top_band, check_tail
+from .states import _DEGENERATE, _ZERO_NORM, EsvSpec, SqueezeSpec, _sech_2s, _wrap_phi, squeezed_vacuum
 
 __all__ = [
     "MomentIndex",
@@ -42,6 +52,7 @@ __all__ = [
     "simon_det",
     "duan_det",
     "esv_criterion_det",
+    "esv_criteria_curve",
     "SIMON_SELECTOR",
     "DUAN_SELECTOR",
 ]
@@ -121,12 +132,17 @@ def canonical_indices(max_weight: int = MAX_WEIGHT) -> tuple[MomentIndex, ...]:
 
 def minor_determinant(state, selector: MinorSelector) -> float:
     """Determinant of the selected principal minor of M(rho^PT)."""
+    return _determinant(_moment_minor(state, _selected(selector)))
+
+
+def _selected(selector: MinorSelector) -> list[MomentIndex]:
+    """The multi-indices at the selector's positions of the canonical table."""
     order = canonical_indices()
     if selector.rows[-1] > len(order):
         raise ValueError(
             f"selector position {selector.rows[-1]} beyond the weight-{MAX_WEIGHT} table"
         )
-    return _determinant(_moment_minor(state, [order[r - 1] for r in selector.rows]))
+    return [order[r - 1] for r in selector.rows]
 
 
 def _determinant(minor: np.ndarray) -> float:
@@ -139,12 +155,18 @@ def _determinant(minor: np.ndarray) -> float:
 
 
 def _moment_minor(state, indices) -> np.ndarray:
-    """The principal minor of M(rho^PT) on `indices`.  M_ji = conj(M_ij), so only the
-    entries with i <= j are evaluated: the lower triangle mirrors them, the diagonal is real."""
+    """The principal minor of M(rho^PT) on `indices`, evaluated on the state."""
+    return _hermitian_minor(indices, lambda pairs: _moment_entries(state, pairs))
+
+
+def _hermitian_minor(indices, entries) -> np.ndarray:
+    """The principal minor of M(rho^PT) on `indices`, from `entries`, which maps a
+    list of (i, j) pairs to their M_ij.  M_ji = conj(M_ij), so only the entries with
+    i <= j are evaluated: the lower triangle mirrors them, the diagonal is real."""
     k = len(indices)
     rows, cols = np.triu_indices(k)
     m = np.zeros((k, k), dtype=complex)
-    m[rows, cols] = _moment_entries(state, [(indices[p], indices[q]) for p, q in zip(rows, cols)])
+    m[rows, cols] = entries([(indices[p], indices[q]) for p, q in zip(rows, cols)])
     upper = np.triu(m, 1)
     return upper + upper.conj().T + np.diag(m.diagonal().real)
 
@@ -181,6 +203,73 @@ def esv_criterion_det(state) -> float:
     second-moment tests it detects |Psi(phi)> for every s > 0 and phi.
     """
     return _determinant(_moment_minor(state, _ESV_CRITERION_INDICES))
+
+
+def esv_criteria_curve(s: float, cutoff: int) -> Callable[[float], tuple[float, float, float]]:
+    """phi -> (`simon_det`, `duan_det`, `esv_criterion_det`) of ``esv_pure(EsvSpec(s, phi, cutoff))``,
+    from the 2 x 2 parity coefficient matrix.
+
+    Let e and o be the |4k> and |4k + 2> parts of u = `squeezed_vacuum` at
+    (s, cutoff), so that |s+> = e + o and |s-> = e - o (`states._pair`).  With
+    X = [e, o], the amplitude matrix of Psi(phi) is X C Xᵀ up to a global phase,
+    C = [[cos(phi/2), i sin(phi/2)], [-i sin(phi/2), -cos(phi/2)]] divided by
+    the norm.  X has the Gram matrix diag(E, O), so the squared norm is
+    cos²(phi/2) (E² + O²) + 2 sin²(phi/2) E O, a sum of non-negative terms; the
+    basis (|s+>, |s->) would subtract nearly equal numbers near phi = pi at small s.
+
+    Each minor entry <A ⊗ B> (module docstring) is then vdot(C, (XᴴAX) C (XᴴBX)ᵀ):
+    `fock._product_expectations` on C as a 2 x 2 two-mode state.  With
+    L(p, q) = a†^p a^q, A = L(i1, i2) L(j2, j1) projects to
+    (L(i2, i1) X)ᴴ (L(j2, j1) X), and B = L(j3, j4) L(i4, i3) to
+    (L(j4, j3) X)ᴴ (L(i4, i3) X); each 2 x 2 projection is formed once per curve.
+
+    The squeezed vacuum, with its tail check, is built here once.  Per phi,
+    `EsvSpec`'s phi checks run (`states._wrap_phi`), a norm below `esv_pure`'s
+    floor raises its ValueError, and the joint tail of Psi is judged as
+    `check_tail` judges it, in the context "moment" of the minors' check.  Its
+    mass, on the basis states with a mode in the top band, is
+    ||X_b C Xᵀ||² + ||X_l C X_bᵀ||², X_b and X_l the rows of X in the band and
+    below it: again sums of non-negative terms over the Gram diagonals.
+    """
+    minors_at = _esv_minors(s, cutoff)
+    return lambda phi: tuple(_determinant(minor) for minor in minors_at(phi))
+
+
+def _esv_minors(s: float, cutoff: int) -> Callable[[float], tuple[np.ndarray, ...]]:
+    """phi -> the Simon, Duan and ESV-criterion minors of `esv_criteria_curve`."""
+    EsvSpec(s, 0.0, cutoff)     # the checks on s and the cutoff, before the tail check
+    sech_2s = _sech_2s(s)
+    u = squeezed_vacuum(SqueezeSpec(s, cutoff)).amps.real
+    x = np.zeros((cutoff, 2))
+    x[0::4, 0], x[2::4, 1] = u[0::4], u[2::4]
+    squares, below = x * x, cutoff - _top_band(cutoff)
+    gram, top, low = squares.sum(axis=0), squares[below:].sum(axis=0), squares[:below].sum(axis=0)
+    minors = (_selected(SIMON_SELECTOR), _selected(DUAN_SELECTOR), _ESV_CRITERION_INDICES)
+
+    @lru_cache(maxsize=None)
+    def word(ndag: int, nlow: int) -> np.ndarray:
+        return _ladder_word(cutoff, ndag, nlow) @ x
+
+    @lru_cache(maxsize=None)
+    def projected(i: MomentIndex, j: MomentIndex) -> tuple[np.ndarray, np.ndarray]:
+        return (word(i.i2, i.i1).conj().T @ word(j.i2, j.i1), word(j.i4, j.i3).conj().T @ word(i.i4, i.i3))
+
+    def minors_at(phi: float) -> tuple[np.ndarray, ...]:
+        half = 0.5 * _wrap_phi(phi, sech_2s)
+        c, sn = math.cos(half), math.sin(half)
+        weight = np.array([[c * c, sn * sn], [sn * sn, c * c]])     # |C|² before the norm
+        norm2 = float(gram @ weight @ gram)
+        if 2.0 * math.sqrt(norm2) < _ZERO_NORM:
+            raise ValueError(_DEGENERATE)
+        _check_tail_share(float(top @ weight @ gram + low @ weight @ top), norm2, "moment", stacklevel=3)
+        coeffs = FockVector(ModeLayout((2, 2)), np.array([[c, 1j * sn], [-1j * sn, -c]]) / math.sqrt(norm2))
+
+        def entries(pairs):
+            return _product_expectations(coeffs, [projected(i, j) for i, j in pairs])
+
+        return tuple(_hermitian_minor(idx, entries) for idx in minors)
+
+    return minors_at
 
 
 def _check_two_mode(state) -> None:

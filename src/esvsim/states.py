@@ -219,8 +219,12 @@ def displaced_overlap(alpha: complex, beta: complex, r: float) -> float:
 
     Closed form exp(-|beta-alpha|^2 / cosh 2r) / cosh 2r; it decreases
     monotonically in |beta - alpha| and, at fixed separation d > 1, is
-    maximized over r at r = arccosh(d^2)/2.
+    maximized over r at r = arccosh(d^2)/2.  A nan or infinite argument
+    raises ValueError naming it.
     """
+    for name, value in (("alpha", alpha), ("beta", beta), ("r", r)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     sech = _sech_2s(abs(r))
     dist = abs(beta - alpha)
     # dist * dist saturates at inf where dist ** 2 raises OverflowError; with

@@ -243,6 +243,30 @@ def test_subnormal_criteria_minor_prints_the_zeros_row(capsys):
     assert err == ""
 
 
+def test_criteria_contracts_only_the_2x2_coefficient_matrix(monkeypatch):
+    # the sweep builds no two-mode Fock state: every minor entry is a contraction of the
+    # 2 x 2 parity coefficient matrix, and esv_pure is never called
+    import esvsim.cli as cli
+    import esvsim.fock as fock
+    import esvsim.separability as separability
+    import esvsim.states as states
+
+    sizes, built = [], []
+    contract = fock._product_expectations
+
+    def spy(state, pairs):
+        sizes.append(state.layout.total_dim)
+        return contract(state, pairs)
+
+    for module in (fock, separability):
+        monkeypatch.setattr(module, "_product_expectations", spy)
+    for module in (cli, states):
+        monkeypatch.setattr(module, "esv_pure", lambda spec: built.append(spec))
+    assert main(["criteria", "s=0.2..1:3", "phi=0..3.141592653589793:3"]) == 0
+    assert built == []
+    assert len(sizes) == 27 and set(sizes) == {4}
+
+
 def test_runtime_warning_raised_as_error_exits_3(monkeypatch, capsys):
     # under PYTHONWARNINGS=error::RuntimeWarning, as CI runs the console script, a warning
     # raised in a sweep is a numeric-guard error, not a traceback

@@ -64,6 +64,14 @@ def test_jc_spec_validation():
         JcSpec(1.0, 0)
 
 
+@pytest.mark.parametrize("cutoff", [np.nan, 2.5])
+def test_jc_spec_rejects_a_cutoff_that_is_not_an_integer(cutoff):
+    # nan used to reach np.arange in jc_unitary, and 2.5 raised a TypeError naming nothing
+    with pytest.raises(TypeError, match="^cutoff must be an integer"):
+        JcSpec(5.0, cutoff)
+    assert JcSpec(5.0, np.int64(3)).cutoff == 3
+
+
 def test_entangling_power_zero_at_tau_zero():
     state = esv_pure(EsvSpec(1.1, 0.0, 24))
     assert entangling_power(state, 0.0) <= 1e-12

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from esvsim import (
     DUAN_SELECTOR,
@@ -21,7 +23,8 @@ from esvsim import (
     two_mode_squeezed_vacuum,
 )
 from esvsim.fock import DensityMatrix, FockVector, ModeLayout, TruncationWarning, tail_mass
-from esvsim.separability import _ESV_CRITERION_INDICES, _moment_minor
+from esvsim.separability import _ESV_CRITERION_INDICES, _esv_minors, _moment_minor, _selected, esv_criteria_curve
+from esvsim.states import _pair
 
 from oracles import basis_vector, full_operator, moment_matrix_entry, moment_matrix_entry_via_pt, tensor
 
@@ -214,3 +217,96 @@ def test_minor_equals_the_entries_one_by_one(mixed):
         entries = np.array([[moment_matrix_entry(state, i, j) for j in idx] for i in idx])
     assert np.abs(entries.imag).max() > 1e-3
     assert np.abs(minor - entries).max() <= 1e-12 * max(1.0, np.abs(entries).max())
+
+
+EPS = np.finfo(float).eps
+_CURVE_MINORS = (_selected(SIMON_SELECTOR), _selected(DUAN_SELECTOR), _ESV_CRITERION_INDICES)
+
+
+def _outcome(compute):
+    """(the value or the ValueError raised, the contexts of the TruncationWarnings warned)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TruncationWarning)
+        try:
+            value = compute()
+        except ValueError as exc:
+            value = exc
+    return value, {str(w.message).split(":")[0] for w in caught if issubclass(w.category, TruncationWarning)}
+
+
+def _state_path(s, phi, cutoff):
+    state = esv_pure(EsvSpec(s, phi, cutoff))
+    return state, (simon_det(state), duan_det(state), esv_criterion_det(state))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(s=st.floats(1e-5, 1.3),
+       phi=st.floats(0.0, 2 * np.pi, exclude_max=True) | st.floats(-1e-3, 1e-3).map(lambda x: np.pi + x),
+       cutoff=st.integers(6, 40))
+@example(s=1e-5, phi=np.pi, cutoff=6)
+@example(s=1e-5, phi=np.pi - 1e-9, cutoff=40)
+@example(s=1e-5, phi=1.5, cutoff=6)
+@example(s=1.3, phi=np.pi, cutoff=6)            # truncated far past the tail threshold
+@example(s=0.0, phi=np.pi, cutoff=10)           # the degenerate EsvSpec point
+def test_esv_criteria_curve_matches_the_state_minors(s, phi, cutoff):
+    want, want_warned = _outcome(lambda: _state_path(s, phi, cutoff))
+    got, got_warned = _outcome(lambda: esv_criteria_curve(s, cutoff)(phi))
+    assert got_warned == want_warned
+    if isinstance(want, ValueError):
+        assert isinstance(got, ValueError) and str(got) == str(want)
+        return
+    state, dets = want
+    # esv_pure sums |s+>|s-> and e^{i phi}|s->|s+>, which nearly cancel near phi = pi at
+    # small s: its amplitudes lose a factor kappa of relative accuracy, the curve none
+    plus, minus = _pair(s, cutoff)
+    superposed = np.kron(plus, minus) + np.exp(1j * phi) * np.kron(minus, plus)
+    kappa = 2 * np.vdot(plus, plus).real / np.linalg.norm(superposed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        minors = _esv_minors(s, cutoff)(phi)
+        for idx, minor, det, value in zip(_CURVE_MINORS, minors, dets, got):
+            ref = _moment_minor(state, idx)
+            root = np.sqrt(np.abs(ref.diagonal()))
+            assert (np.abs(minor - ref) <= 1e-12 * kappa * np.maximum(np.outer(root, root), np.abs(ref))).all()
+            # each eigenvalue of a minor moves by up to about eps max|lambda| (Weyl), so the
+            # product is fixed no better than eps max|lambda| sum 1/|lambda|, relative
+            lam = np.abs(np.linalg.eigvalsh(ref))
+            weyl = 64 * EPS * kappa * (lam.max() / np.maximum(lam, 1e-300)).sum()
+            assert abs(value - det) <= max(1e-11, weyl) * max(abs(det), 1e-300)
+
+
+@pytest.mark.parametrize("phi", [-1e-20, -7.0, 20.0, 2 * np.pi, 3 * np.pi, -np.pi, 1e300, np.nan, np.inf])
+def test_esv_criteria_curve_wraps_phi_as_esv_spec(phi):
+    # the value at the wrapped phi, or EsvSpec's error.  -1e-20 wraps to fl(2 pi), which
+    # wraps on to 0: there sin(phi/2) is 1.2e-16 instead of 0, and the values differ in the last bits
+    curve = esv_criteria_curve(0.7, 12)
+    try:
+        wrapped = EsvSpec(0.7, phi, 12).phi
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            curve(phi)
+        assert str(got.value) == str(exc)
+        return
+    assert curve(phi) == pytest.approx(curve(wrapped), rel=1e-12, abs=0)
+
+
+def test_esv_criteria_curve_guards():
+    with pytest.raises(ValueError, match=">= 0"):
+        esv_criteria_curve(-0.1, 10)
+    with pytest.raises(ValueError, match="finite"):
+        esv_criteria_curve(np.inf, 10)
+    with pytest.raises(ValueError, match="cutoff"):
+        esv_criteria_curve(0.5, 1)
+    with pytest.raises(ValueError, match="degenerate"):
+        esv_criteria_curve(0.0, 10)(np.pi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        # the squeezed vacuum's tail is checked once, where the curve is built ...
+        with pytest.raises(TruncationWarning, match="^squeezed_vacuum:"):
+            esv_criteria_curve(2.5, 12)
+        # ... and the joint tail of the moment words at each phi: at s = 0.62 and the
+        # default cutoff each single-mode tail (7.1e-9) passes, the joint one (1.6e-8) does not
+        curve = esv_criteria_curve(0.62, 30)
+        with pytest.raises(TruncationWarning, match="^moment:"):
+            curve(0.0)
+        assert esv_criteria_curve(0.3, 40)(np.pi)[2] < 0

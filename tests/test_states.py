@@ -190,6 +190,15 @@ def test_displaced_overlap_at_huge_separation_is_zero_without_overflow():
                 assert displaced_overlap(alpha, beta, r) == 0.0
 
 
+@pytest.mark.parametrize("args, name", [((0.0, 1.0, np.nan), "r"), ((0.0, np.nan, 0.0), "beta"),
+                                        ((np.inf, 0.0, 0.0), "alpha"), ((0.0, complex(1.0, -np.inf), 0.5), "beta"),
+                                        ((0.0, 2.0, -np.inf), "r")])
+def test_displaced_overlap_rejects_non_finite_input(args, name):
+    # nan used to come back as the overlap, and an infinite separation as 0
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        displaced_overlap(*args)
+
+
 def test_large_squeezing_states_build_without_cosh_overflow():
     # cosh s overflows from |s| ~ 710; sech s from e^{-|s|} underflows to 0 instead,
     # where every truncated amplitude would be 0: both constructors name the underflow
