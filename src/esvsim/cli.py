@@ -19,8 +19,12 @@ command a flagged tail becomes a numeric-guard error.  ``swap``,
 `esvsim.protocols` and `esvsim.states.displaced_overlap`): they truncate
 nothing, so ``--cutoff`` and ``--strict`` have nothing to act on there.
 
-`main` builds the argument parser of the command it is given and no other;
-help, usage and error text are those of the parser with every command.
+`main` reads a command line of the documented form itself: a command name,
+then its assignments, then ``--cutoff INT``, ``--strict`` and ``--out PATH`` in
+any order, each at most once and with no value starting with ``-``.  Any other
+command line (help, every usage error, and the other spellings argparse
+accepts, such as ``--cutoff=24`` or ``--cut 24``) goes to the argparse parser,
+which alone prints help, usage and parse errors; argparse is imported only then.
 
 Exit codes: 0 success, 2 usage error (an ``--out`` path whose directory is
 missing or not writable too, found before the sweep runs), 3 numeric-guard
@@ -29,7 +33,6 @@ error (a ``RuntimeWarning`` that a warnings filter raises as an error too).
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
@@ -79,6 +82,8 @@ class SweepConfig:
                 raise UsageError(f"{name}: steps must be >= 1")
             if not (np.isfinite(lo) and np.isfinite(hi)):
                 raise UsageError(f"{name}: range bounds must be finite")
+            if not math.isfinite(float(hi) - float(lo)):   # np.linspace takes hi - lo
+                raise UsageError(f"{name}: range {lo!r}..{hi!r} spans more than the float range")
         if self.cutoff < 2:
             raise UsageError("cutoff must be at least 2")
 
@@ -195,8 +200,9 @@ def run(config: SweepConfig) -> SweepResult:
 
 def emit_csv(result: SweepResult, path: str | None) -> None:
     """Write the sweep as UTF-8 CSV with 12-significant-digit values."""
+    fmt = ",".join(["%.11e"] * len(result.header))
     lines = [",".join(result.header)]
-    lines.extend(",".join(f"{v:.11e}" for v in row) for row in result.rows)
+    lines.extend(fmt % tuple(row) for row in result.rows)
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -239,19 +245,16 @@ def _parse_assignment(text: str) -> tuple[str, tuple[float, float, int]]:
         raise UsageError(f"bad parameter {text!r}: {exc}") from exc
 
 
-def _build_parser(names: tuple[str, ...] = tuple(COMMANDS)) -> argparse.ArgumentParser:
-    """The esvsim parser, with a subparser for each command in `names`."""
+def _build_parser():
+    """The esvsim argparse parser, with a subparser for each command."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="esvsim",
         description="Parameter sweeps over entangled-squeezed-vacuum diagnostics (CSV output).",
     )
-    # the top-level usage, printed for an unrecognized argument too, names every
-    # command; a metavar does that when only some are registered (with all, it
-    # would also rename "command" in the missing-command error)
-    metavar = None if names == tuple(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        cmd = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, cmd in COMMANDS.items():
         p = sub.add_parser(
             name,
             help=f"columns: {', '.join(list(cmd.params) + list(cmd.diagnostics))}",
@@ -266,22 +269,53 @@ def _build_parser(names: tuple[str, ...] = tuple(COMMANDS)) -> argparse.Argument
     return parser
 
 
+def _parse_canonical(argv: list[str]) -> tuple[str, list[str], int, bool, str | None] | None:
+    """(command, assignments, cutoff, strict, out) of a documented command line, else None.
+
+    The documented form is ``COMMAND [ASSIGNMENT ...]`` followed by
+    ``--cutoff INT``, ``--strict`` and ``--out PATH`` in any order, each at
+    most once, where no assignment or value starts with ``-``.  `_build_parser`
+    parses such a line to the same fields; None leaves every other line to it.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    n = 1
+    while n < len(argv) and not argv[n].startswith("-"):
+        n += 1
+    flags: dict[str, str] = {}
+    rest = iter(argv[n:])
+    for flag in rest:
+        if flag in flags or flag not in ("--cutoff", "--strict", "--out"):
+            return None
+        # a value missing at the end falls back as one starting with "-" does
+        flags[flag] = "" if flag == "--strict" else next(rest, "-")
+        if flags[flag].startswith("-"):
+            return None
+    try:
+        cutoff = int(flags.get("--cutoff", 30))   # what argparse's type=int does
+    except ValueError:
+        return None
+    return argv[0], argv[1:n], cutoff, "--strict" in flags, flags.get("--out")
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a command named first is the one that runs: build only its parser
-    names = (argv[0],) if argv and argv[0] in COMMANDS else tuple(COMMANDS)
-    args = _build_parser(names).parse_args(argv)
+    fields = _parse_canonical(argv)
+    if fields is None:
+        args = _build_parser().parse_args(argv)
+        fields = args.command, args.assignments, args.cutoff, args.strict, args.out
+    command, assignments, cutoff, strict, out = fields
     try:
         ranges = {}
-        for name, grid in map(_parse_assignment, args.assignments):
+        for name, grid in map(_parse_assignment, assignments):
             if name in ranges:
                 raise UsageError(f"parameter {name!r} given more than once")
             ranges[name] = grid
-        config = SweepConfig(command=args.command, ranges=ranges, cutoff=args.cutoff, strict=args.strict)
+        config = SweepConfig(command=command, ranges=ranges, cutoff=cutoff, strict=strict)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2
-    problem = None if args.out is None else _out_path_problem(args.out)
+    problem = None if out is None else _out_path_problem(out)
     if problem is not None:
         print(f"error: output: {problem}", file=sys.stderr)
         return 2
@@ -291,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: numeric-guard: {exc}", file=sys.stderr)
         return 3
     try:
-        emit_csv(result, args.out)
+        emit_csv(result, out)
     except OSError as exc:
         print(f"error: output: {exc}", file=sys.stderr)
         return 2

@@ -226,10 +226,12 @@ def displaced_overlap(alpha: complex, beta: complex, r: float) -> float:
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     sech = _sech_2s(abs(r))
-    dist = abs(beta - alpha)
-    # dist * dist saturates at inf where dist ** 2 raises OverflowError; with
-    # sech 2r = 0 the overlap is 0, also where inf * 0 would give nan
-    return float(np.exp(-(dist * dist) * sech) * sech) if sech else 0.0
+    delta = complex(beta) - complex(alpha)
+    # a float sum of squares saturates at inf, where the abs() of a complex
+    # and ** 2 raise OverflowError; with sech 2r = 0 the overlap is 0, also
+    # where inf * 0 would give nan
+    dist2 = delta.real * delta.real + delta.imag * delta.imag
+    return float(np.exp(-dist2 * sech) * sech) if sech else 0.0
 
 
 def two_mode_squeezed_vacuum(s: float, cutoff: int) -> FockVector:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import esvsim
@@ -22,7 +22,7 @@ from esvsim import (
     squeezed_vacuum,
     thermal_channel,
 )
-from esvsim.cli import COMMANDS, SweepConfig, UsageError, _build_parser, emit_csv, main, run
+from esvsim.cli import COMMANDS, SweepConfig, UsageError, _build_parser, _parse_canonical, emit_csv, main, run
 from esvsim.measures import esv_mixed_ln_curve, esv_pure_eof_curve
 
 RECORD_DIR = Path(__file__).resolve().parents[1] / "bench" / "record"
@@ -102,6 +102,16 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["overlap", "d=2", "r=-1e308..1e308:3"], ["swap", "s=-1e308..1e308:3"],
+                                  ["swap", "s=-1e308..1e308:1"]])
+def test_range_whose_span_overflows_is_a_usage_error(argv, capsys):
+    # each bound is finite, but np.linspace takes hi - lo, which overflows to inf
+    assert main(argv) == 2
+    name = argv[-1].split("=")[0]
+    assert capsys.readouterr().err == (f"error: usage: {name}: range -1e+308..1e+308 "
+                                       "spans more than the float range\n")
+
+
 def _parse_exit(parse, argv):
     """Exit code, stdout and stderr of parsing `argv` where argparse exits."""
     out, err = io.StringIO(), io.StringIO()
@@ -119,9 +129,9 @@ PARSER_EXITS = [[name, "-h"] for name in COMMANDS] + [
 
 @pytest.mark.parametrize("argv", PARSER_EXITS, ids=lambda argv: " ".join(argv) or "no-arguments")
 def test_main_parses_as_the_parser_with_every_command(argv):
-    # main builds only the named command's parser, yet prints the help, usage
-    # and errors of the full one: for an unrecognized option argparse prints
-    # the top-level usage, which lists every command
+    # main leaves help, usage and errors to the parser with every command: for
+    # an unrecognized option argparse prints the top-level usage, which lists
+    # every command
     expected = _parse_exit(_build_parser().parse_args, argv)
     assert expected[0] == (0 if "-h" in argv else 2)
     assert _parse_exit(main, argv) == expected
@@ -133,7 +143,7 @@ def test_top_level_help_lists_every_command():
     assert [line.split()[0] for line in out.splitlines() if "columns:" in line] == list(COMMANDS)
 
 
-def test_a_named_command_registers_only_its_own_parser(monkeypatch):
+def test_a_canonical_line_registers_no_subparser(monkeypatch):
     registered = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -142,13 +152,36 @@ def test_a_named_command_registers_only_its_own_parser(monkeypatch):
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
-    for name in COMMANDS:
-        registered.clear()
-        _parse_exit(main, [name, "-h"])
-        assert registered == [name]
+    assert main(["overlap", "d=2", "r=0", "--cutoff", "8"]) == 0
+    assert registered == []
+    # help and the other spellings go to the parser with every command
+    _parse_exit(main, ["swap", "-h"])
+    assert registered == list(COMMANDS)
     registered.clear()
-    assert main(["overlap", "d=2", "r=0"]) == 0
-    assert registered == ["overlap"]
+    assert main(["overlap", "d=2", "r=0", "--cutoff=8"]) == 0
+    assert registered == list(COMMANDS)
+
+
+ARGV_TOKENS = [*COMMANDS, "no-such", "s=1", "phi=0..1:3", "", "-h", "--cutoff", "--cut", "--cutoff=5", "5",
+               "-5", "x", "--strict", "--strict=1", "--out", "/dev/null", "--"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(argv=st.lists(st.sampled_from(ARGV_TOKENS), max_size=6))
+# uniform draws seldom put two flags with their values after a command
+@example(argv=["swap", "s=1", "--cutoff", "5", "--strict", "--out", "/dev/null"])
+@example(argv=["overlap", "--out", "/dev/null", "--strict", "--cutoff", "5"])
+@example(argv=["criteria", "", "phi=0..1:3", "x", "--out", ""])
+@example(argv=["teleport", "5", "--strict", "--cutoff", "5"])
+def test_a_canonical_line_parses_as_the_parser_parses_it(argv):
+    fields = _parse_canonical(argv)
+    if fields is None:
+        return
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"argparse rejects {argv!r}, which _parse_canonical accepts as {fields!r}")
+    assert fields == (args.command, args.assignments, args.cutoff, args.strict, args.out)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
@@ -529,6 +562,20 @@ def _run_python(code):
     src = str(Path(esvsim.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n" + code],
                           capture_output=True, text=True, timeout=120)
+
+
+def test_a_canonical_run_loads_no_argparse():
+    proc = _run_python("import contextlib, io\n"
+                       "before = set(sys.modules)\n"
+                       "import esvsim.cli\n"
+                       "with contextlib.redirect_stdout(io.StringIO()):\n"
+                       "    rc = esvsim.cli.main(['swap', 's=1'])\n"
+                       "loaded = sorted({'argparse', 'gettext', 'locale'} & (set(sys.modules) - before))\n"
+                       "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+                       "    esvsim.cli.main(['swap', '-h'])\n"
+                       "print(rc, loaded, 'argparse' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 [] True"
 
 
 def test_cli_import_loads_no_scipy():

@@ -190,6 +190,16 @@ def test_displaced_overlap_at_huge_separation_is_zero_without_overflow():
                 assert displaced_overlap(alpha, beta, r) == 0.0
 
 
+def test_displaced_overlap_at_complex_separation_beyond_the_float_range_is_zero():
+    # every part is finite, but the modulus overflows: the complex abs raised
+    # OverflowError there, where a float sum of squares saturates at inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for alpha, beta in ((1.5e308 + 1.5e308j, 0.0), (0.0, -1e308 + 1e308j), (1.5e308j, -1.5e308j)):
+            for r in (0.0, 1.0, 400.0):
+                assert displaced_overlap(alpha, beta, r) == 0.0
+
+
 @pytest.mark.parametrize("args, name", [((0.0, 1.0, np.nan), "r"), ((0.0, np.nan, 0.0), "beta"),
                                         ((np.inf, 0.0, 0.0), "alpha"), ((0.0, complex(1.0, -np.inf), 0.5), "beta"),
                                         ((0.0, 2.0, -np.inf), "r")])
