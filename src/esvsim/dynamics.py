@@ -22,12 +22,11 @@ transferred entanglement is identically zero for all tau.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, FockVector, ModeLayout
+from .fock import DensityMatrix, FockVector, ModeLayout, _check_cutoff
 from .measures import log_negativity
 
 __all__ = ["JcSpec", "jc_unitary", "entangling_power"]
@@ -43,13 +42,7 @@ class JcSpec:
     def __post_init__(self):
         if not np.isfinite(self.tau) or self.tau < 0:
             raise ValueError("tau must be finite and >= 0")
-        try:
-            cutoff = operator.index(self.cutoff)
-        except TypeError:
-            raise TypeError(f"cutoff must be an integer, got {self.cutoff!r}") from None
-        if cutoff < 1:
-            raise ValueError("cutoff must be positive")
-        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "cutoff", _check_cutoff(self.cutoff, 1))
 
 
 def jc_unitary(spec: JcSpec) -> np.ndarray:

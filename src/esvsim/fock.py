@@ -16,6 +16,7 @@ other module relies on this convention.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -44,6 +45,18 @@ EIG_ZERO_BAND = 1e-11     # eigenvalues below this are treated as exact zeros
 _I_POW = np.array([1, 1j, -1, -1j])     # i^n by n mod 4: exact, where numpy's complex power errs from n = 100
 
 
+def _check_cutoff(cutoff, minimum: int, name: str = "cutoff") -> int:
+    """`cutoff` as an int: TypeError unless it is an integer, ValueError below
+    `minimum`; the messages call it `name`."""
+    try:
+        cutoff = operator.index(cutoff)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {cutoff!r}") from None
+    if cutoff < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
+    return cutoff
+
+
 class TruncationWarning(UserWarning):
     """Emitted when the Fock tail carries too much weight.
 
@@ -59,9 +72,9 @@ class ModeLayout:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError(f"mode dimensions must be positive, got {self.dims}")
+        dims = tuple(_check_cutoff(d, 1, "mode dimension") for d in self.dims)
+        if not dims:
+            raise ValueError("a layout needs at least one mode")
         object.__setattr__(self, "dims", dims)
 
     @property

@@ -17,10 +17,10 @@ Entanglement of formation (pure states only) is the entropy, base 2, of the
 Schmidt spectrum: the squared singular values of the amplitude matrix.  The
 entangled squeezed vacuum N(|s+>|s-> + e^{i phi}|s->|s+>) has a rank-2
 amplitude matrix, so `esv_pure_eof_curve`, which the `eof-surface` sweep
-uses, reads its two Schmidt coefficients off the 2 x 2 Gram matrix of the
-truncated pair |s+>, |s-> in closed form; the cutoff still sets the
-truncation and its warning, and `eof_pure` on `states.esv_pure` is its
-reference.
+uses, reads its two Schmidt coefficients off the 2 x 2 parity Gram matrix
+of the truncated squeezed vacuum (`states._parity_basis`) in closed form;
+the cutoff still sets the truncation and its warning, and `eof_pure` on
+`states.esv_pure` is its reference.
 """
 
 from __future__ import annotations
@@ -41,18 +41,7 @@ from .fock import (
     hermitian_blocks,
     partial_transpose,
 )
-from .states import (
-    _DEGENERATE,
-    _ZERO_NORM,
-    EsvSpec,
-    SqueezeSpec,
-    _check_esv_input,
-    _check_esv_trace,
-    _conditional_map,
-    _sech_2s,
-    _wrap_phi,
-    squeezed_vacuum,
-)
+from .states import _check_esv_input, _check_esv_trace, _conditional_map, _parity_basis
 
 __all__ = ["log_negativity", "esv_mixed_ln_curve", "eof_pure", "esv_pure_eof_curve"]
 
@@ -225,33 +214,28 @@ def eof_pure(state: FockVector, split: Iterable[int]) -> float:
 def esv_pure_eof_curve(s: float, cutoff: int) -> Callable[[float], float]:
     """phi -> ``eof_pure(esv_pure(EsvSpec(s, phi, cutoff)), [0])`` from the 2 x 2 Gram matrix.
 
-    With u = `squeezed_vacuum` at (s, cutoff) and v = (-1)^k u on |2k> (that
-    at -s, bit for bit), the amplitude matrix N (u vᵀ + e^{i phi} v uᵀ) has
-    rank 2, and its squared singular values are
+    The amplitude matrix is X C Xᵀ up to norm and phase, X = [e, o] over the
+    parity basis of `states._parity_basis`, which also checks s, the cutoff and
+    the tail once, and per phi wraps phi and raises `esv_pure`'s ValueError for
+    a degenerate superposition.  With E and O the Gram diagonal of X, the rank-2
+    matrix has the squared singular values
     lambda± = (1 ± sqrt(1 - 4 Delta)) / 2, Delta = ((1 - o²) / (2 (1 + o² cos phi)))²,
-    o = <u|v> / <u|u>.  With E and O the weights of u on |4k> and |4k + 2>,
-    <u|u> = E + O and <u|v> = E - O, so a = <u|u>² - <u|v>² = 4 E O and
-    b = 2 <u|v>² cos²(phi/2) are sums of non-negative terms.  Then the squared
-    norm of u vᵀ + e^{i phi} v uᵀ is 2 (a + b), 2 sqrt(Delta) = a / (a + b),
-    sqrt(1 - 4 Delta) = sqrt(b (2a + b)) / (a + b) and lambda- = Delta / lambda+:
-    no difference of nearly equal numbers is formed.
-
-    The squeezed vacuum, with its tail check, is built here once; per phi
-    `EsvSpec`'s phi checks run (`states._wrap_phi`), and a norm below
-    `esv_pure`'s floor raises its ValueError.  The entropy sums lambda > `EIG_ZERO_BAND`, as `eof_pure` does.
+    o = (E - O) / (E + O).  a = (E + O)² - (E - O)² = 4 E O and
+    b = 2 (E - O)² cos²(phi/2) are sums of non-negative terms, with
+    2 sqrt(Delta) = a / (a + b), sqrt(1 - 4 Delta) = sqrt(b (2a + b)) / (a + b) and
+    lambda- = Delta / lambda+: no difference of nearly equal numbers is formed.
+    The entropy sums lambda > `EIG_ZERO_BAND`, as `eof_pure` does.
     """
-    EsvSpec(s, 0.0, cutoff)     # the checks on s and the cutoff, before the tail check
-    sech_2s = _sech_2s(s)
-    u2 = squeezed_vacuum(SqueezeSpec(s, cutoff)).amps.real[0::2] ** 2
-    even, odd = float(u2[0::2].sum()), float(u2[1::2].sum())
+    _, (even, odd), coefficients = _parity_basis(s, cutoff)
     a, c2 = 4.0 * even * odd, (even - odd) ** 2
 
     def eof_at_phi(phi: float) -> float:
-        b = 2.0 * c2 * math.cos(0.5 * _wrap_phi(phi, sech_2s)) ** 2
-        if math.sqrt(2.0 * (a + b)) < _ZERO_NORM:
-            raise ValueError(_DEGENERATE)
+        b = 2.0 * c2 * coefficients(phi)[0] ** 2
         lam_plus = 0.5 + 0.5 * math.sqrt(b * (2.0 * a + b)) / (a + b)
         lam_minus = (0.5 * a / (a + b)) ** 2 / lam_plus
-        return sum(-lam * math.log2(lam) for lam in (lam_plus, lam_minus) if lam > EIG_ZERO_BAND)
+        eof = 0.0 - lam_plus * math.log2(lam_plus)      # lambda+ >= 1/2
+        if lam_minus > EIG_ZERO_BAND:
+            eof -= lam_minus * math.log2(lam_minus)
+        return eof
 
     return eof_at_phi

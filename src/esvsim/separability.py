@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .fock import FockVector, ModeLayout, _check_tail_share, _ladder_word, _product_expectations, _top_band, check_tail
-from .states import _DEGENERATE, _ZERO_NORM, EsvSpec, SqueezeSpec, _sech_2s, _wrap_phi, squeezed_vacuum
+from .states import _parity_basis
 
 __all__ = [
     "MomentIndex",
@@ -209,13 +209,11 @@ def esv_criteria_curve(s: float, cutoff: int) -> Callable[[float], tuple[float, 
     """phi -> (`simon_det`, `duan_det`, `esv_criterion_det`) of ``esv_pure(EsvSpec(s, phi, cutoff))``,
     from the 2 x 2 parity coefficient matrix.
 
-    Let e and o be the |4k> and |4k + 2> parts of u = `squeezed_vacuum` at
-    (s, cutoff), so that |s+> = e + o and |s-> = e - o (`states._pair`).  With
-    X = [e, o], the amplitude matrix of Psi(phi) is X C Xᵀ up to a global phase,
-    C = [[cos(phi/2), i sin(phi/2)], [-i sin(phi/2), -cos(phi/2)]] divided by
-    the norm.  X has the Gram matrix diag(E, O), so the squared norm is
-    cos²(phi/2) (E² + O²) + 2 sin²(phi/2) E O, a sum of non-negative terms; the
-    basis (|s+>, |s->) would subtract nearly equal numbers near phi = pi at small s.
+    The amplitude matrix of Psi(phi) is X C Xᵀ up to a global phase, C divided
+    by its norm, over the parity basis X = [e, o] of `states._parity_basis`
+    (whose module docstring derives it), which also checks s, the cutoff and
+    the tail once, and per phi wraps phi and raises `esv_pure`'s ValueError for
+    a degenerate superposition.
 
     Each minor entry <A ⊗ B> (module docstring) is then vdot(C, (XᴴAX) C (XᴴBX)ᵀ):
     `fock._product_expectations` on C as a 2 x 2 two-mode state.  With
@@ -223,13 +221,11 @@ def esv_criteria_curve(s: float, cutoff: int) -> Callable[[float], tuple[float, 
     (L(i2, i1) X)ᴴ (L(j2, j1) X), and B = L(j3, j4) L(i4, i3) to
     (L(j4, j3) X)ᴴ (L(i4, i3) X); each 2 x 2 projection is formed once per curve.
 
-    The squeezed vacuum, with its tail check, is built here once.  Per phi,
-    `EsvSpec`'s phi checks run (`states._wrap_phi`), a norm below `esv_pure`'s
-    floor raises its ValueError, and the joint tail of Psi is judged as
-    `check_tail` judges it, in the context "moment" of the minors' check.  Its
-    mass, on the basis states with a mode in the top band, is
-    ||X_b C Xᵀ||² + ||X_l C X_bᵀ||², X_b and X_l the rows of X in the band and
-    below it: again sums of non-negative terms over the Gram diagonals.
+    Per phi the joint tail of Psi is judged as `check_tail` judges it, in the
+    context "moment" of the minors' check.  Its mass, on the basis states with a
+    mode in the top band, is ||X_b C Xᵀ||² + ||X_l C X_bᵀ||², X_b and X_l the rows
+    of X in the band and below it: sums of non-negative terms over the Gram
+    diagonals.
     """
     minors_at = _esv_minors(s, cutoff)
     return lambda phi: tuple(_determinant(minor) for minor in minors_at(phi))
@@ -237,13 +233,9 @@ def esv_criteria_curve(s: float, cutoff: int) -> Callable[[float], tuple[float, 
 
 def _esv_minors(s: float, cutoff: int) -> Callable[[float], tuple[np.ndarray, ...]]:
     """phi -> the Simon, Duan and ESV-criterion minors of `esv_criteria_curve`."""
-    EsvSpec(s, 0.0, cutoff)     # the checks on s and the cutoff, before the tail check
-    sech_2s = _sech_2s(s)
-    u = squeezed_vacuum(SqueezeSpec(s, cutoff)).amps.real
-    x = np.zeros((cutoff, 2))
-    x[0::4, 0], x[2::4, 1] = u[0::4], u[2::4]
+    x, diag, coefficients = _parity_basis(s, cutoff)
     squares, below = x * x, cutoff - _top_band(cutoff)
-    gram, top, low = squares.sum(axis=0), squares[below:].sum(axis=0), squares[:below].sum(axis=0)
+    gram, top, low = np.array(diag), squares[below:].sum(axis=0), squares[:below].sum(axis=0)
     minors = (_selected(SIMON_SELECTOR), _selected(DUAN_SELECTOR), _ESV_CRITERION_INDICES)
 
     @lru_cache(maxsize=None)
@@ -255,12 +247,8 @@ def _esv_minors(s: float, cutoff: int) -> Callable[[float], tuple[np.ndarray, ..
         return (word(i.i2, i.i1).conj().T @ word(j.i2, j.i1), word(j.i4, j.i3).conj().T @ word(i.i4, i.i3))
 
     def minors_at(phi: float) -> tuple[np.ndarray, ...]:
-        half = 0.5 * _wrap_phi(phi, sech_2s)
-        c, sn = math.cos(half), math.sin(half)
+        c, sn, norm2 = coefficients(phi)
         weight = np.array([[c * c, sn * sn], [sn * sn, c * c]])     # |C|² before the norm
-        norm2 = float(gram @ weight @ gram)
-        if 2.0 * math.sqrt(norm2) < _ZERO_NORM:
-            raise ValueError(_DEGENERATE)
         _check_tail_share(float(top @ weight @ gram + low @ weight @ top), norm2, "moment", stacklevel=3)
         coeffs = FockVector(ModeLayout((2, 2)), np.array([[c, 1j * sn], [-1j * sn, -c]]) / math.sqrt(norm2))
 

@@ -18,12 +18,27 @@ global phase fixed so the largest-magnitude amplitude is real positive.
 The closed-form squeezed vacuum and two-mode squeezed vacuum keep their
 natural amplitudes; their norm is 1 minus the truncation tail.  The overlap
 of oppositely squeezed displaced states is given in closed form only.
+
+The entangled squeezed vacuum lies in span{e, o} (x) span{e, o}, e and o the
+|4k> and |4k + 2> parts of the squeezed vacuum u, so that |s+> = e + o and
+|s-> = e - o.  With X = [e, o] and w = e^{i phi},
+
+    |s+>|s-> + w |s->|s+> = 2 e^{i phi/2} X C Xᵀ,
+    C = [[cos(phi/2), i sin(phi/2)], [-i sin(phi/2), -cos(phi/2)]].
+
+X has the Gram matrix diag(E, O), the weights of u on |4k> and |4k + 2>,
+so the squared norm of X C Xᵀ is cos²(phi/2) (E² + O²) + 2 sin²(phi/2) E O,
+a sum of non-negative terms; the basis (|s+>, |s->) would subtract nearly
+equal numbers near phi = pi at small s.  `esv_pure` tests the norm of the
+left-hand side, and the phi-curves of `measures` and `separability` that of
+the right-hand side (`_parity_basis`), against the one floor `_ZERO_NORM`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,6 +47,7 @@ from .fock import (
     DensityMatrix,
     FockVector,
     ModeLayout,
+    _check_cutoff,
     check_tail,
 )
 
@@ -60,8 +76,7 @@ class SqueezeSpec:
     def __post_init__(self):
         if not np.isfinite(self.s):
             raise ValueError("squeezing parameter must be finite")
-        if self.cutoff < 2:
-            raise ValueError("cutoff must be at least 2")
+        object.__setattr__(self, "cutoff", _check_cutoff(self.cutoff, 2))
 
 
 @dataclass(frozen=True)
@@ -75,9 +90,8 @@ class EsvSpec:
     def __post_init__(self):
         if self.s < 0 or not math.isfinite(self.s):
             raise ValueError("squeezing parameter must be finite and >= 0")
-        if self.cutoff < 2:
-            raise ValueError("cutoff must be at least 2")
-        object.__setattr__(self, "phi", _wrap_phi(self.phi, _sech_2s(self.s)))
+        object.__setattr__(self, "cutoff", _check_cutoff(self.cutoff, 2))
+        object.__setattr__(self, "phi", _wrap_phi(self.phi))
 
 
 def _sech_2s(s: float) -> float:
@@ -94,18 +108,11 @@ def _sech_s(s: float) -> float:
     return sech
 
 
-def _wrap_phi(phi: float, sech_2s: float) -> float:
-    """phi wrapped into [0, 2*pi), checked as `EsvSpec` checks it.
-
-    Raises ValueError for a non-finite phi, and where the norm
-    N = 1/sqrt(2 [1 + sech(2s) cos(phi)]) of |Psi(phi)> would not be finite.
-    """
+def _wrap_phi(phi: float) -> float:
+    """phi wrapped into [0, 2*pi); ValueError for a non-finite phi."""
     if not math.isfinite(phi):
         raise ValueError("phi must be finite")
-    phi = float(phi % TWO_PI)
-    if 1.0 + math.cos(phi) * sech_2s < 1e-12:
-        raise ValueError("degenerate superposition: s = 0 with phi = pi is the zero vector")
-    return phi
+    return float(phi % TWO_PI)
 
 
 def _phase_fixed(amps: np.ndarray) -> np.ndarray:
@@ -148,13 +155,44 @@ def squeezed_vacuum(spec: SqueezeSpec) -> FockVector:
     return out
 
 
+def _parity_split(s: float, cutoff: int) -> np.ndarray:
+    """X = [e, o], the |4k> and |4k + 2> parts of `squeezed_vacuum` at (s, cutoff),
+    as the columns of a real cutoff x 2 array."""
+    u = squeezed_vacuum(SqueezeSpec(s, cutoff)).amps.real
+    x = np.zeros((u.size, 2))
+    x[0::4, 0], x[2::4, 1] = u[0::4], u[2::4]
+    return x
+
+
 def _pair(s: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """(|s+>, |s->), the squeezed vacua at +s and -s, from one squeezed vacuum:
-    |s-> is |s+> with the sign of every |4k + 2> amplitude flipped."""
-    plus = squeezed_vacuum(SqueezeSpec(s, cutoff)).amps
-    minus = plus.copy()
-    minus[2::4] = -plus[2::4]
-    return plus, minus
+    """(|s+>, |s->) = (e + o, e - o), the squeezed vacua at +s and -s, from one
+    squeezed vacuum (`_parity_split`)."""
+    e, o = _parity_split(s, cutoff).T
+    return e + o, e - o
+
+
+def _parity_basis(s: float, cutoff: int) -> tuple[np.ndarray, tuple[float, float], Callable]:
+    """X = [e, o], its Gram diagonal (E, O), and phi -> (cos(phi/2), sin(phi/2), norm2),
+    norm2 the squared norm of X C Xᵀ (module docstring), for |Psi(phi)> at (s, cutoff).
+
+    s and the cutoff are checked as `EsvSpec` checks them, then the squeezed
+    vacuum's tail once.  Per phi, phi is wrapped as `EsvSpec` wraps it, and a
+    norm 2 sqrt(norm2) below `_ZERO_NORM` raises `esv_pure`'s ValueError.
+    """
+    x = _parity_split(s, EsvSpec(s, 0.0, cutoff).cutoff)
+    even, odd = float((x[0::4, 0] ** 2).sum()), float((x[2::4, 1] ** 2).sum())
+    squares = even * even + odd * odd
+    cross = 2.0 * even * odd
+
+    def coefficients(phi: float) -> tuple[float, float, float]:
+        half = 0.5 * _wrap_phi(phi)
+        c, sn = math.cos(half), math.sin(half)
+        norm2 = c * c * squares + sn * sn * cross
+        if 2.0 * math.sqrt(norm2) < _ZERO_NORM:
+            raise ValueError(_DEGENERATE)
+        return c, sn, norm2
+
+    return x, (even, odd), coefficients
 
 
 def esv_pure(spec: EsvSpec) -> FockVector:
@@ -236,9 +274,7 @@ def displaced_overlap(alpha: complex, beta: complex, r: float) -> float:
 
 def two_mode_squeezed_vacuum(s: float, cutoff: int) -> FockVector:
     """sech(s) sum_n tanh(s)^n |n, n>."""
-    if cutoff < 2:
-        raise ValueError("cutoff must be at least 2")
-    d = cutoff
+    d = _check_cutoff(cutoff, 2)
     diag = (np.tanh(s) ** np.arange(d)) * _sech_s(s)
     amps = np.zeros((d, d), dtype=complex)
     np.fill_diagonal(amps, diag)

@@ -253,6 +253,23 @@ def test_swap_and_teleport_exit_0_at_every_positive_squeezing(capsys):
     assert out == "" and err == "error: numeric-guard: swap requires s > 0\n"
 
 
+def test_pure_lines_at_phi_pi_exit_0_for_s_above_the_norm_floor(capsys):
+    # s > 0 is not the zero vector at phi = pi: the state is (|0,2> - |2,0>)/sqrt 2 in the
+    # limit, one ebit
+    row = "1.00000000000e-07,3.14159265359e+00,"
+    assert _main_stdout(["eof-surface", "s=1e-7", "phi=3.141592653589793"]) == (
+        0, "s,phi,eof\n" + row + "1.00000000000e+00\n")
+    assert _main_stdout(["criteria", "s=1e-7", "phi=3.141592653589793"]) == (
+        0, "s,phi,simon,duan,esv_criterion\n" + row + "4.00000000000e+00,1.00000000000e+00,-1.00000000000e+00\n")
+    # s = 0 is the zero vector.  Unmended: below s ~ 5e-13 the truncated state's norm at
+    # phi = pi is under the 1e-12 floor, so those lines still exit 3
+    for s in ("0", "4e-13"):
+        for command in ("eof-surface", "criteria"):
+            assert main([command, f"s={s}", "phi=3.141592653589793"]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and err == "error: numeric-guard: degenerate superposition is the zero vector\n"
+
+
 @pytest.mark.parametrize("argv", [["eof-surface", "s=800", "phi=0"], ["eof-surface", "s=1e300", "phi=0"],
                                   ["generate", "s=800"]])
 def test_squeezing_whose_sech_underflows_exits_3_naming_the_underflow(argv, capsys):

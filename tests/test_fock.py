@@ -16,6 +16,7 @@ from esvsim import (
     partial_transpose,
     tail_mass,
 )
+from esvsim.dynamics import JcSpec
 from esvsim.fock import check_tail
 from esvsim.states import EsvSpec, SqueezeSpec, esv_pure, squeezed_vacuum, two_mode_squeezed_vacuum
 
@@ -28,7 +29,27 @@ def test_layout_validation():
     with pytest.raises(ValueError):
         ModeLayout((0, 3))
     with pytest.raises(ValueError):
+        ModeLayout(())
+    with pytest.raises(ValueError):
         FockVector(ModeLayout((3,)), np.ones(4))
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda cutoff: ModeLayout((4, cutoff)), "mode dimension"),
+    (lambda cutoff: SqueezeSpec(0.0, cutoff), "cutoff"),
+    (lambda cutoff: EsvSpec(0.0, 0.0, cutoff), "cutoff"),
+    (lambda cutoff: two_mode_squeezed_vacuum(0.0, cutoff), "cutoff"),
+    (lambda cutoff: JcSpec(1.0, cutoff), "cutoff"),
+], ids=["ModeLayout", "SqueezeSpec", "EsvSpec", "two_mode_squeezed_vacuum", "JcSpec"])
+def test_every_cutoff_is_checked_as_an_integer(build, name):
+    # one check, fock._check_cutoff: a cutoff that is not an integer is never truncated,
+    # nor passed on to fail inside numpy (nan < 2 is false)
+    for cutoff in (2.5, np.nan, "3"):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            build(cutoff)
+    with pytest.raises(ValueError, match=f"^{name} must be at least"):
+        build(0)
+    build(np.int64(3))
 
 
 def test_phase_gate_flips_squeezing_sign():

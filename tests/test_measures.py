@@ -155,30 +155,27 @@ def test_esv_pure_eof_curve_matches_eof_pure(s, phi, cutoff):
 @pytest.mark.parametrize("phi", [-1e-20, -7.0, 20.0, 2 * np.pi, 3 * np.pi, -np.pi, np.float64(-3.3), 1e300,
                                  np.nan, np.inf, -np.inf])
 def test_esv_pure_eof_curve_wraps_phi_as_esv_spec(s, phi):
-    # the curve wraps and checks phi as EsvSpec does: the same value, bit for bit, or the same error
+    # the curve wraps and checks phi as EsvSpec does: the same value, bit for bit, or the same
+    # error, EsvSpec's for a non-finite phi and esv_pure's where s = 0 and phi wraps to pi
     curve = esv_pure_eof_curve(s, 12)
     try:
-        wrapped = EsvSpec(s, phi, 12).phi
+        spec = EsvSpec(s, phi, 12)
+        esv_pure(spec)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
             curve(phi)
         assert str(got.value) == str(exc)
         return
-    assert curve(phi) == curve(wrapped)
+    assert curve(phi) == curve(spec.phi)
 
 
-def test_esv_pure_eof_curve_guards():
-    with pytest.raises(ValueError, match=">= 0"):
-        esv_pure_eof_curve(-0.1, 10)
-    with pytest.raises(ValueError, match="finite"):
-        esv_pure_eof_curve(np.inf, 10)
-    with pytest.raises(ValueError, match="cutoff"):
-        esv_pure_eof_curve(0.5, 1)
+@pytest.mark.parametrize("s", [1e-7, 0.3])
+def test_esv_pure_eof_curve_is_one_ebit_at_phi_pi(s):
+    # s > 0 is not the zero vector at phi = pi: at s = 1e-7 the state is (|0,2> - |2,0>)/sqrt 2
+    # in the limit, and its EoF is exactly 1
     with warnings.catch_warnings():
         warnings.simplefilter("error", TruncationWarning)
-        with pytest.raises(TruncationWarning):
-            esv_pure_eof_curve(2.5, 12)
-        assert esv_pure_eof_curve(0.3, 40)(np.pi) == pytest.approx(1.0, abs=1e-15)
+        assert esv_pure_eof_curve(s, 40)(np.pi) == pytest.approx(1.0, abs=1e-15)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from esvsim import (
     EsvSpec,
@@ -17,6 +19,8 @@ from esvsim import (
     two_mode_squeezed_vacuum,
 )
 from esvsim.fock import ModeLayout
+from esvsim.measures import esv_pure_eof_curve
+from esvsim.separability import esv_criteria_curve
 from esvsim.states import _conditional_map
 
 from oracles import (basis_vector, displaced_squeezed_amplitudes, esv_aligned, phase_rotation,
@@ -79,8 +83,9 @@ def test_esv_pure_mode_swap_symmetry():
 
 
 def test_esv_spec_validation():
-    with pytest.raises(ValueError):
-        EsvSpec(0.0, np.pi, 10)           # the zero vector
+    # s = 0 with phi = pi is the zero vector: a valid spec, which esv_pure's norm floor rejects
+    with pytest.raises(ValueError, match="^degenerate superposition is the zero vector$"):
+        esv_pure(EsvSpec(0.0, np.pi, 10))
     with pytest.raises(ValueError):
         EsvSpec(-0.2, 0.0, 10)
     for phi in (np.nan, np.inf, -np.inf):    # phi % 2 pi would be nan, taken silently
@@ -104,6 +109,52 @@ def test_esv_spec_wraps_phi_as_np_mod(phi):
     got = EsvSpec(0.5, phi, 10).phi
     assert type(got) is float
     assert got == float(np.mod(phi, 2 * np.pi))
+
+
+@pytest.mark.parametrize("curve", [esv_pure_eof_curve, esv_criteria_curve])
+def test_esv_phi_curves_guard_as_esv_pure(curve):
+    # both phi-curves take their checks from states._parity_basis: s and the cutoff as
+    # EsvSpec checks them, the squeezed vacuum's tail once, and esv_pure's norm floor per phi
+    with pytest.raises(ValueError, match=">= 0"):
+        curve(-0.1, 10)
+    with pytest.raises(ValueError, match="finite"):
+        curve(np.inf, 10)
+    with pytest.raises(ValueError, match="cutoff"):
+        curve(0.5, 1)
+    with pytest.raises(TypeError, match="^cutoff must be an integer"):
+        curve(0.5, 2.5)
+    with pytest.raises(ValueError, match="^degenerate superposition is the zero vector$"):
+        curve(0.0, 10)(np.pi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        with pytest.raises(TruncationWarning, match="^squeezed_vacuum:"):
+            curve(2.5, 12)
+
+
+def _raised(compute):
+    """The message of the ValueError that compute() raises, or None if it returns."""
+    try:
+        compute()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(s=st.just(0.0) | st.floats(5e-324, 1e-3), delta=st.floats(-1e-6, 1e-6), cutoff=st.integers(4, 16))
+@example(s=0.0, delta=0.0, cutoff=10)
+@example(s=1e-7, delta=0.0, cutoff=30)         # s > 0: the state is (|0,2> - |2,0>)/sqrt 2 in the limit
+@example(s=5e-324, delta=1e-6, cutoff=4)
+def test_esv_phi_curves_raise_where_esv_pure_raises(s, delta, cutoff):
+    # the one degeneracy decision: near phi = pi at small s, each curve raises exactly where
+    # esv_pure does, with its message, and no message claims s = 0 for s > 0.  Unmended:
+    # below s ~ 5e-13 the truncated state's norm at phi = pi is under the 1e-12 floor
+    # (2 sqrt(cos²(phi/2) + s²) to leading order), so all three still raise there
+    phi = np.pi + delta
+    want = _raised(lambda: esv_pure(EsvSpec(s, phi, cutoff)))
+    for curve in (esv_pure_eof_curve, esv_criteria_curve):
+        assert _raised(lambda: curve(s, cutoff)(phi)) == want
+    assert want is None or (want == "degenerate superposition is the zero vector" and "s = 0" not in want)
 
 
 def test_esv_aligned_is_local_rotation_of_esv_pure():
