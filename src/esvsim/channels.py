@@ -26,20 +26,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import DensityMatrix, FockVector, check_tail
+from .fock import DensityMatrix, FockVector, _check_modes, _check_real, check_tail
 
 __all__ = ["thermal_channel", "phase_channel", "bs_loss"]
-
-
-def _single_mode(rho: DensityMatrix) -> int:
-    if rho.layout.nmodes != 1:
-        raise ValueError("channel acts on a single-mode density matrix")
-    return rho.layout.dims[0]
-
-
-def _check_sigma(sigma: float) -> None:
-    if not 0.0 <= sigma < np.inf:
-        raise ValueError("noise variance must be finite and non-negative")
 
 
 def _binomial_pmf(d: int, eta: float) -> np.ndarray:
@@ -81,8 +70,8 @@ def thermal_channel(rho: DensityMatrix, sigma: float) -> DensityMatrix:
     eta C(n+k, k) eta^n (1-eta)^k.  The output is rescaled to the input
     trace, and truncation of the amplified tail is flagged by check_tail.
     """
-    _check_sigma(sigma)
-    d = _single_mode(rho)
+    sigma = _check_real(sigma, "sigma", 0.0)
+    (d,) = _check_modes(rho.layout, 1, "channel input")
     eta = 1.0 / (1.0 + sigma)
     pmf = _binomial_pmf(d, eta)
     out = eta * _shift_kraus(_shift_kraus(rho.mat, pmf, down=True), pmf, down=False)
@@ -98,8 +87,9 @@ def phase_channel(rho: DensityMatrix, sigma: float) -> DensityMatrix:
     Populations are kept; the (n, m) coherence is damped by
     exp(-sigma (n-m)^2 / 2).
     """
-    _check_sigma(sigma)
-    n = np.arange(_single_mode(rho))
+    sigma = _check_real(sigma, "sigma", 0.0)
+    (d,) = _check_modes(rho.layout, 1, "channel input")
+    n = np.arange(d)
     damping = np.exp(-0.5 * sigma * (n[:, None] - n[None, :]) ** 2)
     return DensityMatrix(rho.layout, rho.mat * damping)
 
@@ -113,5 +103,6 @@ def bs_loss(state: FockVector | DensityMatrix, transmissivity: float) -> Density
     if not 0.0 <= transmissivity <= 1.0:
         raise ValueError("transmissivity must lie in [0, 1]")
     rho = state.density() if isinstance(state, FockVector) else state
-    pmf = _binomial_pmf(_single_mode(rho), transmissivity)
+    (d,) = _check_modes(rho.layout, 1, "channel input")
+    pmf = _binomial_pmf(d, transmissivity)
     return DensityMatrix(rho.layout, _shift_kraus(rho.mat, pmf, down=True))

@@ -52,8 +52,6 @@ from .states import EsvSpec, SqueezeSpec, displaced_overlap, esv_pure, squeezed_
 
 __all__ = ["SweepConfig", "SweepResult", "run", "emit_csv", "main"]
 
-TWO_PI = 2.0 * np.pi
-
 
 class UsageError(ValueError):
     """Bad command line: unknown parameter or malformed range."""
@@ -146,12 +144,12 @@ _QUBIT = {"s": (1.0, 1.0, 1), "a0": (0.7071067811865476, 0.7071067811865476, 1),
 
 COMMANDS: dict[str, _Command] = {
     "eof-surface": _Command(
-        {"s": (0.05, 2.0, 20), "phi": (0.0, TWO_PI, 16)}, ("eof",), _prepare_eof, outer=1),
+        {"s": (0.05, 2.0, 20), "phi": (0.0, math.tau, 16)}, ("eof",), _prepare_eof, outer=1),
     "ln-thermal": _Command(
-        {"s": (1.0, 1.0, 1), "sigma": (0.0, 2.0, 5), "phi": (0.0, TWO_PI, 8)}, ("ln",),
+        {"s": (1.0, 1.0, 1), "sigma": (0.0, 2.0, 5), "phi": (0.0, math.tau, 8)}, ("ln",),
         lambda cutoff, s, sigma: _prepare_noisy_ln(thermal_channel, cutoff, s, sigma), outer=2),
     "ln-phase": _Command(
-        {"s": (1.0, 1.0, 1), "sigma": (0.0, 1.0, 5), "phi": (0.0, TWO_PI, 8)}, ("ln",),
+        {"s": (1.0, 1.0, 1), "sigma": (0.0, 1.0, 5), "phi": (0.0, math.tau, 8)}, ("ln",),
         lambda cutoff, s, sigma: _prepare_noisy_ln(phase_channel, cutoff, s, sigma), outer=2),
     "ent-power": _Command(
         {"s": (1.1, 1.1, 1), "phi": (0.0, 0.0, 1), "tau": (0.0, 10.0, 21)},

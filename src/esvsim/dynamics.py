@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, FockVector, ModeLayout, _check_cutoff
+from .fock import DensityMatrix, FockVector, ModeLayout, _check_cutoff, _check_modes, _check_real
 from .measures import log_negativity
 
 __all__ = ["JcSpec", "jc_unitary", "entangling_power"]
@@ -40,8 +40,7 @@ class JcSpec:
     cutoff: int
 
     def __post_init__(self):
-        if not np.isfinite(self.tau) or self.tau < 0:
-            raise ValueError("tau must be finite and >= 0")
+        object.__setattr__(self, "tau", _check_real(self.tau, "tau", 0.0))
         object.__setattr__(self, "cutoff", _check_cutoff(self.cutoff, 1))
 
 
@@ -70,9 +69,7 @@ def entangling_power(state: FockVector | DensityMatrix, tau: float) -> float:
     qubit first) is rho[pq, rs] = Tr[(K_p (x) K_q) rho (K_r (x) K_s)†], or M M†
     with M = (K_p (x) K_q) psi for a vector psi.
     """
-    if state.layout.nmodes != 2:
-        raise ValueError("entangling_power expects a two-mode state")
-    da, db = state.layout.dims
+    da, db = _check_modes(state.layout, 2, "entangling_power state")
     ka = jc_unitary(JcSpec(tau, da))[:, :da].reshape(2, da, da)
     kb = ka if db == da else jc_unitary(JcSpec(tau, db))[:, :db].reshape(2, db, db)
     if isinstance(state, FockVector):

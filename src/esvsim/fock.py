@@ -10,12 +10,20 @@ with operators: `moment` and the moment-matrix minors of `separability` call
 it, and `separability.esv_criteria_curve` calls it on a 2 x 2 coefficient
 matrix with operators projected onto a two-ket basis.
 
+Each kind of argument has one validator here, which every module calls where
+the argument enters: `_check_cutoff` for integers (cutoffs, mode dimensions,
+operator powers), `_check_real` for real parameters (finite, with an optional
+minimum) and `_check_modes` for the number of modes a state must have.  A
+`DensityMatrix` is stored finite and exactly Hermitian, so no caller
+re-symmetrizes one.
+
 The vacuum quadrature variance is 1/2, with x = (a + a^dag)/sqrt(2); every
 other module relies on this convention.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -41,6 +49,7 @@ TAIL_THRESHOLD = 1e-8     # tolerated share of a state's norm or trace in the to
 TAIL_FRACTION = 0.1       # the "top band" is the highest 10% of levels
 HERMITICITY_TOL = 1e-10
 EIG_ZERO_BAND = 1e-11     # eigenvalues below this are treated as exact zeros
+_ENTRY_BOUND = np.finfo(float).max / 4   # density-matrix entries up to it: m ± m† and |m - m†| stay finite
 
 _I_POW = np.array([1, 1j, -1, -1j])     # i^n by n mod 4: exact, where numpy's complex power errs from n = 100
 
@@ -55,6 +64,15 @@ def _check_cutoff(cutoff, minimum: int, name: str = "cutoff") -> int:
     if cutoff < minimum:
         raise ValueError(f"{name} must be at least {minimum}")
     return cutoff
+
+
+def _check_real(value, name: str, minimum: float = -math.inf) -> float:
+    """`value` as a float: ValueError unless it is finite and at least `minimum`
+    (nan and ±inf fail), with a message that calls it `name`."""
+    if not (math.isfinite(value) and value >= minimum):
+        bound = "" if minimum == -math.inf else f" and >= {minimum:g}"
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+    return float(value)
 
 
 class TruncationWarning(UserWarning):
@@ -89,6 +107,13 @@ class ModeLayout:
         if not 0 <= mode < self.nmodes:
             raise ValueError(f"mode {mode} out of range for {self.nmodes} modes")
         return mode
+
+
+def _check_modes(layout: ModeLayout, nmodes: int, what: str) -> tuple[int, ...]:
+    """The layout's dims; ValueError naming `what` unless it has `nmodes` modes."""
+    if layout.nmodes != nmodes:
+        raise ValueError(f"{what} must have {nmodes} mode{'s' * (nmodes != 1)}, got {layout.nmodes}")
+    return layout.dims
 
 
 @dataclass(frozen=True)
@@ -128,9 +153,13 @@ class FockVector:
 class DensityMatrix:
     """Mixed multi-mode state: Hermitian matrix over the same tensor basis.
 
-    Hermiticity is enforced at construction.  Positivity is not (partial
-    transposes are legitimately non-positive); physical inputs are expected
-    to have eigenvalues >= -1e-9.
+    A matrix is accepted if its entries are finite, at most `_ENTRY_BOUND` in
+    modulus so that no arithmetic below overflows, and it is Hermitian to
+    `HERMITICITY_TOL` relative to its largest entry.  It is stored as its
+    Hermitian part 0.5 (m + m†), finite and exactly Hermitian; an exactly
+    Hermitian input is kept bit for bit, since m_ij + conj(m_ji) = 2 m_ij exactly.
+    Positivity is not enforced (partial transposes are legitimately
+    non-positive); physical inputs are expected to have eigenvalues >= -1e-9.
     """
 
     layout: ModeLayout
@@ -141,11 +170,14 @@ class DensityMatrix:
         d = self.layout.total_dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} != ({d}, {d})")
-        scale = max(1.0, float(np.abs(mat).max()))
-        dev = float(np.abs(mat - mat.conj().T).max())
-        if dev > HERMITICITY_TOL * scale:
+        peak = float(np.abs(mat).max())     # nan propagates through the max
+        if not peak <= _ENTRY_BOUND:
+            raise ValueError(f"non-finite matrix entry, or one above {_ENTRY_BOUND:.1e} in modulus")
+        adj = mat.conj().T
+        dev = float(np.abs(mat - adj).max())
+        if dev > HERMITICITY_TOL * max(1.0, peak):
             raise ValueError(f"matrix not Hermitian: max deviation {dev:.3e}")
-        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "mat", 0.5 * (mat + adj))
 
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
@@ -245,8 +277,8 @@ def partial_transpose(state: DensityMatrix, modes: Iterable[int]) -> DensityMatr
 def _ladder_word(dim: int, ndag: int, nlow: int) -> np.ndarray:
     """a†^ndag a^nlow on `dim` levels, a|n> = sqrt(n)|n-1>, built once per
     (dim, ndag, nlow); read-only."""
-    if ndag < 0 or nlow < 0:
-        raise ValueError("operator powers must be non-negative")
+    ndag = _check_cutoff(ndag, 0, "operator power")
+    nlow = _check_cutoff(nlow, 0, "operator power")
     a = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
     f = np.linalg.matrix_power(a.conj().T, ndag) @ np.linalg.matrix_power(a, nlow)
     f.flags.writeable = False

@@ -37,6 +37,7 @@ from .fock import (
     FockVector,
     ModeLayout,
     _amplitude_matrix,
+    _check_real,
     _parse_modes,
     hermitian_blocks,
     partial_transpose,
@@ -74,10 +75,9 @@ def log_negativity(state: FockVector | DensityMatrix, split: Iterable[int]) -> f
     block of its exact zero pattern at a time (parity sectors of squeezed
     inputs, zeros of the conditional map); an isolated index contributes
     its diagonal entry.  The spectrum is the same as that of one dense
-    solve.  A `DensityMatrix` is Hermitian only to `HERMITICITY_TOL`, and
-    `eigvalsh` reads one triangle, so each block is eigensolved as its
-    Hermitian part 0.5 (b + b†): the result is that of the state's Hermitian
-    part, whatever anti-Hermitian rounding the input carries.
+    solve.  A `DensityMatrix` is stored exactly Hermitian, and so is its
+    partial transpose, so each block goes to `eigvalsh`, which reads one
+    triangle, as it is.
     """
     rho = state.density() if isinstance(state, FockVector) else state
     split = _split(rho.layout, split)
@@ -87,8 +87,7 @@ def log_negativity(state: FockVector | DensityMatrix, split: Iterable[int]) -> f
     blocks, isolated = hermitian_blocks(pt)
     spectra = [pt[isolated, isolated].real]
     for b in blocks:
-        blk = pt[np.ix_(b, b)]
-        spectra.append(np.linalg.eigvalsh(0.5 * (blk + blk.conj().T))[::-1])
+        spectra.append(np.linalg.eigvalsh(pt[np.ix_(b, b)])[::-1])
     return _log2_trace_norm(np.concatenate(spectra))
 
 
@@ -161,10 +160,11 @@ def esv_mixed_ln_curve(rho: DensityMatrix) -> Callable[[float], float]:
     antisymmetric half, on the n(n-1)/2 pairs i < j (`_swap_halves`).  The two
     cross-parity blocks are eigensolved whole.  Every block and half is exactly
     symmetric and goes to `eigvalsh` unchecked.  Raises the ValueErrors of
-    `esv_mixed`: those of the input here, the annihilated-trace one when called.
+    `esv_mixed`: those of the input here, the phi and annihilated-trace ones
+    when called.
     """
     d = _check_esv_input(rho, "rho_a")
-    a = 0.5 * (rho.mat + rho.mat.conj().T)
+    a = rho.mat
     n = np.arange(d)
     if a.imag.any() or a[(n[:, None] - n) % 2 == 1].any():
         raise ValueError("esv_mixed_ln_curve needs a real input with no coherence between "
@@ -185,6 +185,7 @@ def esv_mixed_ln_curve(rho: DensityMatrix) -> Callable[[float], float]:
             solves.append((kron, rows, shift, swap))
 
     def ln_at_phi(phi: float) -> float:
+        phi = _check_real(phi, "phi")
         tr = _check_esv_trace(float(diag @ np.abs(_conditional_map(d, phi)) ** 2 @ diag))
         rot, spectra = np.exp(1j * phi), []
         for kron, rows, shift, swap in solves:

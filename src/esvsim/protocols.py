@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, ModeLayout
+from .fock import FockVector, ModeLayout, _check_real
 from .states import _pair, _sech_s
 
 __all__ = [
@@ -74,16 +74,13 @@ class KerrSpec:
     gamma: float
 
     def __post_init__(self):
-        if not np.isfinite(self.gamma):
-            raise ValueError("gamma must be finite")
+        object.__setattr__(self, "gamma", _check_real(self.gamma, "gamma"))
 
 
 def _check_squeezing(s: float, protocol: str) -> None:
     """Raise unless s is finite and positive, the domain of the closed form."""
-    if s <= 0:
+    if _check_real(s, "s") <= 0:
         raise ValueError(f"{protocol} requires s > 0")
-    if not math.isfinite(s):
-        raise ValueError("squeezing parameter must be finite")
 
 
 def entanglement_swap(s: float) -> tuple[float, float]:

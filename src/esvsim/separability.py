@@ -40,7 +40,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import FockVector, ModeLayout, _check_tail_share, _ladder_word, _product_expectations, _top_band, check_tail
+from .fock import (FockVector, ModeLayout, _check_modes, _check_tail_share, _ladder_word, _product_expectations,
+                   _top_band, check_tail)
 from .states import _parity_basis
 
 __all__ = [
@@ -177,10 +178,9 @@ def _moment_entries(state, pairs) -> list[complex]:
     The tail is checked once for all of them, as `fock.moment` does for one
     word: iff some word has a raising operator.
     """
-    _check_two_mode(state)
+    d0, d1 = _check_modes(state.layout, 2, "moment-matrix state")
     if any(i.i1 or i.i4 or j.i2 or j.i3 for i, j in pairs):
         check_tail(state, context="moment")
-    d0, d1 = state.layout.dims
     return _product_expectations(state, [(_ladder_word(d0, i.i1, i.i2) @ _ladder_word(d0, j.i2, j.i1),
                                           _ladder_word(d1, j.i3, j.i4) @ _ladder_word(d1, i.i4, i.i3))
                                          for i, j in pairs])
@@ -258,8 +258,3 @@ def _esv_minors(s: float, cutoff: int) -> Callable[[float], tuple[np.ndarray, ..
         return tuple(_hermitian_minor(idx, entries) for idx in minors)
 
     return minors_at
-
-
-def _check_two_mode(state) -> None:
-    if state.layout.nmodes != 2:
-        raise ValueError("moment-matrix tests are defined for two-mode states")

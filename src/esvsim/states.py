@@ -48,6 +48,8 @@ from .fock import (
     FockVector,
     ModeLayout,
     _check_cutoff,
+    _check_modes,
+    _check_real,
     check_tail,
 )
 
@@ -61,7 +63,6 @@ __all__ = [
     "two_mode_squeezed_vacuum",
 ]
 
-TWO_PI = 2.0 * np.pi
 _ZERO_NORM = 1e-12      # a superposition with a smaller norm is the zero vector
 _DEGENERATE = "degenerate superposition is the zero vector"
 
@@ -74,8 +75,7 @@ class SqueezeSpec:
     cutoff: int
 
     def __post_init__(self):
-        if not np.isfinite(self.s):
-            raise ValueError("squeezing parameter must be finite")
+        object.__setattr__(self, "s", _check_real(self.s, "s"))
         object.__setattr__(self, "cutoff", _check_cutoff(self.cutoff, 2))
 
 
@@ -88,8 +88,7 @@ class EsvSpec:
     cutoff: int
 
     def __post_init__(self):
-        if self.s < 0 or not math.isfinite(self.s):
-            raise ValueError("squeezing parameter must be finite and >= 0")
+        object.__setattr__(self, "s", _check_real(self.s, "s", 0.0))
         object.__setattr__(self, "cutoff", _check_cutoff(self.cutoff, 2))
         object.__setattr__(self, "phi", _wrap_phi(self.phi))
 
@@ -110,9 +109,7 @@ def _sech_s(s: float) -> float:
 
 def _wrap_phi(phi: float) -> float:
     """phi wrapped into [0, 2*pi); ValueError for a non-finite phi."""
-    if not math.isfinite(phi):
-        raise ValueError("phi must be finite")
-    return float(phi % TWO_PI)
+    return _check_real(phi, "phi") % math.tau
 
 
 def _phase_fixed(amps: np.ndarray) -> np.ndarray:
@@ -208,11 +205,10 @@ def _check_esv_input(rho: DensityMatrix, name: str) -> int:
     `esv_mixed` checks each of its two inputs, `measures.esv_mixed_ln_curve`
     its one input once.
     """
-    if rho.layout.nmodes != 1:
-        raise ValueError("esv_mixed needs two single-mode density matrices")
+    (d,) = _check_modes(rho.layout, 1, name)
     if float(np.linalg.eigvalsh(rho.mat).min()) < -1e-9 or abs(rho.trace() - 1.0) > 1e-6:
         raise ValueError(f"{name} is not a physical unit-trace state")
-    return rho.layout.dims[0]
+    return d
 
 
 def _check_esv_trace(tr: float) -> float:
@@ -245,7 +241,7 @@ def esv_mixed(rho_a: DensityMatrix, rho_b: DensityMatrix, phi: float) -> Density
     d = _check_esv_input(rho_a, "rho_a")
     if _check_esv_input(rho_b, "rho_b") != d:
         raise ValueError("input cutoffs must match")
-    t_diag = _conditional_map(d, phi).reshape(-1)
+    t_diag = _conditional_map(d, _check_real(phi, "phi")).reshape(-1)
     joint = np.kron(rho_a.mat, rho_b.mat)
     out = t_diag[:, None] * joint * t_diag.conj()[None, :]
     tr = _check_esv_trace(float(np.trace(out).real))
@@ -274,7 +270,7 @@ def displaced_overlap(alpha: complex, beta: complex, r: float) -> float:
 
 def two_mode_squeezed_vacuum(s: float, cutoff: int) -> FockVector:
     """sech(s) sum_n tanh(s)^n |n, n>."""
-    d = _check_cutoff(cutoff, 2)
+    s, d = _check_real(s, "s"), _check_cutoff(cutoff, 2)
     diag = (np.tanh(s) ** np.arange(d)) * _sech_s(s)
     amps = np.zeros((d, d), dtype=complex)
     np.fill_diagonal(amps, diag)

@@ -301,8 +301,8 @@ def test_log_negativity_matches_dense_under_tolerance_level_input_noise():
     # noise N just under HERMITICITY_TOL, on the state's own zero pattern (block
     # path) or everywhere (one dense block), would move a one-triangle spectrum
     # by up to ||N||_1 <= sqrt(n) ||N||_F (Mirsky), and log2 of a trace norm >= 1
-    # by that over ln 2; each block is solved as its Hermitian part, so the
-    # value is that of the input's Hermitian part to rounding
+    # by that over ln 2; DensityMatrix stores the input's Hermitian part, so the
+    # value is that of the Hermitian part to rounding
     rng = np.random.default_rng(23)
     g = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     states = [werner_dm(0.8), esv_pure(EsvSpec(0.6, 0.4, 8)).density(),
@@ -314,14 +314,16 @@ def test_log_negativity_matches_dense_under_tolerance_level_input_noise():
             noise = x - x.conj().T
             scale = max(1.0, float(np.abs(rho.mat).max()))
             noise *= 0.49 * HERMITICITY_TOL * scale / np.abs(noise).max()
-            noisy = DensityMatrix(rho.layout, rho.mat + noise)
-            dev = np.abs(noisy.mat - noisy.mat.conj().T).max()
+            raw = rho.mat + noise
+            dev = np.abs(raw - raw.conj().T).max()
             assert 0.9 * HERMITICITY_TOL * scale < dev <= HERMITICITY_TOL * scale
-            want = log_negativity_dense(noisy.mat, rho.layout.dims, [1])
+            noisy = DensityMatrix(rho.layout, raw)
+            herm = 0.5 * (raw + raw.conj().T)
+            assert np.array_equal(noisy.mat, herm)
+            want = log_negativity_dense(raw, rho.layout.dims, [1])
             bound = np.sqrt(len(noise)) * np.linalg.norm(noise) / np.log(2)
             assert abs(log_negativity(noisy, [1]) - want) <= bound
             assert want > 0.1
-            herm = 0.5 * (noisy.mat + noisy.mat.conj().T)
             assert abs(log_negativity(noisy, [1]) - log_negativity_dense(herm, rho.layout.dims, [1])) <= 1e-12
 
 
@@ -563,16 +565,18 @@ def test_esv_mixed_log_negativity_even_in_phi_for_equal_inputs(kind, s, sigma, p
 
 def test_esv_mixed_log_negativity_blocks_exactly_hermitian_under_input_noise(hermitian_blocks_solved):
     # inputs pass the DensityMatrix check with 1e-13 anti-Hermitian noise, real
-    # or complex; the Hermitian part of a real input stays real, and stays zero
-    # at odd offsets
+    # or complex, and are stored as their Hermitian part; the Hermitian part of a
+    # real input stays real, and stays zero at odd offsets
     rng = np.random.default_rng(5)
 
     def with_noise(rho, dtype):
         x = rng.standard_normal(rho.mat.shape).astype(dtype)
         if dtype is complex:
             x += 1j * rng.standard_normal(rho.mat.shape)
-        noisy = DensityMatrix(rho.layout, rho.mat + 1e-13 * (x - x.conj().T))
-        assert not np.array_equal(noisy.mat, noisy.mat.conj().T)
+        raw = rho.mat + 1e-13 * (x - x.conj().T)
+        assert not np.array_equal(raw, raw.conj().T)
+        noisy = DensityMatrix(rho.layout, raw)
+        assert np.array_equal(noisy.mat, 0.5 * (raw + raw.conj().T))
         return noisy
 
     thermal = noised("thermal", 0.8, 0.5, 16)

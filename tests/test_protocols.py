@@ -267,12 +267,13 @@ def test_swap_and_teleport_are_exactly_one_quarter_and_one(s, theta, alpha, beta
 
 @pytest.mark.parametrize("s", [0.0, -1.0, -np.inf, np.nan, np.inf])
 def test_swap_and_teleport_reject_squeezing_outside_the_closed_form(s):
-    # the closed form holds on every finite s > 0 and nowhere else
+    # the closed form holds on every finite s > 0 and nowhere else; a non-finite s
+    # is named by the one real-value check before the sign is tested
     for protocol, args, message in ((entanglement_swap, (s,), "swap requires s > 0"),
                                     (teleport, (QubitAmplitudes(1.0, 0.0), s), "teleportation requires s > 0")):
         with pytest.raises(ValueError) as err:
             protocol(*args)
-        assert str(err.value) == (message if s <= 0 else "squeezing parameter must be finite")
+        assert str(err.value) == (message if np.isfinite(s) else f"s must be finite, got {s!r}")
 
 
 def test_parity_weights_match_the_truncated_norms():
