@@ -7,10 +7,14 @@ declared parameter order, and values are printed with 12 significant
 digits, so reruns of the same command are byte-identical.
 
 Each command prepares shared work once per point of its leading (outer)
-parameters and then evaluates every row below it: one squeezed vacuum per
-``s`` (``eof-surface``, ``criteria``), one channel output and LN curve per ``(s, sigma)``
-(``ln-thermal``, ``ln-phase``) and one state per ``(s, phi)``
-(``ent-power``); the other commands prepare nothing and evaluate point-wise.
+parameters and then evaluates the whole inner grid below it in one call, as
+float64 columns in row-major order, returning one column per diagnostic: one
+squeezed vacuum per ``s`` and an array pass over ``phi`` (``eof-surface``,
+``criteria``), one channel output and LN curve per ``(s, sigma)``, whose
+block eigensolves run point by point (``ln-thermal``, ``ln-phase``), one
+state per ``(s, phi)`` and an array pass over ``tau`` (``ent-power``), and an
+array pass over ``r`` per ``d`` (``overlap``).  ``swap``, ``teleport`` and
+``generate`` take every parameter as outer, so each block is one point.
 
 Every truncation check warns `TruncationWarning`; ``--strict`` runs the sweep
 under ``warnings.simplefilter("error", TruncationWarning)``, so on every
@@ -38,7 +42,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -98,7 +102,9 @@ class SweepResult:
 class _Command:
     params: dict[str, tuple[float, float, int]]   # name -> default range
     diagnostics: tuple[str, ...]
-    prepare: "callable"   # (cutoff, *outer values) -> evaluate(*inner values) -> diagnostics
+    # (cutoff, *outer values) -> evaluate(*inner columns) -> one column per diagnostic:
+    # the inner grid below the outer point, as float64 arrays in row-major order
+    prepare: "callable"
     outer: int = 0        # how many leading params prepare takes
 
 
@@ -159,16 +165,16 @@ COMMANDS: dict[str, _Command] = {
         lambda cutoff, s: esv_criteria_curve(s, cutoff), outer=1),
     "swap": _Command(
         {"s": (1.0, 1.0, 1)}, ("probability", "fidelity"),
-        lambda cutoff: lambda s: entanglement_swap(s)),
+        lambda cutoff, s: lambda: entanglement_swap(s), outer=1),
     "teleport": _Command(
         _QUBIT, ("probability", "fidelity"),
-        lambda cutoff: lambda s, a0, a1: teleport(_amp_pair(a0, a1), s)),
+        lambda cutoff, s, a0, a1: lambda: teleport(_amp_pair(a0, a1), s), outer=3),
     "generate": _Command(
         _QUBIT, ("p_plus", "p_minus", "fid_schemes", "fid_esv"),
-        lambda cutoff: lambda s, a0, a1: _generate(s, a0, a1, cutoff)),
+        lambda cutoff, s, a0, a1: lambda: _generate(s, a0, a1, cutoff), outer=3),
     "overlap": _Command(
         {"d": (2.0, 2.0, 1), "r": (0.0, 2.0, 41)}, ("overlap",),
-        lambda cutoff: lambda d, r: (displaced_overlap(0.0, d, r),)),
+        lambda cutoff, d: lambda r: (displaced_overlap(0.0, d, r),), outer=1),
 }
 
 
@@ -176,22 +182,31 @@ def run(config: SweepConfig) -> SweepResult:
     """Evaluate the sweep; rows come out in row-major grid order.
 
     The command's `prepare` runs once per point of its outer parameters, and
-    the `evaluate` it returns once per row of the inner grid below that point.
+    the `evaluate` it returns once per such point, on the whole inner grid below
+    it as columns.  The block of rows is checked for finiteness at once, and the
+    first non-finite row in row-major order is named.
     """
     cmd = COMMANDS[config.command]
-    axes = [tuple(float(v) for v in np.linspace(*config.ranges.get(name, default)))
-            for name, default in cmd.params.items()]
+    axes = [np.linspace(*config.ranges.get(name, default)).tolist() for name, default in cmd.params.items()]
+    inner = [np.array(column) for column in zip(*product(*axes[cmd.outer:]))]
     result = SweepResult(header=list(cmd.params) + list(cmd.diagnostics))
+    # the rows of one outer point: its inner columns are the same for every block
+    block = np.empty((math.prod(map(len, axes[cmd.outer:])), len(result.header)))
+    for k, column in enumerate(inner, cmd.outer):
+        block[:, k] = column
     with warnings.catch_warnings():
         if config.strict:
             warnings.simplefilter("error", TruncationWarning)
         for outer in product(*axes[:cmd.outer]):
             evaluate = cmd.prepare(config.cutoff, *outer)
-            for inner in product(*axes[cmd.outer:]):
-                row = outer + inner + tuple(float(x) for x in evaluate(*inner))
-                if not all(map(math.isfinite, row)):
-                    raise ValueError(f"non-finite diagnostic at {dict(zip(cmd.params, row))}")
-                result.rows.append(row)
+            block[:, :cmd.outer] = outer
+            for k, column in enumerate(evaluate(*inner), len(cmd.params)):
+                block[:, k] = column
+            rows = block.tolist()
+            if not all(map(math.isfinite, chain.from_iterable(rows))):
+                row = next(row for row in rows if not all(map(math.isfinite, row)))   # the first in row-major order
+                raise ValueError(f"non-finite diagnostic at {dict(zip(cmd.params, row))}")
+            result.rows.extend(map(tuple, rows))
             del evaluate   # free this preparation before the next one is built
     return result
 

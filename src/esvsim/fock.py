@@ -7,13 +7,15 @@ never mutated, so values can be shared freely across threads.  States and
 spectra are freshly allocated; `_ladder_word` returns shared, cached,
 read-only arrays.  `_product_expectations` is the one contraction of a state
 with operators: `moment` and the moment-matrix minors of `separability` call
-it, and `separability.esv_criteria_curve` calls it on a 2 x 2 coefficient
-matrix with operators projected onto a two-ket basis.
+it.  (`separability.esv_criteria_curve` contracts no state: it contracts a
+stack of 2 x 2 coefficient matrices with operators projected onto a two-ket
+basis.)
 
 Each kind of argument has one validator here, which every module calls where
 the argument enters: `_check_cutoff` for integers (cutoffs, mode dimensions,
 operator powers), `_check_real` for real parameters (finite, with an optional
-minimum) and `_check_modes` for the number of modes a state must have.  A
+minimum; an array of them too, such as the inner axis of a sweep) and
+`_check_modes` for the number of modes a state must have.  A
 `DensityMatrix` is stored finite and exactly Hermitian, so no caller
 re-symmetrizes one.
 
@@ -66,13 +68,29 @@ def _check_cutoff(cutoff, minimum: int, name: str = "cutoff") -> int:
     return cutoff
 
 
-def _check_real(value, name: str, minimum: float = -math.inf) -> float:
-    """`value` as a float: ValueError unless it is finite and at least `minimum`
-    (nan and ±inf fail), with a message that calls it `name`."""
-    if not (math.isfinite(value) and value >= minimum):
-        bound = "" if minimum == -math.inf else f" and >= {minimum:g}"
-        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
-    return float(value)
+def _check_real(value, name: str, minimum: float = -math.inf):
+    """`value` as a float, or a real array as a float64 array: TypeError unless it is
+    real (a Python int or float, or a numpy number or array of bool, integer or float
+    kind), ValueError unless every entry is finite and at least `minimum` (nan, ±inf
+    and an int beyond the float range fail).  The messages call it `name`; an array's
+    names its first failing entry in row-major order."""
+    bound = "" if minimum == -math.inf else f" and >= {minimum:g}"
+    if isinstance(value, (int, float)):     # bool and numpy.float64 too; no ABC lookup
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if not (math.isfinite(x) and x >= minimum):
+            raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+        return x
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "biuf":
+        raise TypeError(f"{name} must be a real number or array, got {value!r}")
+    arr = arr.astype(float, copy=False)
+    bad = ~(np.isfinite(arr) & (arr >= minimum))
+    if bad.any():
+        raise ValueError(f"{name} must be finite{bound}, got {float(arr[bad][0])!r}")
+    return arr if arr.ndim else float(arr)
 
 
 class TruncationWarning(UserWarning):
@@ -227,18 +245,19 @@ def check_tail(state, context: str = "operation") -> None:
     _check_tail_share(tail_mass(state), total, context, stacklevel=3)
 
 
-def _check_tail_share(mass: float, total: float, context: str, stacklevel: int) -> None:
-    """`check_tail`'s test and warning on a tail mass and total computed elsewhere.
+def _check_tail_share(mass, total, context: str, stacklevel: int) -> None:
+    """`check_tail`'s test and warning on a tail mass and total computed elsewhere,
+    floats or arrays of one shape: one warning per point whose share fails.
 
     `stacklevel` counts from the caller, as it does for `warnings.warn`.
     """
-    if total > 0 and mass <= TAIL_THRESHOLD * total:
-        return
-    warnings.warn(
-        f"{context}: Fock-tail mass above {TAIL_THRESHOLD:.0e}; results may be truncation-limited",
-        TruncationWarning,
-        stacklevel=stacklevel + 1,
-    )
+    failing = np.count_nonzero(np.logical_not((total > 0) & (mass <= TAIL_THRESHOLD * total)))
+    for _ in range(failing):
+        warnings.warn(
+            f"{context}: Fock-tail mass above {TAIL_THRESHOLD:.0e}; results may be truncation-limited",
+            TruncationWarning,
+            stacklevel=stacklevel + 1,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -131,8 +131,11 @@ def _sign_weight(rot: complex) -> np.ndarray:
     return np.outer(x, x) + np.outer(y, y) + rot.real * (z[:, None] + z) + rot.imag * (np.outer(z, z) - 1.0)
 
 
-def esv_mixed_ln_curve(rho: DensityMatrix) -> Callable[[float], float]:
+def esv_mixed_ln_curve(rho: DensityMatrix) -> Callable:
     """phi -> ``log_negativity(esv_mixed(rho, rho, phi), [1])`` from the d x d input.
+
+    phi is a float or an array; the curve checks it whole, then eigensolves
+    each of its points in row-major order and returns values of its shape.
 
     The input must be real and have no coherence between photon numbers of
     opposite parity (no nonzero entry at an odd offset n - m), as the
@@ -185,7 +188,6 @@ def esv_mixed_ln_curve(rho: DensityMatrix) -> Callable[[float], float]:
             solves.append((kron, rows, shift, swap))
 
     def ln_at_phi(phi: float) -> float:
-        phi = _check_real(phi, "phi")
         tr = _check_esv_trace(float(diag @ np.abs(_conditional_map(d, phi)) ** 2 @ diag))
         rot, spectra = np.exp(1j * phi), []
         for kron, rows, shift, swap in solves:
@@ -197,7 +199,11 @@ def esv_mixed_ln_curve(rho: DensityMatrix) -> Callable[[float], float]:
                 spectra += _half_spectra(kron * table.take(rows, 1), crossed * table.take(cols, 1), off)
         return _log2_trace_norm(np.concatenate(spectra) / tr)
 
-    return ln_at_phi
+    def ln_curve(phi):
+        phi = np.asarray(_check_real(phi, "phi"))
+        return np.array([ln_at_phi(p) for p in phi.ravel().tolist()]).reshape(phi.shape)[()]
+
+    return ln_curve
 
 
 def eof_pure(state: FockVector, split: Iterable[int]) -> float:
@@ -212,8 +218,11 @@ def eof_pure(state: FockVector, split: Iterable[int]) -> float:
     return float(-(ev * np.log2(ev)).sum())
 
 
-def esv_pure_eof_curve(s: float, cutoff: int) -> Callable[[float], float]:
+def esv_pure_eof_curve(s: float, cutoff: int) -> Callable:
     """phi -> ``eof_pure(esv_pure(EsvSpec(s, phi, cutoff)), [0])`` from the 2 x 2 Gram matrix.
+
+    phi is a float or an array: the curve evaluates every point of it in one
+    array pass and returns values of its shape.
 
     The amplitude matrix is X C Xᵀ up to norm and phase, X = [e, o] over the
     parity basis of `states._parity_basis`, which also checks s, the cutoff and
@@ -230,13 +239,12 @@ def esv_pure_eof_curve(s: float, cutoff: int) -> Callable[[float], float]:
     _, (even, odd), coefficients = _parity_basis(s, cutoff)
     a, c2 = 4.0 * even * odd, (even - odd) ** 2
 
-    def eof_at_phi(phi: float) -> float:
+    def eof_at_phi(phi):
         b = 2.0 * c2 * coefficients(phi)[0] ** 2
-        lam_plus = 0.5 + 0.5 * math.sqrt(b * (2.0 * a + b)) / (a + b)
+        lam_plus = 0.5 + 0.5 * np.sqrt(b * (2.0 * a + b)) / (a + b)
         lam_minus = (0.5 * a / (a + b)) ** 2 / lam_plus
-        eof = 0.0 - lam_plus * math.log2(lam_plus)      # lambda+ >= 1/2
-        if lam_minus > EIG_ZERO_BAND:
-            eof -= lam_minus * math.log2(lam_minus)
-        return eof
+        kept = lam_minus > EIG_ZERO_BAND
+        log_minus = np.log2(lam_minus, out=np.zeros_like(lam_minus), where=kept)
+        return (0.0 - lam_plus * np.log2(lam_plus) - lam_minus * log_minus)[()]     # lambda+ >= 1/2
 
     return eof_at_phi

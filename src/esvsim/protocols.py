@@ -123,19 +123,21 @@ def _conditional(branches: np.ndarray, outcome: str) -> tuple[np.ndarray, float]
     """Measure the ancilla of sum_q branches[..., q] ⊗ |q> in the |+-> basis.
 
     Returns the unnormalized conditional state (b0 +- b1)/sqrt(2) and its
-    probability, relative to the joint state's squared norm.
+    probability n± / (n+ + n-), n± the squared norms of both outcomes' states:
+    rounding keeps fl(n+ + n-) >= n±, so it is at most 1 by construction.
     """
-    norm2 = float(np.vdot(branches, branches).real)
-    if norm2 == 0.0:
+    b0, b1 = branches[..., 0], branches[..., 1]
+    vecs = {"+": (b0 + b1) / np.sqrt(2.0), "-": (b0 - b1) / np.sqrt(2.0)}
+    norms = {sign: float(np.vdot(vec, vec).real) for sign, vec in vecs.items()}
+    total = norms["+"] + norms["-"]
+    if total == 0.0:
         raise ValueError("cannot normalize the zero vector")
     if outcome not in ("+", "-"):
         raise ValueError("outcome must be '+' or '-'")
-    sign = 1.0 if outcome == "+" else -1.0
-    vec = (branches[..., 0] + sign * branches[..., 1]) / np.sqrt(2.0)
-    prob = float(np.vdot(vec, vec).real) / norm2
+    prob = norms[outcome] / total
     if prob < 1e-14:
         raise ValueError("conditional state is null for this outcome")
-    return vec, prob
+    return vecs[outcome], prob
 
 
 def generate_scheme_a(s: float, ancilla: QubitAmplitudes, outcome: str,

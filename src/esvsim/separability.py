@@ -26,13 +26,12 @@ The entangled squeezed vacuum lies in span{e, o} (x) span{e, o}, e and o the
 |4k> and |4k + 2> parts of the squeezed vacuum, so `esv_criteria_curve`, which
 the `criteria` sweep uses, evaluates all three minors on its 2 x 2 coefficient
 matrix over that parity basis: each word is projected onto the basis once per
-squeezing, and `fock` contracts the 2 x 2 matrix with the projections.  The
-minors on `states.esv_pure` are its reference.
+squeezing, and one `einsum` contracts the 2 x 2 matrices of every phi with the
+projections.  The minors on `states.esv_pure` are its reference.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -40,8 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import (FockVector, ModeLayout, _check_modes, _check_tail_share, _ladder_word, _product_expectations,
-                   _top_band, check_tail)
+from .fock import _check_modes, _check_tail_share, _ladder_word, _product_expectations, _top_band, check_tail
 from .states import _parity_basis
 
 __all__ = [
@@ -146,30 +144,38 @@ def _selected(selector: MinorSelector) -> list[MomentIndex]:
     return [order[r - 1] for r in selector.rows]
 
 
-def _determinant(minor: np.ndarray) -> float:
-    """The determinant of a Hermitian minor, as the product of its eigenvalues.
+def _determinant(minor: np.ndarray):
+    """The determinant of a Hermitian minor, or of each of a stack of them, as the
+    product of its eigenvalues.
 
     LU (`np.linalg.det`) can pivot on a subnormal entry and return nan; the
     eigenvalues of a Hermitian matrix are real and finite.
     """
-    return float(np.prod(np.linalg.eigvalsh(minor)))
+    return np.prod(np.linalg.eigvalsh(minor), axis=-1)[()]
 
 
 def _moment_minor(state, indices) -> np.ndarray:
     """The principal minor of M(rho^PT) on `indices`, evaluated on the state."""
-    return _hermitian_minor(indices, lambda pairs: _moment_entries(state, pairs))
+    return _hermitian_minor(np.asarray(_moment_entries(state, _upper_pairs(indices))), len(indices))
 
 
-def _hermitian_minor(indices, entries) -> np.ndarray:
-    """The principal minor of M(rho^PT) on `indices`, from `entries`, which maps a
-    list of (i, j) pairs to their M_ij.  M_ji = conj(M_ij), so only the entries with
-    i <= j are evaluated: the lower triangle mirrors them, the diagonal is real."""
-    k = len(indices)
+def _upper_pairs(indices) -> list[tuple[MomentIndex, MomentIndex]]:
+    """The (i, j) of the upper triangle of the minor on `indices`, row by row."""
+    return [(indices[p], indices[q]) for p, q in zip(*np.triu_indices(len(indices)))]
+
+
+def _hermitian_minor(upper: np.ndarray, k: int) -> np.ndarray:
+    """The k x k principal minor of M(rho^PT) whose entries M_ij at the `_upper_pairs`
+    lie along the last axis of `upper`; any leading axes give a stack of minors.
+    M_ji = conj(M_ij), so only the entries with i <= j are evaluated: the lower
+    triangle mirrors them, the diagonal is real."""
     rows, cols = np.triu_indices(k)
-    m = np.zeros((k, k), dtype=complex)
-    m[rows, cols] = entries([(indices[p], indices[q]) for p, q in zip(rows, cols)])
-    upper = np.triu(m, 1)
-    return upper + upper.conj().T + np.diag(m.diagonal().real)
+    diagonal = np.arange(k)
+    m = np.empty(upper.shape[:-1] + (k, k), dtype=complex)
+    m[..., cols, rows] = upper.conj()
+    m[..., rows, cols] = upper
+    m[..., diagonal, diagonal] = m[..., diagonal, diagonal].real
+    return m
 
 
 def _moment_entries(state, pairs) -> list[complex]:
@@ -205,56 +211,77 @@ def esv_criterion_det(state) -> float:
     return _determinant(_moment_minor(state, _ESV_CRITERION_INDICES))
 
 
-def esv_criteria_curve(s: float, cutoff: int) -> Callable[[float], tuple[float, float, float]]:
+def esv_criteria_curve(s: float, cutoff: int) -> Callable:
     """phi -> (`simon_det`, `duan_det`, `esv_criterion_det`) of ``esv_pure(EsvSpec(s, phi, cutoff))``,
     from the 2 x 2 parity coefficient matrix.
+
+    phi is a float or an array, and each of the three values has its shape: the
+    curve evaluates every point in one array pass, and each minor is one stacked
+    eigensolve.
 
     The amplitude matrix of Psi(phi) is X C Xᵀ up to a global phase, C divided
     by its norm, over the parity basis X = [e, o] of `states._parity_basis`
     (whose module docstring derives it), which also checks s, the cutoff and
-    the tail once, and per phi wraps phi and raises `esv_pure`'s ValueError for
-    a degenerate superposition.
+    the tail once, and checks and wraps phi and raises `esv_pure`'s ValueError
+    for a degenerate superposition.
 
-    Each minor entry <A ⊗ B> (module docstring) is then vdot(C, (XᴴAX) C (XᴴBX)ᵀ):
-    `fock._product_expectations` on C as a 2 x 2 two-mode state.  With
-    L(p, q) = a†^p a^q, A = L(i1, i2) L(j2, j1) projects to
+    Each minor entry <A ⊗ B> (module docstring) is then vdot(C, (XᴴAX) C (XᴴBX)ᵀ),
+    contracted for every entry of the three minors at every phi in one `einsum`
+    (`_coefficient_expectations`).
+    With L(p, q) = a†^p a^q, A = L(i1, i2) L(j2, j1) projects to
     (L(i2, i1) X)ᴴ (L(j2, j1) X), and B = L(j3, j4) L(i4, i3) to
     (L(j4, j3) X)ᴴ (L(i4, i3) X); each 2 x 2 projection is formed once per curve.
 
-    Per phi the joint tail of Psi is judged as `check_tail` judges it, in the
-    context "moment" of the minors' check.  Its mass, on the basis states with a
-    mode in the top band, is ||X_b C Xᵀ||² + ||X_l C X_bᵀ||², X_b and X_l the rows
-    of X in the band and below it: sums of non-negative terms over the Gram
-    diagonals.
+    At each phi the joint tail of Psi is judged as `check_tail` judges it, in the
+    context "moment" of the minors' check, one warning per failing point.  Its
+    mass, on the basis states with a mode in the top band, is
+    ||X_b C Xᵀ||² + ||X_l C X_bᵀ||², X_b and X_l the rows of X in the band and below
+    it: sums of non-negative terms over the Gram diagonals.
     """
     minors_at = _esv_minors(s, cutoff)
     return lambda phi: tuple(_determinant(minor) for minor in minors_at(phi))
 
 
-def _esv_minors(s: float, cutoff: int) -> Callable[[float], tuple[np.ndarray, ...]]:
-    """phi -> the Simon, Duan and ESV-criterion minors of `esv_criteria_curve`."""
+def _coefficient_expectations(coeffs: np.ndarray, proj_a: np.ndarray, proj_b: np.ndarray) -> np.ndarray:
+    """vdot(C, A C Bᵀ) for every 2 x 2 coefficient matrix C of the stack `coeffs` and
+    every pair (A, B) of the projection stacks: shape ``coeffs.shape[:-2] + (pairs,)``."""
+    return np.einsum("...kl,pkm,...mn,pln->...p", coeffs.conj(), proj_a, coeffs, proj_b)
+
+
+@lru_cache(maxsize=None)
+def _esv_minor_layout() -> tuple[list[tuple[int, int]], np.ndarray, list[tuple[int, np.ndarray]]]:
+    """The s-free layout of `_esv_minors`: the ladder words L(p, q) = a†^p a^q, as (p, q),
+    that the projections need; per distinct upper-triangle pair (i, j) of the Simon, Duan
+    and ESV-criterion minors, the positions in that list of L(i2, i1), L(j2, j1),
+    L(j4, j3) and L(i4, i3); and per minor, its size k and the positions of its
+    `_upper_pairs` among those pairs."""
+    minors = (_selected(SIMON_SELECTOR), _selected(DUAN_SELECTOR), _ESV_CRITERION_INDICES)
+    upper = [_upper_pairs(idx) for idx in minors]
+    pairs = list(dict.fromkeys(pair for minor in upper for pair in minor))
+    factors = [((i.i2, i.i1), (j.i2, j.i1), (j.i4, j.i3), (i.i4, i.i3)) for i, j in pairs]
+    words = list(dict.fromkeys(word for four in factors for word in four))
+    return (words, np.array([[words.index(word) for word in four] for four in factors]).T,
+            [(len(idx), np.array([pairs.index(pair) for pair in minor])) for idx, minor in zip(minors, upper)])
+
+
+def _esv_minors(s: float, cutoff: int) -> Callable[..., tuple[np.ndarray, ...]]:
+    """phi -> the Simon, Duan and ESV-criterion minors of `esv_criteria_curve`, each
+    of shape ``phi.shape + (k, k)``."""
     x, diag, coefficients = _parity_basis(s, cutoff)
     squares, below = x * x, cutoff - _top_band(cutoff)
     gram, top, low = np.array(diag), squares[below:].sum(axis=0), squares[:below].sum(axis=0)
-    minors = (_selected(SIMON_SELECTOR), _selected(DUAN_SELECTOR), _ESV_CRITERION_INDICES)
+    words, (a_left, a_right, b_left, b_right), minors = _esv_minor_layout()
+    projected = np.array([_ladder_word(cutoff, ndag, nlow) @ x for ndag, nlow in words])
+    # every upper-triangle pair of the three minors once, with its two projections
+    proj_a = projected[a_left].conj().swapaxes(-1, -2) @ projected[a_right]
+    proj_b = projected[b_left].conj().swapaxes(-1, -2) @ projected[b_right]
 
-    @lru_cache(maxsize=None)
-    def word(ndag: int, nlow: int) -> np.ndarray:
-        return _ladder_word(cutoff, ndag, nlow) @ x
-
-    @lru_cache(maxsize=None)
-    def projected(i: MomentIndex, j: MomentIndex) -> tuple[np.ndarray, np.ndarray]:
-        return (word(i.i2, i.i1).conj().T @ word(j.i2, j.i1), word(j.i4, j.i3).conj().T @ word(i.i4, i.i3))
-
-    def minors_at(phi: float) -> tuple[np.ndarray, ...]:
-        c, sn, norm2 = coefficients(phi)
-        weight = np.array([[c * c, sn * sn], [sn * sn, c * c]])     # |C|² before the norm
-        _check_tail_share(float(top @ weight @ gram + low @ weight @ top), norm2, "moment", stacklevel=3)
-        coeffs = FockVector(ModeLayout((2, 2)), np.array([[c, 1j * sn], [-1j * sn, -c]]) / math.sqrt(norm2))
-
-        def entries(pairs):
-            return _product_expectations(coeffs, [projected(i, j) for i, j in pairs])
-
-        return tuple(_hermitian_minor(idx, entries) for idx in minors)
+    def minors_at(phi) -> tuple[np.ndarray, ...]:
+        c, sn, norm2 = map(np.asarray, coefficients(phi))
+        weight = np.stack([c * c, sn * sn, sn * sn, c * c], axis=-1).reshape(c.shape + (2, 2))  # |C|² before the norm
+        _check_tail_share(top @ weight @ gram + low @ weight @ top, norm2, "moment", stacklevel=3)
+        coeffs = np.stack([c, 1j * sn, -1j * sn, -c], axis=-1).reshape(c.shape + (2, 2))
+        values = _coefficient_expectations(coeffs / np.sqrt(norm2)[..., None, None], proj_a, proj_b)
+        return tuple(_hermitian_minor(values[..., upper], k) for k, upper in minors)
 
     return minors_at

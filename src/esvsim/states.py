@@ -173,19 +173,21 @@ def _parity_basis(s: float, cutoff: int) -> tuple[np.ndarray, tuple[float, float
     norm2 the squared norm of X C Xᵀ (module docstring), for |Psi(phi)> at (s, cutoff).
 
     s and the cutoff are checked as `EsvSpec` checks them, then the squeezed
-    vacuum's tail once.  Per phi, phi is wrapped as `EsvSpec` wraps it, and a
-    norm 2 sqrt(norm2) below `_ZERO_NORM` raises `esv_pure`'s ValueError.
+    vacuum's tail once.  phi is a float or an array, and the three values have
+    its shape: it is checked and wrapped as `EsvSpec` wraps it, and a norm
+    2 sqrt(norm2) below `_ZERO_NORM` at any of its points raises `esv_pure`'s
+    ValueError.
     """
     x = _parity_split(s, EsvSpec(s, 0.0, cutoff).cutoff)
     even, odd = float((x[0::4, 0] ** 2).sum()), float((x[2::4, 1] ** 2).sum())
     squares = even * even + odd * odd
     cross = 2.0 * even * odd
 
-    def coefficients(phi: float) -> tuple[float, float, float]:
+    def coefficients(phi):
         half = 0.5 * _wrap_phi(phi)
-        c, sn = math.cos(half), math.sin(half)
+        c, sn = np.cos(half), np.sin(half)
         norm2 = c * c * squares + sn * sn * cross
-        if 2.0 * math.sqrt(norm2) < _ZERO_NORM:
+        if (2.0 * np.sqrt(norm2) < _ZERO_NORM).any():
             raise ValueError(_DEGENERATE)
         return c, sn, norm2
 
@@ -248,24 +250,26 @@ def esv_mixed(rho_a: DensityMatrix, rho_b: DensityMatrix, phi: float) -> Density
     return DensityMatrix(ModeLayout((d, d)), out / tr)
 
 
-def displaced_overlap(alpha: complex, beta: complex, r: float) -> float:
+def displaced_overlap(alpha: complex, beta: complex, r):
     """|<alpha,+r | beta,-r>|^2 for oppositely squeezed displaced states.
 
     Closed form exp(-|beta-alpha|^2 / cosh 2r) / cosh 2r; it decreases
     monotonically in |beta - alpha| and, at fixed separation d > 1, is
-    maximized over r at r = arccosh(d^2)/2.  A nan or infinite argument
-    raises ValueError naming it.
+    maximized over r at r = arccosh(d^2)/2.  r is a float or an array, and the
+    overlap has its shape.  A nan or infinite argument raises ValueError naming it.
     """
-    for name, value in (("alpha", alpha), ("beta", beta), ("r", r)):
+    for name, value in (("alpha", alpha), ("beta", beta)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    sech = _sech_2s(abs(r))
+    x = np.exp(-2.0 * np.abs(_check_real(r, "r")))
+    sech = 2.0 * x / (1.0 + x * x)      # `_sech_2s` of |r|, on an array
     delta = complex(beta) - complex(alpha)
     # a float sum of squares saturates at inf, where the abs() of a complex
     # and ** 2 raise OverflowError; with sech 2r = 0 the overlap is 0, also
     # where inf * 0 would give nan
     dist2 = delta.real * delta.real + delta.imag * delta.imag
-    return float(np.exp(-dist2 * sech) * sech) if sech else 0.0
+    exponent = np.multiply(dist2, sech, out=np.full_like(sech, np.inf), where=sech > 0)
+    return (np.exp(-exponent) * sech)[()]
 
 
 def two_mode_squeezed_vacuum(s: float, cutoff: int) -> FockVector:

@@ -24,8 +24,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from esvsim import (DensityMatrix, EsvSpec, FockVector, KerrSpec, ModeLayout, SqueezeSpec, TruncationWarning,
-                    esv_pure, squeezed_vacuum, two_mode_squeezed_vacuum)
+from esvsim import (DensityMatrix, EsvSpec, FockVector, JcSpec, KerrSpec, ModeLayout, SqueezeSpec, TruncationWarning,
+                    esv_pure, jc_unitary, log_negativity, squeezed_vacuum, two_mode_squeezed_vacuum)
 from esvsim.fock import _I_POW, TAIL_THRESHOLD, _amplitude_matrix, _band_mask, check_tail
 from esvsim.separability import MAX_WEIGHT, _moment_entries
 from esvsim.states import _pair, _sech_2s, _superpose
@@ -434,6 +434,27 @@ def entangling_power_joint(state_array, dims, tau):
     else:
         joint = evolve @ state @ evolve.conj().T
     return np.einsum("iajbkalb->ijkl", joint.reshape((2, da, 2, db) * 2)).reshape(4, 4)
+
+
+def entangling_power_kraus(state, tau):
+    """`dynamics.entangling_power` at one tau through the JC unitary's Kraus operators.
+
+    K[q] = <q|U|g>, sliced from `jc_unitary`, and the qubit state (mode 0's qubit
+    first) is rho[pq, rs] = Tr[(K_p (x) K_q) rho (K_r (x) K_s)†], or M M† with
+    M = (K_p (x) K_q) psi for a vector psi; its log-negativity is
+    `measures.log_negativity`'s.  The library forms no unitary.
+    """
+    da, db = state.layout.dims
+    ka = jc_unitary(JcSpec(tau, da))[:, :da].reshape(2, da, da)
+    kb = jc_unitary(JcSpec(tau, db))[:, :db].reshape(2, db, db)
+    if isinstance(state, FockVector):
+        m = ((ka @ state.as_tensor())[:, None] @ kb.transpose(0, 2, 1)).reshape(4, -1)  # K_p psi K_qᵀ
+        qubits = m @ m.conj().T
+    else:
+        rho = state.mat.reshape(state.layout.dims * 2)
+        qubits = np.einsum("pij,qkl,jlmn,rim,skn->pqrs", ka, kb, rho, ka.conj(), kb.conj(),
+                           optimize=True).reshape(4, 4)
+    return log_negativity(DensityMatrix(ModeLayout((2, 2)), qubits), [1])
 
 
 # The padded circuits of swapping, teleportation and generation: the joint

@@ -186,10 +186,10 @@ def test_a_canonical_line_parses_as_the_parser_parses_it(argv):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_non_finite_diagnostic_exits_3_naming_the_point(bad, monkeypatch, capsys):
-    # a finite row at r = 0, then the non-finite one at r = 1
+    # a finite row at r = 0, then the non-finite one at r = 1, in one block of columns
     cmd = COMMANDS["overlap"]
     monkeypatch.setitem(COMMANDS, "overlap",
-                        dataclasses.replace(cmd, prepare=lambda cutoff: lambda d, r: (bad if r else 0.5,)))
+                        dataclasses.replace(cmd, prepare=lambda cutoff, d: lambda r: (np.where(r > 0, bad, 0.5),)))
     assert main(["overlap", "d=2", "r=0..1:2"]) == 3
     assert capsys.readouterr().err == "error: numeric-guard: non-finite diagnostic at {'d': 2.0, 'r': 1.0}\n"
 
@@ -295,36 +295,38 @@ def test_subnormal_criteria_minor_prints_the_zeros_row(capsys):
 
 def test_criteria_contracts_only_the_2x2_coefficient_matrix(monkeypatch):
     # the sweep builds no two-mode Fock state: every minor entry is a contraction of the
-    # 2 x 2 parity coefficient matrix, and esv_pure is never called
+    # 2 x 2 parity coefficient matrix, one stack of them per s, and esv_pure is never called
     import esvsim.cli as cli
     import esvsim.fock as fock
     import esvsim.separability as separability
     import esvsim.states as states
 
-    sizes, built = [], []
-    contract = fock._product_expectations
+    stacks, contracted, built = [], [], []
+    expectations = separability._coefficient_expectations
 
-    def spy(state, pairs):
-        sizes.append(state.layout.total_dim)
-        return contract(state, pairs)
+    def spy(coeffs, proj_a, proj_b):
+        stacks.append(coeffs.shape)
+        return expectations(coeffs, proj_a, proj_b)
 
+    monkeypatch.setattr(separability, "_coefficient_expectations", spy)
     for module in (fock, separability):
-        monkeypatch.setattr(module, "_product_expectations", spy)
+        monkeypatch.setattr(module, "_product_expectations", lambda state, pairs: contracted.append(state))
     for module in (cli, states):
         monkeypatch.setattr(module, "esv_pure", lambda spec: built.append(spec))
     assert main(["criteria", "s=0.2..1:3", "phi=0..3.141592653589793:3"]) == 0
-    assert built == []
-    assert len(sizes) == 27 and set(sizes) == {4}
+    assert built == [] and contracted == []
+    assert stacks == [(3, 2, 2)] * 3
 
 
 def test_runtime_warning_raised_as_error_exits_3(monkeypatch, capsys):
     # under PYTHONWARNINGS=error::RuntimeWarning, as CI runs the console script, a warning
     # raised in a sweep is a numeric-guard error, not a traceback
-    def evaluate(d, r):
+    def evaluate(r):
         warnings.warn("divide by zero encountered in log", RuntimeWarning)
-        return (0.5,)
+        return (np.full_like(r, 0.5),)
 
-    monkeypatch.setitem(COMMANDS, "overlap", dataclasses.replace(COMMANDS["overlap"], prepare=lambda cutoff: evaluate))
+    monkeypatch.setitem(COMMANDS, "overlap",
+                        dataclasses.replace(COMMANDS["overlap"], prepare=lambda cutoff, d: evaluate))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["overlap", "d=2", "r=0"]) == 3
@@ -431,9 +433,12 @@ def test_readme_sweeps_reproduce_the_value_record(argv):
 
 
 def _command_lines(text):
-    """The esvsim command lines of a text, as argument lists without --strict or a comment."""
-    return [[arg for arg in line.split("#")[0].split()[1:] if arg != "--strict"]
-            for line in map(str.strip, text.splitlines()) if line.startswith("esvsim ")]
+    """The esvsim command lines of a text, as argument lists without --strict or a comment;
+    a line may capture its output, ``out=$(esvsim ...)``."""
+    lines = [line.split("#")[0].strip() for line in text.splitlines()]
+    lines = [line[len("out=$("):-1] if line.startswith("out=$(esvsim ") and line.endswith(")") else line
+             for line in lines]
+    return [[arg for arg in line.split()[1:] if arg != "--strict"] for line in lines if line.startswith("esvsim ")]
 
 
 def test_ci_runs_every_readme_command_line():
@@ -542,7 +547,8 @@ def _ln_oracle(channel):
     return ln
 
 
-# last column of a row from its parameters, at cutoff 10
+# last column of a block of rows from its outer point and its inner column, at cutoff
+# 10: the library curve evaluated as run evaluates it, on the whole column at once
 ROW_ORACLES = {
     "eof-surface": lambda s, phi: esv_pure_eof_curve(s, 10)(phi),
     "ln-thermal": _ln_oracle(thermal_channel),
@@ -570,8 +576,9 @@ def test_prepare_runs_once_per_outer_point(command, monkeypatch):
     assert calls == list(dict.fromkeys(row[:cmd.outer] for row in rows))
     assert len(calls) == 2 ** cmd.outer
     if command in ROW_ORACLES:
-        for row in rows:
-            assert row[-1] == ROW_ORACLES[command](*row[:-1])
+        for outer in calls:
+            block = np.array([row for row in rows if row[:cmd.outer] == outer])
+            assert block[:, -1].tolist() == ROW_ORACLES[command](*outer, block[:, cmd.outer]).tolist()
 
 
 def _run_python(code):

@@ -88,9 +88,9 @@ def finite_in(lo, hi):
 
 
 def state_and_probability(out):
-    # a ratio of squared norms; at probability 1 rounding can put it an ulp above
+    # n / (n + m) of two squared norms, which rounding keeps at most 1
     state, prob = out
-    return unit(state) and 0.0 <= prob <= 1.0 + 1e-12
+    return unit(state) and 0.0 <= prob <= 1.0
 
 
 def exactly_hermitian(rho):
@@ -192,8 +192,13 @@ def test_public_api_returns_in_range_or_names_the_argument(case, data):
     (lambda: two_mode_squeezed_vacuum(np.inf, 10), ValueError, "s must be finite"),
     (lambda: moment(squeezed_vacuum(SqueezeSpec(0.5, 6)), [(0, 1.5, 0)]), TypeError,
      "operator power must be an integer"),
+    (lambda: SqueezeSpec(None, 10), TypeError, "s must be a real number"),
+    (lambda: SqueezeSpec("1.5", 10), TypeError, "s must be a real number"),
+    (lambda: SqueezeSpec(10 ** 400, 10), ValueError, "s must be finite"),
+    (lambda: SqueezeSpec(np.complex128(1 + 1j), 10), TypeError, "s must be a real number"),
 ], ids=["esv_mixed-nan", "esv_mixed-inf", "DensityMatrix-nan", "DensityMatrix-inf", "esv_mixed_ln_curve-nan",
-        "log_negativity-nan", "two_mode_squeezed_vacuum-nan", "two_mode_squeezed_vacuum-inf", "moment-float-power"])
+        "log_negativity-nan", "two_mode_squeezed_vacuum-nan", "two_mode_squeezed_vacuum-inf", "moment-float-power",
+        "SqueezeSpec-None", "SqueezeSpec-str", "SqueezeSpec-huge-int", "SqueezeSpec-complex"])
 def test_argument_is_rejected_where_it_enters(call, error, message):
     with pytest.raises(error, match=f"^{message}"):
         call()

@@ -128,13 +128,15 @@ def test_jc_unitary_matches_the_loop_form_and_is_unitary(tau, d):
     assert np.abs(u @ u.conj().T - np.eye(2 * d)).max() <= 1e-15
 
 
-@pytest.mark.parametrize("dims, builds", [((6, 6), 1), ((6, 5), 2)])
-def test_entangling_power_builds_one_jc_unitary_per_cutoff(dims, builds):
+@pytest.mark.parametrize("dims", [(6, 6), (6, 5)])
+def test_entangling_power_builds_no_jc_unitary(dims):
+    # the Kraus operators enter as their diagonals, at a whole array of times
     amps = np.random.default_rng(3).standard_normal(dims[0] * dims[1])
     state = FockVector(ModeLayout(dims), amps / np.linalg.norm(amps))
     with mock.patch.object(dynamics, "jc_unitary", wraps=jc_unitary) as spy:
         entangling_power(state, 1.3)
-    assert spy.call_count == builds
+        entangling_power(state, np.linspace(0.0, 10.0, 21))
+    assert spy.call_count == 0
 
 
 def test_entangling_power_pure_and_mixed_paths_agree():
@@ -174,12 +176,13 @@ def test_entangling_power_matches_joint_state_oracle(dims, tau, rank, seed):
         state = FockVector(ModeLayout(dims), array)
     want = entangling_power_joint(array, dims, tau)
     seen = []
+    qubit_states = dynamics._qubit_states
 
-    def spy(qubits, split):
-        seen.append(qubits.mat)
-        return log_negativity(qubits, split)
+    def spy(state, tau):
+        seen.append(qubit_states(state, tau))
+        return seen[-1]
 
-    with mock.patch.object(dynamics, "log_negativity", spy):
+    with mock.patch.object(dynamics, "_qubit_states", spy):
         value = entangling_power(state, tau)
     assert np.abs(seen[0] - want).max() <= 1e-12     # the qubit state, not only its negativity
     assert abs(value - log_negativity_dense(want, (2, 2), [1])) <= 1e-12

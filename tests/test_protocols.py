@@ -406,6 +406,18 @@ def test_generation_probabilities():
     assert p_plus == pytest.approx(0.6329, abs=1e-4)
 
 
+def test_heralding_probability_is_at_most_one_without_clipping():
+    # at this point p+ is 1 to rounding, and a ratio to the joint squared norm came out
+    # 1.0000000000000002; n+ / (n+ + n-) cannot exceed 1, and p+ + p- is 1 within an ulp
+    anc = QubitAmplitudes(math.sqrt(0.5), math.sqrt(0.5))
+    args = (0.35643475049301365, anc)
+    _, p_plus = generate_scheme_b(*args, "+", 2, KerrSpec(0.0))
+    assert p_plus <= 1.0
+    for scheme in (generate_scheme_a, generate_scheme_b):
+        p = [scheme(*args, outcome, 6)[1] for outcome in ("+", "-")]
+        assert max(p) <= 1.0 and abs(sum(p) - 1.0) <= 2.0 ** -52
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(s=st.floats(0.01, 3.0), phi=st.floats(0.0, 2 * np.pi), cutoff=st.integers(2, 40),
        a0=st.floats(0.05, 1.0), a1=st.floats(0.05, 1.0), beta=st.floats(-np.pi / 2, np.pi / 2))
