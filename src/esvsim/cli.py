@@ -7,14 +7,15 @@ declared parameter order, and values are printed with 12 significant
 digits, so reruns of the same command are byte-identical.
 
 Each command prepares shared work once per point of its leading (outer)
-parameters and then evaluates the whole inner grid below it in one call, as
-float64 columns in row-major order, returning one column per diagnostic: one
-squeezed vacuum per ``s`` and an array pass over ``phi`` (``eof-surface``,
+parameters and then evaluates the whole inner grid below it in one call, its
+float64 axes given as an open mesh that broadcasts to it, returning one
+diagnostic per grid point, written out in row-major order: one array pass
+over the whole ``(s, phi)`` grid, with no outer parameter (``eof-surface``,
 ``criteria``), one channel output and LN curve per ``(s, sigma)``, whose
 block eigensolves run point by point (``ln-thermal``, ``ln-phase``), one
-state per ``(s, phi)`` and an array pass over ``tau`` (``ent-power``), and an
-array pass over ``r`` per ``d`` (``overlap``).  ``swap``, ``teleport`` and
-``generate`` take every parameter as outer, so each block is one point.
+state per ``(s, phi)`` and an array pass over ``tau`` (``ent-power``), and
+an array pass over ``r`` per ``d`` (``overlap``).  ``swap``, ``teleport``
+and ``generate`` take every parameter as outer, so each block is one point.
 
 Every truncation check warns `TruncationWarning`; ``--strict`` runs the sweep
 under ``warnings.simplefilter("error", TruncationWarning)``, so on every
@@ -82,7 +83,11 @@ class SweepConfig:
         for name, (lo, hi, steps) in self.ranges.items():
             if steps < 1:
                 raise UsageError(f"{name}: steps must be >= 1")
-            if not (np.isfinite(lo) and np.isfinite(hi)):
+            try:
+                finite = math.isfinite(lo) and math.isfinite(hi)
+            except OverflowError:       # an int beyond the float range
+                finite = False
+            if not finite:
                 raise UsageError(f"{name}: range bounds must be finite")
             if not math.isfinite(float(hi) - float(lo)):   # np.linspace takes hi - lo
                 raise UsageError(f"{name}: range {lo!r}..{hi!r} spans more than the float range")
@@ -102,8 +107,8 @@ class SweepResult:
 class _Command:
     params: dict[str, tuple[float, float, int]]   # name -> default range
     diagnostics: tuple[str, ...]
-    # (cutoff, *outer values) -> evaluate(*inner columns) -> one column per diagnostic:
-    # the inner grid below the outer point, as float64 arrays in row-major order
+    # (cutoff, *outer values) -> evaluate(*inner axes) -> one array per diagnostic: the
+    # inner axes below the outer point as an open mesh, the diagnostics on its grid
     prepare: "callable"
     outer: int = 0        # how many leading params prepare takes
 
@@ -111,11 +116,6 @@ class _Command:
 # --- per-command preparation -------------------------------------------------
 # Library functions are looked up by module-global name when called, never
 # bound at import, so a profiler that rebinds them sees every call.
-
-def _prepare_eof(cutoff, s):
-    curve = esv_pure_eof_curve(s, cutoff)
-    return lambda phi: (curve(phi),)
-
 
 def _prepare_noisy_ln(channel, cutoff, s, sigma):
     rho = channel(squeezed_vacuum(SqueezeSpec(s, cutoff)).normalized().density(), sigma)
@@ -150,7 +150,8 @@ _QUBIT = {"s": (1.0, 1.0, 1), "a0": (0.7071067811865476, 0.7071067811865476, 1),
 
 COMMANDS: dict[str, _Command] = {
     "eof-surface": _Command(
-        {"s": (0.05, 2.0, 20), "phi": (0.0, math.tau, 16)}, ("eof",), _prepare_eof, outer=1),
+        {"s": (0.05, 2.0, 20), "phi": (0.0, math.tau, 16)}, ("eof",),
+        lambda cutoff: lambda s, phi: (esv_pure_eof_curve(s, cutoff)(phi),)),
     "ln-thermal": _Command(
         {"s": (1.0, 1.0, 1), "sigma": (0.0, 2.0, 5), "phi": (0.0, math.tau, 8)}, ("ln",),
         lambda cutoff, s, sigma: _prepare_noisy_ln(thermal_channel, cutoff, s, sigma), outer=2),
@@ -162,7 +163,7 @@ COMMANDS: dict[str, _Command] = {
         ("value",), _prepare_ent_power, outer=2),
     "criteria": _Command(
         {"s": (0.2, 1.0, 3), "phi": (0.0, np.pi, 3)}, ("simon", "duan", "esv_criterion"),
-        lambda cutoff, s: esv_criteria_curve(s, cutoff), outer=1),
+        lambda cutoff: lambda s, phi: esv_criteria_curve(s, cutoff)(phi)),
     "swap": _Command(
         {"s": (1.0, 1.0, 1)}, ("probability", "fidelity"),
         lambda cutoff, s: lambda: entanglement_swap(s), outer=1),
@@ -183,26 +184,29 @@ def run(config: SweepConfig) -> SweepResult:
 
     The command's `prepare` runs once per point of its outer parameters, and
     the `evaluate` it returns once per such point, on the whole inner grid below
-    it as columns.  The block of rows is checked for finiteness at once, and the
-    first non-finite row in row-major order is named.
+    it as an open mesh of its axes.  The block of rows is checked for finiteness
+    at once, and the first non-finite row in row-major order is named.
     """
     cmd = COMMANDS[config.command]
-    axes = [np.linspace(*config.ranges.get(name, default)).tolist() for name, default in cmd.params.items()]
-    inner = [np.array(column) for column in zip(*product(*axes[cmd.outer:]))]
+    axes = [np.linspace(*config.ranges.get(name, default)) for name, default in cmd.params.items()]
+    # the inner axes as an open mesh: axis k of n along the k-th from last of n dimensions
+    inner = [axis.reshape((-1,) + (1,) * k) for k, axis in enumerate(reversed(axes[cmd.outer:]))][::-1]
     result = SweepResult(header=list(cmd.params) + list(cmd.diagnostics))
-    # the rows of one outer point: its inner columns are the same for every block
-    block = np.empty((math.prod(map(len, axes[cmd.outer:])), len(result.header)))
-    for k, column in enumerate(inner, cmd.outer):
-        block[:, k] = column
+    # the rows of one outer point, a column per header entry on the inner grid: the
+    # parameter columns are the same for every block, broadcast from the open mesh
+    block = np.empty(tuple(map(len, axes[cmd.outer:])) + (len(result.header),))
+    for k, axis in enumerate(inner, cmd.outer):
+        block[..., k] = axis
+    flat = block.reshape(-1, len(result.header))     # the same rows, in row-major order
     with warnings.catch_warnings():
         if config.strict:
             warnings.simplefilter("error", TruncationWarning)
-        for outer in product(*axes[:cmd.outer]):
+        for outer in product(*(axis.tolist() for axis in axes[:cmd.outer])):
             evaluate = cmd.prepare(config.cutoff, *outer)
-            block[:, :cmd.outer] = outer
+            flat[:, :cmd.outer] = outer
             for k, column in enumerate(evaluate(*inner), len(cmd.params)):
-                block[:, k] = column
-            rows = block.tolist()
+                block[..., k] = column
+            rows = flat.tolist()
             if not all(map(math.isfinite, chain.from_iterable(rows))):
                 row = next(row for row in rows if not all(map(math.isfinite, row)))   # the first in row-major order
                 raise ValueError(f"non-finite diagnostic at {dict(zip(cmd.params, row))}")
@@ -215,7 +219,7 @@ def emit_csv(result: SweepResult, path: str | None) -> None:
     """Write the sweep as UTF-8 CSV with 12-significant-digit values."""
     fmt = ",".join(["%.11e"] * len(result.header))
     lines = [",".join(result.header)]
-    lines.extend(fmt % tuple(row) for row in result.rows)
+    lines.extend(map(fmt.__mod__, result.rows))
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)

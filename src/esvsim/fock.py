@@ -70,27 +70,39 @@ def _check_cutoff(cutoff, minimum: int, name: str = "cutoff") -> int:
 
 def _check_real(value, name: str, minimum: float = -math.inf):
     """`value` as a float, or a real array as a float64 array: TypeError unless it is
-    real (a Python int or float, or a numpy number or array of bool, integer or float
-    kind), ValueError unless every entry is finite and at least `minimum` (nan, ±inf
-    and an int beyond the float range fail).  The messages call it `name`; an array's
-    names its first failing entry in row-major order."""
+    real (`_as_real`), ValueError unless every entry is finite and at least `minimum`
+    (nan, ±inf and an int beyond the float range fail).  The messages call it `name`;
+    an array's names its first failing entry in row-major order."""
     bound = "" if minimum == -math.inf else f" and >= {minimum:g}"
-    if isinstance(value, (int, float)):     # bool and numpy.float64 too; no ABC lookup
-        try:
-            x = float(value)
-        except OverflowError:
-            x = math.inf
+    x = _as_real(value, name)
+    if isinstance(x, float):
         if not (math.isfinite(x) and x >= minimum):
             raise ValueError(f"{name} must be finite{bound}, got {value!r}")
         return x
+    bad = ~_in_bounds(x, minimum)
+    if bad.any():
+        raise ValueError(f"{name} must be finite{bound}, got {float(x[bad][0])!r}")
+    return x if x.ndim else float(x)
+
+
+def _as_real(value, name: str):
+    """A Python int or float (bool and numpy.float64 too) as a float, an int beyond
+    the float range as inf; anything else as a float64 array, TypeError naming `name`
+    unless it is a numpy number or array of bool, integer or float kind."""
+    if isinstance(value, (int, float)):     # no ABC lookup
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf
     arr = np.asarray(value)
     if arr.dtype.kind not in "biuf":
         raise TypeError(f"{name} must be a real number or array, got {value!r}")
-    arr = arr.astype(float, copy=False)
-    bad = ~(np.isfinite(arr) & (arr >= minimum))
-    if bad.any():
-        raise ValueError(f"{name} must be finite{bound}, got {float(arr[bad][0])!r}")
-    return arr if arr.ndim else float(arr)
+    return arr.astype(float, copy=False)
+
+
+def _in_bounds(arr: np.ndarray, minimum: float) -> np.ndarray:
+    """Where the entries of a float array pass `_check_real`: finite and at least `minimum`."""
+    return np.isfinite(arr) & (arr >= minimum)
 
 
 class TruncationWarning(UserWarning):
@@ -242,17 +254,19 @@ def check_tail(state, context: str = "operation") -> None:
     Python's per-location de-duplication still prints a repeated warning once.
     """
     total = float(np.vdot(state.amps, state.amps).real) if isinstance(state, FockVector) else state.trace()
-    _check_tail_share(tail_mass(state), total, context, stacklevel=3)
+    _warn_tail(context, int(_tail_fails(tail_mass(state), total)), stacklevel=3)
 
 
-def _check_tail_share(mass, total, context: str, stacklevel: int) -> None:
-    """`check_tail`'s test and warning on a tail mass and total computed elsewhere,
-    floats or arrays of one shape: one warning per point whose share fails.
+def _tail_fails(mass, total):
+    """Whether `check_tail`'s test fails on a tail mass and total computed elsewhere,
+    floats or arrays of one shape (elementwise)."""
+    return np.logical_not((total > 0) & (mass <= TAIL_THRESHOLD * total))
 
-    `stacklevel` counts from the caller, as it does for `warnings.warn`.
-    """
-    failing = np.count_nonzero(np.logical_not((total > 0) & (mass <= TAIL_THRESHOLD * total)))
-    for _ in range(failing):
+
+def _warn_tail(context: str, count: int, stacklevel: int) -> None:
+    """`check_tail`'s warning, `count` times; `stacklevel` counts from the caller, as it
+    does for `warnings.warn`."""
+    for _ in range(count):
         warnings.warn(
             f"{context}: Fock-tail mass above {TAIL_THRESHOLD:.0e}; results may be truncation-limited",
             TruncationWarning,

@@ -18,9 +18,9 @@ Schmidt spectrum: the squared singular values of the amplitude matrix.  The
 entangled squeezed vacuum N(|s+>|s-> + e^{i phi}|s->|s+>) has a rank-2
 amplitude matrix, so `esv_pure_eof_curve`, which the `eof-surface` sweep
 uses, reads its two Schmidt coefficients off the 2 x 2 parity Gram matrix
-of the truncated squeezed vacuum (`states._parity_basis`) in closed form;
-the cutoff still sets the truncation and its warning, and `eof_pure` on
-`states.esv_pure` is its reference.
+of the truncated squeezed vacuum (`states._parity_basis`) in closed form, for
+the whole (s, phi) grid in one array pass; the cutoff still sets the
+truncation and its warning, and `eof_pure` on `states.esv_pure` is its reference.
 """
 
 from __future__ import annotations
@@ -218,17 +218,18 @@ def eof_pure(state: FockVector, split: Iterable[int]) -> float:
     return float(-(ev * np.log2(ev)).sum())
 
 
-def esv_pure_eof_curve(s: float, cutoff: int) -> Callable:
+def esv_pure_eof_curve(s, cutoff: int) -> Callable:
     """phi -> ``eof_pure(esv_pure(EsvSpec(s, phi, cutoff)), [0])`` from the 2 x 2 Gram matrix.
 
-    phi is a float or an array: the curve evaluates every point of it in one
-    array pass and returns values of its shape.
+    s and phi are floats or arrays that broadcast together: the curve evaluates every
+    point of their grid in one array pass and returns values of its shape, each bit
+    for bit the value of its s alone.
 
     The amplitude matrix is X C Xᵀ up to norm and phase, X = [e, o] over the
     parity basis of `states._parity_basis`, which also checks s, the cutoff and
-    the tail once, and per phi wraps phi and raises `esv_pure`'s ValueError for
-    a degenerate superposition.  With E and O the Gram diagonal of X, the rank-2
-    matrix has the squared singular values
+    the tail of each point of s, and per phi wraps phi and raises `esv_pure`'s
+    ValueError for a degenerate superposition.  With E and O the Gram diagonal
+    of X, the rank-2 matrix has the squared singular values
     lambda± = (1 ± sqrt(1 - 4 Delta)) / 2, Delta = ((1 - o²) / (2 (1 + o² cos phi)))²,
     o = (E - O) / (E + O).  a = (E + O)² - (E - O)² = 4 E O and
     b = 2 (E - O)² cos²(phi/2) are sums of non-negative terms, with

@@ -25,21 +25,21 @@ squeezed-vacuum superpositions for every squeezing and relative phase.
 The entangled squeezed vacuum lies in span{e, o} (x) span{e, o}, e and o the
 |4k> and |4k + 2> parts of the squeezed vacuum, so `esv_criteria_curve`, which
 the `criteria` sweep uses, evaluates all three minors on its 2 x 2 coefficient
-matrix over that parity basis: each word is projected onto the basis once per
-squeezing, and one `einsum` contracts the 2 x 2 matrices of every phi with the
-projections.  The minors on `states.esv_pure` are its reference.
+matrix over that parity basis: each word is projected onto the basis of every
+squeezing of an s axis in one stack, and one `einsum` contracts the 2 x 2
+matrices of the whole (s, phi) grid with the projections.  The minors on
+`states.esv_pure` are its reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Callable
 
 import numpy as np
 
-from .fock import _check_modes, _check_tail_share, _ladder_word, _product_expectations, _top_band, check_tail
+from .fock import _check_modes, _ladder_word, _product_expectations, _top_band, check_tail
 from .states import _parity_basis
 
 __all__ = [
@@ -123,10 +123,11 @@ def multiindex_compare(i: MomentIndex, j: MomentIndex) -> int:
 
 @lru_cache(maxsize=None)
 def canonical_indices(max_weight: int = MAX_WEIGHT) -> tuple[MomentIndex, ...]:
-    """All multi-indices with weight <= max_weight, ascending in the order above."""
-    idx = [MomentIndex(*t) for t in product(range(max_weight + 1), repeat=4)
-           if sum(t) <= max_weight]
-    return tuple(sorted(idx, key=_order_key))
+    """All multi-indices with weight <= max_weight, ascending in the order above:
+    enumerated by weight, then i4, i3 and i2, with i1 the rest of the weight."""
+    return tuple(MomentIndex(w - i4 - i3 - i2, i2, i3, i4)
+                 for w in range(max_weight + 1)
+                 for i4 in range(w + 1) for i3 in range(w - i4 + 1) for i2 in range(w - i4 - i3 + 1))
 
 
 def minor_determinant(state, selector: MinorSelector) -> float:
@@ -161,7 +162,15 @@ def _moment_minor(state, indices) -> np.ndarray:
 
 def _upper_pairs(indices) -> list[tuple[MomentIndex, MomentIndex]]:
     """The (i, j) of the upper triangle of the minor on `indices`, row by row."""
-    return [(indices[p], indices[q]) for p, q in zip(*np.triu_indices(len(indices)))]
+    return [(indices[p], indices[q]) for p, q in zip(*_upper_triangle(len(indices)))]
+
+
+@lru_cache(maxsize=None)
+def _upper_triangle(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The rows and columns of the upper triangle of a k x k matrix, row by row, as
+    ``np.triu_indices(k)`` lists them; built in Python, as that call is slow the
+    first time in a process (about 0.2 ms on a 2-vCPU x86-64 machine)."""
+    return tuple(zip(*((p, q) for p in range(k) for q in range(p, k))))
 
 
 def _hermitian_minor(upper: np.ndarray, k: int) -> np.ndarray:
@@ -169,7 +178,7 @@ def _hermitian_minor(upper: np.ndarray, k: int) -> np.ndarray:
     lie along the last axis of `upper`; any leading axes give a stack of minors.
     M_ji = conj(M_ij), so only the entries with i <= j are evaluated: the lower
     triangle mirrors them, the diagonal is real."""
-    rows, cols = np.triu_indices(k)
+    rows, cols = _upper_triangle(k)
     diagonal = np.arange(k)
     m = np.empty(upper.shape[:-1] + (k, k), dtype=complex)
     m[..., cols, rows] = upper.conj()
@@ -211,30 +220,33 @@ def esv_criterion_det(state) -> float:
     return _determinant(_moment_minor(state, _ESV_CRITERION_INDICES))
 
 
-def esv_criteria_curve(s: float, cutoff: int) -> Callable:
+def esv_criteria_curve(s, cutoff: int) -> Callable:
     """phi -> (`simon_det`, `duan_det`, `esv_criterion_det`) of ``esv_pure(EsvSpec(s, phi, cutoff))``,
     from the 2 x 2 parity coefficient matrix.
 
-    phi is a float or an array, and each of the three values has its shape: the
-    curve evaluates every point in one array pass, and each minor is one stacked
-    eigensolve.
+    s and phi are floats or arrays that broadcast together, and each of the three
+    values has the shape of their grid: the curve evaluates every point in one array
+    pass, and each minor is one stacked eigensolve.  Each value is bit for bit that
+    of its s alone.
 
     The amplitude matrix of Psi(phi) is X C Xᵀ up to a global phase, C divided
     by its norm, over the parity basis X = [e, o] of `states._parity_basis`
     (whose module docstring derives it), which also checks s, the cutoff and
-    the tail once, and checks and wraps phi and raises `esv_pure`'s ValueError
-    for a degenerate superposition.
+    the tail of each point of s, and checks and wraps phi and raises
+    `esv_pure`'s ValueError for a degenerate superposition.
 
     Each minor entry <A ⊗ B> (module docstring) is then vdot(C, (XᴴAX) C (XᴴBX)ᵀ),
-    contracted for every entry of the three minors at every phi in one `einsum`
-    (`_coefficient_expectations`).
+    contracted for every entry of the three minors at every grid point in one
+    `einsum` (`_coefficient_expectations`).
     With L(p, q) = a†^p a^q, A = L(i1, i2) L(j2, j1) projects to
     (L(i2, i1) X)ᴴ (L(j2, j1) X), and B = L(j3, j4) L(i4, i3) to
-    (L(j4, j3) X)ᴴ (L(i4, i3) X); each 2 x 2 projection is formed once per curve.
+    (L(j4, j3) X)ᴴ (L(i4, i3) X); each 2 x 2 projection is formed once per curve,
+    for every point of s in one stack.
 
-    At each phi the joint tail of Psi is judged as `check_tail` judges it, in the
-    context "moment" of the minors' check, one warning per failing point.  Its
-    mass, on the basis states with a mode in the top band, is
+    At each grid point the joint tail of Psi is judged as `check_tail` judges it,
+    in the context "moment" of the minors' check, one warning per failing point,
+    in the order `states._parity_basis` gives its checks.  Its mass, on the
+    basis states with a mode in the top band, is
     ||X_b C Xᵀ||² + ||X_l C X_bᵀ||², X_b and X_l the rows of X in the band and below
     it: sums of non-negative terms over the Gram diagonals.
     """
@@ -244,8 +256,9 @@ def esv_criteria_curve(s: float, cutoff: int) -> Callable:
 
 def _coefficient_expectations(coeffs: np.ndarray, proj_a: np.ndarray, proj_b: np.ndarray) -> np.ndarray:
     """vdot(C, A C Bᵀ) for every 2 x 2 coefficient matrix C of the stack `coeffs` and
-    every pair (A, B) of the projection stacks: shape ``coeffs.shape[:-2] + (pairs,)``."""
-    return np.einsum("...kl,pkm,...mn,pln->...p", coeffs.conj(), proj_a, coeffs, proj_b)
+    every pair (A, B) of the projection stacks, whose leading axes broadcast against
+    those of `coeffs`: shape ``grid + (pairs,)``."""
+    return np.einsum("...kl,...pkm,...mn,...pln->...p", coeffs.conj(), proj_a, coeffs, proj_b)
 
 
 @lru_cache(maxsize=None)
@@ -254,32 +267,42 @@ def _esv_minor_layout() -> tuple[list[tuple[int, int]], np.ndarray, list[tuple[i
     that the projections need; per distinct upper-triangle pair (i, j) of the Simon, Duan
     and ESV-criterion minors, the positions in that list of L(i2, i1), L(j2, j1),
     L(j4, j3) and L(i4, i3); and per minor, its size k and the positions of its
-    `_upper_pairs` among those pairs."""
-    minors = (_selected(SIMON_SELECTOR), _selected(DUAN_SELECTOR), _ESV_CRITERION_INDICES)
+    `_upper_pairs` among those pairs.  Multi-indices are plain tuples here, and
+    positions are dict lookups."""
+    minors = [[i.astuple() for i in idx]
+              for idx in (_selected(SIMON_SELECTOR), _selected(DUAN_SELECTOR), _ESV_CRITERION_INDICES)]
     upper = [_upper_pairs(idx) for idx in minors]
-    pairs = list(dict.fromkeys(pair for minor in upper for pair in minor))
-    factors = [((i.i2, i.i1), (j.i2, j.i1), (j.i4, j.i3), (i.i4, i.i3)) for i, j in pairs]
-    words = list(dict.fromkeys(word for four in factors for word in four))
-    return (words, np.array([[words.index(word) for word in four] for four in factors]).T,
-            [(len(idx), np.array([pairs.index(pair) for pair in minor])) for idx, minor in zip(minors, upper)])
+    pairs = _positions(pair for minor in upper for pair in minor)
+    factors = [((i2, i1), (j2, j1), (j4, j3), (i4, i3)) for (i1, i2, i3, i4), (j1, j2, j3, j4) in pairs]
+    words = _positions(word for four in factors for word in four)
+    return (list(words), np.array([[words[word] for word in four] for four in factors]).T,
+            [(len(idx), np.array([pairs[pair] for pair in minor])) for idx, minor in zip(minors, upper)])
 
 
-def _esv_minors(s: float, cutoff: int) -> Callable[..., tuple[np.ndarray, ...]]:
+def _positions(keys) -> dict:
+    """Each distinct key, in first-seen order, with its position in that order."""
+    return {key: k for k, key in enumerate(dict.fromkeys(keys))}
+
+
+def _esv_minors(s, cutoff: int) -> Callable[..., tuple[np.ndarray, ...]]:
     """phi -> the Simon, Duan and ESV-criterion minors of `esv_criteria_curve`, each
-    of shape ``phi.shape + (k, k)``."""
+    of shape ``grid + (k, k)``."""
     x, diag, coefficients = _parity_basis(s, cutoff)
     squares, below = x * x, cutoff - _top_band(cutoff)
-    gram, top, low = np.array(diag), squares[below:].sum(axis=0), squares[:below].sum(axis=0)
+    gram, top, low = np.stack(diag, axis=-1), squares[..., below:, :].sum(axis=-2), squares[..., :below, :].sum(axis=-2)
     words, (a_left, a_right, b_left, b_right), minors = _esv_minor_layout()
-    projected = np.array([_ladder_word(cutoff, ndag, nlow) @ x for ndag, nlow in words])
+    projected = np.stack([_ladder_word(cutoff, ndag, nlow) @ x for ndag, nlow in words], axis=-3)
     # every upper-triangle pair of the three minors once, with its two projections
-    proj_a = projected[a_left].conj().swapaxes(-1, -2) @ projected[a_right]
-    proj_b = projected[b_left].conj().swapaxes(-1, -2) @ projected[b_right]
+    proj_a = projected[..., a_left, :, :].conj().swapaxes(-1, -2) @ projected[..., a_right, :, :]
+    proj_b = projected[..., b_left, :, :].conj().swapaxes(-1, -2) @ projected[..., b_right, :, :]
+
+    def tail_mass(c, sn):
+        weight = np.stack([c * c, sn * sn, sn * sn, c * c], axis=-1).reshape(c.shape + (2, 2))  # |C|² before the norm
+        quadratic = "...k,...kl,...l->..."
+        return np.einsum(quadratic, top, weight, gram) + np.einsum(quadratic, low, weight, top)
 
     def minors_at(phi) -> tuple[np.ndarray, ...]:
-        c, sn, norm2 = map(np.asarray, coefficients(phi))
-        weight = np.stack([c * c, sn * sn, sn * sn, c * c], axis=-1).reshape(c.shape + (2, 2))  # |C|² before the norm
-        _check_tail_share(top @ weight @ gram + low @ weight @ top, norm2, "moment", stacklevel=3)
+        c, sn, norm2 = coefficients(phi, tail_mass)
         coeffs = np.stack([c, 1j * sn, -1j * sn, -c], axis=-1).reshape(c.shape + (2, 2))
         values = _coefficient_expectations(coeffs / np.sqrt(norm2)[..., None, None], proj_a, proj_b)
         return tuple(_hermitian_minor(values[..., upper], k) for k, upper in minors)

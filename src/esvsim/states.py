@@ -32,6 +32,12 @@ a sum of non-negative terms; the basis (|s+>, |s->) would subtract nearly
 equal numbers near phi = pi at small s.  `esv_pure` tests the norm of the
 left-hand side, and the phi-curves of `measures` and `separability` that of
 the right-hand side (`_parity_basis`), against the one floor `_ZERO_NORM`.
+
+Every squeezed vacuum here is a row of one real table (`_squeezed_table`),
+built for a whole s axis at once: `squeezed_vacuum` and `_pair` read one row,
+and `_parity_basis` gives the phi-curves the rows of every point of s.  One
+judge (`_judge`) raises and warns for all of them in the order of a loop over
+the points of s.
 """
 
 from __future__ import annotations
@@ -47,9 +53,14 @@ from .fock import (
     DensityMatrix,
     FockVector,
     ModeLayout,
+    _as_real,
     _check_cutoff,
     _check_modes,
     _check_real,
+    _in_bounds,
+    _tail_fails,
+    _top_band,
+    _warn_tail,
     check_tail,
 )
 
@@ -138,57 +149,126 @@ def squeezed_vacuum(spec: SqueezeSpec) -> FockVector:
     """|psi_s> with amplitudes sech(s)^1/2 sqrt((2n)!)/n! (-tanh(s)/2)^n on |2n>.
 
     Amplitudes come from the stable two-step recurrence
-    c_{2n+2} = -tanh(s) sqrt((2n+1)/(2n+2)) c_{2n}; odd levels are exact zeros.
+    c_{2n+2} = -tanh(s) sqrt((2n+1)/(2n+2)) c_{2n}; odd levels are exact zeros
+    (`_squeezed_table`).
     """
-    d = spec.cutoff
-    amps = np.zeros(d, dtype=complex)
-    t = np.tanh(spec.s)
-    n = np.arange(1, (d + 1) // 2)
-    ratios = -t * np.sqrt((2.0 * n - 1.0) / (2.0 * n))
-    evens = np.concatenate([[1.0], np.cumprod(ratios)]) * math.sqrt(_sech_s(spec.s))
-    amps[0::2] = evens
-    out = FockVector(ModeLayout((d,)), amps)
-    check_tail(out, context="squeezed_vacuum")
-    return out
+    return FockVector(ModeLayout((spec.cutoff,)), _squeezed_row(spec))
 
 
-def _parity_split(s: float, cutoff: int) -> np.ndarray:
-    """X = [e, o], the |4k> and |4k + 2> parts of `squeezed_vacuum` at (s, cutoff),
-    as the columns of a real cutoff x 2 array."""
-    u = squeezed_vacuum(SqueezeSpec(s, cutoff)).amps.real
-    x = np.zeros((u.size, 2))
-    x[0::4, 0], x[2::4, 1] = u[0::4], u[2::4]
+def _squeezed_table(s: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real amplitudes of `squeezed_vacuum` at every point of the float array s, as
+    rows of shape ``s.shape + (cutoff,)``, and per point whether its row fails
+    `check_tail`'s test.
+
+    Every row comes from the one recurrence, scaled by sqrt(sech s) from `_sech_s`'s
+    formula per value, so it is bit for bit the row of s alone.  Where sech s
+    underflows the row is zero, and its test fails.  Nothing is raised or warned
+    here: `_judge` does that.
+    """
+    sech = np.array([_sech_2s(abs(v) / 2) for v in s.ravel().tolist()]).reshape(s.shape)
+    n = np.arange(1, (cutoff + 1) // 2)
+    ratios = -np.tanh(s)[..., None] * np.sqrt((2.0 * n - 1.0) / (2.0 * n))
+    table = np.zeros(s.shape + (cutoff,))
+    table[..., 0] = 1.0
+    np.cumprod(ratios, axis=-1, out=table[..., 2::2])
+    table[..., 0::2] *= np.sqrt(sech)[..., None]
+    squares = table * table
+    return table, _tail_fails(squares[..., cutoff - _top_band(cutoff):].sum(axis=-1), squares.sum(axis=-1))
+
+
+def _judge(points: np.ndarray, failed: np.ndarray, tails: np.ndarray, minimum: float,
+           degenerate: np.ndarray | None = None, moment: np.ndarray | None = None) -> None:
+    """Raise and warn as a loop over the points of s would check them.
+
+    At each point of the float array `points`, in row-major order: where `failed`,
+    the ValueError of s (`_check_real` with `minimum`) or of its sech underflow
+    (`_sech_s`); where `tails`, one "squeezed_vacuum" `TruncationWarning`; then, over
+    the phi of the point, `esv_pure`'s ValueError if any is `degenerate`, else one
+    "moment" warning per phi where `moment`.  `failed` and `tails` have the shape of
+    `points`, `degenerate` and `moment` that of the (s, phi) grid it broadcasts to.
+    """
+    failed, tails = failed.ravel(), tails.ravel()
+    degenerate, moment = _per_point(points, degenerate), _per_point(points, moment)
+    for i in (failed | tails | degenerate | moment).nonzero()[0].tolist():
+        if failed[i]:
+            _sech_s(_check_real(float(points.flat[i]), "s", minimum))    # one of them raises
+        _warn_tail("squeezed_vacuum", int(tails[i]), stacklevel=3)
+        if degenerate[i]:
+            raise ValueError(_DEGENERATE)
+        _warn_tail("moment", int(moment[i]), stacklevel=3)
+
+
+def _per_point(points: np.ndarray, flags: np.ndarray | None) -> np.ndarray:
+    """How many of the grid's `flags` are set at each point of s, in row-major order."""
+    if flags is None or not flags.any():
+        return np.zeros(points.size, dtype=int)
+    owner = np.broadcast_to(np.arange(points.size).reshape(points.shape), flags.shape)
+    return np.bincount(owner[flags], minlength=points.size)
+
+
+def _squeezed_row(spec: SqueezeSpec) -> np.ndarray:
+    """The real amplitudes of `squeezed_vacuum` at `spec`, its row of `_squeezed_table`;
+    ValueError where sech s underflows, and its tail judged."""
+    s = np.asarray(spec.s)
+    row, tail = _squeezed_table(s, spec.cutoff)
+    _judge(s, row[0] == 0.0, tail, -math.inf)
+    return row
+
+
+def _parity_split(u: np.ndarray) -> np.ndarray:
+    """X = [e, o], the |4k> and |4k + 2> parts of squeezed-vacuum amplitudes u (one row
+    or a table of them, `_squeezed_table`), along a new last axis: shape ``u.shape + (2,)``."""
+    x = np.zeros(u.shape + (2,))
+    x[..., 0::4, 0], x[..., 2::4, 1] = u[..., 0::4], u[..., 2::4]
     return x
 
 
 def _pair(s: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """(|s+>, |s->) = (e + o, e - o), the squeezed vacua at +s and -s, from one
-    squeezed vacuum (`_parity_split`)."""
-    e, o = _parity_split(s, cutoff).T
+    """(|s+>, |s->) = (e + o, e - o), the squeezed vacua at +s and -s, from the one
+    squeezed vacuum at s (`_parity_split`), checked as `squeezed_vacuum` checks it."""
+    x = _parity_split(_squeezed_row(SqueezeSpec(s, cutoff)))
+    e, o = x[:, 0], x[:, 1]
     return e + o, e - o
 
 
-def _parity_basis(s: float, cutoff: int) -> tuple[np.ndarray, tuple[float, float], Callable]:
-    """X = [e, o], its Gram diagonal (E, O), and phi -> (cos(phi/2), sin(phi/2), norm2),
-    norm2 the squared norm of X C Xᵀ (module docstring), for |Psi(phi)> at (s, cutoff).
+def _parity_basis(s, cutoff: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], Callable]:
+    """X = [e, o], its Gram diagonal (E, O), and
+    (phi[, mass]) -> (cos(phi/2), sin(phi/2), norm2), norm2 the squared norm of X C Xᵀ
+    (module docstring), for |Psi(phi)> at (s, cutoff).
 
-    s and the cutoff are checked as `EsvSpec` checks them, then the squeezed
-    vacuum's tail once.  phi is a float or an array, and the three values have
-    its shape: it is checked and wrapped as `EsvSpec` wraps it, and a norm
-    2 sqrt(norm2) below `_ZERO_NORM` at any of its points raises `esv_pure`'s
-    ValueError.
+    s is a float or an array, and X has shape ``s.shape + (cutoff, 2)``, E and O its
+    shape: every point of s is one row of `_squeezed_table`.  The cutoff is checked
+    here.  A float s is checked as `EsvSpec` checks it, then its sech underflow and
+    tail, here; an array s is checked point by point at each call (`_judge`).
+
+    phi is a float or an array, checked and wrapped as `EsvSpec` wraps it; cos and
+    sin have its shape and norm2 that of the (s, phi) grid it broadcasts to with s.
+    `mass`, if given, maps (cos, sin) to the mass of the moment words' joint Fock tail
+    on that grid, judged against norm2 as `check_tail` judges it.  A norm 2 sqrt(norm2)
+    below `_ZERO_NORM` raises `esv_pure`'s ValueError.  Every check of a call runs in
+    the order of a loop over the points of s, each with all of phi (`_judge`), as
+    when each point of s was its own curve.
     """
-    x = _parity_split(s, EsvSpec(s, 0.0, cutoff).cutoff)
-    even, odd = float((x[0::4, 0] ** 2).sum()), float((x[2::4, 1] ** 2).sum())
+    eager = np.ndim(s) == 0
+    points = np.asarray(_check_real(s, "s", 0.0) if eager else _as_real(s, "s"))
+    cutoff = _check_cutoff(cutoff, 2)
+    valid = _in_bounds(points, 0.0)
+    table, tails = _squeezed_table(np.where(valid, points, 0.0), cutoff)
+    failed = ~valid | (table[..., 0] == 0.0)        # s out of range, or sech s underflows
+    if eager:
+        _judge(points, failed, tails, 0.0)
+        failed = tails = np.zeros(points.shape, dtype=bool)
+    x = _parity_split(table)
+    even, odd = (x[..., 0::4, 0] ** 2).sum(axis=-1), (x[..., 2::4, 1] ** 2).sum(axis=-1)
     squares = even * even + odd * odd
     cross = 2.0 * even * odd
 
-    def coefficients(phi):
+    def coefficients(phi, mass: Callable | None = None):
         half = 0.5 * _wrap_phi(phi)
         c, sn = np.cos(half), np.sin(half)
         norm2 = c * c * squares + sn * sn * cross
-        if (2.0 * np.sqrt(norm2) < _ZERO_NORM).any():
-            raise ValueError(_DEGENERATE)
+        moment = None if mass is None else _tail_fails(mass(c, sn), norm2)
+        _judge(points, failed, tails, 0.0, 2.0 * np.sqrt(norm2) < _ZERO_NORM, moment)
         return c, sn, norm2
 
     return x, (even, odd), coefficients

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import esvsim
+import esvsim.cli as cli
 from esvsim import (
     SqueezeSpec,
     TruncationWarning,
@@ -24,6 +25,7 @@ from esvsim import (
 )
 from esvsim.cli import COMMANDS, SweepConfig, UsageError, _build_parser, _parse_canonical, emit_csv, main, run
 from esvsim.measures import esv_mixed_ln_curve, esv_pure_eof_curve
+from esvsim.separability import esv_criteria_curve
 
 RECORD_DIR = Path(__file__).resolve().parents[1] / "bench" / "record"
 
@@ -110,6 +112,15 @@ def test_range_whose_span_overflows_is_a_usage_error(argv, capsys):
     name = argv[-1].split("=")[0]
     assert capsys.readouterr().err == (f"error: usage: {name}: range -1e+308..1e+308 "
                                        "spans more than the float range\n")
+
+
+@pytest.mark.parametrize("bound", [float("nan"), float("inf"), -float("inf"), np.float64("nan"), 10 ** 400, -10 ** 400],
+                         ids=["nan", "inf", "-inf", "numpy-nan", "int-above-float", "int-below-float"])
+def test_non_finite_range_bound_is_a_usage_error(bound):
+    # an int beyond the float range is no finite bound either
+    for lo, hi in ((bound, 1.0), (0.0, bound)):
+        with pytest.raises(UsageError, match="^r: range bounds must be finite$"):
+            SweepConfig("overlap", {"r": (lo, hi, 3)})
 
 
 def _parse_exit(parse, argv):
@@ -295,7 +306,8 @@ def test_subnormal_criteria_minor_prints_the_zeros_row(capsys):
 
 def test_criteria_contracts_only_the_2x2_coefficient_matrix(monkeypatch):
     # the sweep builds no two-mode Fock state: every minor entry is a contraction of the
-    # 2 x 2 parity coefficient matrix, one stack of them per s, and esv_pure is never called
+    # 2 x 2 parity coefficient matrix, one stack of them for the whole (s, phi) grid, and
+    # esv_pure is never called
     import esvsim.cli as cli
     import esvsim.fock as fock
     import esvsim.separability as separability
@@ -315,7 +327,7 @@ def test_criteria_contracts_only_the_2x2_coefficient_matrix(monkeypatch):
         monkeypatch.setattr(module, "esv_pure", lambda spec: built.append(spec))
     assert main(["criteria", "s=0.2..1:3", "phi=0..3.141592653589793:3"]) == 0
     assert built == [] and contracted == []
-    assert stacks == [(3, 2, 2)] * 3
+    assert stacks == [(3, 3, 2, 2)]
 
 
 def test_runtime_warning_raised_as_error_exits_3(monkeypatch, capsys):
@@ -379,6 +391,89 @@ def _contexts(argv):
         rc, text = _main_stdout(argv)
     warned = [w for w in caught if issubclass(w.category, TruncationWarning)]
     return rc, text, {str(w.message).split(":")[0] for w in warned}
+
+
+def _warned(argv):
+    """Exit code, stderr and the TruncationWarning messages of one CLI run, in order."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always", TruncationWarning)
+        rc = main(argv)
+    return rc, err.getvalue(), [str(w.message) for w in caught if issubclass(w.category, TruncationWarning)]
+
+
+def _per_s_loop(curve, argv):
+    """The TruncationWarning messages of a loop over the s axis of a pure-sweep line,
+    one scalar curve per point of s called on the whole phi axis, as the sweep once ran."""
+    config = SweepConfig(argv[0], dict(map(cli._parse_assignment, argv[1:-2])), cutoff=int(argv[-1]))
+    s_axis, phi_axis = (np.linspace(*config.ranges.get(name, default))
+                        for name, default in COMMANDS[argv[0]].params.items())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TruncationWarning)
+        for s in s_axis.tolist():
+            curve(s, config.cutoff)(phi_axis)
+    return [str(w.message) for w in caught]
+
+
+PURE_WARNINGS = [   # (line, TruncationWarnings), the counts of the per-s sweep
+    (["eof-surface", "s=0.05..5:40", "phi=0..6.283185307179586:40", "--cutoff", "40"], 34),
+    (["criteria", "s=0.2..1:3", "phi=0..3.141592653589793:3", "--cutoff", "30"], 4),
+    (["criteria", "s=0.05..1.3:7", "phi=-3..9:11", "--cutoff", "12"], 72),
+    (["eof-surface", "s=1..1:3", "phi=0..1:2", "--cutoff", "30"], 3),      # a repeated s warns at each point
+]
+
+
+@pytest.mark.parametrize("argv, count", PURE_WARNINGS,
+                         ids=["eof-readme", "criteria-readme", "criteria-72", "eof-repeated"])
+def test_pure_sweeps_warn_as_a_loop_over_s(argv, count):
+    # the whole (s, phi) grid in one pass warns as often, and in the same order, as one
+    # curve per point of s did: per s its squeezed vacuum's tail, then the moments per phi
+    curve = esv_pure_eof_curve if argv[0] == "eof-surface" else esv_criteria_curve
+    rc, _, messages = _warned(argv)
+    assert rc == 0 and len(messages) == count
+    assert messages == _per_s_loop(curve, argv)
+
+
+def test_strict_pure_sweep_fails_on_its_first_failing_check(capsys):
+    # row-major, the first failing check of this line is the tail of its first squeezed vacuum
+    assert main(["criteria", "s=0.05..1.3:7", "phi=-3..9:11", "--cutoff", "12", "--strict"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: numeric-guard: squeezed_vacuum: Fock-tail mass above 1e-08; "
+                                 "results may be truncation-limited\n")
+
+
+@pytest.mark.parametrize("argv, error, messages", [
+    # a later negative s fails after the earlier points' warnings; under --strict the first of them
+    (["eof-surface", "s=1..-1:5", "phi=0..3.14:3", "--cutoff", "12"], "s must be finite and >= 0, got -0.5",
+     ["squeezed_vacuum"] * 2),
+    # s = 0 at phi = pi is degenerate before any later point's squeezed vacuum is judged
+    (["eof-surface", "s=0..1:2", "phi=3.141592653589793"], "degenerate superposition is the zero vector", []),
+    # at s = 401.5 the squeezed vacuum warns, then its phi = pi is degenerate; s = 800 is never reached
+    (["criteria", "s=3..800:3", "phi=0..3.141592653589793:3", "--cutoff", "12"],
+     "degenerate superposition is the zero vector", ["squeezed_vacuum"] + ["moment"] * 3 + ["squeezed_vacuum"]),
+], ids=["negative-s", "degenerate-first", "degenerate-after-warnings"])
+def test_pure_sweep_errors_in_row_major_order(argv, error, messages):
+    rc, err, warned = _warned(argv)
+    assert rc == 3 and err == f"error: numeric-guard: {error}\n"
+    assert [m.split(":")[0] for m in warned] == messages
+    first = "squeezed_vacuum: Fock-tail mass above 1e-08; results may be truncation-limited" if messages else error
+    assert _warned(argv + ["--strict"])[:2] == (3, f"error: numeric-guard: {first}\n")
+
+
+def test_pure_sweeps_prepare_each_curve_once(monkeypatch):
+    # one curve per sweep, on the whole s axis as a column against the phi axis as a row
+    shapes = []
+    for name in ("esv_pure_eof_curve", "esv_criteria_curve"):
+        def spy(s, cutoff, curve=getattr(cli, name)):
+            shapes.append(np.shape(s))
+            return curve(s, cutoff)
+        monkeypatch.setattr(cli, name, spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        assert main(["eof-surface", "s=0.05..5:40", "phi=0..6.283185307179586:40", "--cutoff", "40"]) == 0
+        assert main(["criteria", "s=0.2..1:3", "phi=0..3.141592653589793:3"]) == 0
+    assert shapes == [(40, 1), (3, 1)]
 
 
 def test_strict_reaches_the_splitter_tail_of_the_term_sums():
@@ -547,8 +642,9 @@ def _ln_oracle(channel):
     return ln
 
 
-# last column of a block of rows from its outer point and its inner column, at cutoff
-# 10: the library curve evaluated as run evaluates it, on the whole column at once
+# last column of a block of rows from its outer point and its inner columns, at cutoff
+# 10: the library curve evaluated on the whole block at once, each value bit for bit
+# that of the open mesh run passes
 ROW_ORACLES = {
     "eof-surface": lambda s, phi: esv_pure_eof_curve(s, 10)(phi),
     "ln-thermal": _ln_oracle(thermal_channel),
@@ -578,7 +674,8 @@ def test_prepare_runs_once_per_outer_point(command, monkeypatch):
     if command in ROW_ORACLES:
         for outer in calls:
             block = np.array([row for row in rows if row[:cmd.outer] == outer])
-            assert block[:, -1].tolist() == ROW_ORACLES[command](*outer, block[:, cmd.outer]).tolist()
+            inner = block[:, cmd.outer:len(cmd.params)].T
+            assert block[:, -1].tolist() == ROW_ORACLES[command](*outer, *inner).tolist()
 
 
 def _run_python(code):

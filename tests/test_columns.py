@@ -8,10 +8,11 @@ have one point.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from esvsim import (
@@ -20,6 +21,7 @@ from esvsim import (
     FockVector,
     ModeLayout,
     SqueezeSpec,
+    TruncationWarning,
     displaced_overlap,
     duan_det,
     entangling_power,
@@ -62,6 +64,49 @@ def test_eof_and_criteria_columns_match_the_state_path(s, cutoff, phi):
     columns = esv_criteria_curve(s, cutoff)(phi)
     for column, det in zip(columns, (simon_det, duan_det, esv_criterion_det)):
         assert_columns(column, lambda p: det(states[p]), phi)
+
+
+def _messages(compute):
+    """compute()'s value and the TruncationWarning messages it raised, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TruncationWarning)
+        value = compute()
+    return value, [str(w.message) for w in caught if issubclass(w.category, TruncationWarning)]
+
+
+# an s axis as the whole-grid sweeps pass it: repeated, unsorted or a single point, and
+# s = 0, where phi stays away from pi (there s = 0 is the zero vector)
+S_POINTS = st.lists(st.just(0.0) | st.floats(0.05, 1.0), min_size=1, max_size=5)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(s=S_POINTS, cutoff=st.integers(4, 30), phi=axis(-7.0, 7.0))
+@example(s=[0.6, 0.6, 0.6], cutoff=12, phi=np.linspace(0.0, 1.0, 2))        # a repeated s, all warning
+@example(s=[1.0, 0.2, 0.0, 0.6], cutoff=30, phi=np.linspace(-3.0, 9.0, 11))  # unsorted, with s = 0
+@example(s=[0.3], cutoff=20, phi=np.array([np.pi]))                           # a single point
+def test_array_s_grid_is_its_scalar_s_curves(s, cutoff, phi):
+    # each row of the (s, phi) grid is bit for bit the curve of its s alone, which warns
+    # as often and in the same order; and it is the state path's within 1e-12
+    assume(0.0 not in s or np.abs(np.cos(phi / 2)).min() > 1e-2)
+    column, grid = np.array(s)[:, None], []
+    for curve in (lambda x: (esv_pure_eof_curve(x, cutoff)(phi),), lambda x: esv_criteria_curve(x, cutoff)(phi)):
+        values, warned = _messages(lambda: curve(column))
+        singles, single_warned = _messages(lambda: [curve(x) for x in s])
+        assert warned == single_warned
+        for value, single in zip(values, zip(*singles)):
+            assert value.shape == (len(s), len(phi))
+            assert value.tolist() == np.array(single).tolist()
+        grid += values
+    # s as a row against one phi broadcasts the same way
+    assert esv_pure_eof_curve(np.array(s), cutoff)(phi[0]).tolist() == grid[0][:, 0].tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        for x, *values in zip(s, *grid):
+            states = {p: esv_pure(EsvSpec(x, p, cutoff)) for p in phi.tolist()}
+            references = (lambda p: eof_pure(states[p], [0]), *(lambda p, det=det: det(states[p])
+                                                                for det in (simon_det, duan_det, esv_criterion_det)))
+            for column_values, reference in zip(values, references):
+                assert_columns(column_values, reference, phi)
 
 
 def random_state(dims, rank, seed):

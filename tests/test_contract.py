@@ -119,6 +119,10 @@ def one_real(name):
     return st.tuples(REALS, CUTOFFS), (name,)
 
 
+def s_axis_and_phi():
+    return st.tuples(st.lists(REALS, min_size=1, max_size=4), REALS, CUTOFFS), ("s", "phi")
+
+
 CASES = [
     Case("squeezed_vacuum", *one_real("s"), lambda s, d: squeezed_vacuum(SqueezeSpec(s, d)), unit_or_less),
     Case("esv_pure", *two_reals("s", "phi"), lambda s, phi, d: esv_pure(EsvSpec(s, phi, d)), unit),
@@ -131,6 +135,13 @@ CASES = [
          finite_in(0.0, 1.0)),
     Case("esv_criteria_curve", *two_reals("s", "phi"), lambda s, phi, d: esv_criteria_curve(s, d)(phi),
          lambda dets: all(map(math.isfinite, dets))),
+    # an s axis as a column against a phi row, as the sweeps pass them
+    Case("esv_pure_eof_curve-s-array", *s_axis_and_phi(),
+         lambda s, phi, d: esv_pure_eof_curve(np.array(s)[:, None], d)(np.array([phi, 0.5])),
+         lambda eof: bool(np.isfinite(eof).all() and (eof >= 0).all() and (eof <= 1).all())),
+    Case("esv_criteria_curve-s-array", *s_axis_and_phi(),
+         lambda s, phi, d: esv_criteria_curve(np.array(s)[:, None], d)(np.array([phi, 0.5])),
+         lambda dets: all(bool(np.isfinite(det).all()) for det in dets)),
     Case("thermal_channel", *one_real("sigma"), lambda sigma, d: thermal_channel(physical_input(d), sigma),
          unit_trace),
     Case("phase_channel", *one_real("sigma"), lambda sigma, d: phase_channel(physical_input(d), sigma),
@@ -213,3 +224,23 @@ def test_density_matrix_stores_the_exact_hermitian_part():
     stored = DensityMatrix(ModeLayout((2,)), noisy).mat
     assert np.array_equal(stored, 0.5 * (noisy + noisy.conj().T))
     assert np.array_equal(stored, stored.conj().T) and not stored.diagonal().imag.any()
+
+
+@pytest.mark.parametrize("curve", [esv_pure_eof_curve, esv_criteria_curve])
+@pytest.mark.parametrize("bad, phi, message", [
+    (0.0, np.pi, "degenerate superposition is the zero vector"),
+    (5e-324, np.pi, "degenerate superposition is the zero vector"),
+    (1e300, 0.0, "sech s underflows to 0 at s = 1e+300"),
+    (-0.5, 0.0, "s must be finite and >= 0, got -0.5"),
+    (np.nan, 0.0, "s must be finite and >= 0, got nan"),
+], ids=["zero", "subnormal", "huge", "negative", "nan"])
+def test_array_s_is_rejected_at_its_point(curve, bad, phi, message):
+    # an s axis is checked point by point at the call, in its order: the error of the bad
+    # point, after the good point before it and whatever point follows
+    s = np.array([[0.5], [bad], [np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        evaluate = curve(s, 10)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            evaluate(np.array([0.25, phi]))
+        assert np.isfinite(curve(s[:1], 10)(np.array([0.25, phi]))).all()

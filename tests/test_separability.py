@@ -1,3 +1,5 @@
+import functools
+import itertools
 import warnings
 
 import numpy as np
@@ -42,6 +44,13 @@ def test_ordering_examples():
 def test_canonical_enumeration_prefix():
     first5 = [i.astuple() for i in canonical_indices()[:5]]
     assert first5 == [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+
+
+@pytest.mark.parametrize("max_weight", range(6))
+def test_canonical_enumeration_is_every_index_sorted_by_the_order(max_weight):
+    every = [MomentIndex(*t) for t in itertools.product(range(max_weight + 1), repeat=4) if sum(t) <= max_weight]
+    ordered = sorted(every, key=functools.cmp_to_key(multiindex_compare))
+    assert canonical_indices(max_weight) == tuple(ordered)
 
 
 def test_entry_unit_and_hermiticity():
