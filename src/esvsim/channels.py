@@ -100,6 +100,7 @@ def bs_loss(state: FockVector | DensityMatrix, transmissivity: float) -> Density
     Returns a density matrix; transmissivity 1 is the identity and 0 maps
     every input to vacuum.
     """
+    transmissivity = _check_real(transmissivity, "transmissivity")
     if not 0.0 <= transmissivity <= 1.0:
         raise ValueError("transmissivity must lie in [0, 1]")
     rho = state.density() if isinstance(state, FockVector) else state

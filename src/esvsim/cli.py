@@ -6,16 +6,16 @@ contains no numerics.  Parameters are given as ``name=value`` or
 declared parameter order, and values are printed with 12 significant
 digits, so reruns of the same command are byte-identical.
 
-Each command prepares shared work once per point of its leading (outer)
-parameters and then evaluates the whole inner grid below it in one call, its
-float64 axes given as an open mesh that broadcasts to it, returning one
-diagnostic per grid point, written out in row-major order: one array pass
-over the whole ``(s, phi)`` grid, with no outer parameter (``eof-surface``,
-``criteria``), one channel output and LN curve per ``(s, sigma)``, whose
-block eigensolves run point by point (``ln-thermal``, ``ln-phase``), one
-state per ``(s, phi)`` and an array pass over ``tau`` (``ent-power``), and
-an array pass over ``r`` per ``d`` (``overlap``).  ``swap``, ``teleport``
-and ``generate`` take every parameter as outer, so each block is one point.
+Each command is one library call per point of its leading (outer) parameters,
+on the whole inner grid below it, its float64 axes given as an open mesh that
+broadcasts to it, returning one diagnostic per grid point, written out in
+row-major order: one array pass over the whole ``(s, phi)`` grid, with no outer
+parameter (``eof-surface``, ``criteria``), one channel output and LN call per
+``(s, sigma)``, whose block eigensolves run point by point (``ln-thermal``,
+``ln-phase``), one state per ``(s, phi)`` and an array pass over ``tau``
+(``ent-power``), and an array pass over ``r`` per ``d`` (``overlap``).
+``swap``, ``teleport`` and ``generate`` take every parameter as outer, so each
+block is one point.
 
 Every truncation check warns `TruncationWarning`; ``--strict`` runs the sweep
 under ``warnings.simplefilter("error", TruncationWarning)``, so on every
@@ -107,25 +107,12 @@ class SweepResult:
 class _Command:
     params: dict[str, tuple[float, float, int]]   # name -> default range
     diagnostics: tuple[str, ...]
-    # (cutoff, *outer values) -> evaluate(*inner axes) -> one array per diagnostic: the
-    # inner axes below the outer point as an open mesh, the diagnostics on its grid
-    prepare: "callable"
-    outer: int = 0        # how many leading params prepare takes
-
-
-# --- per-command preparation -------------------------------------------------
-# Library functions are looked up by module-global name when called, never
-# bound at import, so a profiler that rebinds them sees every call.
-
-def _prepare_noisy_ln(channel, cutoff, s, sigma):
-    rho = channel(squeezed_vacuum(SqueezeSpec(s, cutoff)).normalized().density(), sigma)
-    curve = esv_mixed_ln_curve(rho)
-    return lambda phi: (curve(phi),)
-
-
-def _prepare_ent_power(cutoff, s, phi):
-    state = esv_pure(EsvSpec(s, phi, cutoff))
-    return lambda tau: (entangling_power(state, tau),)
+    # (cutoff, *outer values, *inner axes) -> one array per diagnostic: the inner axes
+    # below the outer point as an open mesh, the diagnostics on its grid.  Library
+    # functions are looked up by module-global name when called, never bound at
+    # import, so a profiler that rebinds them sees every call.
+    evaluate: "callable"
+    outer: int = 0        # how many leading params are outer
 
 
 def _amp_pair(a0: float, a1: float) -> QubitAmplitudes:
@@ -136,7 +123,7 @@ def _amp_pair(a0: float, a1: float) -> QubitAmplitudes:
     return QubitAmplitudes(complex(a0) / norm, complex(a1) / norm)
 
 
-def _generate(s, a0, a1, cutoff):
+def _generate(cutoff, s, a0, a1):
     anc = _amp_pair(a0, a1)
     state_a, p_plus = generate_scheme_a(s, anc, "+", cutoff)
     _, p_minus = generate_scheme_a(s, anc, "-", cutoff)
@@ -151,41 +138,44 @@ _QUBIT = {"s": (1.0, 1.0, 1), "a0": (0.7071067811865476, 0.7071067811865476, 1),
 COMMANDS: dict[str, _Command] = {
     "eof-surface": _Command(
         {"s": (0.05, 2.0, 20), "phi": (0.0, math.tau, 16)}, ("eof",),
-        lambda cutoff: lambda s, phi: (esv_pure_eof_curve(s, cutoff)(phi),)),
+        lambda cutoff, s, phi: (esv_pure_eof_curve(s, phi, cutoff),)),
     "ln-thermal": _Command(
         {"s": (1.0, 1.0, 1), "sigma": (0.0, 2.0, 5), "phi": (0.0, math.tau, 8)}, ("ln",),
-        lambda cutoff, s, sigma: _prepare_noisy_ln(thermal_channel, cutoff, s, sigma), outer=2),
+        lambda cutoff, s, sigma, phi: (esv_mixed_ln_curve(
+            thermal_channel(squeezed_vacuum(SqueezeSpec(s, cutoff)).normalized().density(), sigma), phi),),
+        outer=2),
     "ln-phase": _Command(
         {"s": (1.0, 1.0, 1), "sigma": (0.0, 1.0, 5), "phi": (0.0, math.tau, 8)}, ("ln",),
-        lambda cutoff, s, sigma: _prepare_noisy_ln(phase_channel, cutoff, s, sigma), outer=2),
+        lambda cutoff, s, sigma, phi: (esv_mixed_ln_curve(
+            phase_channel(squeezed_vacuum(SqueezeSpec(s, cutoff)).normalized().density(), sigma), phi),),
+        outer=2),
     "ent-power": _Command(
-        {"s": (1.1, 1.1, 1), "phi": (0.0, 0.0, 1), "tau": (0.0, 10.0, 21)},
-        ("value",), _prepare_ent_power, outer=2),
+        {"s": (1.1, 1.1, 1), "phi": (0.0, 0.0, 1), "tau": (0.0, 10.0, 21)}, ("value",),
+        lambda cutoff, s, phi, tau: (entangling_power(esv_pure(EsvSpec(s, phi, cutoff)), tau),), outer=2),
     "criteria": _Command(
         {"s": (0.2, 1.0, 3), "phi": (0.0, np.pi, 3)}, ("simon", "duan", "esv_criterion"),
-        lambda cutoff: lambda s, phi: esv_criteria_curve(s, cutoff)(phi)),
+        lambda cutoff, s, phi: esv_criteria_curve(s, phi, cutoff)),
     "swap": _Command(
         {"s": (1.0, 1.0, 1)}, ("probability", "fidelity"),
-        lambda cutoff, s: lambda: entanglement_swap(s), outer=1),
+        lambda cutoff, s: entanglement_swap(s), outer=1),
     "teleport": _Command(
         _QUBIT, ("probability", "fidelity"),
-        lambda cutoff, s, a0, a1: lambda: teleport(_amp_pair(a0, a1), s), outer=3),
+        lambda cutoff, s, a0, a1: teleport(_amp_pair(a0, a1), s), outer=3),
     "generate": _Command(
-        _QUBIT, ("p_plus", "p_minus", "fid_schemes", "fid_esv"),
-        lambda cutoff, s, a0, a1: lambda: _generate(s, a0, a1, cutoff), outer=3),
+        _QUBIT, ("p_plus", "p_minus", "fid_schemes", "fid_esv"), _generate, outer=3),
     "overlap": _Command(
         {"d": (2.0, 2.0, 1), "r": (0.0, 2.0, 41)}, ("overlap",),
-        lambda cutoff, d: lambda r: (displaced_overlap(0.0, d, r),), outer=1),
+        lambda cutoff, d, r: (displaced_overlap(0.0, d, r),), outer=1),
 }
 
 
 def run(config: SweepConfig) -> SweepResult:
     """Evaluate the sweep; rows come out in row-major grid order.
 
-    The command's `prepare` runs once per point of its outer parameters, and
-    the `evaluate` it returns once per such point, on the whole inner grid below
-    it as an open mesh of its axes.  The block of rows is checked for finiteness
-    at once, and the first non-finite row in row-major order is named.
+    The command's `evaluate` runs once per point of its outer parameters, on the
+    whole inner grid below it as an open mesh of its axes.  The block of rows is
+    checked for finiteness at once, and the first non-finite row in row-major
+    order is named.
     """
     cmd = COMMANDS[config.command]
     axes = [np.linspace(*config.ranges.get(name, default)) for name, default in cmd.params.items()]
@@ -202,16 +192,14 @@ def run(config: SweepConfig) -> SweepResult:
         if config.strict:
             warnings.simplefilter("error", TruncationWarning)
         for outer in product(*(axis.tolist() for axis in axes[:cmd.outer])):
-            evaluate = cmd.prepare(config.cutoff, *outer)
             flat[:, :cmd.outer] = outer
-            for k, column in enumerate(evaluate(*inner), len(cmd.params)):
+            for k, column in enumerate(cmd.evaluate(config.cutoff, *outer, *inner), len(cmd.params)):
                 block[..., k] = column
             rows = flat.tolist()
             if not all(map(math.isfinite, chain.from_iterable(rows))):
                 row = next(row for row in rows if not all(map(math.isfinite, row)))   # the first in row-major order
                 raise ValueError(f"non-finite diagnostic at {dict(zip(cmd.params, row))}")
             result.rows.extend(map(tuple, rows))
-            del evaluate   # free this preparation before the next one is built
     return result
 
 

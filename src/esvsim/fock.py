@@ -7,17 +7,18 @@ never mutated, so values can be shared freely across threads.  States and
 spectra are freshly allocated; `_ladder_word` returns shared, cached,
 read-only arrays.  `_product_expectations` is the one contraction of a state
 with operators: `moment` and the moment-matrix minors of `separability` call
-it.  (`separability.esv_criteria_curve` contracts no state: it contracts a
-stack of 2 x 2 coefficient matrices with operators projected onto a two-ket
-basis.)
+it.  (`separability.esv_criteria_curve` contracts no state: one call contracts
+the 2 x 2 coefficient matrices of its whole (s, phi) grid with operators
+projected onto a two-ket basis.)
 
 Each kind of argument has one validator here, which every module calls where
 the argument enters: `_check_cutoff` for integers (cutoffs, mode dimensions,
-operator powers), `_check_real` for real parameters (finite, with an optional
-minimum; an array of them too, such as the inner axis of a sweep) and
-`_check_modes` for the number of modes a state must have.  A
-`DensityMatrix` is stored finite and exactly Hermitian, so no caller
-re-symmetrizes one.
+operator powers, mode indices, multi-index entries and selector positions),
+`_check_real` for real parameters (finite, with an optional minimum; an array of
+them too, such as the inner axis of a sweep), `_check_complex` for complex
+amplitudes and displacements, and `_check_modes` for the number of modes a state
+must have.  A `DensityMatrix` is stored finite and exactly Hermitian, so no
+caller re-symmetrizes one.
 
 The vacuum quadrature variance is 1/2, with x = (a + a^dag)/sqrt(2); every
 other module relies on this convention.
@@ -56,9 +57,11 @@ _ENTRY_BOUND = np.finfo(float).max / 4   # density-matrix entries up to it: m ±
 _I_POW = np.array([1, 1j, -1, -1j])     # i^n by n mod 4: exact, where numpy's complex power errs from n = 100
 
 
-def _check_cutoff(cutoff, minimum: int, name: str = "cutoff") -> int:
-    """`cutoff` as an int: TypeError unless it is an integer, ValueError below
-    `minimum`; the messages call it `name`."""
+def _check_cutoff(cutoff, minimum: float = -math.inf, name: str = "cutoff") -> int:
+    """`cutoff` as an int: TypeError unless it is an integer (`operator.index`, so a
+    float is never truncated), ValueError below `minimum`; the messages call it `name`.
+    The one validator of integer arguments: cutoffs, mode dimensions, operator powers,
+    mode indices, multi-index entries and minor selector positions."""
     try:
         cutoff = operator.index(cutoff)
     except TypeError:
@@ -105,6 +108,19 @@ def _in_bounds(arr: np.ndarray, minimum: float) -> np.ndarray:
     return np.isfinite(arr) & (arr >= minimum)
 
 
+def _check_complex(value, name: str) -> complex:
+    """`value` as a complex: TypeError unless it is a number (a Python or numpy scalar
+    of bool, integer, float or complex kind), ValueError unless its real and imaginary
+    parts are finite (an int beyond the float range fails).  The messages call it
+    `name`."""
+    if not isinstance(value, (int, float, complex, np.number, np.bool_)):
+        raise TypeError(f"{name} must be a complex number, got {value!r}")
+    z = complex(_as_real(value, name) if isinstance(value, int) else value)     # a huge int as inf
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return z
+
+
 class TruncationWarning(UserWarning):
     """Emitted when the Fock tail carries too much weight.
 
@@ -134,6 +150,7 @@ class ModeLayout:
         return int(np.prod(self.dims))
 
     def check_mode(self, mode: int) -> int:
+        mode = _check_cutoff(mode, name="mode")
         if not 0 <= mode < self.nmodes:
             raise ValueError(f"mode {mode} out of range for {self.nmodes} modes")
         return mode
@@ -279,7 +296,7 @@ def _warn_tail(context: str, count: int, stacklevel: int) -> None:
 # ---------------------------------------------------------------------------
 
 def _parse_modes(layout: ModeLayout, modes: Iterable[int]) -> list[int]:
-    return sorted({layout.check_mode(int(m)) for m in modes})
+    return sorted({layout.check_mode(m) for m in modes})
 
 
 def _amplitude_matrix(state: FockVector, rows: Sequence[int]) -> np.ndarray:
@@ -327,7 +344,7 @@ def _word_operators(layout: ModeLayout, word) -> dict[int, np.ndarray]:
     """
     ops: dict[int, np.ndarray] = {}
     for mode, ndag, nlow in word:
-        mode = layout.check_mode(int(mode))
+        mode = layout.check_mode(mode)
         f = _ladder_word(layout.dims[mode], ndag, nlow)
         ops[mode] = f if mode not in ops else ops[mode] @ f
     return ops

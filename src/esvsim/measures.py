@@ -6,8 +6,8 @@ it vanishes on PPT states and equals 1 for a maximally entangled qubit pair.
 one real input with no coherence between photon numbers of opposite parity,
 as the channel outputs of both noisy sweeps are: each block of the partial transpose is
 (rho (x) rho) ∘ W on a pair of the input's parity sectors, W from the
-conditional map.  A sweep over phi calls it once per input: it prepares the
-sectors and their krons, and returns phi -> LN, which gathers each W from
+conditional map.  A sweep calls it once per input, with its whole phi axis: it
+forms the sectors and their krons once, and for each phi gathers each W from
 one real 4 x 4 table over the signs of i^{n_a} and i^{n_b} and eigensolves.  A sector
 paired with itself commutes with the mode swap |i, j> -> |j, i>; it is
 eigensolved as its swap-symmetric and antisymmetric halves, whose spectra
@@ -26,7 +26,7 @@ truncation and its warning, and `eof_pure` on `states.esv_pure` is its reference
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -131,11 +131,11 @@ def _sign_weight(rot: complex) -> np.ndarray:
     return np.outer(x, x) + np.outer(y, y) + rot.real * (z[:, None] + z) + rot.imag * (np.outer(z, z) - 1.0)
 
 
-def esv_mixed_ln_curve(rho: DensityMatrix) -> Callable:
-    """phi -> ``log_negativity(esv_mixed(rho, rho, phi), [1])`` from the d x d input.
+def esv_mixed_ln_curve(rho: DensityMatrix, phi):
+    """``log_negativity(esv_mixed(rho, rho, phi), [1])`` from the d x d input.
 
-    phi is a float or an array; the curve checks it whole, then eigensolves
-    each of its points in row-major order and returns values of its shape.
+    phi is a float or an array, checked whole after the input; each of its points
+    is eigensolved in turn, in row-major order, and the values have its shape.
 
     The input must be real and have no coherence between photon numbers of
     opposite parity (no nonzero entry at an odd offset n - m), as the
@@ -155,7 +155,7 @@ def esv_mixed_ln_curve(rho: DensityMatrix) -> Callable:
     sin theta (z z' - 1) over the sign classes 2 [x < 0] + [y < 0]
     (`_sign_weight`), exactly symmetric term by term.  Only that table and the
     trace depend on phi; the input checks, sectors, krons and sign classes are
-    prepared here once.
+    prepared once for every phi.
 
     A sector paired with itself gives K (x) K, whose table is invariant under
     the mode swap |i, j> -> |j, i> (x <-> y): its spectrum is exactly that of
@@ -163,8 +163,8 @@ def esv_mixed_ln_curve(rho: DensityMatrix) -> Callable:
     antisymmetric half, on the n(n-1)/2 pairs i < j (`_swap_halves`).  The two
     cross-parity blocks are eigensolved whole.  Every block and half is exactly
     symmetric and goes to `eigvalsh` unchecked.  Raises the ValueErrors of
-    `esv_mixed`: those of the input here, the phi and annihilated-trace ones
-    when called.
+    `esv_mixed`: the input's, then phi's, then the annihilated trace's at the
+    first point of phi where it vanishes.
     """
     d = _check_esv_input(rho, "rho_a")
     a = rho.mat
@@ -187,9 +187,11 @@ def esv_mixed_ln_curve(rho: DensityMatrix) -> Callable:
                 kron, swap = np.kron(a[np.ix_(rows_a, rows_a)], a[np.ix_(rows_b, rows_b)]), None
             solves.append((kron, rows, shift, swap))
 
-    def ln_at_phi(phi: float) -> float:
-        tr = _check_esv_trace(float(diag @ np.abs(_conditional_map(d, phi)) ** 2 @ diag))
-        rot, spectra = np.exp(1j * phi), []
+    phi = np.asarray(_check_real(phi, "phi"))
+    values = []
+    for p in phi.ravel().tolist():
+        tr = _check_esv_trace(float(diag @ np.abs(_conditional_map(d, p)) ** 2 @ diag))
+        rot, spectra = np.exp(1j * p), []
         for kron, rows, shift, swap in solves:
             table = _sign_weight(rot * shift).take(rows, 0)
             if swap is None:
@@ -197,13 +199,8 @@ def esv_mixed_ln_curve(rho: DensityMatrix) -> Callable:
             else:
                 crossed, cols, off = swap
                 spectra += _half_spectra(kron * table.take(rows, 1), crossed * table.take(cols, 1), off)
-        return _log2_trace_norm(np.concatenate(spectra) / tr)
-
-    def ln_curve(phi):
-        phi = np.asarray(_check_real(phi, "phi"))
-        return np.array([ln_at_phi(p) for p in phi.ravel().tolist()]).reshape(phi.shape)[()]
-
-    return ln_curve
+        values.append(_log2_trace_norm(np.concatenate(spectra) / tr))
+    return np.array(values).reshape(phi.shape)[()]
 
 
 def eof_pure(state: FockVector, split: Iterable[int]) -> float:
@@ -218,16 +215,16 @@ def eof_pure(state: FockVector, split: Iterable[int]) -> float:
     return float(-(ev * np.log2(ev)).sum())
 
 
-def esv_pure_eof_curve(s, cutoff: int) -> Callable:
-    """phi -> ``eof_pure(esv_pure(EsvSpec(s, phi, cutoff)), [0])`` from the 2 x 2 Gram matrix.
+def esv_pure_eof_curve(s, phi, cutoff: int):
+    """``eof_pure(esv_pure(EsvSpec(s, phi, cutoff)), [0])`` from the 2 x 2 Gram matrix.
 
-    s and phi are floats or arrays that broadcast together: the curve evaluates every
-    point of their grid in one array pass and returns values of its shape, each bit
-    for bit the value of its s alone.
+    s and phi are floats or arrays that broadcast together: every point of their grid
+    is evaluated in one array pass, and the values have its shape, each bit for bit
+    the value of its s alone.
 
     The amplitude matrix is X C Xᵀ up to norm and phase, X = [e, o] over the
-    parity basis of `states._parity_basis`, which also checks s, the cutoff and
-    the tail of each point of s, and per phi wraps phi and raises `esv_pure`'s
+    parity basis of `states._parity_basis`, which also checks the cutoff, phi and
+    s, wraps phi, judges the tail of each point of s and raises `esv_pure`'s
     ValueError for a degenerate superposition.  With E and O the Gram diagonal
     of X, the rank-2 matrix has the squared singular values
     lambda± = (1 ± sqrt(1 - 4 Delta)) / 2, Delta = ((1 - o²) / (2 (1 + o² cos phi)))²,
@@ -237,15 +234,11 @@ def esv_pure_eof_curve(s, cutoff: int) -> Callable:
     lambda- = Delta / lambda+: no difference of nearly equal numbers is formed.
     The entropy sums lambda > `EIG_ZERO_BAND`, as `eof_pure` does.
     """
-    _, (even, odd), coefficients = _parity_basis(s, cutoff)
+    _, (even, odd), (c, _, _) = _parity_basis(s, phi, cutoff)
     a, c2 = 4.0 * even * odd, (even - odd) ** 2
-
-    def eof_at_phi(phi):
-        b = 2.0 * c2 * coefficients(phi)[0] ** 2
-        lam_plus = 0.5 + 0.5 * np.sqrt(b * (2.0 * a + b)) / (a + b)
-        lam_minus = (0.5 * a / (a + b)) ** 2 / lam_plus
-        kept = lam_minus > EIG_ZERO_BAND
-        log_minus = np.log2(lam_minus, out=np.zeros_like(lam_minus), where=kept)
-        return (0.0 - lam_plus * np.log2(lam_plus) - lam_minus * log_minus)[()]     # lambda+ >= 1/2
-
-    return eof_at_phi
+    b = 2.0 * c2 * c ** 2
+    lam_plus = 0.5 + 0.5 * np.sqrt(b * (2.0 * a + b)) / (a + b)
+    lam_minus = (0.5 * a / (a + b)) ** 2 / lam_plus
+    kept = lam_minus > EIG_ZERO_BAND
+    log_minus = np.log2(lam_minus, out=np.zeros_like(lam_minus), where=kept)
+    return (0.0 - lam_plus * np.log2(lam_plus) - lam_minus * log_minus)[()]     # lambda+ >= 1/2

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, ModeLayout, _check_real
+from .fock import FockVector, ModeLayout, _check_complex, _check_real
 from .states import _pair, _sech_s
 
 __all__ = [
@@ -52,14 +52,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QubitAmplitudes:
-    """Normalized pair of coefficients for an ancilla or input qubit."""
+    """Normalized pair of coefficients for an ancilla or input qubit, stored as complex."""
 
     a0: complex
     a1: complex
 
     def __post_init__(self):
-        if not (np.isfinite(self.a0) and np.isfinite(self.a1)):
-            raise ValueError("qubit amplitudes must be finite")
+        object.__setattr__(self, "a0", _check_complex(self.a0, "a0"))
+        object.__setattr__(self, "a1", _check_complex(self.a1, "a1"))
         # hypot neither overflows nor underflows where the sum of squares would
         norm = math.hypot(abs(self.a0), abs(self.a1))
         norm *= norm      # a float product saturates at inf where ** 2 raises
@@ -75,6 +75,12 @@ class KerrSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", _check_real(self.gamma, "gamma"))
+
+
+def _check_qubit(value, name: str) -> None:
+    """Raise TypeError naming the argument unless `value` is `QubitAmplitudes`."""
+    if not isinstance(value, QubitAmplitudes):
+        raise TypeError(f"{name} must be QubitAmplitudes, got {value!r}")
 
 
 def _check_squeezing(s: float, protocol: str) -> None:
@@ -115,6 +121,7 @@ def teleport(inp: QubitAmplitudes, s: float) -> tuple[float, float]:
     kept.  So mode 2 holds the target x0 E - x1 O, of squared norm h², and
     p = h² eo/2 / (2eo h²).
     """
+    _check_qubit(inp, "inp")
     _check_squeezing(s, "teleportation")
     return 0.25, 1.0
 
@@ -150,6 +157,7 @@ def generate_scheme_a(s: float, ancilla: QubitAmplitudes, outcome: str,
     rotation maps |s+> to |s->, so the branches are a0 |s+,s-> and
     a1 |s-,s+>, both from one squeezed vacuum (`states._pair`).
     """
+    _check_qubit(ancilla, "ancilla")
     plus, minus = _pair(s, cutoff)
     branches = np.stack([ancilla.a0 * np.outer(plus, minus), ancilla.a1 * np.outer(minus, plus)], axis=-1)
     vec, prob = _conditional(branches, outcome)
@@ -168,6 +176,7 @@ def generate_scheme_b(s: float, ancilla: QubitAmplitudes, outcome: str,
     they are scheme a's.  The splitter preserves norms, so the probability is
     read before it, from the truncated TMSV's populations tanh(s)^{2n}.
     """
+    _check_qubit(ancilla, "ancilla")
     plus, minus = _pair(s, cutoff)
     levels = np.arange(cutoff)
     diag = np.tanh(s) ** levels * _sech_s(s)      # the TMSV on |n, n>

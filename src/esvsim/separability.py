@@ -14,7 +14,9 @@ That is <A ⊗ B> with A = a†^i1 a^i2 a†^j2 a^j1 and B = b†^j3 b^j4 b†^i
 products of ladder words that `fock` builds once per cutoff, and `fock`
 evaluates <A ⊗ B> on the state, pure or mixed.  A minor checks the Fock tail
 once, and only if one of its words raises.  Its determinant is the product
-of its eigenvalues, which stays finite where an LU pivot is subnormal.
+of its diagonal and of the eigenvalues of the minor scaled to a unit
+diagonal (`_determinant`), which keeps the digits of a graded minor that is
+well conditioned once scaled, and stays finite where an LU pivot is subnormal.
 
 A state is inseparable iff some principal minor of M(rho^PT) has negative
 determinant.  The classic second-moment tests are the minors selected by
@@ -35,11 +37,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
-from .fock import _check_modes, _ladder_word, _product_expectations, _top_band, check_tail
+from .fock import _check_cutoff, _check_modes, _ladder_word, _product_expectations, check_tail
 from .states import _parity_basis
 
 __all__ = [
@@ -69,9 +70,10 @@ class MomentIndex:
     i4: int
 
     def __post_init__(self):
-        for v in self.astuple():
-            if v < 0:
-                raise ValueError(f"negative multi-index entry in {self.astuple()}")
+        for name in ("i1", "i2", "i3", "i4"):
+            object.__setattr__(self, name, _check_cutoff(getattr(self, name), name="multi-index entry"))
+        if min(self.astuple()) < 0:
+            raise ValueError(f"negative multi-index entry in {self.astuple()}")
 
     def astuple(self) -> tuple[int, int, int, int]:
         return (self.i1, self.i2, self.i3, self.i4)
@@ -88,7 +90,7 @@ class MinorSelector:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        rows = tuple(int(r) for r in self.rows)
+        rows = tuple(_check_cutoff(r, name="selector position") for r in self.rows)
         if not rows:
             raise ValueError("selector must be non-empty")
         if any(r < 1 for r in rows) or any(b <= a for a, b in zip(rows, rows[1:])):
@@ -146,13 +148,25 @@ def _selected(selector: MinorSelector) -> list[MomentIndex]:
 
 
 def _determinant(minor: np.ndarray):
-    """The determinant of a Hermitian minor, or of each of a stack of them, as the
-    product of its eigenvalues.
+    """The determinant of a Hermitian minor, or of each of a stack of them, as
+    det M = prod M_ii · prod eig(D⁻¹ M D⁻¹), D = diag(sqrt M_ii), with 1 in place
+    of an M_ii that is not positive.
 
-    LU (`np.linalg.det`) can pivot on a subnormal entry and return nan; the
-    eigenvalues of a Hermitian matrix are real and finite.
+    The minors are graded: at small s their diagonals span from 1 down to about s⁸,
+    and each of M's own eigenvalues carries an absolute error of about eps times the
+    largest, which swamps the smallest.  Scaled, the product loses only what the
+    condition of the scaled matrix costs: about 2 for the ESV criterion at small s
+    and 1 for Duan's, while Simon's grows as about 0.5/s², so no eigensolve of its
+    float entries gets it right at small s.  Each scale is at least the square root
+    of the least subnormal, so no divisor is 0.  LU (`np.linalg.det`) can pivot on a
+    subnormal entry and return nan; the eigenvalues of a Hermitian matrix are real
+    and finite.
     """
-    return np.prod(np.linalg.eigvalsh(minor), axis=-1)[()]
+    diagonal = minor.real.diagonal(axis1=-2, axis2=-1)
+    diagonal = np.where(diagonal > 0, diagonal, 1.0)
+    scale = np.sqrt(diagonal)
+    scaled = minor / (scale[..., :, None] * scale[..., None, :])
+    return (np.prod(diagonal, axis=-1) * np.prod(np.linalg.eigvalsh(scaled), axis=-1))[()]
 
 
 def _moment_minor(state, indices) -> np.ndarray:
@@ -220,38 +234,32 @@ def esv_criterion_det(state) -> float:
     return _determinant(_moment_minor(state, _ESV_CRITERION_INDICES))
 
 
-def esv_criteria_curve(s, cutoff: int) -> Callable:
-    """phi -> (`simon_det`, `duan_det`, `esv_criterion_det`) of ``esv_pure(EsvSpec(s, phi, cutoff))``,
+def esv_criteria_curve(s, phi, cutoff: int) -> tuple:
+    """(`simon_det`, `duan_det`, `esv_criterion_det`) of ``esv_pure(EsvSpec(s, phi, cutoff))``,
     from the 2 x 2 parity coefficient matrix.
 
     s and phi are floats or arrays that broadcast together, and each of the three
-    values has the shape of their grid: the curve evaluates every point in one array
-    pass, and each minor is one stacked eigensolve.  Each value is bit for bit that
-    of its s alone.
+    values has the shape of their grid: every point is evaluated in one array pass,
+    and each minor is one stacked eigensolve.  Each value is bit for bit that of its
+    s alone.
 
     The amplitude matrix of Psi(phi) is X C Xᵀ up to a global phase, C divided
     by its norm, over the parity basis X = [e, o] of `states._parity_basis`
-    (whose module docstring derives it), which also checks s, the cutoff and
-    the tail of each point of s, and checks and wraps phi and raises
-    `esv_pure`'s ValueError for a degenerate superposition.
+    (whose module docstring derives it), which also checks the cutoff, phi and
+    s, wraps phi, judges the tail of each point of s, raises `esv_pure`'s
+    ValueError for a degenerate superposition, and judges the joint tail of Psi
+    at each grid point in the context "moment" of the minors' check, one warning
+    per failing point, as `check_tail` judges it.
 
     Each minor entry <A ⊗ B> (module docstring) is then vdot(C, (XᴴAX) C (XᴴBX)ᵀ),
     contracted for every entry of the three minors at every grid point in one
     `einsum` (`_coefficient_expectations`).
     With L(p, q) = a†^p a^q, A = L(i1, i2) L(j2, j1) projects to
     (L(i2, i1) X)ᴴ (L(j2, j1) X), and B = L(j3, j4) L(i4, i3) to
-    (L(j4, j3) X)ᴴ (L(i4, i3) X); each 2 x 2 projection is formed once per curve,
-    for every point of s in one stack.
-
-    At each grid point the joint tail of Psi is judged as `check_tail` judges it,
-    in the context "moment" of the minors' check, one warning per failing point,
-    in the order `states._parity_basis` gives its checks.  Its mass, on the
-    basis states with a mode in the top band, is
-    ||X_b C Xᵀ||² + ||X_l C X_bᵀ||², X_b and X_l the rows of X in the band and below
-    it: sums of non-negative terms over the Gram diagonals.
+    (L(j4, j3) X)ᴴ (L(i4, i3) X); each 2 x 2 projection is formed once, for every
+    point of s in one stack.
     """
-    minors_at = _esv_minors(s, cutoff)
-    return lambda phi: tuple(_determinant(minor) for minor in minors_at(phi))
+    return tuple(_determinant(minor) for minor in _esv_minors(s, phi, cutoff))
 
 
 def _coefficient_expectations(coeffs: np.ndarray, proj_a: np.ndarray, proj_b: np.ndarray) -> np.ndarray:
@@ -284,27 +292,15 @@ def _positions(keys) -> dict:
     return {key: k for k, key in enumerate(dict.fromkeys(keys))}
 
 
-def _esv_minors(s, cutoff: int) -> Callable[..., tuple[np.ndarray, ...]]:
-    """phi -> the Simon, Duan and ESV-criterion minors of `esv_criteria_curve`, each
-    of shape ``grid + (k, k)``."""
-    x, diag, coefficients = _parity_basis(s, cutoff)
-    squares, below = x * x, cutoff - _top_band(cutoff)
-    gram, top, low = np.stack(diag, axis=-1), squares[..., below:, :].sum(axis=-2), squares[..., :below, :].sum(axis=-2)
+def _esv_minors(s, phi, cutoff: int) -> tuple[np.ndarray, ...]:
+    """The Simon, Duan and ESV-criterion minors of `esv_criteria_curve`, each of shape
+    ``grid + (k, k)``."""
+    x, _, (c, sn, norm2) = _parity_basis(s, phi, cutoff, moment=True)
     words, (a_left, a_right, b_left, b_right), minors = _esv_minor_layout()
     projected = np.stack([_ladder_word(cutoff, ndag, nlow) @ x for ndag, nlow in words], axis=-3)
     # every upper-triangle pair of the three minors once, with its two projections
     proj_a = projected[..., a_left, :, :].conj().swapaxes(-1, -2) @ projected[..., a_right, :, :]
     proj_b = projected[..., b_left, :, :].conj().swapaxes(-1, -2) @ projected[..., b_right, :, :]
-
-    def tail_mass(c, sn):
-        weight = np.stack([c * c, sn * sn, sn * sn, c * c], axis=-1).reshape(c.shape + (2, 2))  # |C|² before the norm
-        quadratic = "...k,...kl,...l->..."
-        return np.einsum(quadratic, top, weight, gram) + np.einsum(quadratic, low, weight, top)
-
-    def minors_at(phi) -> tuple[np.ndarray, ...]:
-        c, sn, norm2 = coefficients(phi, tail_mass)
-        coeffs = np.stack([c, 1j * sn, -1j * sn, -c], axis=-1).reshape(c.shape + (2, 2))
-        values = _coefficient_expectations(coeffs / np.sqrt(norm2)[..., None, None], proj_a, proj_b)
-        return tuple(_hermitian_minor(values[..., upper], k) for k, upper in minors)
-
-    return minors_at
+    coeffs = np.stack([c, 1j * sn, -1j * sn, -c], axis=-1).reshape(c.shape + (2, 2))
+    values = _coefficient_expectations(coeffs / np.sqrt(norm2)[..., None, None], proj_a, proj_b)
+    return tuple(_hermitian_minor(values[..., upper], k) for k, upper in minors)

@@ -35,16 +35,16 @@ the right-hand side (`_parity_basis`), against the one floor `_ZERO_NORM`.
 
 Every squeezed vacuum here is a row of one real table (`_squeezed_table`),
 built for a whole s axis at once: `squeezed_vacuum` and `_pair` read one row,
-and `_parity_basis` gives the phi-curves the rows of every point of s.  One
-judge (`_judge`) raises and warns for all of them in the order of a loop over
-the points of s.
+and `_parity_basis` gives the phi-curves the rows of every point of s with the
+coefficients of every phi, in one call on their whole grid.  One judge
+(`_judge`) raises and warns for all of them in the order of a loop over the
+points of s.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from .fock import (
     FockVector,
     ModeLayout,
     _as_real,
+    _check_complex,
     _check_cutoff,
     _check_modes,
     _check_real,
@@ -231,47 +232,44 @@ def _pair(s: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     return e + o, e - o
 
 
-def _parity_basis(s, cutoff: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], Callable]:
-    """X = [e, o], its Gram diagonal (E, O), and
-    (phi[, mass]) -> (cos(phi/2), sin(phi/2), norm2), norm2 the squared norm of X C Xᵀ
-    (module docstring), for |Psi(phi)> at (s, cutoff).
+def _parity_basis(s, phi, cutoff: int, moment: bool = False):
+    """X = [e, o], its Gram diagonal (E, O), and (cos(phi/2), sin(phi/2), norm2), norm2
+    the squared norm of X C Xᵀ (module docstring), for |Psi(phi)> on the (s, phi) grid.
 
-    s is a float or an array, and X has shape ``s.shape + (cutoff, 2)``, E and O its
-    shape: every point of s is one row of `_squeezed_table`.  The cutoff is checked
-    here.  A float s is checked as `EsvSpec` checks it, then its sech underflow and
-    tail, here; an array s is checked point by point at each call (`_judge`).
+    s and phi are floats or arrays that broadcast together.  X has shape
+    ``s.shape + (cutoff, 2)``, E and O its shape: every point of s is one row of
+    `_squeezed_table`.  cos and sin have the shape of phi, norm2 that of the grid.
 
-    phi is a float or an array, checked and wrapped as `EsvSpec` wraps it; cos and
-    sin have its shape and norm2 that of the (s, phi) grid it broadcasts to with s.
-    `mass`, if given, maps (cos, sin) to the mass of the moment words' joint Fock tail
-    on that grid, judged against norm2 as `check_tail` judges it.  A norm 2 sqrt(norm2)
-    below `_ZERO_NORM` raises `esv_pure`'s ValueError.  Every check of a call runs in
-    the order of a loop over the points of s, each with all of phi (`_judge`), as
-    when each point of s was its own curve.
+    The cutoff is checked first, then phi is checked and wrapped as `EsvSpec` wraps
+    it.  Then each point of s, in row-major order and each with all of phi, is judged
+    as when it was its own curve (`_judge`): s as `EsvSpec` checks it, its sech
+    underflow, its tail, then `esv_pure`'s ValueError where the norm 2 sqrt(norm2) is
+    below `_ZERO_NORM`.  With `moment`, the moment words' joint Fock tail is judged
+    last at each grid point, as `check_tail` judges it: its mass, on the basis states
+    with a mode in the top band, is ||X_b C Xᵀ||² + ||X_l C X_bᵀ||², X_b and X_l the
+    rows of X in the band and below it, a sum of non-negative terms over |C|² and the
+    Gram diagonals.
     """
-    eager = np.ndim(s) == 0
-    points = np.asarray(_check_real(s, "s", 0.0) if eager else _as_real(s, "s"))
     cutoff = _check_cutoff(cutoff, 2)
+    half = 0.5 * _wrap_phi(phi)
+    points = np.asarray(_as_real(s, "s"))
     valid = _in_bounds(points, 0.0)
     table, tails = _squeezed_table(np.where(valid, points, 0.0), cutoff)
     failed = ~valid | (table[..., 0] == 0.0)        # s out of range, or sech s underflows
-    if eager:
-        _judge(points, failed, tails, 0.0)
-        failed = tails = np.zeros(points.shape, dtype=bool)
     x = _parity_split(table)
     even, odd = (x[..., 0::4, 0] ** 2).sum(axis=-1), (x[..., 2::4, 1] ** 2).sum(axis=-1)
-    squares = even * even + odd * odd
-    cross = 2.0 * even * odd
-
-    def coefficients(phi, mass: Callable | None = None):
-        half = 0.5 * _wrap_phi(phi)
-        c, sn = np.cos(half), np.sin(half)
-        norm2 = c * c * squares + sn * sn * cross
-        moment = None if mass is None else _tail_fails(mass(c, sn), norm2)
-        _judge(points, failed, tails, 0.0, 2.0 * np.sqrt(norm2) < _ZERO_NORM, moment)
-        return c, sn, norm2
-
-    return x, (even, odd), coefficients
+    c, sn = np.cos(half), np.sin(half)
+    norm2 = c * c * (even * even + odd * odd) + sn * sn * (2.0 * even * odd)
+    moment_fails = None
+    if moment:
+        squares, below = x * x, cutoff - _top_band(cutoff)
+        top, low = squares[..., below:, :].sum(axis=-2), squares[..., :below, :].sum(axis=-2)
+        weight = np.stack([c * c, sn * sn, sn * sn, c * c], axis=-1).reshape(c.shape + (2, 2))  # |C|² before the norm
+        gram, quadratic = np.stack((even, odd), axis=-1), "...k,...kl,...l->..."
+        mass = np.einsum(quadratic, top, weight, gram) + np.einsum(quadratic, low, weight, top)
+        moment_fails = _tail_fails(mass, norm2)
+    _judge(points, failed, tails, 0.0, 2.0 * np.sqrt(norm2) < _ZERO_NORM, moment_fails)
+    return x, (even, odd), (c, sn, norm2)
 
 
 def esv_pure(spec: EsvSpec) -> FockVector:
@@ -336,14 +334,13 @@ def displaced_overlap(alpha: complex, beta: complex, r):
     Closed form exp(-|beta-alpha|^2 / cosh 2r) / cosh 2r; it decreases
     monotonically in |beta - alpha| and, at fixed separation d > 1, is
     maximized over r at r = arccosh(d^2)/2.  r is a float or an array, and the
-    overlap has its shape.  A nan or infinite argument raises ValueError naming it.
+    overlap has its shape.  A nan or infinite argument raises ValueError naming it,
+    and alpha or beta that is not a number TypeError (`fock._check_complex`).
     """
-    for name, value in (("alpha", alpha), ("beta", beta)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    alpha, beta = _check_complex(alpha, "alpha"), _check_complex(beta, "beta")
     x = np.exp(-2.0 * np.abs(_check_real(r, "r")))
     sech = 2.0 * x / (1.0 + x * x)      # `_sech_2s` of |r|, on an array
-    delta = complex(beta) - complex(alpha)
+    delta = beta - alpha
     # a float sum of squares saturates at inf, where the abs() of a complex
     # and ** 2 raise OverflowError; with sech 2r = 0 the overlap is 0, also
     # where inf * 0 would give nan

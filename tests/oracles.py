@@ -19,6 +19,7 @@ tail decision (`_check_band`).
 
 import math
 import warnings
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -119,6 +120,35 @@ def moment_matrix_entry_via_pt(state_array, dims, i, j):
     pt = np.transpose(rho.reshape(tuple(dims) * 2), (0, 3, 2, 1)).reshape(d, d)
     word = [(0, i[0], i[1]), (1, i[2], i[3]), (0, j[1], j[0]), (1, j[3], j[2])]
     return kron_moment(pt, dims, word)
+
+
+def exact_determinant(matrix):
+    """The exact determinant of a complex float matrix, as a Fraction pair (real,
+    imaginary): Gaussian elimination over Fractions, on the real and imaginary parts
+    of each entry, rounds at no step.  It measures a float determinant apart from the
+    rounding in the entries themselves."""
+    rows = [[(Fraction(z.real), Fraction(z.imag)) for z in row]
+            for row in np.asarray(matrix, dtype=complex).tolist()]
+    det = (Fraction(1), Fraction(0))
+    for k in range(len(rows)):
+        pivot = next((r for r in range(k, len(rows)) if rows[r][k] != (0, 0)), None)
+        if pivot is None:
+            return Fraction(0), Fraction(0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = (-det[0], -det[1])
+        (p_re, p_im), det = rows[k][k], _cmul(det, rows[k][k])
+        norm = p_re * p_re + p_im * p_im
+        for r in range(k + 1, len(rows)):
+            a_re, a_im = rows[r][k]
+            factor = ((a_re * p_re + a_im * p_im) / norm, (a_im * p_re - a_re * p_im) / norm)   # rows[r][k] / pivot
+            rows[r] = [(xr - yr, xi - yi) for (xr, xi), (yr, yi) in zip(rows[r], (_cmul(factor, z) for z in rows[k]))]
+    return det
+
+
+def _cmul(a, b):
+    """The product of two complex numbers given as (real, imaginary) pairs."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
 def beamsplitter_matrix(dims, mode_a, mode_b, theta):

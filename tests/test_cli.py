@@ -200,7 +200,7 @@ def test_non_finite_diagnostic_exits_3_naming_the_point(bad, monkeypatch, capsys
     # a finite row at r = 0, then the non-finite one at r = 1, in one block of columns
     cmd = COMMANDS["overlap"]
     monkeypatch.setitem(COMMANDS, "overlap",
-                        dataclasses.replace(cmd, prepare=lambda cutoff, d: lambda r: (np.where(r > 0, bad, 0.5),)))
+                        dataclasses.replace(cmd, evaluate=lambda cutoff, d, r: (np.where(r > 0, bad, 0.5),)))
     assert main(["overlap", "d=2", "r=0..1:2"]) == 3
     assert capsys.readouterr().err == "error: numeric-guard: non-finite diagnostic at {'d': 2.0, 'r': 1.0}\n"
 
@@ -338,7 +338,7 @@ def test_runtime_warning_raised_as_error_exits_3(monkeypatch, capsys):
         return (np.full_like(r, 0.5),)
 
     monkeypatch.setitem(COMMANDS, "overlap",
-                        dataclasses.replace(COMMANDS["overlap"], prepare=lambda cutoff, d: evaluate))
+                        dataclasses.replace(COMMANDS["overlap"], evaluate=lambda cutoff, d, r: evaluate(r)))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["overlap", "d=2", "r=0"]) == 3
@@ -412,7 +412,7 @@ def _per_s_loop(curve, argv):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationWarning)
         for s in s_axis.tolist():
-            curve(s, config.cutoff)(phi_axis)
+            curve(s, phi_axis, config.cutoff)
     return [str(w.message) for w in caught]
 
 
@@ -462,12 +462,12 @@ def test_pure_sweep_errors_in_row_major_order(argv, error, messages):
 
 
 def test_pure_sweeps_prepare_each_curve_once(monkeypatch):
-    # one curve per sweep, on the whole s axis as a column against the phi axis as a row
+    # one curve call per sweep, on the whole s axis as a column against the phi axis as a row
     shapes = []
     for name in ("esv_pure_eof_curve", "esv_criteria_curve"):
-        def spy(s, cutoff, curve=getattr(cli, name)):
+        def spy(s, phi, cutoff, curve=getattr(cli, name)):
             shapes.append(np.shape(s))
-            return curve(s, cutoff)
+            return curve(s, phi, cutoff)
         monkeypatch.setattr(cli, name, spy)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
@@ -638,7 +638,7 @@ def test_noisy_ln_rows_match_joint_state_oracle(tmp_path, command, channel):
 def _ln_oracle(channel):
     def ln(s, sigma, phi):
         rho = channel(squeezed_vacuum(SqueezeSpec(s, 10)).normalized().density(), sigma)
-        return esv_mixed_ln_curve(rho)(phi)
+        return esv_mixed_ln_curve(rho, phi)
     return ln
 
 
@@ -646,7 +646,7 @@ def _ln_oracle(channel):
 # 10: the library curve evaluated on the whole block at once, each value bit for bit
 # that of the open mesh run passes
 ROW_ORACLES = {
-    "eof-surface": lambda s, phi: esv_pure_eof_curve(s, 10)(phi),
+    "eof-surface": lambda s, phi: esv_pure_eof_curve(s, phi, 10),
     "ln-thermal": _ln_oracle(thermal_channel),
     "ln-phase": _ln_oracle(phase_channel),
 }
@@ -654,17 +654,18 @@ ROW_ORACLES = {
 
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_prepare_runs_once_per_outer_point(command, monkeypatch):
+    # each command's evaluate runs once per outer point, on the whole inner grid below it;
     # two distinct values on every axis: a default range with lo == hi repeats
     # its value, and with it an outer point
     cmd = COMMANDS[command]
     ranges = {name: (lo, lo + 0.5, 2) for name, (lo, _, _) in cmd.params.items()}
     calls = []
 
-    def counting_prepare(cutoff, *outer):
-        calls.append(outer)
-        return cmd.prepare(cutoff, *outer)
+    def counting_evaluate(cutoff, *args):
+        calls.append(args[:cmd.outer])
+        return cmd.evaluate(cutoff, *args)
 
-    monkeypatch.setitem(COMMANDS, command, dataclasses.replace(cmd, prepare=counting_prepare))
+    monkeypatch.setitem(COMMANDS, command, dataclasses.replace(cmd, evaluate=counting_evaluate))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         rows = run(SweepConfig(command, ranges, cutoff=10)).rows

@@ -1,5 +1,5 @@
-"""Column evaluation: every prepared curve of the sweeps, evaluated on a whole
-inner axis at once as `cli.run` passes it, matches its per-point reference at
+"""Column evaluation: every kernel of the sweeps, evaluated on a whole inner
+axis at once as `cli.run` passes it, matches its per-point reference at
 each point of the axis within 1e-12 absolute.
 
 An axis is drawn as `cli.run` builds one, ``np.linspace(lo, hi, steps)`` with
@@ -60,8 +60,8 @@ def test_eof_and_criteria_columns_match_the_state_path(s, cutoff, phi):
     # s stays within the criteria sweep's range: beyond it the state path's graded minors
     # lose more than 1e-12 absolute on either path (a known conditioning limit)
     states = {p: esv_pure(EsvSpec(s, p, cutoff)) for p in phi.tolist()}
-    assert_columns(esv_pure_eof_curve(s, cutoff)(phi), lambda p: eof_pure(states[p], [0]), phi)
-    columns = esv_criteria_curve(s, cutoff)(phi)
+    assert_columns(esv_pure_eof_curve(s, phi, cutoff), lambda p: eof_pure(states[p], [0]), phi)
+    columns = esv_criteria_curve(s, phi, cutoff)
     for column, det in zip(columns, (simon_det, duan_det, esv_criterion_det)):
         assert_columns(column, lambda p: det(states[p]), phi)
 
@@ -89,7 +89,7 @@ def test_array_s_grid_is_its_scalar_s_curves(s, cutoff, phi):
     # as often and in the same order; and it is the state path's within 1e-12
     assume(0.0 not in s or np.abs(np.cos(phi / 2)).min() > 1e-2)
     column, grid = np.array(s)[:, None], []
-    for curve in (lambda x: (esv_pure_eof_curve(x, cutoff)(phi),), lambda x: esv_criteria_curve(x, cutoff)(phi)):
+    for curve in (lambda x: (esv_pure_eof_curve(x, phi, cutoff),), lambda x: esv_criteria_curve(x, phi, cutoff)):
         values, warned = _messages(lambda: curve(column))
         singles, single_warned = _messages(lambda: [curve(x) for x in s])
         assert warned == single_warned
@@ -98,7 +98,7 @@ def test_array_s_grid_is_its_scalar_s_curves(s, cutoff, phi):
             assert value.tolist() == np.array(single).tolist()
         grid += values
     # s as a row against one phi broadcasts the same way
-    assert esv_pure_eof_curve(np.array(s), cutoff)(phi[0]).tolist() == grid[0][:, 0].tolist()
+    assert esv_pure_eof_curve(np.array(s), phi[0], cutoff).tolist() == grid[0][:, 0].tolist()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         for x, *values in zip(s, *grid):
@@ -168,5 +168,5 @@ def test_overlap_column_matches_the_scalar_closed_form(d, r):
 @given(s=st.floats(0.2, 1.2), sigma=st.floats(0.0, 1.0), phi=axis(-7.0, 7.0, steps=4))
 def test_ln_column_is_the_per_phi_curve(s, sigma, phi):
     # the noisy curves solve each phi's blocks on their own, so a column is the scalar values
-    curve = esv_mixed_ln_curve(thermal_channel(squeezed_vacuum(SqueezeSpec(s, 8)).normalized().density(), sigma))
-    assert np.asarray(curve(phi)).tolist() == [curve(p) for p in phi.tolist()]
+    rho = thermal_channel(squeezed_vacuum(SqueezeSpec(s, 8)).normalized().density(), sigma)
+    assert np.asarray(esv_mixed_ln_curve(rho, phi)).tolist() == [esv_mixed_ln_curve(rho, p) for p in phi.tolist()]

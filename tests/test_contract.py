@@ -28,13 +28,16 @@ from esvsim import (
     EsvSpec,
     JcSpec,
     KerrSpec,
+    MinorSelector,
     ModeLayout,
+    MomentIndex,
     QubitAmplitudes,
     SqueezeSpec,
     bs_loss,
     displaced_overlap,
     entanglement_swap,
     entangling_power,
+    eof_pure,
     esv_mixed,
     esv_pure,
     generate_scheme_a,
@@ -129,18 +132,18 @@ CASES = [
     Case("two_mode_squeezed_vacuum", *one_real("s"), two_mode_squeezed_vacuum, unit_or_less),
     Case("esv_mixed", *one_real("phi"), lambda phi, d: esv_mixed(physical_input(d), physical_input(d), phi),
          unit_trace),
-    Case("esv_mixed_ln_curve", *one_real("phi"), lambda phi, d: esv_mixed_ln_curve(physical_input(d))(phi),
+    Case("esv_mixed_ln_curve", *one_real("phi"), lambda phi, d: esv_mixed_ln_curve(physical_input(d), phi),
          finite_in(0.0, math.inf)),
-    Case("esv_pure_eof_curve", *two_reals("s", "phi"), lambda s, phi, d: esv_pure_eof_curve(s, d)(phi),
+    Case("esv_pure_eof_curve", *two_reals("s", "phi"), lambda s, phi, d: esv_pure_eof_curve(s, phi, d),
          finite_in(0.0, 1.0)),
-    Case("esv_criteria_curve", *two_reals("s", "phi"), lambda s, phi, d: esv_criteria_curve(s, d)(phi),
+    Case("esv_criteria_curve", *two_reals("s", "phi"), lambda s, phi, d: esv_criteria_curve(s, phi, d),
          lambda dets: all(map(math.isfinite, dets))),
     # an s axis as a column against a phi row, as the sweeps pass them
     Case("esv_pure_eof_curve-s-array", *s_axis_and_phi(),
-         lambda s, phi, d: esv_pure_eof_curve(np.array(s)[:, None], d)(np.array([phi, 0.5])),
+         lambda s, phi, d: esv_pure_eof_curve(np.array(s)[:, None], np.array([phi, 0.5]), d),
          lambda eof: bool(np.isfinite(eof).all() and (eof >= 0).all() and (eof <= 1).all())),
     Case("esv_criteria_curve-s-array", *s_axis_and_phi(),
-         lambda s, phi, d: esv_criteria_curve(np.array(s)[:, None], d)(np.array([phi, 0.5])),
+         lambda s, phi, d: esv_criteria_curve(np.array(s)[:, None], np.array([phi, 0.5]), d),
          lambda dets: all(bool(np.isfinite(det).all()) for det in dets)),
     Case("thermal_channel", *one_real("sigma"), lambda sigma, d: thermal_channel(physical_input(d), sigma),
          unit_trace),
@@ -196,7 +199,7 @@ def test_public_api_returns_in_range_or_names_the_argument(case, data):
     (lambda: DensityMatrix(ModeLayout((2,)), np.full((2, 2), np.nan)), ValueError, "non-finite matrix entry"),
     (lambda: DensityMatrix(ModeLayout((2,)), [[1.0, np.inf], [np.inf, 0.0]]), ValueError,
      "non-finite matrix entry"),
-    (lambda: esv_mixed_ln_curve(physical_input(6))(np.nan), ValueError, "phi must be finite"),
+    (lambda: esv_mixed_ln_curve(physical_input(6), np.nan), ValueError, "phi must be finite"),
     (lambda: log_negativity(DensityMatrix(ModeLayout((2, 2)), np.full((4, 4), np.nan)), [1]), ValueError,
      "non-finite matrix entry"),
     (lambda: two_mode_squeezed_vacuum(np.nan, 10), ValueError, "s must be finite"),
@@ -207,9 +210,28 @@ def test_public_api_returns_in_range_or_names_the_argument(case, data):
     (lambda: SqueezeSpec("1.5", 10), TypeError, "s must be a real number"),
     (lambda: SqueezeSpec(10 ** 400, 10), ValueError, "s must be finite"),
     (lambda: SqueezeSpec(np.complex128(1 + 1j), 10), TypeError, "s must be a real number"),
+    # integers are never truncated: each of these once acted on position 1 and 2, index 1 or mode 0
+    (lambda: MinorSelector((1.7, 2.2)), TypeError, "selector position must be an integer"),
+    (lambda: MomentIndex(1.5, 0, 0, 0), TypeError, "multi-index entry must be an integer"),
+    (lambda: log_negativity(esv_pure(EsvSpec(0.5, 1.0, 6)), [0.6]), TypeError, "mode must be an integer"),
+    (lambda: eof_pure(esv_pure(EsvSpec(0.5, 1.0, 6)), [0.2]), TypeError, "mode must be an integer"),
+    (lambda: moment(squeezed_vacuum(SqueezeSpec(0.5, 6)), [(0.9, 1, 1)]), TypeError, "mode must be an integer"),
+    # a protocol's qubit is QubitAmplitudes, not anything: these once returned (1/4, 1) or ran
+    (lambda: teleport(None, 1.0), TypeError, "inp must be QubitAmplitudes"),
+    (lambda: teleport((5, 5), 1.0), TypeError, "inp must be QubitAmplitudes"),
+    (lambda: generate_scheme_a(1.0, (1.0, 0.0), "+", 6), TypeError, "ancilla must be QubitAmplitudes"),
+    (lambda: generate_scheme_b(1.0, None, "+", 6), TypeError, "ancilla must be QubitAmplitudes"),
+    # a non-number raises a TypeError naming the argument, not numpy's or a comparison's
+    (lambda: QubitAmplitudes("a", 0), TypeError, "a0 must be a complex number"),
+    (lambda: QubitAmplitudes(1.0, None), TypeError, "a1 must be a complex number"),
+    (lambda: displaced_overlap("x", 0, 1.0), TypeError, "alpha must be a complex number"),
+    (lambda: bs_loss(physical_input(6), "0.5"), TypeError, "transmissivity must be a real number"),
 ], ids=["esv_mixed-nan", "esv_mixed-inf", "DensityMatrix-nan", "DensityMatrix-inf", "esv_mixed_ln_curve-nan",
         "log_negativity-nan", "two_mode_squeezed_vacuum-nan", "two_mode_squeezed_vacuum-inf", "moment-float-power",
-        "SqueezeSpec-None", "SqueezeSpec-str", "SqueezeSpec-huge-int", "SqueezeSpec-complex"])
+        "SqueezeSpec-None", "SqueezeSpec-str", "SqueezeSpec-huge-int", "SqueezeSpec-complex",
+        "MinorSelector-float", "MomentIndex-float", "log_negativity-float-mode", "eof_pure-float-mode",
+        "moment-float-mode", "teleport-None", "teleport-tuple", "generate_scheme_a-tuple", "generate_scheme_b-None",
+        "QubitAmplitudes-str", "QubitAmplitudes-None", "displaced_overlap-str", "bs_loss-str"])
 def test_argument_is_rejected_where_it_enters(call, error, message):
     with pytest.raises(error, match=f"^{message}"):
         call()
@@ -235,12 +257,11 @@ def test_density_matrix_stores_the_exact_hermitian_part():
     (np.nan, 0.0, "s must be finite and >= 0, got nan"),
 ], ids=["zero", "subnormal", "huge", "negative", "nan"])
 def test_array_s_is_rejected_at_its_point(curve, bad, phi, message):
-    # an s axis is checked point by point at the call, in its order: the error of the bad
-    # point, after the good point before it and whatever point follows
+    # an s axis is checked point by point, in its order: the error of the bad point,
+    # after the good point before it and whatever point follows
     s = np.array([[0.5], [bad], [np.inf]])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        evaluate = curve(s, 10)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-            evaluate(np.array([0.25, phi]))
-        assert np.isfinite(curve(s[:1], 10)(np.array([0.25, phi]))).all()
+            curve(s, np.array([0.25, phi]), 10)
+        assert np.isfinite(curve(s[:1], np.array([0.25, phi]), 10)).all()

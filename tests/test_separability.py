@@ -28,7 +28,7 @@ from esvsim.fock import DensityMatrix, FockVector, ModeLayout, TruncationWarning
 from esvsim.separability import _ESV_CRITERION_INDICES, _esv_minors, _moment_minor, _selected, esv_criteria_curve
 from esvsim.states import _pair
 
-from oracles import basis_vector, full_operator, moment_matrix_entry, moment_matrix_entry_via_pt, tensor
+from oracles import basis_vector, exact_determinant, full_operator, moment_matrix_entry, moment_matrix_entry_via_pt, tensor
 
 
 def test_ordering_examples():
@@ -259,7 +259,7 @@ def _state_path(s, phi, cutoff):
 @example(s=0.0, phi=np.pi, cutoff=10)           # the degenerate EsvSpec point
 def test_esv_criteria_curve_matches_the_state_minors(s, phi, cutoff):
     want, want_warned = _outcome(lambda: _state_path(s, phi, cutoff))
-    got, got_warned = _outcome(lambda: esv_criteria_curve(s, cutoff)(phi))
+    got, got_warned = _outcome(lambda: esv_criteria_curve(s, phi, cutoff))
     assert got_warned == want_warned
     if isinstance(want, ValueError):
         assert isinstance(got, ValueError) and str(got) == str(want)
@@ -272,7 +272,7 @@ def test_esv_criteria_curve_matches_the_state_minors(s, phi, cutoff):
     kappa = 2 * np.vdot(plus, plus).real / np.linalg.norm(superposed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        minors = _esv_minors(s, cutoff)(phi)
+        minors = _esv_minors(s, phi, cutoff)
         for idx, minor, det, value in zip(_CURVE_MINORS, minors, dets, got):
             ref = _moment_minor(state, idx)
             root = np.sqrt(np.abs(ref.diagonal()))
@@ -284,11 +284,27 @@ def test_esv_criteria_curve_matches_the_state_minors(s, phi, cutoff):
             assert abs(value - det) <= max(1e-11, weyl) * max(abs(det), 1e-300)
 
 
+@pytest.mark.parametrize("s", [1e-2, 1e-5, 1e-7])
+def test_graded_minor_determinants_match_the_exact_determinant(s):
+    # at small s the minors' diagonals span from 1 down to about s⁸; scaled to a unit
+    # diagonal before the eigensolve, the Duan and ESV-criterion determinants are those of
+    # the same float minors, taken exactly, to 1e-13 relative (the unscaled product of
+    # eigenvalues was 6.2e-7 off at s = 1e-5 and 1.3e-3 at 1e-7).  Simon's scaled minor
+    # has a condition of about 0.5/s², so no eigensolve on its float entries gets it right
+    _, duan, criterion = esv_criteria_curve(s, 1.5, 6)
+    for minor, value in zip(_esv_minors(s, 1.5, 6)[1:], (duan, criterion)):
+        real, imag = exact_determinant(minor)
+        assert imag == 0 and real != 0
+        assert abs(value - float(real)) <= 1e-13 * abs(float(real))
+
+
 @pytest.mark.parametrize("phi", [-1e-20, -7.0, 20.0, 2 * np.pi, 3 * np.pi, -np.pi, 1e300, np.nan, np.inf])
 def test_esv_criteria_curve_wraps_phi_as_esv_spec(phi):
     # the value at the wrapped phi, or EsvSpec's error.  -1e-20 wraps to fl(2 pi), which
     # wraps on to 0: there sin(phi/2) is 1.2e-16 instead of 0, and the values differ in the last bits
-    curve = esv_criteria_curve(0.7, 12)
+    def curve(phi):
+        return esv_criteria_curve(0.7, phi, 12)
+
     try:
         wrapped = EsvSpec(0.7, phi, 12).phi
     except ValueError as exc:
@@ -306,7 +322,6 @@ def test_esv_criteria_curve_guards():
         warnings.simplefilter("error", TruncationWarning)
         # at s = 0.62 and the default cutoff each single-mode tail (7.1e-9) passes,
         # the joint one (1.6e-8) does not
-        curve = esv_criteria_curve(0.62, 30)
         with pytest.raises(TruncationWarning, match="^moment:"):
-            curve(0.0)
-        assert esv_criteria_curve(0.3, 40)(np.pi)[2] < 0
+            esv_criteria_curve(0.62, 0.0, 30)
+        assert esv_criteria_curve(0.3, np.pi, 40)[2] < 0

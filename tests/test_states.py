@@ -116,19 +116,19 @@ def test_esv_phi_curves_guard_as_esv_pure(curve):
     # both phi-curves take their checks from states._parity_basis: s and the cutoff as
     # EsvSpec checks them, the squeezed vacuum's tail once, and esv_pure's norm floor per phi
     with pytest.raises(ValueError, match=">= 0"):
-        curve(-0.1, 10)
+        curve(-0.1, 0.0, 10)
     with pytest.raises(ValueError, match="finite"):
-        curve(np.inf, 10)
+        curve(np.inf, 0.0, 10)
     with pytest.raises(ValueError, match="cutoff"):
-        curve(0.5, 1)
+        curve(0.5, 0.0, 1)
     with pytest.raises(TypeError, match="^cutoff must be an integer"):
-        curve(0.5, 2.5)
+        curve(0.5, 0.0, 2.5)
     with pytest.raises(ValueError, match="^degenerate superposition is the zero vector$"):
-        curve(0.0, 10)(np.pi)
+        curve(0.0, np.pi, 10)
     with warnings.catch_warnings():
         warnings.simplefilter("error", TruncationWarning)
         with pytest.raises(TruncationWarning, match="^squeezed_vacuum:"):
-            curve(2.5, 12)
+            curve(2.5, 0.0, 12)
 
 
 def _raised(compute):
@@ -153,7 +153,7 @@ def test_esv_phi_curves_raise_where_esv_pure_raises(s, delta, cutoff):
     phi = np.pi + delta
     want = _raised(lambda: esv_pure(EsvSpec(s, phi, cutoff)))
     for curve in (esv_pure_eof_curve, esv_criteria_curve):
-        assert _raised(lambda: curve(s, cutoff)(phi)) == want
+        assert _raised(lambda: curve(s, phi, cutoff)) == want
     assert want is None or (want == "degenerate superposition is the zero vector" and "s = 0" not in want)
 
 
