@@ -1,7 +1,7 @@
 """Truncated-Fock-space simulation of entangled squeezed vacuum states."""
 
 from .channels import bs_loss, phase_channel, thermal_channel
-from .dynamics import JcSpec, entangling_power, jc_unitary
+from .dynamics import entangling_power
 from .fock import (
     DensityMatrix,
     FockVector,
@@ -30,7 +30,6 @@ from .separability import (
     duan_det,
     esv_criterion_det,
     minor_determinant,
-    multiindex_compare,
     simon_det,
 )
 from .states import (

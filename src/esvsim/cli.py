@@ -58,6 +58,9 @@ from .states import EsvSpec, SqueezeSpec, displaced_overlap, esv_pure, squeezed_
 __all__ = ["SweepConfig", "SweepResult", "run", "emit_csv", "main"]
 
 
+_DEFAULT_CUTOFF = 30
+
+
 class UsageError(ValueError):
     """Bad command line: unknown parameter or malformed range."""
 
@@ -68,7 +71,7 @@ class SweepConfig:
 
     command: str
     ranges: dict[str, tuple[float, float, int]]
-    cutoff: int = 30
+    cutoff: int = _DEFAULT_CUTOFF
     strict: bool = False
 
     def __post_init__(self):
@@ -265,7 +268,7 @@ def _build_parser():
             help=f"columns: {', '.join(list(cmd.params) + list(cmd.diagnostics))}",
         )
         p.add_argument("assignments", nargs="*", metavar="name=value|name=min..max:steps")
-        p.add_argument("--cutoff", type=int, default=30,
+        p.add_argument("--cutoff", type=int, default=_DEFAULT_CUTOFF,
                        help="Fock cutoff per mode (swap, teleport and overlap are cutoff-free "
                             "and ignore it)")
         p.add_argument("--strict", action="store_true",
@@ -297,7 +300,7 @@ def _parse_canonical(argv: list[str]) -> tuple[str, list[str], int, bool, str | 
         if flags[flag].startswith("-"):
             return None
     try:
-        cutoff = int(flags.get("--cutoff", 30))   # what argparse's type=int does
+        cutoff = int(flags.get("--cutoff", _DEFAULT_CUTOFF))   # what argparse's type=int does
     except ValueError:
         return None
     return argv[0], argv[1:n], cutoff, "--strict" in flags, flags.get("--out")

